@@ -15,3 +15,18 @@ def test_bench_grid_weather(benchmark, save_result):
     frontier, telemetry = result.tables
     assert len(frontier.rows) == 6
     assert any("flips" not in n and "strategy" in n for n in result.notes)
+
+
+def test_bench_broker_storm(benchmark, save_result):
+    """End-to-end `broker-storm` experiment at its committed defaults:
+    the (calm, broker-storm) × (retry off, retry on) task days through
+    the middleware fault domain, each with its conservation audit."""
+    result = benchmark.pedantic(
+        lambda: run_experiment("broker-storm"),
+        rounds=2,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    save_result(result)
+    assert result.experiment_id == "broker-storm"
+    assert result.tables[0].rows

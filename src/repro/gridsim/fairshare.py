@@ -11,9 +11,9 @@ engines without touching them:
   ratio wins the next free core).  Decay is *lazy and closed-form*
   (``usage · 2^{-Δt/halflife}``), so no per-interval decay events exist
   and the two engines apply bit-identical arithmetic.
-* :class:`FairShareComputingElement` — the event oracle: per-VO FIFO
-  queues in front of the same core pool; every free core is handed to
-  the head job of the most underserved VO.
+* :class:`FairShareComputingElement` — the event oracle the tests run
+  grids on: per-VO FIFO queues in front of the same core pool; every
+  free core is handed to the head job of the most underserved VO.
 * :class:`FairShareVectorComputingElement` — the production engine: the
   chunked background lane carries a VO label per arrival
   (:meth:`~FairShareVectorComputingElement.feed_background` grows a
@@ -398,10 +398,10 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     off those heads.  Background work still creates **zero events and
     zero Job objects**.
 
-    Commits run *block-resolved* by default (:attr:`block_commits`):
-    between client interactions the winner sequence of the
-    ``usage/share`` rule is a deterministic function of the decayed
-    usage vector, the per-VO heads, and the core free-time heap, so
+    Commits run *block-resolved*: between client interactions the
+    winner sequence of the ``usage/share`` rule is a deterministic
+    function of the decayed usage vector, the per-VO heads, and the
+    core free-time heap, so
     maximal background-only runs are committed in one fused pass over
     plain locals — replaying the exact ``2^{-Δt/halflife}`` decay
     ladder and ``usage/share`` argmin the per-start loop commits, so
@@ -409,10 +409,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     pass falls back to per-start handling the moment a client job wins
     a core (its ``on_start`` callback may re-enter the site) or a
     block boundary is hit — a commit instant past ``now``, an empty
-    grid, or a dispatch-gate flip.  Flipping :attr:`block_commits` off
-    routes every commit through the per-start
-    :class:`FairShareState`-method loop instead; the equivalence suite
-    runs both and compares traces bit-for-bit.
+    grid, or a dispatch-gate flip.  ``tests/test_fairshare_block.py``
+    holds the blocks bit-for-bit to a per-start
+    :class:`FairShareState`-method oracle loop.
 
     The single wake is aimed at the earliest predicted *client* start,
     computed by replaying the identical commit recurrence on a
@@ -421,12 +420,6 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     cores), never advance it, so a stale wake fires early, commits
     nothing, and re-aims itself.
     """
-
-    #: commit background-only runs as fused blocks (the production
-    #: path); ``False`` resolves every start through the per-start
-    #: ``FairShareState`` method loop — same floats, kept as the
-    #: in-process oracle for the equivalence suite
-    block_commits: bool = True
 
     def __init__(
         self,
@@ -683,10 +676,7 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
             return
         if t < self._next_due or not self.dispatch_enabled:
             return
-        if self.block_commits:
-            self._commit_block(t)
-        else:
-            self._commit_scalar(t)
+        self._commit_block(t)
 
     def _commit_block(self, t: float) -> None:
         """Block-resolved commits: fused decay/argmin over plain locals.
@@ -697,7 +687,8 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         bumps its VO cursor — and shared state is written back only at
         block boundaries: before a client start callback (which may
         re-enter this site) and at every exit.  The float sequence is
-        exactly the one :meth:`_commit_scalar` commits.
+        exactly the one a per-start ``FairShareState.select`` /
+        ``charge`` loop commits.
         """
         fs = self.fairshare
         usage = fs._usage
@@ -834,76 +825,6 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 floor = self._dispatch_floor
                 last = fs._last
                 refill = self._mut != self._heads_mut
-
-    def _commit_scalar(self, t: float) -> None:
-        """Per-start oracle of the block resolver (``block_commits=False``).
-
-        One start per iteration through the :class:`FairShareState`
-        method calls — ``select`` then ``charge`` at the same decision
-        instant, the call sequence both fair-share engines have always
-        committed.  The block path must replay this loop's float ladder
-        bit-for-bit; ``tests/test_fairshare_block.py`` holds it to that.
-        """
-        fs = self.fairshare
-        bga, bgr, bgc = self._bga, self._bgr, self._bgc
-        clq = self._clq
-        husks = self._vo_husks
-        nvo = len(bgc)
-        INF = _INF
-        QUEUED = JobState.QUEUED
-        # this path pops queues without maintaining the cached head rows
-        self._heads_mut = -1
-        while True:
-            cf = self._core_free
-            d = cf[0]
-            if self._dispatch_floor > d:
-                d = self._dispatch_floor
-            if d > t:
-                self._next_due = d
-                return
-            # per-VO head arrivals: background vs first live client,
-            # background winning exact ties (arrival order)
-            heads = []
-            a0 = INF
-            for v in range(nvo):
-                a = bga[v]
-                c = bgc[v]
-                b = a[c] if c < len(a) else INF
-                q = clq[v]
-                while q and q[0].state is not QUEUED:
-                    q.popleft()
-                    husks[v] -= 1
-                j = q[0].queue_time if q else INF
-                arr = b if b <= j else j
-                heads.append((arr, b))
-                if arr < a0:
-                    a0 = arr
-            if a0 > d:
-                if a0 > t:
-                    self._next_due = a0  # inf when both lanes are empty
-                    return
-                d = a0  # idle core: the next arrival starts when it lands
-            candidates = [v for v in range(nvo) if heads[v][0] <= d]
-            v = fs.select(candidates, d)
-            arr, b = heads[v]
-            if b <= arr:  # the background head wins its VO slot
-                c = bgc[v]
-                r = bgr[v][c]
-                heapreplace(cf, d + r)
-                fs.charge(v, r, d)
-                bgc[v] = c + 1
-                self._started += 1
-            else:
-                job = clq[v].popleft()
-                self._live_clients -= 1
-                heapreplace(cf, d + job.runtime)
-                fs.charge(v, job.runtime, d)
-                self._started += 1
-                self._start_client(job, d)
-                # the callback may cancel siblings here or close the
-                # gate — state is re-read from self at the loop head
-                if not self.dispatch_enabled:
-                    return
 
     # -- the wake ----------------------------------------------------------
 

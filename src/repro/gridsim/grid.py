@@ -22,7 +22,6 @@ import numpy as np
 from repro.gridsim.background import BackgroundLoad
 from repro.gridsim.events import Simulator
 from repro.gridsim.fairshare import (
-    FairShareComputingElement,
     FairShareVectorComputingElement,
     normalize_vo_shares,
 )
@@ -37,7 +36,7 @@ from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.middleware import MiddlewareDomain, RetryPolicy
 from repro.gridsim.outages import OutageProcess
 from repro.gridsim.registry import MetricsRegistry
-from repro.gridsim.site import ComputingElement, VectorComputingElement
+from repro.gridsim.site import VectorComputingElement
 from repro.gridsim.tracing import TraceRecorder
 from repro.gridsim.weather import (
     ResubmissionAgent,
@@ -62,35 +61,12 @@ __all__ = [
     "warmed_snapshot",
 ]
 
-#: site engine selected by :attr:`GridConfig.site_engine`
-_SITE_ENGINES = {
-    "vector": VectorComputingElement,
-    "event": ComputingElement,
-}
-
-#: fair-share flavour of each site engine (sites declaring >= 2 VOs)
-_FAIRSHARE_ENGINES = {
-    "vector": FairShareVectorComputingElement,
-    "event": FairShareComputingElement,
-}
-
-
-def _default_site_engine() -> str:
-    """Engine default, overridable via ``REPRO_SITE_ENGINE`` (CI matrix)."""
-    return os.environ.get("REPRO_SITE_ENGINE", "vector")
-
-
 #: WMS engine selected by :attr:`GridConfig.wms_engine` —
 #: ``(plain WMS class, federated broker class)`` per engine
 _WMS_ENGINES = {
     "batched": (BatchedWorkloadManager, BatchedFederatedBroker),
     "event": (WorkloadManager, FederatedBroker),
 }
-
-
-def _default_wms_engine() -> str:
-    """WMS engine default, overridable via ``REPRO_WMS_ENGINE`` (CI matrix)."""
-    return os.environ.get("REPRO_WMS_ENGINE", "batched")
 
 
 @dataclass(frozen=True)
@@ -147,19 +123,16 @@ class GridConfig:
         Outlier-producing fault channels.
     diurnal_amplitude:
         Amplitude of the shared daily load modulation (0 disables).
-    site_engine:
-        ``"vector"`` (default, or ``REPRO_SITE_ENGINE``) runs sites on
-        the two-lane :class:`~repro.gridsim.site.VectorComputingElement`;
-        ``"event"`` keeps the fully event-driven oracle.
     wms_engine:
-        ``"batched"`` (default, or ``REPRO_WMS_ENGINE``) resolves
-        match-making in windowed dispatch buckets — one event per
-        information-refresh window, site selection vectorised over the
-        bucket — and pools client timeout timers on the kernel's coarse
-        timer wheel; ``"event"`` keeps the per-job dispatch oracle with
-        exact heap timers.  The batched lane is a law-level
-        approximation (dispatches land on window boundaries), pinned
-        against the oracle by ``tests/test_wms_engine_equivalence.py``.
+        ``"batched"`` (default) resolves match-making in windowed
+        dispatch buckets — one event per information-refresh window,
+        site selection vectorised over the bucket — and pools client
+        timeout timers on the kernel's coarse timer wheel; ``"event"``
+        keeps per-job dispatch with exact heap timers.  The two are
+        different laws, not an implementation swap: dispatches land on
+        window boundaries on the batched lane, and
+        ``tests/test_wms_engine_equivalence.py`` bounds how far its
+        laws sit from per-job dispatch.
     fairshare_halflife:
         Decay half-life (s) of the per-VO usage window on fair-share
         sites (``math.inf`` disables decay).
@@ -220,8 +193,7 @@ class GridConfig:
     ranking_noise: float = 0.3
     faults: FaultModel = field(default_factory=FaultModel)
     diurnal_amplitude: float = 0.0
-    site_engine: str = field(default_factory=_default_site_engine)
-    wms_engine: str = field(default_factory=_default_wms_engine)
+    wms_engine: str = "batched"
     fairshare_halflife: float = 86_400.0
     brokers: tuple[BrokerConfig, ...] = ()
     weather: WeatherConfig | None = None
@@ -234,11 +206,6 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not self.sites:
             raise ValueError("grid needs at least one site")
-        if self.site_engine not in _SITE_ENGINES:
-            raise ValueError(
-                f"unknown site_engine {self.site_engine!r}; "
-                f"available: {', '.join(_SITE_ENGINES)}"
-            )
         if self.wms_engine not in _WMS_ENGINES:
             raise ValueError(
                 f"unknown wms_engine {self.wms_engine!r}; "
@@ -444,6 +411,10 @@ def federated_grid_config(
 class GridSimulator:
     """Executable grid built from a :class:`GridConfig`."""
 
+    #: site engine of plain FIFO sites and of fair-share sites (>= 2 VOs)
+    _site_cls = VectorComputingElement
+    _fairshare_cls = FairShareVectorComputingElement
+
     def __init__(self, config: GridConfig, seed: RngLike = None) -> None:
         self.config = config
         self.sim = Simulator()
@@ -478,10 +449,8 @@ class GridSimulator:
             if config.diurnal_amplitude > 0.0
             else None
         )
-        site_cls = _SITE_ENGINES[config.site_engine]
-        fairshare_cls = _FAIRSHARE_ENGINES[config.site_engine]
         self.sites = [
-            fairshare_cls(
+            self._fairshare_cls(
                 sc.name,
                 sc.n_cores,
                 self.sim,
@@ -490,7 +459,7 @@ class GridSimulator:
                 on_start=self._notify_start,
             )
             if len(sc.vo_shares) >= 2
-            else site_cls(
+            else self._site_cls(
                 sc.name, sc.n_cores, self.sim, on_start=self._notify_start
             )
             for sc in config.sites
@@ -644,6 +613,9 @@ class GridSimulator:
         #: block-drawn fault uniforms (one per Bernoulli draw, consumed
         #: in the same order the scalar channel draws were)
         self._fault_uniforms: deque[float] = deque()
+        #: whether submissions pass through the fault gate at all
+        faults = config.faults
+        self._faulty = faults.p_lost != 0.0 or faults.p_stuck != 0.0
         #: counters
         self.jobs_submitted = 0
         self.jobs_lost = 0
@@ -774,36 +746,13 @@ class GridSimulator:
         tr = self._tr
         if tr is not None and task is not None:
             tr.submit(task, job)
-        faults = self.config.faults
-        if faults.p_lost != 0.0 or faults.p_stuck != 0.0:
-            # the fault uniforms are consumed inline, with the same
-            # refill idiom as submit_many — keep the two in lockstep,
-            # they share the _fault_rng stream.  The second draw only
-            # happens when the job survives the first channel, exactly
-            # like the historical per-channel Bernoullis.  Fault-free
-            # grids skip the draws entirely: the stream is private to
-            # this channel, so no other law can observe the skipped
-            # uniforms
-            uniforms = self._fault_uniforms
-            if len(uniforms) < 2:
-                uniforms.extend(self._fault_rng.random(256).tolist())
-            if uniforms.popleft() < faults.p_lost:
-                job.state = JobState.LOST
-                self.jobs_lost += 1
-                if tr is not None:
-                    tr.fail(job, "lost")
-                return job
-            if uniforms.popleft() < faults.p_stuck:
-                # the job will sit in a mis-configured queue forever:
-                # model it as matching that never dispatches
-                job.state = JobState.STUCK
-                self.jobs_stuck += 1
-                if tr is not None:
-                    tr.fail(job, "stuck")
-                return job
+        if self._faulty and self._faulted(job):
+            return job
         # attach the watcher only to jobs that can actually start: a
         # watcher on a lost/stuck job would never fire and only pins a
-        # job→task reference cycle for the garbage collector
+        # job→task reference cycle for the garbage collector.  The broker
+        # is resolved only now, so a lost job never advances the
+        # round-robin
         if on_start is not None:
             job.on_start = on_start
         brokers = self.brokers
@@ -845,44 +794,19 @@ class GridSimulator:
                 mw.submit(job, on_start, via, task)
             return jobs
         now = self.sim.now
-        faults = self.config.faults
         tr = self._tr
+        faulty = self._faulty
         live: list[Job] = []
-        if faults.p_lost == 0.0 and faults.p_stuck == 0.0:
-            # fault-free grid: no uniforms to consume (private stream,
-            # nothing downstream can observe the skipped draws)
-            self.jobs_submitted += len(jobs)
-            for job in jobs:
-                job.submit_time = now
-                if tr is not None and task is not None:
-                    tr.submit(task, job)
-                if on_start is not None:
-                    job.on_start = on_start
-                live.append(job)
-        else:
-            uniforms = self._fault_uniforms
-            for job in jobs:
-                job.submit_time = now
-                self.jobs_submitted += 1
-                if tr is not None and task is not None:
-                    tr.submit(task, job)
-                if len(uniforms) < 2:
-                    uniforms.extend(self._fault_rng.random(256).tolist())
-                if uniforms.popleft() < faults.p_lost:
-                    job.state = JobState.LOST
-                    self.jobs_lost += 1
-                    if tr is not None:
-                        tr.fail(job, "lost")
-                    continue
-                if uniforms.popleft() < faults.p_stuck:
-                    job.state = JobState.STUCK
-                    self.jobs_stuck += 1
-                    if tr is not None:
-                        tr.fail(job, "stuck")
-                    continue
-                if on_start is not None:
-                    job.on_start = on_start
-                live.append(job)
+        self.jobs_submitted += len(jobs)
+        for job in jobs:
+            job.submit_time = now
+            if tr is not None and task is not None:
+                tr.submit(task, job)
+            if faulty and self._faulted(job):
+                continue
+            if on_start is not None:
+                job.on_start = on_start
+            live.append(job)
         if live:
             broker = self.broker_for(via)
             if tr is not None:
@@ -918,32 +842,45 @@ class GridSimulator:
     def _submit_plain(self, job: Job, on_start, broker) -> None:
         """The accept tail shared with the middleware fault domain.
 
-        Same fault-uniform consumption as :meth:`submit` /
-        :meth:`submit_many` (they stay inlined for the calm-grid hot
-        path) — a middleware-domain attempt that reaches the broker
-        draws exactly the channels a plain submission would.
+        A middleware-domain attempt that reaches the broker draws exactly
+        the fault channels a plain :meth:`submit` would.
         """
-        faults = self.config.faults
-        tr = self._tr
-        if faults.p_lost != 0.0 or faults.p_stuck != 0.0:
-            uniforms = self._fault_uniforms
-            if len(uniforms) < 2:
-                uniforms.extend(self._fault_rng.random(256).tolist())
-            if uniforms.popleft() < faults.p_lost:
-                job.state = JobState.LOST
-                self.jobs_lost += 1
-                if tr is not None:
-                    tr.fail(job, "lost")
-                return
-            if uniforms.popleft() < faults.p_stuck:
-                job.state = JobState.STUCK
-                self.jobs_stuck += 1
-                if tr is not None:
-                    tr.fail(job, "stuck")
-                return
+        if self._faulty and self._faulted(job):
+            return
         if on_start is not None:
             job.on_start = on_start
         broker.submit(job)
+
+    def _faulted(self, job: Job) -> bool:
+        """Draw the lost/stuck fault channels for one accepted submission.
+
+        Returns ``True`` (job LOST or STUCK, counted and traced) when a
+        channel fires.  The uniforms are block-drawn from the private
+        ``_fault_rng`` stream and consumed in the order the historical
+        per-channel Bernoullis drew them: the stuck draw only happens
+        when the job survives the lost channel.  Callers skip the gate
+        on fault-free grids (``_faulty``): the stream is private to this
+        channel, so no other law can observe the skipped uniforms.
+        """
+        faults = self.config.faults
+        uniforms = self._fault_uniforms
+        if len(uniforms) < 2:
+            uniforms.extend(self._fault_rng.random(256).tolist())
+        if uniforms.popleft() < faults.p_lost:
+            job.state = JobState.LOST
+            self.jobs_lost += 1
+            reason = "lost"
+        elif uniforms.popleft() < faults.p_stuck:
+            # the job will sit in a mis-configured queue forever: model
+            # it as matching that never dispatches
+            job.state = JobState.STUCK
+            self.jobs_stuck += 1
+            reason = "stuck"
+        else:
+            return False
+        if self._tr is not None:
+            self._tr.fail(job, reason)
+        return True
 
     def enable_task_ledger(self) -> list:
         """Start recording every client ``(task, job)`` pair.

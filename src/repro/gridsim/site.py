@@ -4,9 +4,10 @@ Two engines implement the same site contract:
 
 * :class:`ComputingElement` — the original event-driven FIFO.  Every job
   (client *and* background) is a :class:`Job` whose start and completion
-  are heap events.  It is kept as the law oracle: the equivalence suite
-  (``tests/test_site_engine_equivalence.py``) replays identical workloads
-  through both engines and compares traces.
+  are heap events.  It is kept as the law oracle, outside production
+  grids: the equivalence suite (``tests/test_site_engine_equivalence.py``)
+  builds grids on it and replays identical workloads through both
+  engines to compare traces.
 * :class:`VectorComputingElement` — the production two-lane engine.
   Client-visible jobs (probes, strategy copies, cancellations) keep the
   exact event-kernel semantics, while anonymous background jobs flow
@@ -57,7 +58,7 @@ class ComputingElement:
     sibling started first).
 
     This is the fully event-driven engine — every job pays heap events
-    for arrival, start and completion.  Production grids default to
+    for arrival, start and completion.  Grids run
     :class:`VectorComputingElement`; this class remains the oracle the
     vectorised lane is verified against.
     """

@@ -9,7 +9,6 @@ brokers dispatch on views the fleet load itself is ageing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -23,13 +22,6 @@ from repro.util.rng import RngLike, as_rng, spawn_rngs
 from repro.util.validation import check_positive
 
 __all__ = ["FleetOutcome", "PopulationResult", "run_population"]
-
-#: run_population engines — "soa" is the struct-of-arrays pool
-#: (:mod:`repro.population.soa`), "legacy" the per-task TaskCore oracle,
-#: "auto" picks the pool whenever :func:`~repro.population.soa.pool_supported`
-#: says it is law-identical on this grid
-_ENGINES = ("auto", "soa", "legacy")
-
 
 @dataclass(frozen=True)
 class FleetOutcome:
@@ -127,30 +119,6 @@ class PopulationResult:
         return {vo: np.concatenate(js) for vo, js in pools.items()}
 
 
-def _resolve_engine(engine: str | None, grid: GridSimulator, spec) -> str:
-    """Pick the execution engine (see :func:`run_population`)."""
-    if engine is None:
-        engine = os.environ.get("REPRO_POPULATION_ENGINE", "auto")
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown population engine {engine!r}; "
-            f"available: {', '.join(_ENGINES)}"
-        )
-    if engine == "legacy":
-        return "legacy"
-    supported = pool_supported(grid, spec.fleets)
-    if engine == "soa":
-        if not supported:
-            raise ValueError(
-                "engine='soa' needs a calm grid (no middleware fault "
-                "domain, resubmission agent, tracing or task ledger) and "
-                "the three paper strategies; use engine='auto' to fall "
-                "back to the legacy driver automatically"
-            )
-        return "soa"
-    return "soa" if supported else "legacy"
-
-
 def _assemble_result(
     grid: GridSimulator,
     outcomes: list[FleetOutcome],
@@ -187,8 +155,6 @@ def run_population(
     *,
     seed: RngLike = 0,
     horizon_slack: float = 100_000.0,
-    step: float = 3600.0,
-    engine: str | None = None,
 ) -> PopulationResult:
     """Run every fleet of ``spec`` concurrently on ``grid``.
 
@@ -196,7 +162,18 @@ def run_population(
     stream spawning, so adding a fleet never perturbs another fleet's
     schedule), all tasks are scheduled onto the shared event loop, and
     the simulation advances until every task finished or the horizon
-    (``window + horizon_slack``) is reached.
+    (``window + horizon_slack``) is reached.  The run is event-driven:
+    the last task's completion stops the simulator at that exact
+    instant.
+
+    Tasks run on the struct-of-arrays pool (:mod:`repro.population.soa`)
+    whenever :func:`~repro.population.soa.pool_supported` says it is
+    law-identical on this grid, and on per-task
+    :class:`~repro.gridsim.client.TaskCore` objects otherwise — the path
+    that carries middleware retries, the resubmission agent, tracing
+    and the chaos ledger.  Where the pool engages both produce
+    bit-for-bit the same result, pinned by
+    ``tests/test_population_soa.py``.
 
     Parameters
     ----------
@@ -210,23 +187,26 @@ def run_population(
         streams).
     horizon_slack:
         Extra virtual time after the window for stragglers to finish.
-    step:
-        Unused — kept for call-site compatibility.  The run is
-        event-driven: the last task's completion stops the simulator at
-        that exact instant instead of an advance loop polling every
-        ``step`` seconds.
-    engine:
-        ``"soa"`` runs the struct-of-arrays task pool
-        (:mod:`repro.population.soa`), ``"legacy"`` the per-task
-        TaskCore oracle, ``"auto"`` (default, or
-        ``REPRO_POPULATION_ENGINE``) the pool whenever it is
-        law-identical on this grid — both produce bit-for-bit the same
-        result wherever the pool engages, pinned by
-        ``tests/test_population_soa.py``.
     """
+    return _run_population(
+        grid,
+        spec,
+        seed=seed,
+        horizon_slack=horizon_slack,
+        pool=pool_supported(grid, spec.fleets),
+    )
+
+
+def _run_population(
+    grid: GridSimulator,
+    spec: PopulationSpec,
+    *,
+    seed: RngLike,
+    horizon_slack: float,
+    pool: bool,
+) -> PopulationResult:
+    """:func:`run_population` on the pool (``pool``) or on TaskCores."""
     check_positive("horizon_slack", horizon_slack)
-    del step  # retained for call-site compatibility only
-    resolved = _resolve_engine(engine, grid, spec)
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
     start = grid.now
     lost_before, stuck_before = grid.jobs_lost, grid.jobs_stuck
@@ -257,8 +237,8 @@ def run_population(
             dispatched_before=dispatched_before,
         )
 
-    if resolved == "soa":
-        pool = TaskPool(
+    if pool:
+        task_pool = TaskPool(
             grid,
             spec.fleets,
             all_times,
@@ -268,7 +248,7 @@ def run_population(
         grid.run_until(start + spec.window + horizon_slack)
         outcomes = []
         for f, fleet in enumerate(spec.fleets):
-            j, jobs = pool.fleet_results(f)
+            j, jobs = task_pool.fleet_results(f)
             outcomes.append(
                 FleetOutcome(
                     spec=fleet,

@@ -17,8 +17,8 @@ no resubmission agent, no tracing, no task ledger; see
 :func:`pool_supported`).  Every grid interaction happens in exactly the
 order the legacy executors performed it (same Job mint order, same
 fault-channel draws, same broker round-robin, same cancel batches), so
-a pool run reproduces the legacy driver bit-for-bit on all four
-site×WMS engine corners; ``tests/test_population_soa.py`` pins that.
+a pool run reproduces the TaskCore driver bit-for-bit under both WMS
+engines; ``tests/test_population_soa.py`` pins that.
 
 Sharded runs (:mod:`repro.population.shard`) reuse the pool unchanged:
 the worker passes an ``ops`` adapter that reroutes cancellations and
@@ -61,8 +61,8 @@ def pool_supported(grid, fleets) -> bool:
     subsystems hook into (middleware retry sagas, the resubmission
     agent's watch list, trace task ids, the chaos ledger), so it only
     engages when all of them are off — which is every fleet-scale
-    benchmark configuration.  Anything else falls back to the legacy
-    TaskCore driver, which remains the behavioural oracle.
+    benchmark configuration.  Anything else runs on the per-task
+    TaskCore driver, which is also the pool's behavioural oracle.
     """
     if (
         grid._mw is not None
@@ -208,8 +208,7 @@ class TaskPool:
             if (ops is not grid or grid._health is not None)
             else None
         )
-        faults = grid.config.faults
-        self._calm = faults.p_lost == 0.0 and faults.p_stuck == 0.0
+        self._calm = not grid._faulty
         # fixed broker per fleet where resolution is stateless; None
         # means the round-robin default, resolved per submission like
         # the legacy path (grid.broker_for(None) mutates the cursor)

@@ -34,11 +34,12 @@ from repro.gridsim import (
     Simulator,
     VectorComputingElement,
 )
+from oracles import make_grid
 
 SHARES3 = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
 
 
-def multi_vo_config(engine: str, util: float = 0.9, **kw) -> GridConfig:
+def multi_vo_config(util: float = 0.9, **kw) -> GridConfig:
     defaults = dict(
         sites=(
             SiteConfig(
@@ -54,7 +55,6 @@ def multi_vo_config(engine: str, util: float = 0.9, **kw) -> GridConfig:
         ),
         matchmaking_median=30.0,
         faults=FaultModel(p_lost=0.02, p_stuck=0.02),
-        site_engine=engine,
     )
     defaults.update(kw)
     return GridConfig(**defaults)
@@ -174,7 +174,7 @@ class TestSingleVoDegeneracy:
     @pytest.mark.parametrize("engine", ["event", "vector"])
     def test_grid_probe_trace_identical(self, engine):
         """Full grid: explicit 1-VO config is byte-identical to no-VO."""
-        plain = multi_vo_config(engine)
+        plain = multi_vo_config()
         plain = GridConfig(
             sites=tuple(
                 SiteConfig(
@@ -188,7 +188,6 @@ class TestSingleVoDegeneracy:
             ),
             matchmaking_median=plain.matchmaking_median,
             faults=plain.faults,
-            site_engine=engine,
         )
         onevo = GridConfig(
             sites=tuple(
@@ -204,11 +203,10 @@ class TestSingleVoDegeneracy:
             ),
             matchmaking_median=plain.matchmaking_median,
             faults=plain.faults,
-            site_engine=engine,
         )
         traces = []
         for cfg in (plain, onevo):
-            g = GridSimulator(cfg, seed=31)
+            g = make_grid(cfg, 31, engine)
             g.warm_up(3600.0)
             traces.append(
                 ProbeExperiment(g, n_slots=6, timeout=4000.0).run(30_000.0)
@@ -220,14 +218,19 @@ class TestSingleVoDegeneracy:
 
     def test_single_vo_routes_to_plain_engine_classes(self):
         cfg = GridConfig(
-            sites=(SiteConfig("a", 4, vo_shares=(("only", 1.0),)),),
-            site_engine="vector",
+            sites=(SiteConfig("a", 4, vo_shares=(("only", 1.0),)),)
         )
         g = GridSimulator(cfg, seed=1)
         assert type(g.sites[0]) is VectorComputingElement
-        cfg2 = multi_vo_config("vector")
+        cfg2 = multi_vo_config()
         g2 = GridSimulator(cfg2, seed=1)
         assert type(g2.sites[0]) is FairShareVectorComputingElement
+        # the test-only oracle grid swaps both site classes
+        assert type(make_grid(cfg, 1, "event").sites[0]) is ComputingElement
+        assert (
+            type(make_grid(cfg2, 1, "event").sites[0])
+            is FairShareComputingElement
+        )
 
 
 class TestEngineEquivalence:
@@ -238,7 +241,7 @@ class TestEngineEquivalence:
     )
     def test_warmup_state_matches_oracle(self, util):
         grids = [
-            GridSimulator(multi_vo_config(e, util=util), seed=17)
+            make_grid(multi_vo_config(util=util), 17, e)
             for e in ("vector", "event")
         ]
         for g in grids:
@@ -251,7 +254,7 @@ class TestEngineEquivalence:
     def test_probe_traces_bit_identical(self):
         traces = []
         for e in ("vector", "event"):
-            g = GridSimulator(multi_vo_config(e), seed=23)
+            g = make_grid(multi_vo_config(), 23, e)
             g.warm_up(3600.0)
             traces.append(
                 ProbeExperiment(g, n_slots=8, timeout=4000.0).run(40_000.0)
@@ -269,7 +272,7 @@ class TestWorkConservation:
     @pytest.mark.parametrize("engine", ["event", "vector"])
     @pytest.mark.parametrize("util", [0.7, 1.2], ids=["busy", "saturated"])
     def test_no_idle_core_with_waiting_work(self, engine, util):
-        g = GridSimulator(multi_vo_config(engine, util=util), seed=41)
+        g = make_grid(multi_vo_config(util=util), 41, engine)
         for _ in range(24):
             g.run_until(g.now + 3600.0)
             for site in g.sites:
@@ -320,9 +323,8 @@ class TestShareConvergence:
                 ),
             ),
             faults=FaultModel(),
-            site_engine=engine,
         )
-        g = GridSimulator(cfg, seed=7)
+        g = make_grid(cfg, 7, engine)
         g.run_until(14 * 86_400.0)
         shares = g.sites[0].usage_shares()
         assert shares["big"] == pytest.approx(0.7, abs=0.05)
@@ -345,9 +347,8 @@ class TestShareConvergence:
                 ),
             ),
             faults=FaultModel(),
-            site_engine=engine,
         )
-        g = GridSimulator(cfg, seed=7)
+        g = make_grid(cfg, 7, engine)
         g.run_until(14 * 86_400.0)
         shares = g.sites[0].usage_shares()
         # biomed saturates at its demand (~0.417), not its 0.5 share
@@ -372,9 +373,8 @@ class TestShareConvergence:
                 ),
             ),
             faults=FaultModel(),
-            site_engine=engine,
         )
-        g = GridSimulator(cfg, seed=11)
+        g = make_grid(cfg, 11, engine)
         g.warm_up(12 * 3600.0)
         shares = g.sites[0].usage_shares()
         assert shares["cms"] == pytest.approx(1.0)

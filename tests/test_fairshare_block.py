@@ -1,11 +1,11 @@
 """Block-resolved fair-share commits against the per-start oracles.
 
 :class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`
-resolves background-only runs as fused blocks (``block_commits=True``).
-The contract: every float it commits — decayed usage, charge, decision
-instant, winner — is **bit-identical** to the per-start
+resolves background-only runs as fused blocks.  The contract: every
+float it commits — decayed usage, charge, decision instant, winner — is
+**bit-identical** to the per-start
 :class:`~repro.gridsim.fairshare.FairShareState`-method loop
-(``block_commits=False``), which in turn matches the event-driven
+(:class:`oracles.ScalarFairShareCE`), which in turn matches the event-driven
 :class:`~repro.gridsim.fairshare.FairShareComputingElement` wherever the
 RNG streams align.  This suite drives identical operation scripts
 through both commit paths (hand-built boundary scenarios plus seeded
@@ -34,6 +34,7 @@ from repro.gridsim import (
     SiteConfig,
     Simulator,
 )
+from oracles import ScalarFairShareCE, make_grid, use_scalar_commits
 
 SHARES3 = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
 HALFLIVES = [86_400.0, 3600.0, math.inf]
@@ -42,10 +43,10 @@ HL_IDS = ["day", "hour", "inf"]
 
 def make_site(halflife: float, n_cores: int = 2, block: bool = True):
     sim = Simulator()
-    site = FairShareVectorComputingElement(
+    cls = FairShareVectorComputingElement if block else ScalarFairShareCE
+    site = cls(
         "fs", n_cores, sim, vo_shares=SHARES3, fairshare_halflife=halflife
     )
-    site.block_commits = block
     return sim, site
 
 
@@ -236,7 +237,7 @@ class TestBlockVsScalarScripts:
         assert_paths_agree(script, halflife)
 
 
-def multi_vo_config(site_engine: str, **kw) -> GridConfig:
+def multi_vo_config(**kw) -> GridConfig:
     defaults = dict(
         sites=(
             SiteConfig(
@@ -252,7 +253,6 @@ def multi_vo_config(site_engine: str, **kw) -> GridConfig:
         ),
         matchmaking_median=30.0,
         faults=FaultModel(p_lost=0.02, p_stuck=0.02),
-        site_engine=site_engine,
     )
     defaults.update(kw)
     return GridConfig(**defaults)
@@ -273,12 +273,6 @@ def grid_fingerprint(grid: GridSimulator) -> tuple:
     )
 
 
-def set_block_commits(grid: GridSimulator, flag: bool) -> None:
-    for site in grid.sites:
-        if isinstance(site, FairShareVectorComputingElement):
-            site.block_commits = flag
-
-
 class TestGridLevelEquivalence:
     """Full-grid probe traces across the engine × WMS matrix."""
 
@@ -289,10 +283,10 @@ class TestGridLevelEquivalence:
         traces, fps = [], []
         for flavour in ("block", "scalar", "event"):
             engine = "event" if flavour == "event" else "vector"
-            cfg = multi_vo_config(engine, wms_engine=wms_engine)
-            grid = GridSimulator(cfg, seed=seed)
+            cfg = multi_vo_config(wms_engine=wms_engine)
+            grid = make_grid(cfg, seed, engine)
             if flavour == "scalar":
-                set_block_commits(grid, False)
+                use_scalar_commits(grid)
             grid.warm_up(3600.0)
             traces.append(
                 ProbeExperiment(grid, n_slots=6, timeout=4000.0).run(40_000.0)
@@ -312,9 +306,10 @@ class TestGridLevelEquivalence:
     def test_halflife_extremes_block_vs_scalar(self, halflife):
         outs = []
         for flag in (True, False):
-            cfg = multi_vo_config("vector", fairshare_halflife=halflife)
+            cfg = multi_vo_config(fairshare_halflife=halflife)
             grid = GridSimulator(cfg, seed=31)
-            set_block_commits(grid, flag)
+            if not flag:
+                use_scalar_commits(grid)
             grid.warm_up(6 * 3600.0)
             out = ProbeExperiment(grid, n_slots=4, timeout=3000.0).run(30_000.0)
             outs.append((grid_fingerprint(grid), out.latencies.tolist()))
@@ -328,9 +323,10 @@ class TestGridLevelEquivalence:
 
         outs = []
         for flag in (True, False):
-            cfg = multi_vo_config("vector", wms_engine=wms_engine)
+            cfg = multi_vo_config(wms_engine=wms_engine)
             grid = GridSimulator(cfg, seed=43)
-            set_block_commits(grid, flag)
+            if not flag:
+                use_scalar_commits(grid)
             grid.warm_up(3600.0)
             outs.append(
                 run_strategy_on_grid(
@@ -349,12 +345,12 @@ class TestGridLevelEquivalence:
     def test_snapshot_restore_preserves_equivalence(self):
         """Fork a warmed block-commit grid; the fork must keep matching
         a scalar twin forked from the same pickled state."""
-        cfg = multi_vo_config("vector")
+        cfg = multi_vo_config()
         grid = GridSimulator(cfg, seed=61)
         grid.warm_up(7200.0)
         snap = grid.snapshot()
         a, b = snap.restore(), snap.restore()
-        set_block_commits(b, False)
+        use_scalar_commits(b)
         ta = ProbeExperiment(a, n_slots=4, timeout=3000.0).run(20_000.0)
         tb = ProbeExperiment(b, n_slots=4, timeout=3000.0).run(20_000.0)
         np.testing.assert_array_equal(ta.latencies, tb.latencies)
@@ -460,7 +456,8 @@ class TestPopulationParity:
         outs = []
         for flag in (True, False):
             grid = snap.restore()
-            set_block_commits(grid, flag)
+            if not flag:
+                use_scalar_commits(grid)
             outs.append(run_population(grid, spec, seed=23))
         a, b = outs
         for fa, fb in zip(a.fleets, b.fleets):

@@ -9,11 +9,15 @@ from repro.core.strategies import (
     SingleResubmission,
 )
 from repro.gridsim import (
+    BatchedWorkloadManager,
+    BrokerConfig,
     FaultModel,
     GridConfig,
     GridSimulator,
     ProbeExperiment,
+    RetryPolicy,
     SiteConfig,
+    VectorComputingElement,
     default_grid_config,
     run_strategy_on_grid,
 )
@@ -101,6 +105,60 @@ class TestGridSimulator:
 
     def test_utilization_bounded(self, grid):
         assert 0.0 <= grid.utilization() <= 1.0
+
+    def test_config_defaults_ignore_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WMS_ENGINE", "event")
+        monkeypatch.setenv("REPRO_SITE_ENGINE", "event")
+        cfg = small_config()
+        assert cfg.wms_engine == "batched"
+        g = GridSimulator(cfg, seed=1)
+        assert type(g.wms) is BatchedWorkloadManager
+        assert all(type(s) is VectorComputingElement for s in g.sites)
+
+    def test_every_submit_path_draws_the_same_fault_channels(self):
+        """submit, submit_many and the middleware accept tail share one
+        fault gate: same seed, same lost/stuck verdict per job."""
+        faults = FaultModel(p_lost=0.3, p_stuck=0.3)
+        verdicts = []
+        for path in ("submit", "submit_many", "middleware"):
+            extra = {"retry": RetryPolicy()} if path == "middleware" else {}
+            g = GridSimulator(small_config(faults=faults, **extra), seed=7)
+            jobs = [Job(runtime=10.0) for _ in range(60)]
+            if path == "submit_many":
+                g.submit_many(jobs)
+            else:
+                for job in jobs:
+                    g.submit(job)
+            verdicts.append(
+                ([j.state for j in jobs], g.jobs_lost, g.jobs_stuck)
+            )
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        states = verdicts[0][0]
+        assert JobState.LOST in states and JobState.STUCK in states
+
+    def test_lost_job_does_not_advance_the_round_robin(self):
+        cfg = small_config(
+            faults=FaultModel(p_lost=0.5),
+            brokers=(
+                BrokerConfig(name="wms-a", sites=("a", "b")),
+                BrokerConfig(name="wms-b", sites=("c",)),
+            ),
+        )
+        g = GridSimulator(cfg, seed=13)
+        routed = []
+        for broker in g.brokers:
+
+            def record(job, name=broker.name, submit=broker.submit):
+                routed.append(name)
+                submit(job)
+
+            broker.submit = record
+        jobs = [Job(runtime=10.0) for _ in range(40)]
+        for job in jobs:
+            g.submit(job)
+        assert 0 < g.jobs_lost < 40
+        assert len(routed) == 40 - g.jobs_lost - g.jobs_stuck
+        assert routed == (["wms-a", "wms-b"] * 20)[: len(routed)]
 
 
 class TestProbeExperiment:

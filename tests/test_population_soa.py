@@ -2,10 +2,11 @@
 
 Two laws are pinned here:
 
-* the SoA pool (:mod:`repro.population.soa`) reproduces the legacy
-  per-task TaskCore driver **bit-for-bit** on every site x WMS engine
-  corner — same latencies, same jobs-per-task, same broker dispatch
-  counts, same fair-share usage shares;
+* the SoA pool (:mod:`repro.population.soa`) reproduces the per-task
+  TaskCore driver **bit-for-bit** on every site x WMS engine corner
+  (the event-site corners on the test-only oracle grid) — same
+  latencies, same jobs-per-task, same broker dispatch counts, same
+  fair-share usage shares;
 * the sharded runtime (:mod:`repro.population.shard`) is deterministic
   for a fixed shard count, and its ``shards=1`` degenerate case is the
   single-process driver itself.
@@ -29,20 +30,15 @@ from repro.population import (
     run_population,
     run_population_sharded,
 )
+from repro.population import driver
 from repro.population.soa import pool_supported
 from repro.traces.generator import DiurnalProfile
+from oracles import CORNERS, run_population_taskcore, warmed_snapshot_on
 
 SHARES = (("biomed", 0.4), ("atlas", 0.35), ("cms", 0.25))
 
-CORNERS = [
-    ("vector", "batched"),
-    ("vector", "event"),
-    ("event", "batched"),
-    ("event", "event"),
-]
 
-
-def corner_config(site_engine: str, wms_engine: str) -> GridConfig:
+def corner_config(wms_engine: str = "batched") -> GridConfig:
     sites = tuple(
         SiteConfig(
             name=f"s{i:02d}",
@@ -56,7 +52,6 @@ def corner_config(site_engine: str, wms_engine: str) -> GridConfig:
     return GridConfig(
         sites=sites,
         faults=FaultModel(p_lost=0.01, p_stuck=0.01),
-        site_engine=site_engine,
         wms_engine=wms_engine,
     )
 
@@ -86,9 +81,8 @@ def mixed_spec(n: int = 240) -> PopulationSpec:
     )
 
 
-def run_engine(config: GridConfig, engine: str):
-    snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-    return run_population(snap.restore(), mixed_spec(), seed=9, engine=engine)
+def warm(config: GridConfig, site_engine: str = "vector"):
+    return warmed_snapshot_on(config, 17, 2 * 3600.0, site_engine)
 
 
 def assert_identical(a, b) -> None:
@@ -104,51 +98,53 @@ def assert_identical(a, b) -> None:
     assert a.site_usage_shares == b.site_usage_shares
 
 
+@pytest.fixture
+def built_pools(monkeypatch) -> list:
+    """Every TaskPool the driver builds, in order."""
+    pools = []
+
+    class SpyPool(driver.TaskPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(driver, "TaskPool", SpyPool)
+    return pools
+
+
 class TestSoaOracleEquivalence:
     @pytest.mark.parametrize("site_engine,wms_engine", CORNERS)
-    def test_soa_matches_legacy(self, site_engine, wms_engine):
+    def test_soa_matches_legacy(self, site_engine, wms_engine, built_pools):
         """Pool vs TaskCore oracle, bit-for-bit, on every engine corner."""
-        config = corner_config(site_engine, wms_engine)
-        legacy = run_engine(config, "legacy")
-        soa = run_engine(config, "soa")
+        snap = warm(corner_config(wms_engine), site_engine)
+        legacy = run_population_taskcore(snap.restore(), mixed_spec(), seed=9)
+        assert not built_pools
+        soa = run_population(snap.restore(), mixed_spec(), seed=9)
+        assert len(built_pools) == 1
         assert_identical(legacy, soa)
         assert soa.total_finished > 0
 
-    def test_auto_picks_pool_on_calm_grids(self):
-        config = corner_config("vector", "batched")
-        assert_identical(run_engine(config, None), run_engine(config, "soa"))
+    def test_auto_picks_pool_on_calm_grids(self, built_pools):
+        run_population(warm(corner_config()).restore(), mixed_spec(), seed=9)
+        assert len(built_pools) == 1
 
-    def test_auto_falls_back_when_unsupported(self):
-        """Tracing hooks the per-task surface: auto must go legacy."""
-        config = corner_config("vector", "batched")
+    def test_auto_falls_back_when_unsupported(self, built_pools):
+        """Tracing hooks the per-task surface: the driver uses TaskCores."""
         config = GridConfig(
-            sites=config.sites,
-            faults=config.faults,
-            site_engine=config.site_engine,
-            wms_engine=config.wms_engine,
+            sites=corner_config().sites,
+            faults=corner_config().faults,
             tracing=True,
         )
         snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
         assert not pool_supported(snap.restore(), mixed_spec().fleets)
-        with pytest.raises(ValueError, match="engine='soa'"):
-            run_population(
-                snap.restore(), mixed_spec(), seed=9, engine="soa"
-            )
         result = run_population(snap.restore(), mixed_spec(), seed=9)
+        assert not built_pools
         assert result.total_finished > 0
-
-    def test_unknown_engine_rejected(self):
-        config = corner_config("vector", "batched")
-        snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-        with pytest.raises(ValueError, match="unknown population engine"):
-            run_population(
-                snap.restore(), mixed_spec(), seed=9, engine="turbo"
-            )
 
 
 class TestEmptyPopulations:
     def test_zero_task_fleet_contributes_nothing(self):
-        config = corner_config("vector", "batched")
+        config = corner_config()
         spec = mixed_spec(60)
         empty = FleetSpec("cms", SingleResubmission(t_inf=4000.0), 0)
         padded = PopulationSpec(
@@ -163,7 +159,7 @@ class TestEmptyPopulations:
         assert result.total_finished > 0
 
     def test_empty_spec_returns_empty_result(self):
-        config = corner_config("vector", "batched")
+        config = corner_config()
         snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
         grid = snap.restore()
         before = grid.now
@@ -173,7 +169,7 @@ class TestEmptyPopulations:
         assert grid.now == before  # the grid never advanced
 
     def test_all_zero_fleets_return_empty_outcomes(self):
-        config = corner_config("vector", "batched")
+        config = corner_config()
         spec = PopulationSpec(
             fleets=(
                 FleetSpec("biomed", SingleResubmission(t_inf=4000.0), 0),
@@ -210,7 +206,7 @@ def shard_config(n_sites: int = 6) -> GridConfig:
         )
         for i in range(n_sites)
     )
-    return GridConfig(sites=sites, wms_engine="batched")
+    return GridConfig(sites=sites)
 
 
 class TestShardedRuntime:
@@ -274,13 +270,7 @@ class TestShardedRuntime:
             )
         with pytest.raises(ValueError, match="process fabric"):
             run_population_sharded(
-                # pin the batched engine so this corner still tests the
-                # tracing rejection when REPRO_WMS_ENGINE=event
-                GridConfig(
-                    sites=shard_config().sites,
-                    wms_engine="batched",
-                    tracing=True,
-                ),
+                GridConfig(sites=shard_config().sites, tracing=True),
                 spec,
                 shards=2,
                 seed=9,

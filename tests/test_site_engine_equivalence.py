@@ -13,7 +13,6 @@ fork behaviour, plus deterministic unit tests of the wake machinery.
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from repro.gridsim import (
     VectorComputingElement,
     run_strategy_on_grid,
 )
+from oracles import engine_pair
 
 
 def config(util: float = 0.85, **kw) -> GridConfig:
@@ -50,14 +50,6 @@ def config(util: float = 0.85, **kw) -> GridConfig:
     )
     defaults.update(kw)
     return GridConfig(**defaults)
-
-
-def engine_pair(cfg: GridConfig, seed: int) -> tuple[GridSimulator, GridSimulator]:
-    """The same grid on both engines (``cfg`` may carry either default)."""
-    return (
-        GridSimulator(dataclasses.replace(cfg, site_engine="vector"), seed=seed),
-        GridSimulator(dataclasses.replace(cfg, site_engine="event"), seed=seed),
-    )
 
 
 def site_fingerprint(grid: GridSimulator) -> tuple:

@@ -41,19 +41,18 @@ from repro.gridsim import (
     standard_schedules,
     write_trace,
 )
-from repro.gridsim.chaos import _CORNERS
 from repro.gridsim.client import launch_task
 from repro.traces.gwf import read_gwf_workload
+from oracles import CORNERS, chaos_on
 
 _N_TASKS = 12
 _HORIZON = 8 * 3600.0
 
 
 def _traced_run(cfg, site_engine="vector", wms_engine="batched"):
-    run_cfg = dataclasses.replace(
-        cfg, tracing=True, site_engine=site_engine, wms_engine=wms_engine
-    )
-    return run_chaos(run_cfg, seed=11, n_tasks=_N_TASKS, horizon=_HORIZON)
+    run_cfg = dataclasses.replace(cfg, tracing=True, wms_engine=wms_engine)
+    with chaos_on(site_engine):
+        return run_chaos(run_cfg, seed=11, n_tasks=_N_TASKS, horizon=_HORIZON)
 
 
 def _campaigns():
@@ -135,7 +134,7 @@ class TestMetricsRegistry:
 
 
 @pytest.mark.parametrize(
-    "site_engine,wms_engine", _CORNERS, ids=lambda e: str(e)
+    "site_engine,wms_engine", CORNERS, ids=lambda e: str(e)
 )
 class TestSpanCompleteness:
     def test_spans_telescope_on_every_campaign(self, site_engine, wms_engine):

@@ -13,7 +13,6 @@ the user-side strategies.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +44,7 @@ from repro.gridsim import (
     run_strategy_on_grid,
 )
 from repro.population import FleetSpec, PopulationSpec, run_population
+from oracles import engine_pair
 
 
 def config(util: float = 0.85, **kw) -> GridConfig:
@@ -59,14 +59,6 @@ def config(util: float = 0.85, **kw) -> GridConfig:
     )
     defaults.update(kw)
     return GridConfig(**defaults)
-
-
-def engine_pair(cfg: GridConfig, seed: int) -> tuple[GridSimulator, GridSimulator]:
-    """The same grid on the vectorised site engine and the event oracle."""
-    return (
-        GridSimulator(dataclasses.replace(cfg, site_engine="vector"), seed=seed),
-        GridSimulator(dataclasses.replace(cfg, site_engine="event"), seed=seed),
-    )
 
 
 def site_fingerprint(grid: GridSimulator) -> tuple:

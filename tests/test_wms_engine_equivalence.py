@@ -40,6 +40,7 @@ from repro.gridsim import (
     federated_grid_config,
     run_strategy_on_grid,
 )
+from oracles import make_grid
 
 ENGINE_MATRIX = [
     ("batched", "vector"),
@@ -274,11 +275,10 @@ class TestDispatchBucketRaces:
     def test_cancel_while_pooled_never_dispatches(self, wms_engine, site_engine):
         cfg = config(
             util=0.3,
-            site_engine=site_engine,
             wms_engine=wms_engine,
             faults=FaultModel(),
         )
-        grid = GridSimulator(cfg, seed=13)
+        grid = make_grid(cfg, 13, site_engine)
         grid.warm_up(1800.0)
         before = sum(b.dispatch_count for b in grid.brokers)
         job = grid.submit(Job(runtime=100.0))
@@ -296,11 +296,10 @@ class TestDispatchBucketRaces:
         """One grid call settles matching, queued and running siblings."""
         cfg = config(
             util=0.0001,
-            site_engine=site_engine,
             wms_engine=wms_engine,
             faults=FaultModel(),
         )
-        grid = GridSimulator(cfg, seed=17)
+        grid = make_grid(cfg, 17, site_engine)
         started: list = []
         running = grid.submit(Job(runtime=10_000.0), on_start=started.append)
         grid.run_until(grid.now + 2_000.0)  # dispatch + start on an idle grid
@@ -346,11 +345,10 @@ class TestDispatchBucketRaces:
             ),
             matchmaking_median=30.0,
             faults=FaultModel(),
-            site_engine=site_engine,
             wms_engine="batched",
             fairshare_halflife=60.0,  # decays within a dispatch quantum
         )
-        grid = GridSimulator(cfg, seed=23)
+        grid = make_grid(cfg, 23, site_engine)
         grid.warm_up(1800.0)
         results: list = []
         for vo in ("biomed", "atlas", "biomed", "atlas"):
@@ -367,12 +365,11 @@ class TestDispatchBucketRaces:
 class TestWeatherBucketRaces:
     """Weather events racing the dispatch bucket, on every engine pair."""
 
-    def one_site_config(self, site_engine: str, wms_engine: str) -> GridConfig:
+    def one_site_config(self, wms_engine: str) -> GridConfig:
         return GridConfig(
             sites=(SiteConfig("only", 4, utilization=0.2, runtime_median=600.0),),
             matchmaking_median=30.0,
             faults=FaultModel(),
-            site_engine=site_engine,
             wms_engine=wms_engine,
         )
 
@@ -382,7 +379,7 @@ class TestWeatherBucketRaces:
     ):
         """A job pooled in a bucket whose target turns black-hole before
         the bucket resolves must die at the site, not vanish or hang."""
-        grid = GridSimulator(self.one_site_config(site_engine, wms_engine), seed=13)
+        grid = make_grid(self.one_site_config(wms_engine), 13, site_engine)
         grid.warm_up(1800.0)
         site = grid.sites[0]
         job = grid.submit(Job(runtime=100.0))
@@ -405,7 +402,7 @@ class TestWeatherBucketRaces:
     ):
         """An outage opening under a pooled dispatch parks the job in the
         site queue (dispatch disabled), and it runs once the site is back."""
-        grid = GridSimulator(self.one_site_config(site_engine, wms_engine), seed=17)
+        grid = make_grid(self.one_site_config(wms_engine), 17, site_engine)
         grid.warm_up(1800.0)
         site = grid.sites[0]
         job = grid.submit(Job(runtime=50.0))
@@ -424,12 +421,11 @@ class TestWeatherBucketRaces:
 
         cfg = config(
             util=0.2,
-            site_engine=site_engine,
             wms_engine=wms_engine,
             faults=FaultModel(),
             health=HealthConfig(min_observations=3, ban_cooldown=1e8),
         )
-        grid = GridSimulator(cfg, seed=19)
+        grid = make_grid(cfg, 19, site_engine)
         grid.warm_up(1800.0)
         for _ in range(10):
             grid._health.observe_failure("b")
@@ -451,12 +447,11 @@ class TestWeatherBucketRaces:
 
         cfg = config(
             util=0.2,
-            site_engine=site_engine,
             wms_engine=wms_engine,
             faults=FaultModel(),
             health=HealthConfig(min_observations=3, ban_cooldown=1e8),
         )
-        grid = GridSimulator(cfg, seed=29)
+        grid = make_grid(cfg, 29, site_engine)
         grid.warm_up(1800.0)
         for name in ("a", "b", "c"):
             for _ in range(10):
