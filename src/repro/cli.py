@@ -538,10 +538,14 @@ def _cmd_population(args, out) -> int:
         )
     out.write(table.render() + "\n")
     rate = spec.total_tasks / wall if wall > 0 else 0.0
+    # every timing stays on a line that says "wall": determinism checks
+    # diff the output with those lines filtered out
+    phases = ", ".join(f"{k} {v:.2f}s" for k, v in result.phases.items())
     out.write(
         f"\nfinished {result.total_finished}/{spec.total_tasks} tasks in "
         f"{wall:.1f}s wall ({rate:.0f} tasks/s), "
         f"virtual span {result.duration:.0f}s\n"
+        f"wall by phase: {phases}\n"
         f"broker dispatches: "
         + ", ".join(str(d) for d in result.broker_dispatches)
         + "\n"

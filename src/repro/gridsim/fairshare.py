@@ -194,14 +194,16 @@ class FairShareState:
 
 
 class _PerJobBatchOps:
-    """Per-job batch fallbacks for the fair-share engines.
+    """Per-job batch entry points for the fair-share engines.
 
     The plain engines implement :meth:`enqueue_many` /
     :meth:`cancel_many` as genuinely batched passes; the fair-share
-    flavours keep per-VO bookkeeping inside ``enqueue``/``cancel``, so
-    their batch entry points stay simple loops — identical on both
-    flavours, which is what keeps the engine pair's client traces
-    comparable.
+    flavours keep per-VO bookkeeping inside ``enqueue``/``cancel`` (the
+    vector one also its closed-form admission), so their batch entry
+    points are loops over them in batch order.  Each member therefore
+    sees the site as its predecessors' start callbacks left it — a
+    member those callbacks cancelled is skipped — and the pair's client
+    traces stay comparable.
     """
 
     def enqueue_many(self, jobs: Sequence[Job]) -> int:
@@ -409,9 +411,17 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     pass falls back to per-start handling the moment a client job wins
     a core (its ``on_start`` callback may re-enter the site) or a
     block boundary is hit — a commit instant past ``now``, an empty
-    grid, or a dispatch-gate flip.  ``tests/test_fairshare_block.py``
-    holds the blocks bit-for-bit to a per-start
-    :class:`FairShareState`-method oracle loop.
+    grid, or a dispatch-gate flip.  An idle-core decision whose instant
+    only one VO's head reaches needs no ``usage/share`` scan at all.
+
+    Client admission is closed-form where the site can start the job on
+    arrival: once ``enqueue`` has committed everything due, a free core
+    means the newcomer is the sole candidate at ``now``, so it is
+    charged and started directly instead of joining its VO FIFO for a
+    second walk (:meth:`enqueue`; ``enqueue_many`` runs it per job).
+    ``tests/test_fairshare_block.py`` holds blocks and admission
+    bit-for-bit to a per-start :class:`FairShareState`-method oracle
+    loop that appends every client and walks.
 
     The single wake is aimed at the earliest predicted *client* start,
     computed by replaying the identical commit recurrence on a
@@ -538,6 +548,19 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     # -- queue operations ------------------------------------------------
 
     def enqueue(self, job: Job) -> None:
+        """Queue ``job``, or start it in closed form on a free core.
+
+        After the pre-walk below, a free core, an open gate and a job
+        still ``QUEUED`` prove the newcomer is the *only* candidate at
+        ``d = now``: the walk (or a memo still past ``now``) left no
+        arrived job waiting while a core idles.  Its start is then the
+        one the commit loop would make — decay to ``now``, charge, take
+        the earliest core — with no FIFO round trip and no second walk.
+        ``_next_due`` stays a valid lower bound (one more busy core only
+        delays later commits).  Every other case appends to the VO FIFO
+        and walks.  ``enqueue_many`` runs this body per job in batch
+        order, re-reading memo and gate after every start callback.
+        """
         if job.state not in (JobState.MATCHING, JobState.CREATED):
             raise ValueError(f"cannot enqueue job in state {job.state}")
         if self.black_hole:
@@ -554,6 +577,33 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         if now >= self._next_due:
             self._advance()
         vi = self.fairshare.index_of(job.vo)
+        cf = self._core_free
+        e = cf[0]
+        if self._dispatch_floor > e:
+            e = self._dispatch_floor
+        if (
+            e <= now
+            and job.state is JobState.QUEUED
+            and self.dispatch_enabled
+            and not self.black_hole
+        ):
+            # settle due completions first, as the walk's ``_advance``
+            # would: the start callback routes sibling cancels by state
+            ends = self._client_ends
+            if ends and ends[0][0] <= now:
+                self._drain_completions()
+            r = job.runtime
+            heapreplace(cf, now + r)
+            self.fairshare.charge(vi, r, now)
+            self._started += 1
+            # only husks can sit in this VO's FIFO (a live client would
+            # have been a candidate): drop them as the loop's pop would
+            q = self._clq[vi]
+            while q and q[0].state is not JobState.QUEUED:
+                q.popleft()
+                self._vo_husks[vi] -= 1
+            self._start_client(job, now)
+            return
         self._clq[vi].append(job)
         self._live_clients += 1
         if self._heads_mut == self._mut:
@@ -567,12 +617,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 self._cheads[vi] = now
                 if self._heads[vi] > now:
                     self._heads[vi] = now
-        e = self._core_free[0]
-        if self._dispatch_floor > e:
-            e = self._dispatch_floor
         if e <= now:
-            # a core is free: the newcomer (or a competitor it displaces
-            # to a later slot) may start this very instant
+            # a core is free but the closed form does not apply (gate
+            # closed, hole, or a husk): let the walk decide
             self._next_due = 0.0
             self._advance()
         elif e < self._next_due:
@@ -700,6 +747,7 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         husks = self._vo_husks
         nvo = len(bgc)
         rng = range(nvo)
+        rng1 = range(1, nvo)
         cf = self._core_free
         floor = self._dispatch_floor
         INF = _INF
@@ -739,10 +787,16 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 self._next_due = d
                 return
             a0 = heads[0]
-            for v in rng:
+            w = 0
+            tie = False
+            for v in rng1:
                 h = heads[v]
                 if h < a0:
                     a0 = h
+                    w = v
+                    tie = False
+                elif h == a0:
+                    tie = True
             if a0 > d:
                 if a0 > t:
                     fs._last = last
@@ -750,21 +804,25 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                     self._next_due = a0  # inf when both lanes are empty
                     return
                 d = a0  # idle core: the next arrival starts when it lands
+                # only VOs whose head is a0 compete: a sole one wins
+                # without the usage/share scan, a tie falls through to it
+                v = -1 if tie else w
+            else:
+                v = -1
             # the exact decay ladder the per-start loop commits
             if d > last:
                 f = 0.5 ** ((d - last) / halflife)
                 for k in rng:
                     usage[k] *= f
                 last = d
-            best = -1
-            br = 0.0
-            for v in rng:
-                if heads[v] <= d:
-                    r = usage[v] / shares[v]
-                    if best < 0 or r < br:
-                        best = v
-                        br = r
-            v = best
+            if v < 0:
+                br = 0.0
+                for u in rng:
+                    if heads[u] <= d:
+                        r = usage[u] / shares[u]
+                        if v < 0 or r < br:
+                            v = u
+                            br = r
             b = bheads[v]
             if b <= cheads[v]:
                 # the background head wins (ties go to background — the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -90,6 +91,14 @@ class PopulationResult:
         Full :meth:`~repro.gridsim.registry.MetricsRegistry.snapshot`
         of the grid's registry at the end of the run — every counter,
         gauge and histogram any subsystem published, as plain data.
+    phases:
+        Wall-clock seconds per phase, timed at the phase boundaries:
+        ``warm`` (grid warm-up, when the runtime builds the grid),
+        ``launch`` (launch-schedule synthesis and task set-up),
+        ``simulate``, ``exchange`` (sharded runs: epoch-loop time,
+        worker start-up included, beyond each epoch's slowest shard
+        simulation) and ``readout``.  Host timings, so never part of
+        result equality.
     """
 
     fleets: tuple[FleetOutcome, ...]
@@ -100,6 +109,7 @@ class PopulationResult:
     site_usage_shares: dict[str, dict[str, float]]
     weather: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    phases: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def total_finished(self) -> int:
@@ -127,14 +137,20 @@ def _assemble_result(
     lost_before: int,
     stuck_before: int,
     dispatched_before: list[int],
+    phases: dict[str, float],
+    t_read: float | None = None,
 ) -> PopulationResult:
-    """Wrap per-fleet outcomes with the grid's telemetry deltas."""
+    """Wrap per-fleet outcomes with the grid's telemetry deltas.
+
+    ``t_read`` is the instant the readout began: the readout phase is
+    stamped after assembly, which reads usage shares and the registry.
+    """
     usage = {
         site.name: site.usage_shares()
         for site in grid.sites
         if hasattr(site, "usage_shares")
     }
-    return PopulationResult(
+    result = PopulationResult(
         fleets=tuple(outcomes),
         duration=duration,
         jobs_lost=grid.jobs_lost - lost_before,
@@ -146,7 +162,11 @@ def _assemble_result(
         site_usage_shares=usage,
         weather=grid.weather_report(),
         metrics=grid.metrics.snapshot(),
+        phases=phases,
     )
+    if t_read is not None:
+        phases["readout"] = perf_counter() - t_read
+    return result
 
 
 def run_population(
@@ -207,6 +227,7 @@ def _run_population(
 ) -> PopulationResult:
     """:func:`run_population` on the pool (``pool``) or on TaskCores."""
     check_positive("horizon_slack", horizon_slack)
+    t_launch = perf_counter()
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
     start = grid.now
     lost_before, stuck_before = grid.jobs_lost, grid.jobs_stuck
@@ -235,6 +256,7 @@ def _run_population(
             lost_before=lost_before,
             stuck_before=stuck_before,
             dispatched_before=dispatched_before,
+            phases={"launch": perf_counter() - t_launch},
         )
 
     if pool:
@@ -245,7 +267,9 @@ def _run_population(
             start=start,
             on_all_done=grid.sim.stop,
         )
+        t_sim = perf_counter()
         grid.run_until(start + spec.window + horizon_slack)
+        t_read = perf_counter()
         outcomes = []
         for f, fleet in enumerate(spec.fleets):
             j, jobs = task_pool.fleet_results(f)
@@ -264,6 +288,8 @@ def _run_population(
             lost_before=lost_before,
             stuck_before=stuck_before,
             dispatched_before=dispatched_before,
+            phases={"launch": t_sim - t_launch, "simulate": t_read - t_sim},
+            t_read=t_read,
         )
 
     results: list[list[tuple[float, int]]] = [[] for _ in spec.fleets]
@@ -321,7 +347,9 @@ def _run_population(
 
     sim.schedule_at(sorted_t[0], fire)
 
+    t_sim = perf_counter()
     grid.run_until(start + spec.window + horizon_slack)
+    t_read = perf_counter()
 
     outcomes = []
     for fleet, sink in zip(spec.fleets, results):
@@ -342,4 +370,6 @@ def _run_population(
         lost_before=lost_before,
         stuck_before=stuck_before,
         dispatched_before=dispatched_before,
+        phases={"launch": t_sim - t_launch, "simulate": t_read - t_sim},
+        t_read=t_read,
     )

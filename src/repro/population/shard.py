@@ -61,6 +61,7 @@ import multiprocessing as mp
 import pickle
 from dataclasses import replace
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -384,11 +385,15 @@ class _ShardRuntime:
             if loads_tables is not None:
                 self._apply_loads(loads_tables)
             self._schedule_inbox(inbox)
+            t0 = perf_counter()
             self.grid.run_until(t_end)
+            busy = perf_counter() - t0
             self._prune_hosted()
             out = self._outbox
             self._outbox = []
-            conn.send(("sync", int(self.pool.pending), out, self._local_loads()))
+            conn.send(
+                ("sync", int(self.pool.pending), out, self._local_loads(), busy)
+            )
 
     def _result(self) -> dict:
         grid, pool = self.grid, self.pool
@@ -554,17 +559,22 @@ def run_population_sharded(
         )
     cfgs, partition = shard_configs(config, shards)
     if shards == 1:
+        t_warm = perf_counter()
         grid = warmed_grid(config, grid_seed, warm)
-        return run_population(
+        warm_s = perf_counter() - t_warm
+        result = run_population(
             grid, spec, seed=seed, horizon_slack=horizon_slack
         )
+        return replace(result, phases={"warm": warm_s, **result.phases})
     _check_shardable(config, spec)
 
+    t_launch = perf_counter()
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
     all_times = [
         spec.launch_times(fleet, rng)
         for fleet, rng in zip(spec.fleets, rngs)
     ]
+    phases = {"launch": perf_counter() - t_launch}
     if sum(t.size for t in all_times) == 0:
         return PopulationResult(
             fleets=tuple(
@@ -581,8 +591,10 @@ def run_population_sharded(
             jobs_stuck=0,
             broker_dispatches=(0,) * shards,
             site_usage_shares={},
+            phases=phases,
         )
 
+    t_warm = perf_counter()
     shard_seeds = np.random.SeedSequence(grid_seed).generate_state(shards)
     payloads = []
     for cfg, s in zip(cfgs, shard_seeds):
@@ -593,6 +605,7 @@ def run_population_sharded(
                 "process boundary"
             )
         payloads.append(snap._payload)
+    phases["warm"] = perf_counter() - t_warm
     start = float(warm)
     epoch = float(config.info_refresh)
     max_epochs = math.ceil((spec.window + horizon_slack) / epoch)
@@ -600,6 +613,8 @@ def run_population_sharded(
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
     conns, procs = [], []
+    simulate = 0.0
+    t_loop = perf_counter()
     try:
         for k in range(shards):
             parent_conn, child_conn = ctx.Pipe()
@@ -633,15 +648,23 @@ def run_population_sharded(
             pending = 0
             in_flight = False
             loads_tables = []
+            busiest = 0.0
             for k, conn in enumerate(conns):
-                _tag, pend_k, out_k, loads_k = _recv(conn)
+                _tag, pend_k, out_k, loads_k, busy_k = _recv(conn)
                 pending += pend_k
                 loads_tables.append(loads_k)
+                busiest = max(busiest, busy_k)
                 for dest, kind, boundary, payload in out_k:
                     inboxes[dest].append((k, kind, boundary, payload))
                     in_flight = True
+            # lockstep epochs: the slowest shard's simulation sets the
+            # pace, everything else in the loop is the exchange
+            simulate += busiest
             if pending == 0 and not in_flight:
                 break
+        t_read = perf_counter()
+        phases["simulate"] = simulate
+        phases["exchange"] = t_read - t_loop - simulate
         results = []
         for conn in conns:
             conn.send(("finish",))
@@ -680,4 +703,5 @@ def run_population_sharded(
         site_usage_shares=usage,
         weather=weather,
         metrics=metrics,
+        phases={**phases, "readout": perf_counter() - t_read},
     )

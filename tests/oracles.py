@@ -9,7 +9,7 @@ here, as references the equivalence suites compare production against:
   the two-lane vector engines;
 * :class:`ScalarFairShareCE` — the vector fair-share site with its fused
   block resolver replaced by the per-start ``FairShareState`` method
-  loop;
+  loop, and its closed-form admission replaced by append-then-walk;
 * :func:`run_population_taskcore` — the population driver held on the
   per-task TaskCore path even where the struct-of-arrays pool engages.
 """
@@ -25,7 +25,7 @@ from repro.gridsim.fairshare import (
     FairShareVectorComputingElement,
 )
 from repro.gridsim.grid import GridConfig, GridSimulator, GridSnapshot
-from repro.gridsim.jobs import JobState
+from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.site import ComputingElement
 from repro.population import driver
 from repro.population.spec import PopulationSpec
@@ -82,14 +82,43 @@ def chaos_on(site_engine: str):
 
 
 class ScalarFairShareCE(FairShareVectorComputingElement):
-    """Per-start oracle of the fair-share block resolver.
+    """Per-start oracle of the fair-share block resolver and admission.
 
     One start per iteration through the :class:`FairShareState` method
     calls — ``select`` then ``charge`` at the same decision instant, the
-    call sequence both fair-share engines have always committed.  The
-    production block path must replay this loop's float ladder
-    bit-for-bit.
+    call sequence both fair-share engines have always committed.  Every
+    client joins its VO FIFO and is started (if at all) by that loop:
+    ``enqueue_many`` is a loop over ``enqueue``, which appends and then
+    walks.  The production block path and closed-form admission must
+    replay this oracle's float ladder bit-for-bit.
     """
+
+    def enqueue(self, job: Job) -> None:
+        if job.state not in (JobState.MATCHING, JobState.CREATED):
+            raise ValueError(f"cannot enqueue job in state {job.state}")
+        if self.black_hole:
+            self._fail_now(job)
+            return
+        now = self.sim._now
+        job.state = JobState.QUEUED
+        job.site = self.name
+        job.queue_time = now
+        # commit what is due first: a start at d == now must not see
+        # the newcomer as a candidate
+        if now >= self._next_due:
+            self._advance()
+        self._clq[self.fairshare.index_of(job.vo)].append(job)
+        self._live_clients += 1
+        e = self._core_free[0]
+        if self._dispatch_floor > e:
+            e = self._dispatch_floor
+        if e <= now:
+            self._next_due = 0.0  # a core is free: walk now
+            self._advance()
+        elif e < self._next_due:
+            self._next_due = e  # no start before the next core release
+        if job.state is JobState.QUEUED:
+            self._defer_wake()
 
     def _commit_block(self, t: float) -> None:
         fs = self.fairshare

@@ -69,6 +69,20 @@ class TestDescribe:
         assert "unknown trace set" in text
 
 
+class TestPopulation:
+    def test_population_prints_wall_by_phase(self):
+        args = ("population", "--scale", "300", "--sites", "2", "--cores", "32")
+        outs = [run_cli(*args) for _ in range(2)]
+        assert [code for code, _ in outs] == [0, 0]
+        assert "wall by phase: warm " in outs[0][1]
+        # timings sit only on lines the `grep -v wall` determinism diff drops
+        a, b = (
+            [line for line in text.splitlines() if "wall" not in line]
+            for _, text in outs
+        )
+        assert a == b
+
+
 class TestFederation:
     def test_runs_small_population(self):
         code, text = run_cli(

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import MultipleSubmission, SingleResubmission
 from repro.gridsim import (
@@ -72,9 +75,41 @@ def job_trace(jobs: list[Job]) -> list[tuple]:
     return [(j.state.value, j.start_time, j.end_time) for j in jobs]
 
 
-def apply_script(sim: Simulator, site, script) -> list[Job]:
-    """Replay one operation script; returns the client jobs it created."""
+def apply_script(sim: Simulator, site, script) -> tuple[list[Job], list]:
+    """Replay one operation script; returns its jobs and settle log.
+
+    Jobs are numbered in creation order.  ``("settle", idxs)`` makes the
+    listed jobs copies of one task: the first copy to start cancels the
+    others — a queued or running copy at the site, a copy not yet
+    enqueued in place (the WMS's ``cancel_matching``).  The log records
+    the state each start callback found every sibling in, which is what
+    the grid routes (and traces) a cancel by.
+    """
     jobs: list[Job] = []
+    number: dict[int, int] = {}
+    groups: dict[int, tuple[int, ...]] = {}
+    seen: list[tuple[int, str]] = []
+
+    def settle(job: Job) -> None:
+        group = groups.get(number[id(job)], ())
+        for k in group:
+            groups.pop(k, None)
+            if k >= len(jobs) or jobs[k] is job:
+                continue
+            sibling = jobs[k]
+            seen.append((k, sibling.state.value))
+            if sibling.state is JobState.CREATED:
+                sibling.state = JobState.CANCELLED
+            else:
+                site.cancel(sibling)
+
+    def new_job(vo: str, runtime: float) -> Job:
+        job = Job(runtime=runtime, vo=vo)
+        number[id(job)] = len(jobs)
+        jobs.append(job)
+        return job
+
+    site.on_start = settle
     for op in script:
         kind = op[0]
         if kind == "run":
@@ -83,11 +118,20 @@ def apply_script(sim: Simulator, site, script) -> list[Job]:
             _, times, runtimes, vos = op
             site.feed_background(list(times), list(runtimes), list(vos))
         elif kind == "client":
+            # arrivals come from a dispatch event, as on a grid: before
+            # the run loop returns and its reconcilers settle the site
             _, t, vo, runtime = op
+            sim.schedule_at(t, partial(site.enqueue, new_job(vo, runtime)))
             sim.run_until(t)
-            job = Job(runtime=runtime, vo=vo)
-            site.enqueue(job)
-            jobs.append(job)
+        elif kind == "burst":
+            _, t, members = op
+            group = [new_job(vo, runtime) for vo, runtime in members]
+            sim.schedule_at(t, partial(site.enqueue_many, group))
+            sim.run_until(t)
+        elif kind == "settle":
+            group = tuple(op[1])
+            for k in group:
+                groups[k] = group
         elif kind == "cancel":
             _, t, idx = op
             sim.run_until(t)
@@ -99,20 +143,73 @@ def apply_script(sim: Simulator, site, script) -> list[Job]:
                 site.begin_black_hole()
             else:
                 site.end_black_hole()
+        elif kind == "outage":
+            _, t, flag = op
+            sim.run_until(t)
+            if flag:
+                site.begin_outage(np.random.default_rng(0), 0.0)
+            else:
+                site.end_outage()
+        elif kind == "floor":
+            # a recovery instant still ahead of the clock: public hooks
+            # only ever set the floor to now, so it is written directly
+            # (with the walk and wake invalidation ``end_outage`` does)
+            _, t, floor = op
+            sim.run_until(t)
+            site._dispatch_floor = floor
+            site._next_due = 0.0
+            site._lane_epoch += 1
         else:  # pragma: no cover - script typo guard
             raise AssertionError(kind)
-    return jobs
+    return jobs, seen
 
 
-def assert_paths_agree(script, halflife: float, n_cores: int = 2) -> None:
-    states, traces = [], []
+def queue_state(site) -> tuple:
+    """Per-VO husk counts and FIFO lengths, plus the live-client count.
+
+    Both loops drop husks lazily, but at different moments (the scalar
+    loop after its decision-instant check, the block loop before it),
+    so leading husks are dropped first on both sides — what remains is
+    the queue content neither loop has reached yet.
+    """
+    for v, q in enumerate(site._clq):
+        while q and q[0].state is not JobState.QUEUED:
+            q.popleft()
+            site._vo_husks[v] -= 1
+    return (
+        tuple(site._vo_husks),
+        tuple(len(q) for q in site._clq),
+        site._live_clients,
+    )
+
+
+def run_both(script, halflife: float, n_cores: int = 2, lazy: bool = False):
+    """Replay ``script`` on the production site and on the scalar oracle.
+
+    ``lazy`` disarms the wake on both, so commits happen only at the
+    reconciliation points the script reaches (enqueue pre-walks included).
+    """
+    outs = []
     for block in (True, False):
         sim, site = make_site(halflife, n_cores=n_cores, block=block)
-        jobs = apply_script(sim, site, script)
-        states.append(site_state(sim, site))
-        traces.append(job_trace(jobs))
-    assert states[0] == states[1]
-    assert traces[0] == traces[1]
+        if lazy:
+            site._defer_wake = lambda: None
+        jobs, seen = apply_script(sim, site, script)
+        outs.append(
+            (site_state(sim, site), job_trace(jobs) + seen, queue_state(site))
+        )
+    return outs
+
+
+def assert_paths_agree(
+    script, halflife: float, n_cores: int = 2, lazy: bool = False
+) -> None:
+    (state_a, trace_a, queues_a), (state_b, trace_b, queues_b) = run_both(
+        script, halflife, n_cores, lazy
+    )
+    assert state_a == state_b
+    assert trace_a == trace_b
+    assert queues_a == queues_b
 
 
 class TestBlockVsScalarScripts:
@@ -211,6 +308,152 @@ class TestBlockVsScalarScripts:
         ]
         assert_paths_agree(script, halflife)
 
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_burst_on_partly_free_site(self, halflife):
+        """Two members start on arrival in batch order, the third queues."""
+        script = [
+            ("feed", [1.0, 2.0, 30.0], [10.0, 10.0, 40.0], [0, 1, 2]),
+            ("burst", 20.0, [("cms", 30.0), ("biomed", 15.0), ("atlas", 9.0)]),
+            ("run", 300.0),
+        ]
+        assert_paths_agree(script, halflife)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_free_core_with_husk_at_vo_head(self, halflife):
+        """j2 is cancelled inside its own pre-walk and sits as a husk at
+        the head of its VO FIFO; j3 then finds the core free and starts
+        in closed form, dropping the husk the loop would have popped."""
+        script = [
+            ("client", 0.0, "biomed", 50.0),
+            ("client", 0.0, "biomed", 30.0),
+            ("settle", [1, 2]),
+            ("client", 60.0, "biomed", 20.0),
+            ("client", 85.0, "biomed", 5.0),
+            ("run", 200.0),
+        ]
+        (_, trace, queues), oracle = run_both(
+            script, halflife, n_cores=1, lazy=True
+        )
+        assert (trace, queues) == oracle[1:]
+        assert trace[2][0] == "cancelled" and math.isnan(trace[2][1])
+        assert trace[3][1] == 85.0
+        assert queues == ((0, 0, 0), (0, 0, 0), 0)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_prewalk_cancels_job_being_enqueued(self, halflife):
+        """j1's start in j2's pre-walk cancels j2 and frees the core
+        again by now: the free core must not start the husk.  It stays
+        in its VO while another VO's newcomer starts in closed form, and
+        a later same-VO client queues behind it."""
+        script = [
+            ("client", 0.0, "biomed", 50.0),
+            ("client", 0.0, "biomed", 5.0),
+            ("settle", [1, 2]),
+            ("client", 60.0, "biomed", 20.0),
+            ("client", 85.0, "atlas", 5.0),
+            ("client", 86.0, "biomed", 7.0),
+            ("run", 200.0),
+        ]
+        assert_paths_agree(script, halflife, n_cores=1, lazy=True)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    @pytest.mark.parametrize("busy", [False, True], ids=["free", "busy"])
+    def test_first_start_cancels_later_group_member(self, halflife, busy):
+        """A burst of sibling copies: the first start cancels the rest,
+        before they are enqueued (free cores) or as queue husks (busy)."""
+        script = [
+            ("feed", [1.0, 2.0], [100.0, 100.0], [0, 2]) if busy else ("run", 0.0),
+            ("settle", [0, 1, 2]),
+            ("burst", 10.0, [("biomed", 40.0), ("atlas", 40.0), ("cms", 40.0)]),
+            ("client", 20.0, "cms", 12.0),
+            ("run", 400.0),
+        ]
+        assert_paths_agree(script, halflife)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_exact_tie_on_idle_core_goes_to_underserved_vo(self, halflife):
+        """Two VO heads land on an idle core at the same instant: the
+        usage/share rule, not registration order, picks the winner."""
+        script = [
+            ("feed", [1.0], [10.0], [0]),
+            ("run", 15.0),
+            ("feed", [20.0, 20.0], [10.0, 10.0], [0, 1]),
+            ("client", 20.0, "cms", 5.0),
+            ("run", 100.0),
+        ]
+        assert_paths_agree(script, halflife, n_cores=1)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_start_callback_sees_completed_sibling(self, halflife):
+        """A run that ended before the closed-form start is settled
+        first, so the start callback finds it completed, not running."""
+        script = [
+            ("client", 0.0, "atlas", 10.0),
+            ("settle", [0, 1]),
+            ("client", 30.0, "atlas", 10.0),
+            ("run", 100.0),
+        ]
+        (_, trace, _), oracle = run_both(script, halflife, n_cores=1)
+        assert trace == oracle[1]
+        assert trace[-1] == (0, "completed")
+
+    def test_enqueue_many_counts_only_admitted_members(self):
+        """A member cancelled by an earlier member's start is skipped."""
+        counts = []
+        for block in (True, False):
+            sim, site = make_site(86_400.0, n_cores=2, block=block)
+            group = [Job(runtime=5.0, vo="atlas") for _ in range(3)]
+            site.on_start = lambda job, g=group: setattr(
+                g[2], "state", JobState.CANCELLED
+            )
+            counts.append(site.enqueue_many(group))
+            assert [j.state for j in group] == [
+                JobState.RUNNING,
+                JobState.RUNNING,
+                JobState.CANCELLED,
+            ]
+        assert counts == [2, 2]
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_dispatch_floor_after_now(self, halflife):
+        """Idle cores behind a floor still ahead: nothing starts early."""
+        script = [
+            ("feed", [5.0, 40.0], [20.0, 20.0], [1, 0]),
+            ("floor", 10.0, 50.0),
+            ("client", 20.0, "cms", 10.0),
+            ("burst", 30.0, [("biomed", 10.0), ("atlas", 10.0)]),
+            ("client", 60.0, "atlas", 10.0),
+            ("run", 300.0),
+        ]
+        assert_paths_agree(script, halflife)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_closed_outage_gate(self, halflife):
+        """Free cores, closed gate: arrivals queue until the reopening."""
+        script = [
+            ("feed", [2.0, 12.0], [30.0, 30.0], [0, 1]),
+            ("outage", 10.0, True),
+            ("client", 20.0, "cms", 10.0),
+            ("burst", 25.0, [("biomed", 10.0), ("atlas", 10.0)]),
+            ("outage", 40.0, False),
+            ("client", 45.0, "biomed", 10.0),
+            ("run", 300.0),
+        ]
+        assert_paths_agree(script, halflife)
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_black_hole_burst(self, halflife):
+        """A burst into a hole fails whole; after it, starts on arrival."""
+        script = [
+            ("feed", [1.0, 12.0], [30.0, 30.0], [2, 1]),
+            ("hole", 10.0, True),
+            ("burst", 15.0, [("biomed", 10.0), ("cms", 10.0)]),
+            ("hole", 30.0, False),
+            ("burst", 35.0, [("atlas", 10.0), ("biomed", 10.0)]),
+            ("run", 300.0),
+        ]
+        assert_paths_agree(script, halflife)
+
     @pytest.mark.parametrize("seed", [3, 11, 29, 47])
     @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
     def test_random_interleavings(self, seed, halflife):
@@ -235,6 +478,70 @@ class TestBlockVsScalarScripts:
                 script.append(("cancel", t, int(rng.integers(0, n_clients))))
         script.append(("run", t + 600.0))
         assert_paths_agree(script, halflife)
+
+
+VOS = ("biomed", "atlas", "cms")
+_gaps = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
+_runtimes = st.floats(min_value=1.0, max_value=120.0, allow_nan=False)
+_vos = st.sampled_from(VOS)
+
+
+@st.composite
+def scripts(draw):
+    """Feed, client, burst (optionally a sibling group), cancel, hole
+    and run ops at non-decreasing instants."""
+    script, t, n_jobs, hole = [], 0.0, 0, False
+    for _ in range(draw(st.integers(1, 14))):
+        t += draw(_gaps)
+        kind = draw(
+            st.sampled_from(("feed", "client", "burst", "cancel", "hole", "run"))
+        )
+        if kind == "feed":
+            k = draw(st.integers(1, 6))
+            times = sorted(
+                t + x
+                for x in draw(st.lists(_gaps, min_size=k, max_size=k))
+            )
+            runtimes = draw(st.lists(_runtimes, min_size=k, max_size=k))
+            vos = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+            script.append(("feed", times, runtimes, vos))
+        elif kind == "client":
+            script.append(("client", t, draw(_vos), draw(_runtimes)))
+            n_jobs += 1
+        elif kind == "burst":
+            members = draw(st.lists(st.tuples(_vos, _runtimes), min_size=1, max_size=4))
+            if len(members) > 1 and draw(st.booleans()):
+                script.append(("settle", list(range(n_jobs, n_jobs + len(members)))))
+            script.append(("burst", t, members))
+            n_jobs += len(members)
+        elif kind == "cancel" and n_jobs:
+            script.append(("cancel", t, draw(st.integers(0, n_jobs - 1))))
+        elif kind == "hole":
+            hole = not hole
+            script.append(("hole", t, hole))
+        else:
+            script.append(("run", t))
+    script.append(("run", t + 500.0))
+    return script
+
+
+class TestAdmissionFuzz:
+    """Production (block resolver + closed-form admission) against the
+    scalar append-then-walk oracle on drawn scripts, bit for bit."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        script=scripts(),
+        halflife=st.sampled_from(HALFLIVES),
+        n_cores=st.integers(1, 4),
+        lazy=st.booleans(),
+    )
+    def test_production_equals_scalar_oracle(self, script, halflife, n_cores, lazy):
+        assert_paths_agree(script, halflife, n_cores=n_cores, lazy=lazy)
 
 
 def multi_vo_config(**kw) -> GridConfig:

@@ -220,6 +220,10 @@ class TestShardedRuntime:
         assert_identical(a, b)
         assert a.total_finished + a.total_gave_up == spec.total_tasks
         assert len(a.broker_dispatches) == 2
+        assert sorted(a.phases) == [
+            "exchange", "launch", "readout", "simulate", "warm"
+        ]
+        assert min(a.phases.values()) >= 0.0
 
     def test_one_shard_is_the_driver(self):
         """shards=1 delegates to run_population on the warmed grid."""
@@ -232,6 +236,9 @@ class TestShardedRuntime:
             warmed_grid(config, 5, 3600.0), spec, seed=9
         )
         assert_identical(sharded, direct)
+        # the runtime warms the grid itself, so its split starts there
+        assert list(sharded.phases) == ["warm", "launch", "simulate", "readout"]
+        assert list(direct.phases) == ["launch", "simulate", "readout"]
 
     def test_three_shard_conservation(self):
         config = shard_config()
