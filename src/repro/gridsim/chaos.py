@@ -278,14 +278,6 @@ class ConservationReport:
         return self
 
 
-#: a settled task may hold copies only in these states (plus one winner)
-_SETTLED = (
-    JobState.COMPLETED,
-    JobState.CANCELLED,
-    JobState.LOST,
-    JobState.STUCK,
-    JobState.FAILED,
-)
 _STARTED = (JobState.RUNNING, JobState.COMPLETED)
 _IN_FLIGHT = (JobState.CREATED, JobState.MATCHING, JobState.QUEUED)
 
@@ -316,54 +308,84 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
             "no task ledger: call grid.enable_task_ledger() before the "
             "campaign you want audited"
         )
-    violations: list[str] = []
-    groups: dict[int, tuple[object, list]] = {}
-    for task, job in ledger:
-        groups.setdefault(id(task), (task, []))[1].append(job)
-    by_state: dict[str, int] = {}
-    done_tasks = 0
-    winners = 0
+    # One pass over the ledger into int-keyed accumulators, then one
+    # pass over the tasks in first-ledger order.  The per-task tallies
+    # hold only ints, so a ledger of any size allocates no tracked
+    # object per task and wakes no collector pass over the heap the
+    # campaign left behind; labels and state names are built for
+    # violating tasks only.
+    tasks: list = []  # in first-ledger order
+    copies: dict[int, int] = {}
+    started: dict[int, int] = {}
+    # (id(job) << 64) | id(task) per ledger entry: a copy filed twice
+    # under the same task is ledgered twice
+    seen: set[int] = set()
+    twice: set[int] = set()
+    stray: dict[int, list] = {}  # done task -> its in-flight copies
+    dup_bad: dict[int, list] = {}  # task -> unreconciled duplicates
+    counts: dict[JobState, int] = {}
     dup_live = 0
-    for task, jobs in groups.values():
-        label = f"task@{id(task):#x}"
-        if len(jobs) != task.jobs_used:
+    for task, job in ledger:
+        tid = id(task)
+        n = copies.get(tid)
+        if n is None:
+            copies[tid] = 1
+            tasks.append(task)
+        else:
+            copies[tid] = n + 1
+        key = id(job) << 64 | tid
+        if key in seen:
+            twice.add(tid)
+        else:
+            seen.add(key)
+        state = job.state
+        counts[state] = counts.get(state, 0) + 1
+        if state in _STARTED:
+            started[tid] = started.get(tid, 0) + 1
+        elif state in _IN_FLIGHT and task.done:
+            stray.setdefault(tid, []).append(job)
+        if job.duplicate:
+            dup_live += 1
+            # the winner is the copy that started; an outage may kill it
+            # afterwards (CANCELLED/FAILED with a start time), and it
+            # still won — the task settled on it
+            if not (task.done and not math.isnan(job.start_time)):
+                dup_bad.setdefault(tid, []).append(job)
+    violations: list[str] = []
+    done_tasks = 0
+    for task in tasks:
+        tid = id(task)
+        n = copies[tid]
+        if n != task.jobs_used:
             violations.append(
-                f"{label}: {len(jobs)} ledgered copies but jobs_used="
+                f"task@{tid:#x}: {n} ledgered copies but jobs_used="
                 f"{task.jobs_used} (copies minted off the books?)"
             )
-        if len(set(map(id, jobs))) != len(jobs):
-            violations.append(f"{label}: a copy was ledgered twice")
-        started = [j for j in jobs if j.state in _STARTED]
-        in_flight = [j for j in jobs if j.state in _IN_FLIGHT]
-        for j in jobs:
-            by_state[j.state.value] = by_state.get(j.state.value, 0) + 1
-            if j.duplicate:
-                dup_live += 1
-                # the winner is the copy that started; an outage may kill
-                # it afterwards (CANCELLED/FAILED with a start time), and
-                # it still won — the task settled on it
-                if not (task.done and not math.isnan(j.start_time)):
-                    violations.append(
-                        f"{label}: duplicate {j!r} neither reconciled by "
-                        "sibling-cancel nor the task's winner"
-                    )
+        if tid in twice:
+            violations.append(f"task@{tid:#x}: a copy was ledgered twice")
+        for j in dup_bad.get(tid, ()):
+            violations.append(
+                f"task@{tid:#x}: duplicate {j!r} neither reconciled by "
+                "sibling-cancel nor the task's winner"
+            )
         if task.done:
             done_tasks += 1
-            if len(started) > 1:
+            s = started.get(tid, 0)
+            if s > 1:
                 violations.append(
-                    f"{label}: done with {len(started)} started copies "
+                    f"task@{tid:#x}: done with {s} started copies "
                     "(sibling-cancel raced a second start)"
                 )
-            winners += len(started)
-            if in_flight:
+            if tid in stray:
+                late = stray[tid]
                 violations.append(
-                    f"{label}: done but {len(in_flight)} copies still "
-                    f"in flight ({', '.join(j.state.value for j in in_flight)})"
+                    f"task@{tid:#x}: done but {len(late)} copies still "
+                    f"in flight ({', '.join(j.state.value for j in late)})"
                 )
         else:
             violations.append(
-                f"{label}: not settled — finish or expire() every task "
-                "before auditing"
+                f"task@{tid:#x}: not settled — finish or expire() every "
+                "task before auditing"
             )
     mw = grid._mw
     if mw is not None:
@@ -373,7 +395,7 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
                 f"reconciled {grid.duplicates_reconciled}, "
                 f"{dup_live} won — the books don't balance"
             )
-        attempts = sum(t.client_attempts for t, _ in groups.values())
+        attempts = sum(t.client_attempts for t in tasks)
         if attempts != grid.jobs_submitted:
             violations.append(
                 f"attempt counters disagree: tasks made {attempts} "
@@ -385,10 +407,10 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
             f"{grid.jobs_submitted} submissions"
         )
     return ConservationReport(
-        tasks=len(groups),
+        tasks=len(tasks),
         done_tasks=done_tasks,
         jobs=len(ledger),
-        by_state=by_state,
+        by_state={state.value: n for state, n in counts.items()},
         duplicates=mw.duplicates if mw is not None else 0,
         duplicates_reconciled=grid.duplicates_reconciled,
         violations=tuple(violations),

@@ -302,23 +302,28 @@ def decompose(events: Sequence[tuple]) -> list[TaskBreakdown]:
     """
     tasks: dict[int, tuple] = {}
     complete: dict[int, tuple] = {}
-    per_job: dict[int, dict] = {}
+    # one jid -> t map per stamped kind; last write wins: a retried
+    # job's fresh submit supersedes
+    submit: dict[int, float] = {}
+    enqueue: dict[int, float] = {}
+    start: dict[int, float] = {}
+    stamps = {"submit": submit, "enqueue": enqueue, "start": start}
     for kind, t, tid, jid, aux in events:
         if kind == "task":
             tasks[tid] = (t, aux[0], aux[1], aux[2])
         elif kind == "complete":
             complete[tid] = (t, jid)
-        elif kind in ("submit", "enqueue", "start") and jid >= 0:
-            # last write wins: a retried job's fresh submit supersedes
-            per_job.setdefault(jid, {})[kind] = t
+        else:
+            stamp = stamps.get(kind)
+            if stamp is not None and jid >= 0:
+                stamp[jid] = t
     out = []
     for tid in sorted(complete):
         t_done, winner = complete[tid]
         t0, label, vo, runtime = tasks[tid]
-        span = per_job.get(winner, {})
-        t_submit = span.get("submit", t0)
-        t_enqueue = span.get("enqueue", t_submit)
-        t_start = span.get("start", t_done)
+        t_submit = submit.get(winner, t0)
+        t_enqueue = enqueue.get(winner, t_submit)
+        t_start = start.get(winner, t_done)
         out.append(
             TaskBreakdown(
                 task_id=tid,

@@ -11,15 +11,19 @@ here, as references the equivalence suites compare production against:
   block resolver replaced by the per-start ``FairShareState`` method
   loop, and its closed-form admission replaced by append-then-walk;
 * :func:`run_population_taskcore` — the population driver held on the
-  per-task TaskCore path even where the struct-of-arrays pool engages.
+  per-task TaskCore path even where the struct-of-arrays pool engages;
+* :func:`audit_conservation_reference` — the conservation audit as a
+  group-by over the ledger, one ``(task, [jobs])`` group per task.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapreplace
 from unittest import mock
 
 from repro.gridsim import chaos
+from repro.gridsim.chaos import _IN_FLIGHT, _STARTED, ConservationReport
 from repro.gridsim.fairshare import (
     FairShareComputingElement,
     FairShareVectorComputingElement,
@@ -199,4 +203,93 @@ def run_population_taskcore(
     """:func:`~repro.population.run_population` on per-task TaskCores only."""
     return driver._run_population(
         grid, spec, seed=seed, horizon_slack=horizon_slack, pool=False
+    )
+
+
+def audit_conservation_reference(grid: GridSimulator) -> ConservationReport:
+    """Reference for :func:`~repro.gridsim.chaos.audit_conservation`.
+
+    Groups the ledger per task, then checks each group; the production
+    audit must return an equal report, violations in the same order.
+    """
+    ledger = grid.task_ledger
+    if ledger is None:
+        raise RuntimeError(
+            "no task ledger: call grid.enable_task_ledger() before the "
+            "campaign you want audited"
+        )
+    violations: list[str] = []
+    groups: dict[int, tuple[object, list]] = {}
+    for task, job in ledger:
+        groups.setdefault(id(task), (task, []))[1].append(job)
+    by_state: dict[str, int] = {}
+    done_tasks = 0
+    dup_live = 0
+    for task, jobs in groups.values():
+        label = f"task@{id(task):#x}"
+        if len(jobs) != task.jobs_used:
+            violations.append(
+                f"{label}: {len(jobs)} ledgered copies but jobs_used="
+                f"{task.jobs_used} (copies minted off the books?)"
+            )
+        if len(set(map(id, jobs))) != len(jobs):
+            violations.append(f"{label}: a copy was ledgered twice")
+        started = [j for j in jobs if j.state in _STARTED]
+        in_flight = [j for j in jobs if j.state in _IN_FLIGHT]
+        for j in jobs:
+            by_state[j.state.value] = by_state.get(j.state.value, 0) + 1
+            if j.duplicate:
+                dup_live += 1
+                # the winner is the copy that started; an outage may kill
+                # it afterwards (CANCELLED/FAILED with a start time), and
+                # it still won — the task settled on it
+                if not (task.done and not math.isnan(j.start_time)):
+                    violations.append(
+                        f"{label}: duplicate {j!r} neither reconciled by "
+                        "sibling-cancel nor the task's winner"
+                    )
+        if task.done:
+            done_tasks += 1
+            if len(started) > 1:
+                violations.append(
+                    f"{label}: done with {len(started)} started copies "
+                    "(sibling-cancel raced a second start)"
+                )
+            if in_flight:
+                violations.append(
+                    f"{label}: done but {len(in_flight)} copies still "
+                    f"in flight ({', '.join(j.state.value for j in in_flight)})"
+                )
+        else:
+            violations.append(
+                f"{label}: not settled — finish or expire() every task "
+                "before auditing"
+            )
+    mw = grid._mw
+    if mw is not None:
+        if mw.duplicates != grid.duplicates_reconciled + dup_live:
+            violations.append(
+                f"duplicate ledger leak: minted {mw.duplicates}, "
+                f"reconciled {grid.duplicates_reconciled}, "
+                f"{dup_live} won — the books don't balance"
+            )
+        attempts = sum(t.client_attempts for t, _ in groups.values())
+        if attempts != grid.jobs_submitted:
+            violations.append(
+                f"attempt counters disagree: tasks made {attempts} "
+                f"attempts, grid counted {grid.jobs_submitted}"
+            )
+    elif len(ledger) != grid.jobs_submitted:
+        violations.append(
+            f"ledger holds {len(ledger)} copies but the grid counted "
+            f"{grid.jobs_submitted} submissions"
+        )
+    return ConservationReport(
+        tasks=len(groups),
+        done_tasks=done_tasks,
+        jobs=len(ledger),
+        by_state=by_state,
+        duplicates=mw.duplicates if mw is not None else 0,
+        duplicates_reconciled=grid.duplicates_reconciled,
+        violations=tuple(violations),
     )
