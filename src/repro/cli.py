@@ -7,7 +7,6 @@ Usage::
     python -m repro run all --out results/ --jobs 4
     python -m repro population --scale 100000 --shards 4
     python -m repro describe 2006-IX
-    python -m repro bench --threshold 1.5
     python -m repro chaos --schedule storm-broker-site --trace trace.jsonl
     python -m repro report trace.jsonl --gwf trace.gwf
 """
@@ -15,7 +14,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -269,78 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     desc_p = sub.add_parser("describe", help="describe a paper trace set")
     desc_p.add_argument("week", help="trace-set name, e.g. 2006-IX")
     desc_p.add_argument("--seed", type=int, default=2009)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the benchmark suite (wraps benchmarks/run_benchmarks.py)",
-    )
-    bench_p.add_argument(
-        "--update",
-        action="store_true",
-        help="rewrite the committed baseline with this run",
-    )
-    bench_p.add_argument(
-        "--suite",
-        nargs="+",
-        default=None,
-        help="pytest target(s) to benchmark (default: the tracked core suites)",
-    )
-    bench_p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="mean-time ratio above which a benchmark counts as regressed",
-    )
-    bench_p.add_argument(
-        "--report",
-        type=Path,
-        default=None,
-        help="write the comparison-vs-baseline table to this file",
-    )
-    bench_p.add_argument(
-        "--large",
-        action="store_true",
-        help="also run the opt-in large-scale benches (REPRO_BENCH_LARGE=1)",
-    )
-    bench_p.add_argument(
-        "--mem",
-        action="store_true",
-        help=(
-            "also record each bench body's tracemalloc allocation peak "
-            "(one extra untimed pass per bench)"
-        ),
-    )
-    bench_p.add_argument(
-        "--filter",
-        metavar="EXPR",
-        default=None,
-        help=(
-            "only run benchmarks matching this pytest -k expression, "
-            "e.g. 'probe_day' (incompatible with --update)"
-        ),
-    )
-    bench_p.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run the selected benches under cProfile and print the top "
-            "rows instead of comparing (incompatible with --update)"
-        ),
-    )
-    bench_p.add_argument(
-        "--profile-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rows to print per profile table",
-    )
-    bench_p.add_argument(
-        "--profile-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the profile tables to this file (requires --profile)",
-    )
 
     return parser
 
@@ -812,45 +738,6 @@ def _cmd_describe(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out, runner=subprocess.call) -> int:
-    """Invoke ``benchmarks/run_benchmarks.py`` from the repo checkout.
-
-    The benchmark harness lives next to the sources rather than inside
-    the package (it owns the committed baseline file), so this
-    subcommand only works from a checkout — installed-only environments
-    get a clear error instead of a stack trace.
-    """
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "run_benchmarks.py"
-    if not script.exists():
-        out.write(
-            "error: benchmarks/run_benchmarks.py not found — 'repro bench' "
-            "needs a repository checkout\n"
-        )
-        return 2
-    cmd = [sys.executable, str(script)]
-    if args.update:
-        cmd.append("--update")
-    if args.suite:
-        cmd += ["--suite", *args.suite]
-    if args.threshold is not None:
-        cmd += ["--threshold", str(args.threshold)]
-    if args.report is not None:
-        cmd += ["--report", str(args.report)]
-    if args.large:
-        cmd.append("--large")
-    if args.mem:
-        cmd.append("--mem")
-    if args.filter:
-        cmd += ["--filter", args.filter]
-    if args.profile:
-        cmd.append("--profile")
-    if args.profile_rows is not None:
-        cmd += ["--profile-rows", str(args.profile_rows)]
-    if args.profile_out is not None:
-        cmd += ["--profile-out", str(args.profile_out)]
-    return runner(cmd)
-
-
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
@@ -871,6 +758,4 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return _cmd_report(args, out)
     if args.command == "describe":
         return _cmd_describe(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

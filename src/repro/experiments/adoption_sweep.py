@@ -24,7 +24,7 @@ from repro.gridsim import (
     FaultModel,
     GridConfig,
     SiteConfig,
-    run_strategy_batch,
+    run_strategy_on_grid,
     warmed_snapshot,
 )
 from repro.util.tables import Table, format_float, format_seconds
@@ -58,7 +58,6 @@ def run(
     b: int = 3,
     runtime: float = 1800.0,
     window: float = 6 * 3600.0,
-    jobs: int | None = None,
 ) -> ExperimentResult:
     """Sweep the number of tasks concurrently using burst submission.
 
@@ -67,9 +66,7 @@ def run(
     single-submission fleet of the largest size is the control.
 
     All fleets fork the same 4-hour-warmed snapshot (identical to warming
-    a fresh same-seed grid, paid once) and are fully independent, so with
-    ``jobs > 1`` (default: ``REPRO_INTRA_JOBS``) they fan out over a
-    process pool with byte-identical output.
+    a fresh same-seed grid, paid once) and are fully independent.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
@@ -111,34 +108,29 @@ def run(
         )
 
     snap = warmed_snapshot(config, seed=seed, duration=4 * 3600.0)
-    outcomes = run_strategy_batch(
-        snap,
-        [
-            (
-                strategy,
-                n_tasks,
-                dict(
-                    task_interval=window / n_tasks,
-                    runtime=runtime,
-                    horizon=window + 100_000.0,
-                ),
-            )
-            for n_tasks, strategy, _ in fleets
-        ],
-        jobs=jobs,
-    )
-    for (n_tasks, _, label), (outcome, queued_at_end) in zip(fleets, outcomes):
+    outcomes = []
+    for n_tasks, strategy, label in fleets:
+        grid = snap.restore()
+        outcome = run_strategy_on_grid(
+            grid,
+            strategy,
+            n_tasks,
+            task_interval=window / n_tasks,
+            runtime=runtime,
+            horizon=window + 100_000.0,
+        )
+        outcomes.append(outcome)
         table.add_row(
             n_tasks,
             label,
             format_seconds(outcome.mean_j),
             format_float(outcome.mean_jobs, 2),
-            queued_at_end,
+            grid.total_queue_length(),
             outcome.gave_up,
         )
 
-    control = outcomes[0][0].mean_j
-    means = [o.mean_j for o, _ in outcomes[1 : 1 + len(fleet_sizes)]]
+    control = outcomes[0].mean_j
+    means = [o.mean_j for o in outcomes[1 : 1 + len(fleet_sizes)]]
 
     erosion = means[-1] / means[0]
     notes = [

@@ -8,15 +8,6 @@ process), so parallel output is **byte-identical** to the sequential
 path: every experiment is deterministic given ``(seed, dt)``, and
 context/model caches only affect speed, never values.
 
-The same pool machinery also parallelises *within* heavy experiments:
-:func:`run_strategy_batch` (re-exported here from
-:mod:`repro.gridsim.client`) fans a set of independent strategy
-executions — ``val-des``'s three strategies, ``abl-adopt``'s five
-fleets — over worker processes, shipping each one the pickled warmed
-snapshot instead of re-warming.  It is env-gated (``REPRO_INTRA_JOBS``)
-so it does not nest pools under ``repro run all --jobs N`` unless
-explicitly requested.
-
 The CLI's ``repro run all --jobs N`` goes through here; libraries can
 call :func:`run_many` directly for campaign-style sweeps.
 """
@@ -28,9 +19,8 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.experiments.context import get_context
 from repro.experiments.registry import CONTEXT_FREE, EXPERIMENTS, run_experiment
-from repro.gridsim.client import run_strategy_batch
 
-__all__ = ["iter_many", "render_experiment", "run_many", "run_strategy_batch"]
+__all__ = ["iter_many", "render_experiment", "run_many"]
 
 
 def render_experiment(experiment_id: str, *, seed: int = 2009, dt: float = 1.0) -> str:

@@ -21,7 +21,7 @@ from repro.experiments.base import ExperimentResult
 from repro.gridsim import (
     ProbeExperiment,
     default_grid_config,
-    run_strategy_batch,
+    run_strategy_on_grid,
     warmed_grid,
     warmed_snapshot,
 )
@@ -40,15 +40,8 @@ def run(
     seed: int = 17,
     probe_days: float = 2.0,
     n_tasks: int = 120,
-    jobs: int | None = None,
 ) -> ExperimentResult:
-    """Probe the grid, model it, predict strategy gains, verify by execution.
-
-    ``jobs`` fans the three independent strategy executions out over a
-    process pool (default: ``REPRO_INTRA_JOBS`` or sequential); every
-    execution forks the same warmed snapshot, so the rendered output is
-    byte-identical either way.
-    """
+    """Probe the grid, model it, predict strategy gains, verify by execution."""
     if n_tasks < 10:
         raise ValueError(f"n_tasks must be >= 10, got {n_tasks}")
     config = default_grid_config()
@@ -77,8 +70,8 @@ def run(
     }
 
     # 3. mechanical execution on fresh same-seed grids (identical
-    # workload): the three executions are independent forks of the same
-    # warmed snapshot, so they fan out over a process pool when asked
+    # workload): each execution restores its own fork of one warmed
+    # snapshot
     table = Table(
         title=TITLE,
         columns=[
@@ -91,16 +84,11 @@ def run(
         ],
     )
     snap = warmed_snapshot(config, seed=seed, duration=12 * 3600.0)
-    outcomes = run_strategy_batch(
-        snap,
-        [
-            (strategy, n_tasks, dict(task_interval=400.0, runtime=120.0))
-            for strategy, _ in strategies.values()
-        ],
-        jobs=jobs,
-    )
     ratios = []
-    for (name, (_, predicted)), (outcome, _) in zip(strategies.items(), outcomes):
+    for name, (strategy, predicted) in strategies.items():
+        outcome = run_strategy_on_grid(
+            snap.restore(), strategy, n_tasks, task_interval=400.0, runtime=120.0
+        )
         ratio = outcome.mean_j / predicted
         ratios.append((name, ratio))
         table.add_row(

@@ -118,7 +118,6 @@ from repro.gridsim.client import (
     StrategyOutcome,
     TaskCore,
     launch_task,
-    run_strategy_batch,
     run_strategy_on_grid,
 )
 
@@ -190,6 +189,5 @@ __all__ = [
     "StrategyOutcome",
     "TaskCore",
     "launch_task",
-    "run_strategy_batch",
     "run_strategy_on_grid",
 ]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
-from repro.gridsim.client import launch_task
+from repro.gridsim.client import _run_campaign
 from repro.gridsim.faults import FaultModel, SubmitFaultConfig
 from repro.gridsim.federation import BrokerConfig
 from repro.gridsim.grid import (
@@ -467,26 +466,9 @@ def run_chaos(
         MultipleSubmission(b=2, t_inf=t_inf),
         DelayedResubmission(t0=t_inf / 1.5, t_inf=t_inf),
     )
-    results: list[tuple[float, int]] = []
-    tasks: list = []
-    pending = [n_tasks]
-
-    def on_done() -> None:
-        pending[0] -= 1
-        if pending[0] == 0:
-            grid.sim.stop()
-
-    def launch(strategy) -> None:
-        tasks.append(
-            launch_task(grid, strategy, runtime, results, on_done=on_done)
-        )
-
-    for i in range(n_tasks):
-        grid.sim.schedule_at(
-            grid.now + i * task_interval,
-            partial(launch, strategies[i % len(strategies)]),
-        )
-    grid.run_until(grid.now + horizon)
+    results, tasks = _run_campaign(
+        grid, strategies, n_tasks, task_interval, runtime, horizon
+    )
     for task in tasks:
         task.expire()
     report = audit_conservation(grid)

@@ -14,9 +14,6 @@ from a latency law.  They serve two purposes:
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,7 +25,7 @@ from repro.core.strategies import (
     SingleResubmission,
     Strategy,
 )
-from repro.gridsim.grid import GridSimulator, GridSnapshot
+from repro.gridsim.grid import GridSimulator
 from repro.gridsim.jobs import Job
 from repro.util.validation import check_positive
 
@@ -36,7 +33,6 @@ __all__ = [
     "StrategyOutcome",
     "TaskCore",
     "launch_task",
-    "run_strategy_batch",
     "run_strategy_on_grid",
 ]
 
@@ -366,6 +362,48 @@ def launch_task(
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
+def _run_campaign(
+    grid: GridSimulator,
+    strategies: tuple[Strategy, ...],
+    n_tasks: int,
+    task_interval: float,
+    runtime: float,
+    horizon: float,
+) -> tuple[list[tuple[float, int]], list[_StrategyTask]]:
+    """Launch ``n_tasks`` tasks and run until the last one finishes.
+
+    Task ``i`` runs ``strategies[i % len(strategies)]`` from
+    ``now + i * task_interval``; the grid advances until every task
+    finished (the last completion stops the simulator) or ``horizon``
+    virtual seconds elapse.  Every launch is preloaded as its own event
+    rather than chained: a launch instant can tie with a pooled-timer or
+    dispatch-window boundary, and the preloaded insertion order decides
+    those ties.  Returns the ``(latency, jobs)`` results in completion
+    order and the tasks launched.
+    """
+    results: list[tuple[float, int]] = []
+    tasks: list[_StrategyTask] = []
+    pending = [n_tasks]
+
+    def on_done() -> None:
+        pending[0] -= 1
+        if pending[0] == 0:
+            grid.sim.stop()
+
+    def launch(strategy: Strategy) -> None:
+        tasks.append(
+            launch_task(grid, strategy, runtime, results, on_done=on_done)
+        )
+
+    for i in range(n_tasks):
+        grid.sim.schedule_at(
+            grid.now + i * task_interval,
+            partial(launch, strategies[i % len(strategies)]),
+        )
+    grid.run_until(grid.now + horizon)
+    return results, tasks
+
+
 def run_strategy_on_grid(
     grid: GridSimulator,
     strategy: Strategy,
@@ -407,29 +445,13 @@ def run_strategy_on_grid(
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     check_positive("task_interval", task_interval)
     check_positive("horizon", horizon)
-    results: list[tuple[float, int]] = []
-
     if not isinstance(
         strategy, (SingleResubmission, MultipleSubmission, DelayedResubmission)
     ):
         raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-
-    tasks: list[_StrategyTask] = []
-    pending = [n_tasks]
-
-    def on_done() -> None:
-        pending[0] -= 1
-        if pending[0] == 0:
-            grid.sim.stop()
-
-    def launch() -> None:
-        tasks.append(
-            launch_task(grid, strategy, runtime, results, on_done=on_done)
-        )
-    for i in range(n_tasks):
-        grid.sim.schedule_at(grid.now + i * task_interval, launch)
-
-    grid.run_until(grid.now + horizon)
+    results, tasks = _run_campaign(
+        grid, (strategy,), n_tasks, task_interval, runtime, horizon
+    )
 
     j = np.array([r[0] for r in results])
     # finished tasks first (aligned with j), then the gave-up stragglers'
@@ -447,109 +469,3 @@ def run_strategy_on_grid(
             "timeouts unreachable"
         )
     return StrategyOutcome(j=j, jobs_submitted=jobs, gave_up=n_tasks - j.size)
-
-
-# -- intra-experiment parallelism -----------------------------------------
-
-
-def _resolve_intra_jobs(jobs: int | None) -> int:
-    """Worker count for :func:`run_strategy_batch` (env-gated by default).
-
-    ``None`` reads ``REPRO_INTRA_JOBS`` (default 1 — sequential), so the
-    fan-out composes safely with ``repro run all --jobs N``'s outer pool:
-    only an explicit opt-in nests processes.
-    """
-    if jobs is None:
-        raw = os.environ.get("REPRO_INTRA_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_INTRA_JOBS must be an integer, got {raw!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _bump_job_ids_past(grid: GridSimulator) -> None:
-    """Advance the process-global job-id counter past any id in ``grid``.
-
-    A snapshot unpickled in a worker carries Job objects minted in the
-    parent; under a ``spawn`` start method the worker's counter restarts
-    at zero, so fresh client jobs could collide with the snapshot's
-    background jobs in ``running_jobs`` (the event engine keys by id).
-    Ids never appear in rendered output — only within-process
-    uniqueness matters.
-    """
-    import itertools
-
-    from repro.gridsim import jobs as jobs_mod
-
-    max_id = -1
-    for site in grid.sites:
-        for j in getattr(site, "running_jobs", {}).values():
-            max_id = max(max_id, j.job_id)
-        for j in getattr(site, "queue", ()):
-            max_id = max(max_id, j.job_id)
-        # fair-share engines queue client jobs per VO (background work
-        # on the vector flavour is anonymous — no ids to collide with)
-        for q in getattr(site, "_vo_queues", ()):
-            for j in q:
-                max_id = max(max_id, j.job_id)
-        for q in getattr(site, "_clq", ()):
-            for j in q:
-                max_id = max(max_id, j.job_id)
-    current = next(jobs_mod._job_ids)
-    jobs_mod._job_ids = itertools.count(max(current, max_id + 1))
-
-
-def _strategy_task(
-    args: tuple[bytes, Strategy, int, dict],
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    payload, strategy, n_tasks, kwargs = args
-    grid = pickle.loads(payload)
-    _bump_job_ids_past(grid)
-    out = run_strategy_on_grid(grid, strategy, n_tasks, **kwargs)
-    return out.j, out.jobs_submitted, out.gave_up, grid.total_queue_length()
-
-
-def run_strategy_batch(
-    snapshot: GridSnapshot,
-    runs: list[tuple[Strategy, int, dict]],
-    *,
-    jobs: int | None = None,
-) -> list[tuple[StrategyOutcome, int]]:
-    """Execute several strategy runs against forks of one warmed snapshot.
-
-    Each entry of ``runs`` is ``(strategy, n_tasks, kwargs)`` for
-    :func:`run_strategy_on_grid`; every run restores its own fork of
-    ``snapshot``, so the runs are fully independent — which makes them
-    trivially parallel.  With ``jobs > 1`` they fan out over a
-    ``ProcessPoolExecutor``, shipping the snapshot's pickled payload to
-    each worker (far cheaper than re-warming there); results come back
-    in request order, **byte-identical** to the sequential path because
-    each execution is deterministic given the snapshot.  Snapshots that
-    fell back to the deep-copy representation (un-picklable grid
-    attachments) cannot cross process boundaries, so those run
-    sequentially regardless of ``jobs``.
-
-    Returns ``(outcome, total_queue_length_at_end)`` per run — the queue
-    length is captured in the worker, where the grid still exists.
-    """
-    jobs = _resolve_intra_jobs(jobs)
-    payload = snapshot._payload
-    if jobs > 1 and len(runs) > 1 and payload is not None:
-        tasks = [(payload, s, n, kw) for s, n, kw in runs]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(runs))) as pool:
-            raw = list(pool.map(_strategy_task, tasks))
-        return [
-            (StrategyOutcome(j=j, jobs_submitted=js, gave_up=g), q)
-            for j, js, g, q in raw
-        ]
-    out = []
-    for strategy, n_tasks, kwargs in runs:
-        grid = snapshot.restore()
-        o = run_strategy_on_grid(grid, strategy, n_tasks, **kwargs)
-        out.append((o, grid.total_queue_length()))
-    return out

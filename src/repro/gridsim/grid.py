@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import pickle
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -1135,20 +1134,8 @@ class GridSnapshot:
 #: Bounded both by entry count and by total pickled bytes (LRU), so
 #: many-config campaigns neither thrash a tiny cache nor hoard memory.
 _WARM_CACHE: OrderedDict[tuple, GridSnapshot] = OrderedDict()
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-_WARM_CACHE_MAX = _env_int("REPRO_WARM_CACHE_MAX", 16)
-_WARM_CACHE_MAX_BYTES = _env_int("REPRO_WARM_CACHE_BYTES", 256 * 1024 * 1024)
+_WARM_CACHE_MAX = 16
+_WARM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 
 def configure_warm_cache(
@@ -1156,9 +1143,8 @@ def configure_warm_cache(
 ) -> None:
     """Set the warmed-snapshot cache limits (and evict down to them).
 
-    Defaults come from ``REPRO_WARM_CACHE_MAX`` (entries, default 16)
-    and ``REPRO_WARM_CACHE_BYTES`` (total pickled size, default 256 MiB)
-    read at import time; pass explicit values to override at runtime.
+    The defaults are 16 entries and 256 MiB of total pickled size; pass
+    explicit values to override them at runtime.
     """
     global _WARM_CACHE_MAX, _WARM_CACHE_MAX_BYTES
     if max_entries is not None:
@@ -1191,9 +1177,9 @@ def warmed_snapshot(
 
     Experiments that fork several same-seed grids (``val-des`` executes
     each strategy on one, ``abl-adopt`` one per fleet) grab the snapshot
-    once and :meth:`~GridSnapshot.restore` per execution — including in
-    worker processes, where shipping the pickled payload is far cheaper
-    than re-warming.
+    once and :meth:`~GridSnapshot.restore` per execution; the sharded
+    population runtime ships its pickled payload to worker processes,
+    which is far cheaper than re-warming there.
     """
     check_positive("duration", duration)
     if not isinstance(seed, int):

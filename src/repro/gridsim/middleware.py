@@ -292,6 +292,23 @@ class MiddlewareDomain:
 
     # -- failure handling ------------------------------------------------
 
+    def _backoff(self, attempt: int) -> float:
+        """The capped, jittered delay before retry ``attempt + 1``.
+
+        Draws exactly one jitter variate when the policy jitters, none
+        otherwise.
+        """
+        policy = self.retry
+        delay = min(
+            policy.backoff_base * policy.backoff_factor**attempt,
+            policy.backoff_max,
+        )
+        if policy.jitter > 0.0:
+            delay *= 1.0 + policy.jitter * (
+                2.0 * self._jitter_rng.random() - 1.0
+            )
+        return delay
+
     def _failed(self, job: Job, on_start, via, task, idx: int, attempt: int) -> None:
         """A client-visible submit failure: back off and retry, or give up."""
         grid = self.grid
@@ -304,14 +321,7 @@ class MiddlewareDomain:
             if tr is not None:
                 tr.fail(job, "lost")
             return
-        delay = min(
-            policy.backoff_base * policy.backoff_factor**attempt,
-            policy.backoff_max,
-        )
-        if policy.jitter > 0.0:
-            delay *= 1.0 + policy.jitter * (
-                2.0 * self._jitter_rng.random() - 1.0
-            )
+        delay = self._backoff(attempt)
         task.retry_pending += 1
         if tr is not None:
             tr.retry(job, attempt + 1, delay)
@@ -380,14 +390,7 @@ class MiddlewareDomain:
             if tr is not None:
                 tr.fail(retry_job, "lost")
             return
-        delay = min(
-            policy.backoff_base * policy.backoff_factor**attempt,
-            policy.backoff_max,
-        )
-        if policy.jitter > 0.0:
-            delay *= 1.0 + policy.jitter * (
-                2.0 * self._jitter_rng.random() - 1.0
-            )
+        delay = self._backoff(attempt)
         task.retry_pending += 1
         if tr is not None:
             tr.retry(retry_job, attempt + 1, delay)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.gridsim.client import launch_task
 from repro.gridsim.grid import GridSimulator
-from repro.population.soa import TaskPool, pool_supported
+from repro.population.soa import TaskPool, chain_launches, pool_supported
 from repro.population.spec import FleetSpec, PopulationSpec
 from repro.util.rng import RngLike, as_rng, spawn_rngs
 from repro.util.validation import check_positive
@@ -345,37 +345,11 @@ def _run_population(
             )
         )
 
-    # One self-rechaining event walks the merged launch schedule instead
-    # of pre-loading one heap entry per task: a 100k-task run keeps the
-    # kernel heap at steady-state size (completions + timers), which
-    # makes every sift cheaper.  The fleet-major stable sort reproduces
-    # the old per-event order exactly: equal launch instants fire
-    # back-to-back inside one event body, just like their consecutive
-    # insertion seqs made them do.
-    cat = np.concatenate(all_times)
     fid = np.repeat(
         np.arange(len(all_times), dtype=np.intp),
         [t.size for t in all_times],
-    )
-    order = np.argsort(cat, kind="stable")
-    sorted_t = (cat[order] + start).tolist()
-    sorted_f = fid[order].tolist()
-    sim = grid.sim
-    cursor = [0]
-
-    def fire() -> None:
-        i = cursor[0]
-        t = sorted_t[i]
-        launchers[sorted_f[i]]()
-        i += 1
-        while i < total and sorted_t[i] == t:
-            launchers[sorted_f[i]]()
-            i += 1
-        cursor[0] = i
-        if i < total:
-            sim.schedule_at(sorted_t[i], fire)
-
-    sim.schedule_at(sorted_t[0], fire)
+    ).tolist()
+    chain_launches(grid.sim, all_times, start, lambda i: launchers[fid[i]]())
 
     t_sim = perf_counter()
     _run_uncollected(grid, start + spec.window + horizon_slack)

@@ -56,6 +56,7 @@ legacy driver wherever the SoA pool is (pinned by the oracle suite).
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing as mp
 import pickle
@@ -70,8 +71,13 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
-from repro.gridsim.client import _bump_job_ids_past
-from repro.gridsim.grid import GridConfig, warmed_grid, warmed_snapshot
+from repro.gridsim import jobs as jobs_mod
+from repro.gridsim.grid import (
+    GridConfig,
+    GridSimulator,
+    warmed_grid,
+    warmed_snapshot,
+)
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.wms import BatchedWorkloadManager
 from repro.population.driver import (
@@ -417,6 +423,34 @@ class _ShardRuntime:
             "metrics": grid.metrics.snapshot(),
             "duration": grid.now - self._start_t,
         }
+
+
+def _bump_job_ids_past(grid: GridSimulator) -> None:
+    """Advance the process-global job-id counter past any id in ``grid``.
+
+    A snapshot unpickled in a worker carries Job objects minted in the
+    parent; under a ``spawn`` start method the worker's counter restarts
+    at zero, so fresh client jobs could collide with the snapshot's
+    background jobs in ``running_jobs`` (the event engine keys by id).
+    Ids never appear in rendered output — only within-process
+    uniqueness matters.
+    """
+    max_id = -1
+    for site in grid.sites:
+        for j in getattr(site, "running_jobs", {}).values():
+            max_id = max(max_id, j.job_id)
+        for j in getattr(site, "queue", ()):
+            max_id = max(max_id, j.job_id)
+        # fair-share engines queue client jobs per VO (background work
+        # on the vector flavour is anonymous — no ids to collide with)
+        for q in getattr(site, "_vo_queues", ()):
+            for j in q:
+                max_id = max(max_id, j.job_id)
+        for q in getattr(site, "_clq", ()):
+            for j in q:
+                max_id = max(max_id, j.job_id)
+    current = next(jobs_mod._job_ids)
+    jobs_mod._job_ids = itertools.count(max(current, max_id + 1))
 
 
 def _shard_worker(

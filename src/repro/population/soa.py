@@ -39,7 +39,7 @@ from repro.core.strategies import (
 )
 from repro.gridsim.jobs import Job
 
-__all__ = ["TaskPool", "pool_supported"]
+__all__ = ["TaskPool", "chain_launches", "pool_supported"]
 
 #: task lifecycle states (the ``state`` column)
 _PENDING, _ACTIVE, _DONE = 0, 1, 2
@@ -52,6 +52,41 @@ _EXP_SINGLE = 0  # single-resubmission t_inf: cancel + resubmit
 _EXP_MULTIPLE = 1  # multiple-submission t_inf: cancel batch + resubmit batch
 _EXP_DCANCEL = 2  # delayed t_inf: cancel one aged copy, task keeps going
 _EXP_DSUBMIT = 3  # delayed t0: submit the next staggered copy
+
+
+def chain_launches(sim, launch_times, start: float, launch) -> None:
+    """Call ``launch(i)`` at ``start`` + the launch time of every task ``i``.
+
+    Tasks are numbered fleet-major across ``launch_times`` (one array
+    per fleet, at least one task in all).  One self-rechaining event
+    walks the merged schedule instead of preloading one heap entry per
+    task, so a 100k-task run keeps the kernel heap at steady-state size
+    (completions + timers), which makes every sift cheaper.  The
+    fleet-major stable sort reproduces the preloaded order exactly:
+    equal launch instants fire back to back inside one event body, just
+    as their consecutive insertion seqs made them do.
+    """
+    cat = np.concatenate(launch_times)
+    order = np.argsort(cat, kind="stable")
+    sorted_t = (cat[order] + start).tolist()
+    sorted_i = order.tolist()
+    n = len(sorted_t)
+    cursor = 0
+
+    def fire() -> None:
+        nonlocal cursor
+        i = cursor
+        t = sorted_t[i]
+        launch(sorted_i[i])
+        i += 1
+        while i < n and sorted_t[i] == t:
+            launch(sorted_i[i])
+            i += 1
+        cursor = i
+        if i < n:
+            sim.schedule_at(sorted_t[i], fire)
+
+    sim.schedule_at(sorted_t[0], fire)
 
 
 def pool_supported(grid, fleets) -> bool:
@@ -92,9 +127,8 @@ class TaskPool:
         owns pool indices ``offsets[f]:offsets[f+1]``.
     launch_times:
         Per-fleet launch instants relative to ``start`` (the arrays
-        :meth:`PopulationSpec.launch_times` synthesises).  The pool
-        merges them into one chained launch walker exactly like the
-        legacy driver (fleet-major stable sort).
+        :meth:`PopulationSpec.launch_times` synthesises), walked by
+        :func:`chain_launches` like the legacy driver's.
     start:
         Absolute instant the window opens (``grid.now`` at call time).
     on_all_done:
@@ -116,7 +150,6 @@ class TaskPool:
         "_fleet_broker", "_rr_broker", "_via",
         "_cancel", "_cancel_many", "_rf", "_calm",
         "_pooled", "_wheel",
-        "_sorted_t", "_sorted_i", "_cursor",
     )
 
     def __init__(
@@ -231,36 +264,10 @@ class TaskPool:
         self._pooled = grid._pooled_timers
         self._wheel: dict[float, list] = {}
 
-        # -- chained launch walker (same merged order as the driver) ------
         if n:
-            cat = np.concatenate(launch_times)
-            order = np.argsort(cat, kind="stable")
-            self._sorted_t = (cat[order] + start).tolist()
-            self._sorted_i = order.tolist()
-            self._cursor = 0
-            sim.schedule_at(self._sorted_t[0], self._fire_launches)
-        else:
-            self._sorted_t = []
-            self._sorted_i = []
-            self._cursor = 0
+            chain_launches(sim, launch_times, start, self._launch)
 
     # -- launch ----------------------------------------------------------
-
-    def _fire_launches(self) -> None:
-        i = self._cursor
-        st = self._sorted_t
-        si = self._sorted_i
-        n = self.n
-        t = st[i]
-        launch = self._launch
-        launch(si[i])
-        i += 1
-        while i < n and st[i] == t:
-            launch(si[i])
-            i += 1
-        self._cursor = i
-        if i < n:
-            self._sim.schedule_at(st[i], self._fire_launches)
 
     def _launch(self, i: int) -> None:
         f = self.fid[i]

@@ -239,70 +239,6 @@ class TestTraceReport:
 
 
 class TestBench:
-    def test_bench_invokes_harness_with_passthrough_flags(self):
-        from repro.cli import _cmd_bench, build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--update", "--threshold", "2.0", "--report", "r.txt"]
-        )
-        calls = []
-        out = io.StringIO()
-        code = _cmd_bench(args, out, runner=lambda cmd: calls.append(cmd) or 0)
-        assert code == 0
-        (cmd,) = calls
-        assert cmd[1].endswith("run_benchmarks.py")
-        assert "--update" in cmd
-        assert cmd[cmd.index("--threshold") + 1] == "2.0"
-        assert cmd[cmd.index("--report") + 1] == "r.txt"
-
-    def test_bench_filter_passthrough(self):
-        from repro.cli import _cmd_bench, build_parser
-
-        args = build_parser().parse_args(["bench", "--filter", "probe_day"])
-        calls = []
-        code = _cmd_bench(
-            args, io.StringIO(), runner=lambda cmd: calls.append(cmd) or 0
-        )
-        assert code == 0
-        (cmd,) = calls
-        assert cmd[cmd.index("--filter") + 1] == "probe_day"
-
-    def test_bench_propagates_harness_exit_code(self):
-        from repro.cli import _cmd_bench, build_parser
-
-        args = build_parser().parse_args(["bench"])
-        code = _cmd_bench(args, io.StringIO(), runner=lambda cmd: 1)
-        assert code == 1
-
-    def test_bench_profile_passthrough(self):
-        from repro.cli import _cmd_bench, build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--profile", "--profile-rows", "40", "--filter", "pop"]
-        )
-        calls = []
-        code = _cmd_bench(
-            args, io.StringIO(), runner=lambda cmd: calls.append(cmd) or 0
-        )
-        assert code == 0
-        (cmd,) = calls
-        assert "--profile" in cmd
-        assert cmd[cmd.index("--profile-rows") + 1] == "40"
-
-    def test_bench_profile_out_passthrough(self):
-        from repro.cli import _cmd_bench, build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--profile", "--profile-out", "prof.txt"]
-        )
-        calls = []
-        code = _cmd_bench(
-            args, io.StringIO(), runner=lambda cmd: calls.append(cmd) or 0
-        )
-        assert code == 0
-        (cmd,) = calls
-        assert cmd[cmd.index("--profile-out") + 1] == "prof.txt"
-
     def test_bench_harness_refuses_profile_out_without_profile(self):
         import importlib.util
         from pathlib import Path
@@ -381,6 +317,13 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_bench_is_not_a_command(self, capsys):
+        # the benchmark harness is run as a script, not through the CLI
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,14 @@
 """System-level tests: full grid, probe campaigns, strategy executors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.strategies import (
     DelayedResubmission,
@@ -114,6 +121,41 @@ class TestGridSimulator:
         g = GridSimulator(cfg, seed=1)
         assert type(g.wms) is BatchedWorkloadManager
         assert all(type(s) is VectorComputingElement for s in g.sites)
+        # import-time budgets too; a fresh interpreter, because reloading
+        # the grid module in-process would fork its class identities
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            REPRO_WARM_CACHE_MAX="1",
+            REPRO_WARM_CACHE_BYTES="1",
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import repro.gridsim.grid as g; "
+                "print(g._WARM_CACHE_MAX, g._WARM_CACHE_MAX_BYTES)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["16", str(256 * 1024 * 1024)]
+
+    def test_no_library_module_reads_the_environment(self):
+        pkg = Path(repro.__file__).resolve().parent
+        readers = [
+            str(path.relative_to(pkg))
+            for path in sorted(pkg.rglob("*.py"))
+            if "os.environ" in (text := path.read_text(encoding="utf-8"))
+            or "getenv" in text
+        ]
+        assert readers == []
 
     def test_every_submit_path_draws_the_same_fault_channels(self):
         """submit, submit_many and the middleware accept tail share one

@@ -16,8 +16,11 @@ DT = 4.0
 
 class TestRunMany:
     def test_parallel_output_equals_sequential(self):
-        seq = run_many(FAST_IDS, seed=2009, dt=DT, jobs=1)
-        par = run_many(FAST_IDS, seed=2009, dt=DT, jobs=2)
+        # val-des and abl-adopt fork one warmed snapshot per strategy run;
+        # the cross-experiment pool is their only multi-core path
+        ids = FAST_IDS + ["val-des", "abl-adopt"]
+        seq = run_many(ids, seed=2009, dt=DT, jobs=1)
+        par = run_many(ids, seed=2009, dt=DT, jobs=2)
         assert seq == par  # byte-identical, not merely similar
 
     def test_result_order_follows_request_order(self):
@@ -74,51 +77,3 @@ class TestCliJobs:
         code, text = self.run_cli("run", "fig1", "--jobs", "0")
         assert code == 2
         assert "--jobs" in text
-
-
-class TestIntraExperimentParallelism:
-    """The same pool machinery, fanned out *within* heavy experiments."""
-
-    def test_val_des_parallel_is_byte_identical(self):
-        from repro.experiments import run_experiment
-
-        kw = dict(n_tasks=20, probe_days=0.25)
-        seq = run_experiment("val-des", jobs=1, **kw).render()
-        par = run_experiment("val-des", jobs=3, **kw).render()
-        assert seq == par
-
-    def test_abl_adopt_parallel_is_byte_identical(self):
-        from repro.experiments import run_experiment
-
-        kw = dict(fleet_sizes=(10, 25), window=3600.0, runtime=600.0)
-        seq = run_experiment("abl-adopt", jobs=1, **kw).render()
-        par = run_experiment("abl-adopt", jobs=4, **kw).render()
-        assert seq == par
-
-    def test_strategy_batch_env_gate(self, monkeypatch):
-        from repro.experiments.runner import run_strategy_batch
-        from repro.gridsim import warmed_snapshot
-        from repro.gridsim.client import _resolve_intra_jobs
-        from repro.core.strategies import SingleResubmission
-        from repro.experiments.adoption_sweep import adoption_grid_config
-
-        monkeypatch.setenv("REPRO_INTRA_JOBS", "2")
-        assert _resolve_intra_jobs(None) == 2
-        monkeypatch.delenv("REPRO_INTRA_JOBS")
-        assert _resolve_intra_jobs(None) == 1
-        with pytest.raises(ValueError, match="jobs"):
-            _resolve_intra_jobs(0)
-
-        # parallel vs sequential through the batch API itself
-        snap = warmed_snapshot(adoption_grid_config(), seed=23, duration=900.0)
-        runs = [
-            (SingleResubmission(t_inf=3000.0), 8, dict(task_interval=120.0)),
-            (SingleResubmission(t_inf=4000.0), 8, dict(task_interval=120.0)),
-        ]
-        seq = run_strategy_batch(snap, runs, jobs=1)
-        par = run_strategy_batch(snap, runs, jobs=2)
-        for (o_s, q_s), (o_p, q_p) in zip(seq, par):
-            assert (o_s.j == o_p.j).all()
-            assert (o_s.jobs_submitted == o_p.jobs_submitted).all()
-            assert o_s.gave_up == o_p.gave_up
-            assert q_s == q_p
