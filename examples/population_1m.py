@@ -1,33 +1,30 @@
-"""The population-1m milestone: a million-task day, optionally sharded.
+"""The population-1m milestone: a million-task day in one process.
 
 Run with::
 
     python examples/population_1m.py                # 100k quick pass
     python examples/population_1m.py --scale 1000000
-    python examples/population_1m.py --shards 4     # multi-core runners
 
 Drives the canonical fleet-scale workload (fair-share sites, four
 fleets of paper-strategy users over a diurnal day — the same presets
-the benchmarks track) through the struct-of-arrays population pool,
-and with ``--shards N`` through the sharded runtime: sites partitioned
-across worker processes, one broker per shard, cross-shard WMS traffic
-batched per dispatch sub-window.  The grid scales with the population
-(``fleet_sites_for``: 16 sites for the 10⁵ day, 160 for the 10⁶ one)
-so the per-site regime stays constant instead of saturating.
+the benchmarks track) through the struct-of-arrays population pool.
+The grid scales with the population (``fleet_sites_for``: 16 sites for
+the 10⁵ day, 160 for the 10⁶ one) so the per-site regime stays constant
+instead of saturating.
 
 Two properties worth seeing live:
 
 * throughput: one core sustains tens of thousands of simulated tasks
   per wall-second, so the 10⁶-task day completes in minutes;
-* determinism: a fixed ``(seed, shards)`` pair reproduces the exact
-  same outcome tables, run after run, process fan-out and all.
+* determinism: a fixed seed reproduces the exact same outcome tables,
+  run after run.
 """
 
 import argparse
 import time
 
 from repro.gridsim import warmed_snapshot
-from repro.population import run_population, run_population_sharded
+from repro.population import run_population
 from repro.population.presets import (
     fleet_grid_config,
     fleet_population_spec,
@@ -38,7 +35,6 @@ from repro.population.presets import (
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=int, default=100_000)
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument(
         "--sites", type=int, default=None, help="override the scaled site count"
@@ -49,18 +45,12 @@ def main() -> None:
     spec = fleet_population_spec(args.scale)
     print(
         f"{spec.total_tasks} tasks, {len(config.sites)} sites / "
-        f"{sum(s.n_cores for s in config.sites)} cores, "
-        f"{args.shards} shard(s)"
+        f"{sum(s.n_cores for s in config.sites)} cores"
     )
 
     t0 = time.perf_counter()
-    if args.shards == 1:
-        grid = warmed_snapshot(config, seed=args.seed, duration=6 * 3600.0).restore()
-        result = run_population(grid, spec, seed=args.seed)
-    else:
-        result = run_population_sharded(
-            config, spec, shards=args.shards, seed=args.seed, grid_seed=args.seed
-        )
+    grid = warmed_snapshot(config, seed=args.seed, duration=6 * 3600.0).restore()
+    result = run_population(grid, spec, seed=args.seed)
     wall = time.perf_counter() - t0
 
     for f in result.fleets:

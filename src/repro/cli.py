@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run table2 --seed 2009 --dt 1.0
     python -m repro run all --out results/ --jobs 4
-    python -m repro population --scale 100000 --shards 4
+    python -m repro population --scale 100000
     python -m repro describe 2006-IX
     python -m repro chaos --schedule storm-broker-site --trace trace.jsonl
     python -m repro report trace.jsonl --gwf trace.gwf
@@ -114,23 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pop_p = sub.add_parser(
         "population",
-        help="run the fleet-scale population day (optionally sharded)",
+        help="run the fleet-scale population day",
     )
     pop_p.add_argument(
         "--scale",
         type=int,
         default=20_000,
         help="total tasks across the four preset fleets",
-    )
-    pop_p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "worker processes; sites are partitioned round-robin and "
-            "cross-shard WMS traffic is batched per dispatch sub-window "
-            "(1 = in-process, bit-identical to the unsharded runtime)"
-        ),
     )
     pop_p.add_argument(
         "--sites",
@@ -415,10 +405,11 @@ def _cmd_federation(args, out) -> int:
 
 
 def _cmd_population(args, out) -> int:
-    """Run the preset population day, in one process or sharded."""
+    """Run the preset population day on one warmed grid."""
     import time
 
-    from repro.population import run_population_sharded
+    from repro.gridsim.grid import warmed_grid
+    from repro.population import run_population
     from repro.population.presets import (
         fleet_grid_config,
         fleet_population_spec,
@@ -434,13 +425,9 @@ def _cmd_population(args, out) -> int:
         config = fleet_grid_config(n_sites, args.cores)
         spec = fleet_population_spec(args.scale)
         t0 = time.perf_counter()
-        result = run_population_sharded(
-            config,
-            spec,
-            shards=args.shards,
-            seed=args.seed,
-            grid_seed=args.grid_seed,
-        )
+        grid = warmed_grid(config, args.grid_seed)
+        warm = time.perf_counter() - t0
+        result = run_population(grid, spec, seed=args.seed)
         wall = time.perf_counter() - t0
     except ValueError as exc:
         out.write(f"error: {exc}\n")
@@ -449,7 +436,7 @@ def _cmd_population(args, out) -> int:
     table = Table(
         title=(
             f"population day: {spec.total_tasks} tasks on {n_sites} "
-            f"sites x {args.cores} cores, {args.shards} shard(s)"
+            f"sites x {args.cores} cores"
         ),
         columns=["fleet", "tasks", "mean J", "median J", "jobs/task", "gave up"],
     )
@@ -466,7 +453,9 @@ def _cmd_population(args, out) -> int:
     rate = spec.total_tasks / wall if wall > 0 else 0.0
     # every timing stays on a line that says "wall": determinism checks
     # diff the output with those lines filtered out
-    phases = ", ".join(f"{k} {v:.2f}s" for k, v in result.phases.items())
+    phases = ", ".join(
+        f"{k} {v:.2f}s" for k, v in {"warm": warm, **result.phases}.items()
+    )
     out.write(
         f"\nfinished {result.total_finished}/{spec.total_tasks} tasks in "
         f"{wall:.1f}s wall ({rate:.0f} tasks/s), "

@@ -14,17 +14,15 @@ This package instantiates that workload structure mechanistically on the
   paper's §3.3 no-feedback assumption ignores — is captured, and
   returns per-fleet outcome statistics plus grid-side telemetry;
 * :func:`adoption_population` builds the §8-style sweeps where a growing
-  fraction of one VO adopts an aggressive strategy;
-* :func:`run_population_sharded` partitions the grid's sites across
-  worker processes (:mod:`repro.population.shard`) for population-scale
-  runs (10⁶ tasks and up), with cross-shard WMS traffic batched per
-  dispatch sub-window.
+  fraction of one VO adopts an aggressive strategy.
 
 The ``multi-vo`` experiment (:mod:`repro.experiments.multi_vo`) and the
 ``repro federation`` / ``repro population`` CLIs drive these; at 10⁴
 tasks a full sweep runs in seconds on the vectorised site engine, and
-the struct-of-arrays pool (:mod:`repro.population.soa`) plus sharding
-carry fleet runs to the ``population-1m`` scale.
+the struct-of-arrays pool (:mod:`repro.population.soa`) carries fleet
+runs to the ``population-1m`` scale in one process.  The site-sharded
+multi-process runtime lives apart, in :mod:`repro.population.shard`,
+only for the benchmark workload that pins its law.
 """
 
 from repro.population.spec import FleetSpec, PopulationSpec, adoption_population
@@ -33,7 +31,6 @@ from repro.population.driver import (
     PopulationResult,
     run_population,
 )
-from repro.population.shard import run_population_sharded
 
 __all__ = [
     "FleetSpec",
@@ -42,5 +39,4 @@ __all__ = [
     "PopulationResult",
     "adoption_population",
     "run_population",
-    "run_population_sharded",
 ]

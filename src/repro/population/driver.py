@@ -290,6 +290,7 @@ def _run_population(
         )
 
     if pool:
+        submitted_before = grid.jobs_submitted
         task_pool = TaskPool(
             grid,
             spec.fleets,
@@ -300,6 +301,7 @@ def _run_population(
         t_sim = perf_counter()
         _run_uncollected(grid, start + spec.window + horizon_slack)
         t_read = perf_counter()
+        task_pool.check_conservation(grid.jobs_submitted - submitted_before)
         outcomes = []
         for f, fleet in enumerate(spec.fleets):
             j, jobs = task_pool.fleet_results(f)

@@ -1,14 +1,17 @@
 """Sharded population runtime: site-partitioned worker processes.
 
-The struct-of-arrays pool (:mod:`repro.population.soa`) removes the
-per-task object machinery, which leaves the grid itself — fair-share
-commits, dispatch buckets, site reconciliation — as the wall.  Those
-costs are per *site*, so this module partitions the sites of one
-:class:`~repro.gridsim.grid.GridConfig` round-robin across ``N`` worker
-processes.  Each shard owns a site subset, a full grid simulator over
-it (background load, fair-share, faults — all from per-shard RNG
-streams derived from the root seed), a :class:`ShardBroker`, and the
-slice ``[k::N]`` of every fleet's launch schedule.
+This module partitions the sites of one
+:class:`~repro.gridsim.grid.GridConfig` round-robin across ``N >= 2``
+worker processes.  Each shard owns a site subset, a full grid simulator
+over it (background load, fair-share, faults — all from per-shard RNG
+streams derived from the root seed), its stock batched broker ranking
+over the owned sites plus one :class:`_RemoteSite` stand-in per foreign
+site, and the slice ``[k::N]`` of every fleet's launch schedule.
+
+It buys no speed on a two-core host (the day runs no faster than in
+one process) and its one-epoch lag is a law of its own; it is kept
+only because the ``pop-sharded`` benchmark workload pins that law.
+A one-process run is :func:`~repro.population.driver.run_population`.
 
 Cross-shard traffic rides the same windowed trick the batched WMS uses
 in-process: brokers resolve dispatch buckets at sub-window boundaries
@@ -49,14 +52,11 @@ from ``SeedSequence(grid_seed).generate_state(shards)``, launch slices
 are computed once in the parent, and message application orders by
 (boundary, source shard, generation order).  Changing ``shards``
 changes the partition and therefore the law, like changing any other
-engine constant.  ``shards=1`` degenerates to a single warmed grid and
-:func:`~repro.population.driver.run_population` — law-identical to the
-legacy driver wherever the SoA pool is (pinned by the oracle suite).
+engine constant.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing as mp
 import pickle
@@ -71,146 +71,48 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
-from repro.gridsim import jobs as jobs_mod
-from repro.gridsim.grid import (
-    GridConfig,
-    GridSimulator,
-    warmed_grid,
-    warmed_snapshot,
-)
+from repro.gridsim.grid import GridConfig, warmed_snapshot
 from repro.gridsim.jobs import Job, JobState
-from repro.gridsim.wms import BatchedWorkloadManager
-from repro.population.driver import (
-    FleetOutcome,
-    PopulationResult,
-    run_population,
-)
+from repro.population.driver import FleetOutcome, PopulationResult
 from repro.population.soa import _ACTIVE, TaskPool
 from repro.population.spec import PopulationSpec
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import check_positive
 
-__all__ = ["ShardBroker", "run_population_sharded", "shard_configs"]
+__all__ = ["run_population_sharded", "shard_configs"]
 
 _SUPPORTED = (SingleResubmission, MultipleSubmission, DelayedResubmission)
 
 
-class ShardBroker(BatchedWorkloadManager):
-    """A batched WMS whose ranking table extends past its own shard.
+class _RemoteSite:
+    """A site another shard owns, as this shard's broker ranks it.
 
-    Grafted onto a restored shard grid's broker (``__class__`` swap —
-    the instance keeps its RNG stream, buckets and dispatch books), it
-    appends one column per *remote* site to the load snapshot: local
-    columns refresh from the owned sites on the normal cadence, remote
-    columns hold the last load table the parent broadcast (one epoch
-    stale, ``inf`` until the first exchange so the opening epoch stays
-    shard-local).  Ranking noise is drawn over the full width, so the
-    per-shard stream's law is fixed by the *global* site count.  A
-    bucket winner ranked into a remote column leaves through the ship
-    callback as a ``sub`` message instead of an enqueue; the dispatch
-    is counted here, at the ranking broker, exactly once.
+    Appended to the shard broker's own ``sites`` list (the grid keeps
+    its own list, so ``grid.sites`` stays the owned subset), it lets the
+    stock batched resolver rank over the global site count: its
+    estimated wait is the last load the parent broadcast (``inf`` until
+    the first exchange, so the opening epoch stays shard-local), and
+    the copies it wins leave through the fabric as ``sub`` messages.
     """
 
-    def _init_shard(self, remote, ship) -> None:
-        """Wire the remote columns: ``remote`` is ``(name, shard, idx)``
-        per foreign site (deterministic order), ``ship(job, shard, idx)``
-        the runtime's message hook."""
-        self._remote = list(remote)
-        self._remote_est = [math.inf] * len(remote)
-        self._ship_cb = ship
-        self._n_local = len(self.sites)
-        self._measure_loads()
-        self._snapshot_time = self.sim.now
+    __slots__ = ("name", "shard", "idx", "load", "_ship")
 
-    def _measure_loads(self) -> np.ndarray:
-        loads = [s.estimated_wait(self.runtime_guess) for s in self.sites]
-        remote = getattr(self, "_remote_est", None)
-        if remote is not None:
-            loads = loads + remote
-        self._snapshot_list = loads
-        self._snapshot = np.asarray(loads)
-        if self._health_aware:
-            self._refresh_health(range(len(self.sites)))
-        return self._snapshot
+    def __init__(self, name: str, shard: int, idx: int, ship) -> None:
+        self.name = name
+        self.shard = shard
+        self.idx = idx
+        self.load = math.inf
+        self._ship = ship
 
-    def set_remote_estimates(self, est) -> None:
-        """Install the freshly broadcast remote load columns."""
-        self._remote_est = [float(x) for x in est]
-        nl = self._n_local
-        self._snapshot_list[nl:] = self._remote_est
-        self._snapshot = np.asarray(self._snapshot_list)
+    def estimated_wait(self, runtime_guess: float) -> float:
+        return self.load
 
-    def _place(self, idx: int, job: Job, then) -> None:
-        """Dispatch one ranked winner: local enqueue or remote ship."""
-        if idx < self._n_local:
-            self.dispatch_count += self.sites[idx].enqueue_many([job])
-            if then is not None and job.state is not JobState.CANCELLED:
-                then(job)
-            return
-        name, shard, local_idx = self._remote[idx - self._n_local]
-        self.dispatch_count += 1
-        job.state = JobState.QUEUED
-        job.site = name
-        self._ship_cb(job, shard, local_idx)
-        if then is not None:
-            then(job)
-
-    def _resolve_bucket(self, boundary: float) -> None:
-        # the base resolver with every enqueue routed through _place();
-        # health penalties are structurally absent (sharded runs reject
-        # health configs), so the penalised branches are dropped
-        entries = self._buckets.pop(boundary)
-        MATCHING = JobState.MATCHING
-        if len(entries) == 1:
-            _, job, then = entries[0]
-            if job.state is not MATCHING:
-                return
-            self.current_snapshot()
-            self._place(self._select_index(), job, then)
-            return
-        live = [
-            (ready, k, job, then)
-            for k, (ready, job, then) in enumerate(entries)
-            if job.state is MATCHING
-        ]
-        if not live:
-            return
-        live.sort()
-        self.current_snapshot()
-        k = len(live)
-        if k < self._VECTORISE_MIN:
-            for _, _, job, then in live:
-                if job.state is not MATCHING:
-                    continue  # cancelled by an earlier job's callback
-                self._place(self._select_index(), job, then)
-            return
-        est = self._snapshot
-        if self.ranking_noise > 0.0:
-            noise = self.rng.lognormal(
-                0.0, self.ranking_noise, size=(k, est.size)
-            )
-            choices = ((est + self.matchmaking_median) * noise).argmin(axis=1)
-        else:
-            choices = np.full(k, int(np.argmin(est)))
-        groups: dict[int, list] = {}
-        for (_, _, job, then), site_i in zip(live, choices.tolist()):
-            groups.setdefault(site_i, []).append((job, then))
-        nl = self._n_local
-        for site_i, bunch in groups.items():
-            todo = [(job, then) for job, then in bunch if job.state is MATCHING]
-            if not todo:
-                continue
-            if site_i < nl:
-                site = self.sites[site_i]
-                self.dispatch_count += site.enqueue_many(
-                    [job for job, _ in todo]
-                )
-                for job, then in todo:
-                    if then is not None and job.state is not JobState.CANCELLED:
-                        then(job)
-            else:
-                for job, then in todo:
-                    self._place(site_i, job, then)
+    def enqueue_many(self, jobs) -> int:
+        for job in jobs:
+            job.state = JobState.QUEUED
+            job.site = self.name
+            self._ship(job, self.shard, self.idx)
+        return len(jobs)
 
 
 class _ShardRuntime:
@@ -220,18 +122,19 @@ class _ShardRuntime:
         self, conn, wid, n_shards, grid, spec, times, start, partition
     ) -> None:
         self.conn = conn
-        self.wid = wid
         self.grid = grid
         self.sim = grid.sim
         broker = grid.wms
-        broker.__class__ = ShardBroker
-        remote = []
-        for j in range(n_shards):
-            if j == wid:
-                continue
-            for idx, name in enumerate(partition[j]):
-                remote.append((name, j, idx))
-        broker._init_shard(remote, self._ship)
+        self._n_local = len(broker.sites)
+        self._remote = [
+            _RemoteSite(name, j, idx, self._ship)
+            for j in range(n_shards)
+            if j != wid
+            for idx, name in enumerate(partition[j])
+        ]
+        broker.sites.extend(self._remote)
+        broker._measure_loads()
+        broker._snapshot_time = self.sim.now
         self.broker = broker
         self.epoch = float(grid.config.info_refresh)
         self.quantum = broker.dispatch_quantum
@@ -269,21 +172,12 @@ class _ShardRuntime:
         if local:
             self.grid.cancel_many(local)
 
-    def report_failed(self, jobs) -> None:
-        # health machinery is structurally absent on sharded grids
-        # (rejected at validation), so failure reports have no observer
-        return
-
     # -- message fabric ------------------------------------------------
 
-    def _boundary(self, t: float) -> float:
-        q = self.quantum
-        return math.ceil(t / q) * q
-
     def _buffer(self, dest: int, kind: str, payload: tuple) -> None:
-        self._outbox.append(
-            (dest, kind, self._boundary(self.sim.now), payload)
-        )
+        q = self.quantum
+        boundary = math.ceil(self.sim.now / q) * q
+        self._outbox.append((dest, kind, boundary, payload))
 
     def _ship(self, job: Job, host: int, local_idx: int) -> None:
         # called by the broker at a bucket boundary (already a quantum
@@ -371,10 +265,13 @@ class _ShardRuntime:
     # -- epoch loop ----------------------------------------------------
 
     def _apply_loads(self, tables) -> None:
+        # patch the remote tail of the current snapshot in place; the
+        # next refresh re-reads the stand-ins' loads anyway
+        for r in self._remote:
+            r.load = float(tables[r.shard][r.idx])
         b = self.broker
-        b.set_remote_estimates(
-            tables[shard][idx] for _name, shard, idx in b._remote
-        )
+        b._snapshot_list[self._n_local :] = [r.load for r in self._remote]
+        b._snapshot = np.asarray(b._snapshot_list)
 
     def _local_loads(self) -> list[float]:
         guess = self.broker.runtime_guess
@@ -425,40 +322,11 @@ class _ShardRuntime:
         }
 
 
-def _bump_job_ids_past(grid: GridSimulator) -> None:
-    """Advance the process-global job-id counter past any id in ``grid``.
-
-    A snapshot unpickled in a worker carries Job objects minted in the
-    parent; under a ``spawn`` start method the worker's counter restarts
-    at zero, so fresh client jobs could collide with the snapshot's
-    background jobs in ``running_jobs`` (the event engine keys by id).
-    Ids never appear in rendered output — only within-process
-    uniqueness matters.
-    """
-    max_id = -1
-    for site in grid.sites:
-        for j in getattr(site, "running_jobs", {}).values():
-            max_id = max(max_id, j.job_id)
-        for j in getattr(site, "queue", ()):
-            max_id = max(max_id, j.job_id)
-        # fair-share engines queue client jobs per VO (background work
-        # on the vector flavour is anonymous — no ids to collide with)
-        for q in getattr(site, "_vo_queues", ()):
-            for j in q:
-                max_id = max(max_id, j.job_id)
-        for q in getattr(site, "_clq", ()):
-            for j in q:
-                max_id = max(max_id, j.job_id)
-    current = next(jobs_mod._job_ids)
-    jobs_mod._job_ids = itertools.count(max(current, max_id + 1))
-
-
 def _shard_worker(
     conn, wid, n_shards, payload, spec, times, start, partition
 ) -> None:
     try:
         grid = pickle.loads(payload)
-        _bump_job_ids_past(grid)
         _ShardRuntime(
             conn, wid, n_shards, grid, spec, times, start, partition
         ).run()
@@ -483,8 +351,11 @@ def shard_configs(
     tuple of global site names shard ``k`` owns (``sites[k::shards]``
     — round-robin, so heterogeneous site lists spread evenly).
     """
-    if not isinstance(shards, int) or shards < 1:
-        raise ValueError(f"shards must be a positive int, got {shards!r}")
+    if not isinstance(shards, int) or shards < 2:
+        raise ValueError(
+            f"shards must be a positive int of at least 2, got {shards!r}; "
+            "for one process call run_population on a warmed_grid"
+        )
     if shards > len(config.sites):
         raise ValueError(
             f"shards={shards} exceeds the {len(config.sites)} configured "
@@ -581,8 +452,9 @@ def run_population_sharded(
     launch schedules are synthesised once from ``seed`` exactly like
     :func:`~repro.population.driver.run_population` and sliced
     ``[k::shards]`` per worker.  Results are deterministic for a fixed
-    shard count; ``shards=1`` is law-identical to the single-process
-    driver.  See the module docstring for the fabric's law.
+    shard count of at least 2; a one-process run is
+    :func:`~repro.population.driver.run_population` on a warmed grid.
+    See the module docstring for the fabric's law.
     """
     check_positive("horizon_slack", horizon_slack)
     check_positive("warm", warm)
@@ -592,14 +464,6 @@ def run_population_sharded(
             f"the per-shard warm cache), got {type(grid_seed).__name__}"
         )
     cfgs, partition = shard_configs(config, shards)
-    if shards == 1:
-        t_warm = perf_counter()
-        grid = warmed_grid(config, grid_seed, warm)
-        warm_s = perf_counter() - t_warm
-        result = run_population(
-            grid, spec, seed=seed, horizon_slack=horizon_slack
-        )
-        return replace(result, phases={"warm": warm_s, **result.phases})
     _check_shardable(config, spec)
 
     t_launch = perf_counter()
@@ -644,8 +508,9 @@ def run_population_sharded(
     epoch = float(config.info_refresh)
     max_epochs = math.ceil((spec.window + horizon_slack) / epoch)
 
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+    # workers inherit the job-id counter, so fresh jobs never collide
+    # with the snapshot's (raises ValueError where fork is missing)
+    ctx = mp.get_context("fork")
     conns, procs = [], []
     simulate = 0.0
     t_loop = perf_counter()

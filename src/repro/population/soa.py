@@ -21,9 +21,9 @@ a pool run reproduces the TaskCore driver bit-for-bit under both WMS
 engines; ``tests/test_population_soa.py`` pins that.
 
 Sharded runs (:mod:`repro.population.shard`) reuse the pool unchanged:
-the worker passes an ``ops`` adapter that reroutes cancellations and
-failure reports of copies shipped to remote shards, and settles tasks
-whose winning copy started remotely via :meth:`TaskPool.settle`.
+the worker passes an ``ops`` adapter that reroutes cancels of copies
+shipped to remote shards, and settles tasks whose winning copy started
+remotely via :meth:`TaskPool.settle`.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ class TaskPool:
         driver passes ``grid.sim.stop``; shard workers pass ``None``
         and poll :attr:`pending` at epoch boundaries instead).
     ops:
-        Optional cancellation/failure-report surface (``cancel``,
-        ``cancel_many``, ``report_failed``).  Defaults to the grid
-        itself; shard workers pass an adapter that routes copies
-        shipped to remote shards through the message fabric.
+        Optional cancellation surface (``cancel``, ``cancel_many``).
+        Defaults to the grid itself; shard workers pass an adapter that
+        routes cancels of copies shipped to remote shards through the
+        message fabric.
     """
 
     __slots__ = (
@@ -235,12 +235,7 @@ class TaskPool:
         self._cancel_many = ops.cancel_many
         # legacy timeouts always call grid.report_failed, which is a
         # no-op without a health machine — skip the call entirely then
-        # (shard adapters must always see it: they filter remote copies)
-        self._rf = (
-            ops.report_failed
-            if (ops is not grid or grid._health is not None)
-            else None
-        )
+        self._rf = grid.report_failed if grid._health is not None else None
         self._calm = not grid._faulty
         # fixed broker per fleet where resolution is stateless; None
         # means the round-robin default, resolved per submission like
@@ -443,6 +438,37 @@ class TaskPool:
             self.on_all_done()
 
     # -- results ----------------------------------------------------------
+
+    def check_conservation(self, jobs_submitted: int) -> None:
+        """Raise ``RuntimeError`` unless every task and job is accounted for.
+
+        One pass over the ``state`` bytes and one sum over ``jobs_used``:
+        the non-settled count must equal :attr:`pending`, settled plus
+        unsettled (pending or active) tasks must equal :attr:`n`, and the
+        jobs the tasks minted must equal ``jobs_submitted``, the run's
+        increase in the grid's submission counter.
+        """
+        counts = np.bincount(
+            np.frombuffer(self.state, dtype=np.uint8), minlength=3
+        )
+        settled = int(counts[_DONE])
+        unsettled = int(counts[_PENDING] + counts[_ACTIVE])
+        if self.n - settled != self.pending:
+            raise RuntimeError(
+                f"task conservation: {self.n - settled} tasks not settled "
+                f"but pending={self.pending}"
+            )
+        if settled + unsettled != self.n:
+            raise RuntimeError(
+                f"task conservation: {settled} settled + {unsettled} "
+                f"unsettled tasks != n={self.n}"
+            )
+        used = sum(self.jobs_used)
+        if used != jobs_submitted:
+            raise RuntimeError(
+                f"job conservation: tasks used {used} jobs but the grid "
+                f"counted {jobs_submitted} submissions"
+            )
 
     def fleet_results(self, f: int) -> tuple[np.ndarray, np.ndarray]:
         """``(j, jobs_used)`` of fleet ``f``'s finished tasks.

@@ -8,7 +8,6 @@ not inside vectorised sweeps.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 __all__ = [
     "check_finite",
@@ -88,11 +87,3 @@ def check_in_range(
         raise ValueError(f"{name} must be in {lo_b}{lo}, {hi}{hi_b}, got {value!r}")
     return value
 
-
-def check_type(name: str, value: Any, expected: type) -> Any:
-    """Ensure ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be a {expected.__name__}, got {type(value).__name__}"
-        )
-    return value

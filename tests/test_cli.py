@@ -82,6 +82,52 @@ class TestPopulation:
         )
         assert a == b
 
+    def test_fleet_table_is_run_population_on_a_warmed_grid(self):
+        from repro.gridsim.grid import warmed_grid
+        from repro.population import run_population
+        from repro.population.presets import (
+            fleet_grid_config,
+            fleet_population_spec,
+        )
+        from repro.util.tables import format_float, format_seconds
+
+        code, text = run_cli(
+            "population", "--scale", "300", "--sites", "2", "--cores", "32"
+        )
+        assert code == 0
+        # the CLI defaults: --seed 41, --grid-seed 41, a 6 h warm-up
+        direct = run_population(
+            warmed_grid(fleet_grid_config(2, 32), 41),
+            fleet_population_spec(300),
+            seed=41,
+        )
+        rows = {
+            cells[0]: cells[1:]
+            for cells in (
+                [c.strip() for c in line.split("|")]
+                for line in text.splitlines()
+            )
+            if len(cells) == 6
+        }
+        assert set(rows) == {"fleet", *(f.spec.label for f in direct.fleets)}
+        for f in direct.fleets:
+            assert rows[f.spec.label] == [
+                str(f.spec.n_tasks),
+                format_seconds(f.mean_j),
+                format_seconds(f.median_j),
+                format_float(f.mean_jobs, 2),
+                str(f.gave_up),
+            ]
+        assert f"virtual span {direct.duration:.0f}s" in text
+        assert "broker dispatches: " + ", ".join(
+            str(d) for d in direct.broker_dispatches
+        ) in text
+
+    def test_shards_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["population", "--shards", "2"])
+        assert exc.value.code == 2
+
 
 class TestFederation:
     def test_runs_small_population(self):

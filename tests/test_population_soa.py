@@ -6,13 +6,17 @@ Two laws are pinned here:
   TaskCore driver **bit-for-bit** on every site x WMS engine corner
   (the event-site corners on the test-only oracle grid) — same
   latencies, same jobs-per-task, same broker dispatch counts, same
-  fair-share usage shares;
+  fair-share usage shares — and checks task and job conservation at
+  every readout;
 * the sharded runtime (:mod:`repro.population.shard`) is deterministic
-  for a fixed shard count, and its ``shards=1`` degenerate case is the
-  single-process driver itself.
+  for a fixed shard count of at least 2, and its 2-shard law is pinned
+  to recorded digests.
 """
 
 from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +27,10 @@ from repro.core.strategies import (
     SingleResubmission,
 )
 from repro.gridsim import FaultModel, GridConfig, SiteConfig, warmed_snapshot
-from repro.gridsim.grid import warmed_grid
-from repro.population import (
-    FleetSpec,
-    PopulationSpec,
-    run_population,
-    run_population_sharded,
-)
+from repro.population import FleetSpec, PopulationSpec, run_population
 from repro.population import driver
-from repro.population.soa import pool_supported
+from repro.population.shard import run_population_sharded
+from repro.population.soa import TaskPool, pool_supported
 from repro.traces.generator import DiurnalProfile
 from oracles import CORNERS, run_population_taskcore, warmed_snapshot_on
 
@@ -142,6 +141,46 @@ class TestSoaOracleEquivalence:
         assert result.total_finished > 0
 
 
+class TestPoolConservation:
+    """Every pool run checks task and job conservation at readout."""
+
+    @staticmethod
+    def run_day():
+        snap = warmed_snapshot(corner_config(), seed=17, duration=2 * 3600.0)
+        return run_population(snap.restore(), mixed_spec(60), seed=9)
+
+    def test_clean_run_passes(self, built_pools):
+        result = self.run_day()
+        assert len(built_pools) == 1
+        assert result.total_finished + result.total_gave_up == 140
+
+    def test_skewed_pending_raises(self, monkeypatch):
+        settle = TaskPool.settle
+
+        def skewed(self, i, winner, t_done):
+            settle(self, i, winner, t_done)
+            if self._seq == 1:
+                self.pending -= 1  # one task drops off the books
+
+        monkeypatch.setattr(TaskPool, "settle", skewed)
+        with pytest.raises(RuntimeError, match="not settled but pending"):
+            self.run_day()
+
+    def test_stray_submission_raises(self, monkeypatch):
+        submit1 = TaskPool._submit1
+        strays = []
+
+        def stray(self, f, job, cb):
+            submit1(self, f, job, cb)
+            if not strays:
+                strays.append(job)
+                self.grid.jobs_submitted += 1  # a job no task owns
+
+        monkeypatch.setattr(TaskPool, "_submit1", stray)
+        with pytest.raises(RuntimeError, match="job conservation"):
+            self.run_day()
+
+
 class TestEmptyPopulations:
     def test_zero_task_fleet_contributes_nothing(self):
         config = corner_config()
@@ -225,20 +264,33 @@ class TestShardedRuntime:
         ]
         assert min(a.phases.values()) >= 0.0
 
-    def test_one_shard_is_the_driver(self):
-        """shards=1 delegates to run_population on the warmed grid."""
-        config = shard_config()
-        spec = mixed_spec(100)
-        sharded = run_population_sharded(
-            config, spec, shards=1, seed=9, grid_seed=5, warm=3600.0
+    def test_two_shard_law_pin(self):
+        """The 2-shard law: per-fleet J/jobs digests and dispatches.
+
+        The values were recorded by running this exact call on the
+        release before the shard broker's own bucket resolver gave way
+        to remote-site stand-ins under the stock resolver.  The short
+        window puts launches into the opening epoch, so the shard-local
+        start (remote loads ``inf`` until the first exchange) is pinned
+        along with the broadcast loads.
+        """
+        spec = replace(mixed_spec(150), window=3000.0)
+        result = run_population_sharded(
+            shard_config(), spec, shards=2, seed=9, grid_seed=5, warm=3600.0
         )
-        direct = run_population(
-            warmed_grid(config, 5, 3600.0), spec, seed=9
-        )
-        assert_identical(sharded, direct)
-        # the runtime warms the grid itself, so its split starts there
-        assert list(sharded.phases) == ["warm", "launch", "simulate", "readout"]
-        assert list(direct.phases) == ["launch", "simulate", "readout"]
+        digests = []
+        for f in result.fleets:
+            h = hashlib.sha256()
+            h.update(np.ascontiguousarray(f.j, dtype=np.float64).tobytes())
+            h.update(
+                np.ascontiguousarray(f.jobs_submitted, dtype=np.int64).tobytes()
+            )
+            digests.append(h.hexdigest()[:16])
+        assert digests == [
+            "54d6feff1d813c52", "ae9d98dd7e84dd51", "53e357cb834649aa"
+        ]
+        assert result.broker_dispatches == (213, 212)
+        assert result.duration == 3900.0
 
     def test_three_shard_conservation(self):
         config = shard_config()
@@ -262,6 +314,11 @@ class TestShardedRuntime:
         with pytest.raises(ValueError, match="positive int"):
             run_population_sharded(
                 config, spec, shards=0, seed=9, grid_seed=5, warm=3600.0
+            )
+        # one process is run_population's job, not a degenerate shard
+        with pytest.raises(ValueError, match="shards.*run_population"):
+            run_population_sharded(
+                config, spec, shards=1, seed=9, grid_seed=5, warm=3600.0
             )
 
     def test_unshardable_features_rejected(self):
