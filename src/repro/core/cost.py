@@ -99,7 +99,7 @@ def cost_curve_delayed(
 
     For each imposed ratio ``t∞/t0``, ``(t0, t∞)`` minimising ``E_J`` is
     found; ``N_//`` is the paper's plug-in value at ``l = E_J``.  All
-    ratios share one batched surface evaluation (see
+    ratios share one streamed surface pass (see
     :func:`repro.core.optimize.optimize_delayed_ratio_sweep`).
     """
     from repro.core.optimize import optimize_delayed_ratio_sweep  # local import: cycle

@@ -4,12 +4,14 @@ All optimisers are exhaustive vectorised sweeps over the model grid
 (`integer-second timeouts, as in the paper §7.1`), optionally restricted
 to a search window.  The delayed-strategy optimisers run on the batched
 surface kernel (:func:`repro.core.strategies.delayed.delayed_expectation_surface`):
-every stage evaluates the whole feasible ``(t0, t∞)`` band for its block
-of ``t0`` candidates in a few 2-D passes, and the per-``t0`` rows are
-cached on the model so repeated optimiser calls (ratio sweeps, cost
-frontiers, stability boxes) reuse each other's tabulations.  The
-two-stage coarse→fine sweep over ``t0`` is kept: it bounds the work while
-reproducing the exhaustive optimum on every model we regenerate.
+every stage streams its ``t0`` candidates in ascending row blocks of a
+fixed float budget, evaluating each block's feasible ``(t0, t∞)`` band in
+a few 2-D passes and keeping only the running optimum, so no stage ever
+holds its whole rectangle.  The per-``t0`` rows are cached on the model
+so repeated optimiser calls (ratio sweeps, cost frontiers, stability
+boxes) reuse each other's tabulations.  The two-stage coarse→fine sweep
+over ``t0`` is kept: it bounds the work while reproducing the exhaustive
+optimum on every model we regenerate.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from repro.core.cost import delta_cost
 from repro.core.model import GriddedLatencyModel
 from repro.core.strategies.delayed import (
     _band_rows,
-    delayed_cost_bands,
-    delayed_expectation_bands,
+    delayed_band_blocks,
     delayed_moments,
     n_parallel_for_latency,
 )
@@ -32,6 +33,7 @@ from repro.core.strategies.multiple import (
     multiple_moments,
 )
 from repro.core.strategies.single import single_expectation_sweep, single_moments
+from repro.util.validation import check_positive
 
 __all__ = [
     "SingleOptimum",
@@ -161,9 +163,6 @@ def _delayed_t0_candidates(
     return np.arange(lo, hi + 1, stride), stride
 
 
-
-
-
 def _best_over_t0(
     model: GriddedLatencyModel,
     k0_values: np.ndarray,
@@ -189,22 +188,48 @@ def _best_over_t0(
     return best
 
 
-def _best_in_rect(
-    rect: np.ndarray, k0_values: np.ndarray
-) -> tuple[int, int, float]:
-    """Global minimiser of an inf-padded objective rectangle.
+def _best_streamed(blocks) -> tuple[int, int, float]:
+    """Global minimiser of an objective streamed as ``(block, bands)`` pairs.
 
-    Ties resolve to the smallest ``t0`` then smallest ``t∞``, matching the
-    scan order of :func:`_best_over_t0`.  Rectangle entries are finite or
-    ``+inf`` by construction (infeasible cells are masked to ``+inf``).
+    ``bands[0]`` is the inf-padded objective rectangle of one row block
+    (column ``j`` is ``t∞ = t0 + j·dt``), as :func:`delayed_band_blocks`
+    yields it.  Blocks arrive in ascending ``t0`` and replace the incumbent
+    only with a *strictly* smaller value, so ties resolve to the smallest
+    ``t0`` then smallest ``t∞`` — the first-occurrence rule of one
+    ``np.argmin`` over the whole rectangle, which therefore never has to
+    exist.  Cells are finite or ``+inf`` by construction (infeasible cells
+    are masked to ``+inf``).
     """
-    flat = int(np.argmin(rect))
-    i, j = divmod(flat, rect.shape[1])
-    value = float(rect[i, j])
-    if not np.isfinite(value):
+    best = (0, 0, np.inf)
+    for block, (rect, _) in blocks:
+        i, j = divmod(int(np.argmin(rect)), rect.shape[1])
+        if rect[i, j] < best[2]:
+            best = (int(block[i]), int(block[i]) + j, float(rect[i, j]))
+    if not np.isfinite(best[2]):
         raise ValueError("no feasible (t0, t_inf) in the search window")
-    k0 = int(k0_values[i])
-    return k0, k0 + j, value
+    return best
+
+
+def _best_two_stage(
+    model: GriddedLatencyModel,
+    candidates: np.ndarray,
+    stride: int,
+    e_j_single: float | None,
+) -> tuple[int, int, float]:
+    """Coarse streamed sweep, then a unit-stride one around its best ``t0``.
+
+    Minimises ``E_J``, or ``Δcost`` against ``e_j_single`` when given.
+    """
+    k0, k_inf, value = _best_streamed(
+        delayed_band_blocks(model, candidates, e_j_single)
+    )
+    if stride > 1:
+        lo = max(2, k0 - stride)
+        hi = min(model.grid.n - 1, k0 + stride)
+        k0, k_inf, value = _best_streamed(
+            delayed_band_blocks(model, np.arange(lo, hi + 1), e_j_single)
+        )
+    return k0, k_inf, value
 
 
 def optimize_delayed(
@@ -218,9 +243,9 @@ def optimize_delayed(
     """Globally minimise the delayed-strategy ``E_J`` over ``(t0, t∞)``.
 
     Two-stage search: a coarse sweep over ``t0`` (stride ``coarse`` grid
-    steps, whole feasible ``t∞`` band per candidate, all candidates in one
-    batched surface evaluation), then a unit-stride refinement around the
-    best coarse ``t0``.
+    steps, whole feasible ``t∞`` band per candidate, streamed through the
+    batched surface kernel in row blocks), then a unit-stride refinement
+    around the best coarse ``t0``.
 
     Parameters
     ----------
@@ -234,31 +259,8 @@ def optimize_delayed(
         Optional single-resubmission reference to also report ``Δcost``.
     """
     candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, coarse)
-    rect, _ = delayed_expectation_bands(model, candidates)
-    k0, k_inf, _val = _best_in_rect(rect, candidates)
-    if stride > 1:
-        lo = max(2, k0 - stride)
-        hi = min(model.grid.n - 1, k0 + stride)
-        fine = np.arange(lo, hi + 1)
-        rect, _ = delayed_expectation_bands(model, fine)
-        k0, k_inf, _val = _best_in_rect(rect, fine)
-    t0 = model.grid.time_of(k0)
-    t_inf = model.grid.time_of(k_inf)
-    mom = delayed_moments(model, t0, t_inf)
-    n_par = float(n_parallel_for_latency(mom.expectation, t0, t_inf))
-    cost = (
-        delta_cost(n_par, mom.expectation, e_j_single)
-        if e_j_single is not None
-        else float("nan")
-    )
-    return DelayedOptimum(
-        t0=t0,
-        t_inf=t_inf,
-        e_j=mom.expectation,
-        sigma_j=mom.std,
-        n_parallel=n_par,
-        cost=cost,
-    )
+    k0, k_inf, _ = _best_two_stage(model, candidates, stride, None)
+    return _finish_delayed(model, k0, k_inf, e_j_single)
 
 
 def _ratio_k_inf(model: GriddedLatencyModel, k0v: np.ndarray, ratio: float) -> np.ndarray:
@@ -331,8 +333,9 @@ def optimize_delayed_ratio_sweep(
     """Ratio-constrained optima for many imposed ratios from one surface.
 
     The coarse ``t0`` candidate set is shared by every ratio, so the whole
-    Table 3 / Table 4 sweep costs a single batched surface evaluation plus
-    one thin refinement per ratio (which itself reuses cached rows).
+    Table 3 / Table 4 sweep costs one streamed surface pass — each row
+    block hands every ratio its one cell per row — plus one thin
+    refinement per ratio (which itself reuses cached rows).
     """
     ratios = list(ratios)
     for ratio in ratios:
@@ -340,7 +343,15 @@ def optimize_delayed_ratio_sweep(
             raise ValueError(f"ratio must be in [1, 2], got {ratio!r}")
 
     candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, 4)
-    rect, _ = delayed_expectation_bands(model, candidates)
+    k_inf_all = np.array(
+        [_ratio_k_inf(model, candidates, ratio) for ratio in ratios], dtype=np.intp
+    ).reshape(len(ratios), len(candidates))
+    values_all = np.empty(k_inf_all.shape)
+    start = 0
+    for block, (rect, _) in delayed_band_blocks(model, candidates):
+        cols = slice(start, start + block.size)
+        values_all[:, cols] = rect[np.arange(block.size), k_inf_all[:, cols] - block]
+        start += block.size
 
     def objective_for(ratio: float):
         def objective(k0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +362,7 @@ def optimize_delayed_ratio_sweep(
         return objective
 
     out = []
-    for ratio in ratios:
-        k_inf_v = _ratio_k_inf(model, candidates, ratio)
-        values = rect[np.arange(len(candidates)), k_inf_v - candidates]
+    for ratio, k_inf_v, values in zip(ratios, k_inf_all, values_all):
         best_i = int(np.argmin(values))  # band rows are finite or +inf
         if not np.isfinite(values[best_i]):
             raise ValueError("no feasible (t0, t_inf) in the search window")
@@ -388,18 +397,7 @@ def optimize_delayed_cost(
         ``E_J`` of the optimal single resubmission on the same model (the
         Eq. 6 denominator).
     """
-    if e_j_single <= 0:
-        raise ValueError(f"e_j_single must be > 0, got {e_j_single!r}")
-
-    def cost_rect(k0_values: np.ndarray) -> np.ndarray:
-        costs, _n_par = delayed_cost_bands(model, k0_values, e_j_single)
-        return costs
-
+    check_positive("e_j_single", e_j_single)
     candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, coarse)
-    k0, k_inf, best_cost = _best_in_rect(cost_rect(candidates), candidates)
-    if stride > 1:
-        lo = max(2, k0 - stride)
-        hi = min(model.grid.n - 1, k0 + stride)
-        fine = np.arange(lo, hi + 1)
-        k0, k_inf, best_cost = _best_in_rect(cost_rect(fine), fine)
+    k0, k_inf, best_cost = _best_two_stage(model, candidates, stride, e_j_single)
     return _finish_delayed(model, k0, k_inf, None, cost=best_cost)

@@ -45,6 +45,7 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "DelayedResubmission",
+    "delayed_band_blocks",
     "delayed_cost_bands",
     "delayed_expectation_for_t0",
     "delayed_expectation_bands",
@@ -55,9 +56,10 @@ __all__ = [
     "mean_parallel_exact",
 ]
 
-#: rows per vectorised pass of the surface kernel — bounds the temporary
-#: 2-D blocks to a few MB even on full-resolution grids
-_BLOCK_ROWS = 128
+#: float64 cells per row block (rows × (kmax+1)) of the surface kernel and
+#: of every sweep that consumes it — bounds each 2-D temporary to ~2 MB
+#: whatever the grid resolution or ``t0`` window
+_BLOCK_FLOATS = 1 << 18
 
 #: total float64 budget of the per-model surface-row cache (~64 MB);
 #: oldest rows are evicted first once it is exceeded
@@ -168,20 +170,35 @@ def _compute_band_block(
     return [vals[i, : hiv[i] - k0v[i] + 1] for i in range(len(k0v))]
 
 
+def _row_blocks(model: GriddedLatencyModel, k0s) -> list[np.ndarray]:
+    """Consecutive slices of ``k0s`` within the :data:`_BLOCK_FLOATS` budget.
+
+    Slices share one row count (the last may be shorter), sized so that
+    rows × ``(kmax+1)`` of the widest requested row fits the budget (at
+    least one row).  Ascending input gives ascending blocks, which the
+    streamed optimisers rely on for their first-occurrence tie rule.
+    """
+    k0v = np.asarray(k0s, dtype=np.intp).ravel()
+    if k0v.size == 0:
+        return []
+    kmax = min(2 * int(k0v.max()), model.grid.n - 1)
+    rows = max(1, _BLOCK_FLOATS // (kmax + 1))
+    return [k0v[start : start + rows] for start in range(0, k0v.size, rows)]
+
+
 def _band_rows(
     model: GriddedLatencyModel, k0s: np.ndarray
 ) -> list[np.ndarray]:
     """Cached feasible-band rows for each requested ``t0`` index.
 
-    Missing rows are computed in blocks of :data:`_BLOCK_ROWS` (ascending,
-    so low-``t0`` blocks stay narrow) and stored on the model; the cache is
+    Missing rows are computed in :func:`_row_blocks` (ascending, so
+    low-``t0`` blocks stay narrow) and stored on the model; the cache is
     trimmed oldest-first past :data:`_DELAYED_CACHE_BUDGET` floats.
     """
     cache = model._delayed_band_cache
     requested = {int(k0) for k0 in k0s}
     missing = sorted(k0 for k0 in requested if k0 not in cache)
-    for start in range(0, len(missing), _BLOCK_ROWS):
-        block = np.asarray(missing[start : start + _BLOCK_ROWS], dtype=np.intp)
+    for block in _row_blocks(model, missing):
         for k0, row in zip(block, _compute_band_block(model, block)):
             cache[int(k0)] = row
             model._delayed_band_cache_floats += row.size
@@ -231,8 +248,7 @@ def delayed_cost_bands(
     Shared by the cost optimiser and the Fig. 8 cost frontier so the
     masking/clipping invariants live in one place.
     """
-    if e_j_single <= 0:
-        raise ValueError(f"e_j_single must be > 0, got {e_j_single!r}")
+    check_positive("e_j_single", e_j_single)
     k0v = np.asarray(k0s, dtype=np.intp).ravel()
     rect, _ = delayed_expectation_bands(model, k0v)
     finite = np.isfinite(rect)
@@ -246,6 +262,23 @@ def delayed_cost_bands(
     n_par = _n_parallel_kernel(np.where(finite, rect, 0.0), t0g, ti)
     costs = np.where(finite, n_par * rect / e_j_single, np.inf)
     return costs, n_par
+
+
+def delayed_band_blocks(model: GriddedLatencyModel, k0s, e_j_single=None):
+    """Stream the feasible bands of many ``t0`` candidates in row blocks.
+
+    Yields ``(block, bands)`` for consecutive :func:`_row_blocks` slices
+    of ``k0s``: ``bands`` is :func:`delayed_expectation_bands` of the block,
+    or :func:`delayed_cost_bands` when ``e_j_single`` is given.  Every
+    sweep over many candidates (the optimisers, the Fig. 8 frontier) walks
+    the surface through here, so none holds more than one block's
+    rectangle; ascending ``k0s`` give ascending blocks.
+    """
+    for block in _row_blocks(model, k0s):
+        if e_j_single is None:
+            yield block, delayed_expectation_bands(model, block)
+        else:
+            yield block, delayed_cost_bands(model, block, e_j_single)
 
 
 def delayed_expectation_surface(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributions.base import LatencyDistribution
+from repro.util.validation import check_int_at_least
 
 __all__ = ["truncated_moment", "truncated_mean_std"]
 
@@ -35,18 +36,12 @@ def truncated_moment(
     upper:
         Truncation point (seconds); must have positive mass below it.
     n_points:
-        Grid resolution for the integration.
+        Grid resolution for the integration (>= 2).
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
-    if upper <= 0:
-        raise ValueError(f"upper must be > 0, got {upper}")
-    mass = float(dist.cdf(upper))
-    if mass <= 0.0:
-        raise ValueError(f"no probability mass below upper={upper}")
-    t = np.linspace(0.0, float(upper), int(n_points))
-    y = (t**k) * np.asarray(dist.pdf(t), dtype=np.float64)
-    return float(np.trapezoid(y, t) / mass)
+    (m,) = _truncated_moments(dist, (k,), upper, n_points)
+    return m
 
 
 def truncated_mean_std(
@@ -55,8 +50,26 @@ def truncated_mean_std(
     *,
     n_points: int = 20001,
 ) -> tuple[float, float]:
-    """Mean and standard deviation of ``R | R <= upper``."""
-    m1 = truncated_moment(dist, 1, upper, n_points=n_points)
-    m2 = truncated_moment(dist, 2, upper, n_points=n_points)
+    """Mean and standard deviation of ``R | R <= upper``.
+
+    Both moments share one evaluation of ``cdf(upper)``, the grid and the
+    density, and equal the two :func:`truncated_moment` calls exactly.
+    """
+    m1, m2 = _truncated_moments(dist, (1, 2), upper, n_points)
     var = max(0.0, m2 - m1 * m1)
     return m1, float(np.sqrt(var))
+
+
+def _truncated_moments(
+    dist: LatencyDistribution, ks: tuple[int, ...], upper: float, n_points: int
+) -> list[float]:
+    """``E[R^k | R <= upper]`` for each ``k`` from one density tabulation."""
+    if upper <= 0:
+        raise ValueError(f"upper must be > 0, got {upper}")
+    n_points = check_int_at_least("n_points", n_points, 2)
+    mass = float(dist.cdf(upper))
+    if mass <= 0.0:
+        raise ValueError(f"no probability mass below upper={upper}")
+    t = np.linspace(0.0, float(upper), n_points)
+    f = np.asarray(dist.pdf(t), dtype=np.float64)
+    return [float(np.trapezoid((t**k) * f, t) / mass) for k in ks]

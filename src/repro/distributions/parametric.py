@@ -1,4 +1,4 @@
-"""Parametric latency families backed by frozen scipy.stats distributions.
+"""Parametric latency families backed by scipy.stats distributions.
 
 The families below are the standard candidates for grid latency bodies and
 tails in the workload-modeling literature the paper builds on (Feitelson;
@@ -25,49 +25,57 @@ __all__ = ["LogNormal", "Weibull", "Gamma", "Exponential", "Pareto", "LogLogisti
 
 
 class _ScipyBacked(LatencyDistribution):
-    """Common plumbing for families backed by a frozen scipy distribution."""
+    """Common plumbing for families backed by a scipy distribution.
 
-    def __init__(self, frozen: st.distributions.rv_frozen) -> None:
-        self._frozen = frozen
+    Holds the shared scipy generator and its shape/scale keywords and
+    forwards every call to it — exactly the call a frozen ``rv_frozen``
+    makes, so the floats are the same, without the per-instance generator
+    copy (and docstring formatting) that ``freeze`` pays.
+    """
+
+    def __init__(self, dist: st.rv_continuous, **kwds: float) -> None:
+        self._dist = dist
+        self._kwds = kwds
 
     def pdf(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._frozen.pdf(np.maximum(t, 0.0)), 0.0)
+        out = np.where(t >= 0, self._dist.pdf(np.maximum(t, 0.0), **self._kwds), 0.0)
         return out if out.ndim else float(out)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._frozen.cdf(np.maximum(t, 0.0)), 0.0)
+        out = np.where(t >= 0, self._dist.cdf(np.maximum(t, 0.0), **self._kwds), 0.0)
         return out if out.ndim else float(out)
 
     def ppf(self, q):
-        out = np.asarray(self._frozen.ppf(q), dtype=np.float64)
+        out = np.asarray(self._dist.ppf(q, **self._kwds), dtype=np.float64)
         return out if out.ndim else float(out)
 
     def sf(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._frozen.sf(np.maximum(t, 0.0)), 1.0)
+        out = np.where(t >= 0, self._dist.sf(np.maximum(t, 0.0), **self._kwds), 1.0)
         return out if out.ndim else float(out)
 
     def rvs(self, size: int, rng: RngLike = None) -> np.ndarray:
         return np.asarray(
-            self._frozen.rvs(size=size, random_state=as_rng(rng)), dtype=np.float64
+            self._dist.rvs(size=size, random_state=as_rng(rng), **self._kwds),
+            dtype=np.float64,
         )
 
     def _moment(self, k: int) -> float:
-        m = self._frozen.moment(k)
+        m = self._dist.moment(k, **self._kwds)
         return float(m) if np.isfinite(m) else float("inf")
 
     def mean(self) -> float:
-        m = self._frozen.mean()
+        m = self._dist.mean(**self._kwds)
         return float(m) if np.isfinite(m) else float("inf")
 
     def var(self) -> float:
-        v = self._frozen.var()
+        v = self._dist.var(**self._kwds)
         return float(v) if np.isfinite(v) else float("inf")
 
     def median(self) -> float:
-        return float(self._frozen.median())
+        return float(self._dist.median(**self._kwds))
 
 
 class LogNormal(_ScipyBacked):
@@ -83,7 +91,7 @@ class LogNormal(_ScipyBacked):
     def __init__(self, mu: float, sigma: float) -> None:
         self.mu = float(mu)
         self.sigma = check_positive("sigma", sigma)
-        super().__init__(st.lognorm(s=self.sigma, scale=np.exp(self.mu)))
+        super().__init__(st.lognorm, s=self.sigma, scale=np.exp(self.mu))
 
     @classmethod
     def from_mean_std(cls, mean: float, std: float) -> "LogNormal":
@@ -111,7 +119,7 @@ class Weibull(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.weibull_min(c=self.shape, scale=self.scale))
+        super().__init__(st.weibull_min, c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -125,7 +133,7 @@ class Gamma(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.gamma(a=self.shape, scale=self.scale))
+        super().__init__(st.gamma, a=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -142,7 +150,7 @@ class Exponential(_ScipyBacked):
 
     def __init__(self, rate: float) -> None:
         self.rate = check_positive("rate", rate)
-        super().__init__(st.expon(scale=1.0 / self.rate))
+        super().__init__(st.expon, scale=1.0 / self.rate)
 
     def params(self) -> dict[str, Any]:
         return {"rate": self.rate}
@@ -162,7 +170,7 @@ class Pareto(_ScipyBacked):
     def __init__(self, alpha: float, scale: float) -> None:
         self.alpha = check_positive("alpha", alpha)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.lomax(c=self.alpha, scale=self.scale))
+        super().__init__(st.lomax, c=self.alpha, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"alpha": self.alpha, "scale": self.scale}
@@ -180,7 +188,7 @@ class LogLogistic(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.fisk(c=self.shape, scale=self.scale))
+        super().__init__(st.fisk, c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost import cost_curve_delayed, cost_curve_multiple
-from repro.core.strategies.delayed import delayed_cost_bands
+from repro.core.cost import cost_curve_multiple
+from repro.core.strategies.delayed import delayed_band_blocks
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import T0_WINDOW, ReproContext, get_context
-from repro.experiments.table3_delayed_ratio import RATIOS
 from repro.util.series import Series, SeriesBundle
 
 __all__ = ["run", "delayed_cost_frontier"]
@@ -44,25 +43,33 @@ def delayed_cost_frontier(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimal ``Δcost`` per ``N_//`` bin over the full (t0, t∞) sweep.
 
-    Returns (bin centres, minimal cost per bin) for non-empty bins.
+    Returns (bin centres, minimal cost per bin) for non-empty bins.  The
+    sweep streams through the surface kernel in row blocks; each block is
+    reduced to its per-bin minima and the partial minima are merged with
+    ``min``, which is exact, so no full cost rectangle is ever built.
     """
     grid = model.grid
     lo = max(2, grid.index_of(t0_min))
     hi = min(grid.n - 1, grid.index_of(t0_max))
     k0v = np.arange(lo, hi + 1, max(1, stride))
-    # the whole (t0, t∞) sweep in one batched surface request
-    costs, n_par = delayed_cost_bands(model, k0v, e_j_single)
-    finite = np.isfinite(costs)
-    if not finite.any():
-        return np.empty(0), np.empty(0)
-    keys = (n_par[finite] / bin_width).astype(np.int64)
-    vals = costs[finite]
+    keys, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for _, (costs, n_par) in delayed_band_blocks(model, k0v, e_j_single):
+        finite = np.isfinite(costs)
+        k, v = _bin_minima((n_par[finite] / bin_width).astype(np.int64), costs[finite])
+        keys.append(k)
+        vals.append(v)
+    keys, y = _bin_minima(np.concatenate(keys), np.concatenate(vals))
+    return (keys + 0.5) * bin_width, y
+
+
+def _bin_minima(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct ``keys`` and the minimum of ``vals`` under each."""
+    if keys.size == 0:
+        return keys, vals
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     starts = np.flatnonzero(np.r_[True, np.diff(keys) > 0])
-    y = np.minimum.reduceat(vals, starts)
-    x = (keys[starts] + 0.5) * bin_width
-    return x, y
+    return keys[starts], np.minimum.reduceat(vals, starts)
 
 
 def run(
@@ -76,8 +83,9 @@ def run(
     model = ctx.model(week)
     single = ctx.single_optimum(week)
 
-    delayed_points = cost_curve_delayed(model, list(RATIOS), single.e_j)
-    delayed_points.sort(key=lambda p: p.n_parallel)
+    delayed_points = sorted(
+        ctx.ratio_cost_curve(week), key=lambda p: p.n_parallel
+    )
     dx = np.array([p.n_parallel for p in delayed_points])
     dy = np.array([p.cost for p in delayed_points])
 

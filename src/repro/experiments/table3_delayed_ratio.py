@@ -12,16 +12,13 @@ import numpy as np
 
 from repro.core.optimize import optimize_delayed_ratio_sweep
 from repro.experiments.base import ExperimentResult
-from repro.experiments.context import T0_WINDOW, ReproContext, get_context
+from repro.experiments.context import RATIOS, T0_WINDOW, ReproContext, get_context
 from repro.util.tables import Table, format_float, format_percent, format_seconds
 
 __all__ = ["run", "RATIOS", "PAPER_TABLE3"]
 
 EXPERIMENT_ID = "table3"
 TITLE = "Table 3: delayed resubmission with imposed ratio t_inf/t0 (2006-IX)"
-
-#: the ratios studied in the paper's Table 3
-RATIOS: tuple[float, ...] = (1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0)
 
 #: paper values: ratio -> (N_//, best t_inf, best t0, min E_J, delta vs 471s)
 PAPER_TABLE3: dict[float, tuple[float, float, float, float, float]] = {

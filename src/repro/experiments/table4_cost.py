@@ -8,11 +8,9 @@ ratio ≈ 1.25 minimises ``Δcost`` (0.94); the global cost optimum reaches
 
 from __future__ import annotations
 
-from repro.core.cost import cost_curve_delayed, cost_curve_multiple
-from repro.core.optimize import optimize_delayed_cost
+from repro.core.cost import cost_curve_multiple
 from repro.experiments.base import ExperimentResult
-from repro.experiments.context import T0_WINDOW, ReproContext, get_context
-from repro.experiments.table3_delayed_ratio import RATIOS
+from repro.experiments.context import RATIOS, ReproContext, get_context
 from repro.util.tables import Table, format_float, format_seconds
 
 __all__ = ["run", "MULTI_BS"]
@@ -52,7 +50,7 @@ def run(ctx: ReproContext | None = None, *, week: str = "2006-IX") -> Experiment
         title=f"{TITLE} — delayed (per imposed ratio)",
         columns=["t_inf/t0", "N_//", "min E_J", "delta_cost"],
     )
-    delayed_points = cost_curve_delayed(model, list(RATIOS), single.e_j)
+    delayed_points = ctx.ratio_cost_curve(week)
     for ratio, point in zip(RATIOS, delayed_points):
         delayed_table.add_row(
             f"{ratio:.2f}",
@@ -76,9 +74,7 @@ def run(ctx: ReproContext | None = None, *, week: str = "2006-IX") -> Experiment
             format_float(ref[1], 1) if ref else "",
         )
 
-    global_opt = optimize_delayed_cost(
-        model, single.e_j, t0_min=T0_WINDOW[0], t0_max=T0_WINDOW[1]
-    )
+    global_opt = ctx.cost_optimum(week)
     best_ratio_cost = min(p.cost for p in delayed_points)
     notes = [
         f"global cost optimum: delta_cost = {global_opt.cost:.3f} at "

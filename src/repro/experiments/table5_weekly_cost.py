@@ -11,9 +11,9 @@ optimum is stable to small timeout errors.
 from __future__ import annotations
 
 from repro.analysis.stability import stability_analysis
-from repro.core.optimize import optimize_delayed_cost
+from repro.core.optimize import DelayedOptimum
 from repro.experiments.base import ExperimentResult
-from repro.experiments.context import T0_WINDOW, ReproContext, get_context
+from repro.experiments.context import ReproContext, get_context
 from repro.traces.paper import AGGREGATE, WEEKLY_SETS
 from repro.util.tables import Table, format_float, format_percent, format_seconds
 
@@ -45,28 +45,15 @@ PAPER_TABLE5: dict[str, tuple[float, float, float, float]] = {
 def weekly_cost_optima(
     ctx: ReproContext,
     weeks: tuple[str, ...] = TABLE5_WEEKS,
-) -> dict[str, "DelayedOptimumLike"]:
+) -> dict[str, DelayedOptimum]:
     """Cost-optimal delayed configuration per week (shared with Table 6).
 
-    Each week is one batched surface request: ``optimize_delayed_cost``
-    evaluates its whole coarse ``(t0, t∞)`` rectangle in a single kernel
-    pass, and the rows it caches on the week's model are what the ±5 s
-    stability boxes of :func:`run` read back for free.
+    Each week's optimum is computed once per context
+    (:meth:`ReproContext.cost_optimum`), and the surface rows it caches on
+    the week's model are what the ±5 s stability boxes of :func:`run` read
+    back for free.
     """
-    out = {}
-    for week in weeks:
-        single = ctx.single_optimum(week)
-        out[week] = optimize_delayed_cost(
-            ctx.model(week),
-            single.e_j,
-            t0_min=T0_WINDOW[0],
-            t0_max=T0_WINDOW[1],
-        )
-    return out
-
-
-# typing alias used only in the docstring above
-DelayedOptimumLike = object
+    return {week: ctx.cost_optimum(week) for week in weeks}
 
 
 def run(ctx: ReproContext | None = None, *, radius: int = 5) -> ExperimentResult:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
 from repro.distributions import (
     EmpiricalDistribution,
@@ -24,6 +25,55 @@ ALL_FAMILIES = [
     Pareto(alpha=2.5, scale=600.0),
     LogLogistic(shape=2.0, scale=350.0),
 ]
+
+
+#: the frozen scipy distribution each family of ALL_FAMILIES is defined as
+FROZEN_REFERENCES = [
+    st.lognorm(s=1.2, scale=np.exp(5.0)),
+    st.weibull_min(c=0.8, scale=400.0),
+    st.gamma(a=1.5, scale=300.0),
+    st.expon(scale=500.0),
+    st.lomax(c=2.5, scale=600.0),
+    st.fisk(c=2.0, scale=350.0),
+]
+
+
+def _reported(x) -> float:
+    """A scipy moment as the families report it (non-finite -> inf)."""
+    return float(x) if np.isfinite(x) else float("inf")
+
+
+@pytest.mark.parametrize(
+    "dist, frozen",
+    list(zip(ALL_FAMILIES, FROZEN_REFERENCES)),
+    ids=[d.family for d in ALL_FAMILIES],
+)
+class TestMatchesFrozenScipy:
+    """Forwarding to the shared generator equals ``rv_frozen`` bit for bit."""
+
+    def test_functions_of_t(self, dist, frozen):
+        t = np.r_[0.0, np.geomspace(1e-3, 1e5, 400)]
+        with np.errstate(divide="ignore"):  # Weibull k < 1: pdf(0) = inf
+            np.testing.assert_array_equal(dist.pdf(t), frozen.pdf(t))
+        np.testing.assert_array_equal(dist.cdf(t), frozen.cdf(t))
+        np.testing.assert_array_equal(dist.sf(t), frozen.sf(t))
+        assert dist.cdf(437.5) == float(frozen.cdf(437.5))
+
+    def test_ppf(self, dist, frozen):
+        q = np.linspace(0.0, 1.0, 257)
+        np.testing.assert_array_equal(dist.ppf(q), frozen.ppf(q))
+        assert dist.ppf(0.3) == float(frozen.ppf(0.3))
+
+    def test_rvs_at_a_fixed_seed(self, dist, frozen):
+        ref = frozen.rvs(size=2000, random_state=np.random.default_rng(11))
+        np.testing.assert_array_equal(dist.rvs(2000, rng=11), ref)
+
+    def test_moments(self, dist, frozen):
+        assert dist.mean() == _reported(frozen.mean())
+        assert dist.var() == _reported(frozen.var())
+        assert dist.median() == float(frozen.median())
+        for k in (1, 2, 3):
+            assert dist._moment(k) == _reported(frozen.moment(k))
 
 
 @pytest.mark.parametrize("dist", ALL_FAMILIES, ids=lambda d: d.family)

@@ -1,9 +1,12 @@
 """Tests for the experiment harness: every registered artifact runs and
 reproduces the paper's qualitative claims."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.experiments import context as context_module
 from repro.experiments import (
     ExperimentResult,
     get_context,
@@ -11,7 +14,11 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.context import ReproContext
+from repro.experiments.table5_weekly_cost import TABLE5_WEEKS
 from repro.traces.paper import PAPER_TABLE1
+
+#: the committed artifacts (written by the pytest benchmarks)
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +195,45 @@ class TestTable5:
             assert cost <= 1.01
             if row["max cost (r=5)"]:
                 assert float(row["max cost (r=5)"]) >= cost - 1e-9
+
+
+class TestSharedDelayedOptima:
+    """Per-week delayed optima shared by several artifacts run once per context."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(context_module, name)
+
+        def wrapper(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(context_module, name, wrapper)
+        return calls
+
+    @staticmethod
+    def committed(eid):
+        return (RESULTS_DIR / f"{eid}.txt").read_text(encoding="utf-8")
+
+    def test_table5_then_table6_optimise_each_week_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, "optimize_delayed_cost")
+        fresh = ReproContext(seed=2009, dt=2.0)
+        table5 = run_experiment("table5", ctx=fresh, radius=5).render() + "\n"
+        table6 = run_experiment("table6", ctx=fresh).render() + "\n"
+        assert len(calls) == len(TABLE5_WEEKS)
+        assert {id(m) for m in calls} == {id(fresh.model(w)) for w in TABLE5_WEEKS}
+        assert table5 == self.committed("table5")
+        assert table6 == self.committed("table6")
+
+    def test_table4_and_fig8_share_the_ratio_curve(self, monkeypatch):
+        calls = self.counted(monkeypatch, "cost_curve_delayed")
+        fresh = ReproContext(seed=2009, dt=2.0)
+        fig8 = run_experiment("fig8", ctx=fresh, b_max=5).render() + "\n"
+        table4 = run_experiment("table4", ctx=fresh).render() + "\n"
+        assert len(calls) == 1
+        assert fig8 == self.committed("fig8")
+        assert table4 == self.committed("table4")
 
 
 class TestTable6:

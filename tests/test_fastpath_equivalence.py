@@ -1,7 +1,13 @@
 """Equivalence tests for the batched fast paths introduced with the
 surface kernel: the 2-D delayed-E_J kernel against the per-``t0``
-reference, and the closed-form Monte-Carlo draws against the original
-loop-based mechanical replays (kept here verbatim as references)."""
+reference, the row-block streamed optimisers and cost frontier against
+the materialising sweeps they replaced, and the closed-form Monte-Carlo
+draws against the original loop-based mechanical replays (the replaced
+bodies are kept here verbatim as references)."""
+
+import tracemalloc
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +15,29 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import LatencyModel
-from repro.core.optimize import _best_over_t0, optimize_delayed
+from repro.core.optimize import (
+    _best_over_t0,
+    _best_streamed,
+    _delayed_t0_candidates,
+    _finish_delayed,
+    _ratio_k_inf,
+    optimize_delayed,
+    optimize_delayed_cost,
+    optimize_delayed_ratio_sweep,
+    optimize_single,
+)
+from repro.core.strategies import delayed
 from repro.core.strategies.delayed import (
     _DELAYED_CACHE_BUDGET,
+    _band_rows,
+    _row_blocks,
+    delayed_cost_bands,
     delayed_expectation_bands,
     delayed_expectation_for_t0,
     delayed_expectation_surface,
 )
+from repro.experiments.context import T0_WINDOW
+from repro.experiments.fig8_cost_curves import delayed_cost_frontier
 from repro.distributions import LogNormal, ShiftedDistribution, Weibull
 from repro.montecarlo import simulate_multiple, simulate_single
 from repro.util.grids import TimeGrid
@@ -38,6 +60,98 @@ def make_gridded(params, t_max=6000.0, dt=4.0):
     mu, sigma, rho, shift = params
     dist = ShiftedDistribution(LogNormal(mu=mu, sigma=sigma), shift=shift)
     return LatencyModel(dist, rho=rho).on_grid(TimeGrid(t_max=t_max, dt=dt))
+
+
+# -- reference implementations: the materialising delayed sweeps ----------
+
+
+def _best_in_rect(rect, k0_values):
+    """Global minimiser of a whole inf-padded objective rectangle."""
+    flat = int(np.argmin(rect))
+    i, j = divmod(flat, rect.shape[1])
+    value = float(rect[i, j])
+    if not np.isfinite(value):
+        raise ValueError("no feasible (t0, t_inf) in the search window")
+    k0 = int(k0_values[i])
+    return k0, k0 + j, value
+
+
+def _two_stage_in_rect(model, candidates, stride, rect_of):
+    k0, k_inf, value = _best_in_rect(rect_of(candidates), candidates)
+    if stride > 1:
+        lo = max(2, k0 - stride)
+        hi = min(model.grid.n - 1, k0 + stride)
+        fine = np.arange(lo, hi + 1)
+        k0, k_inf, value = _best_in_rect(rect_of(fine), fine)
+    return k0, k_inf, value
+
+
+def ref_optimize_delayed(model, *, t0_min=None, t0_max=None, coarse=8, e_j_single=None):
+    candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, coarse)
+    k0, k_inf, _ = _two_stage_in_rect(
+        model, candidates, stride, lambda k0s: delayed_expectation_bands(model, k0s)[0]
+    )
+    return _finish_delayed(model, k0, k_inf, e_j_single)
+
+
+def ref_optimize_delayed_cost(model, e_j_single, *, t0_min=None, t0_max=None, coarse=8):
+    candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, coarse)
+    k0, k_inf, best_cost = _two_stage_in_rect(
+        model,
+        candidates,
+        stride,
+        lambda k0s: delayed_cost_bands(model, k0s, e_j_single)[0],
+    )
+    return _finish_delayed(model, k0, k_inf, None, cost=best_cost)
+
+
+def ref_optimize_delayed_ratio_sweep(model, ratios, *, t0_min=None, t0_max=None):
+    candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, 4)
+    rect, _ = delayed_expectation_bands(model, candidates)
+
+    def objective_for(ratio):
+        def objective(k0):
+            k_inf = int(_ratio_k_inf(model, np.array([k0]), ratio)[0])
+            (row,) = _band_rows(model, [k0])
+            return row[[k_inf - k0]], np.array([k_inf])
+
+        return objective
+
+    out = []
+    for ratio in ratios:
+        k_inf_v = _ratio_k_inf(model, candidates, ratio)
+        values = rect[np.arange(len(candidates)), k_inf_v - candidates]
+        best_i = int(np.argmin(values))
+        if not np.isfinite(values[best_i]):
+            raise ValueError("no feasible (t0, t_inf) in the search window")
+        k0, k_inf = int(candidates[best_i]), int(k_inf_v[best_i])
+        if stride > 1:
+            lo = max(2, k0 - stride)
+            hi = min(model.grid.n - 1, k0 + stride)
+            k0, k_inf, _ = _best_over_t0(
+                model, np.arange(lo, hi + 1), objective_for(ratio)
+            )
+        out.append(_finish_delayed(model, k0, k_inf, None))
+    return out
+
+
+def ref_delayed_cost_frontier(model, e_j_single, *, t0_min, t0_max, stride=8, bin_width=0.05):
+    grid = model.grid
+    lo = max(2, grid.index_of(t0_min))
+    hi = min(grid.n - 1, grid.index_of(t0_max))
+    k0v = np.arange(lo, hi + 1, max(1, stride))
+    costs, n_par = delayed_cost_bands(model, k0v, e_j_single)
+    finite = np.isfinite(costs)
+    if not finite.any():
+        return np.empty(0), np.empty(0)
+    keys = (n_par[finite] / bin_width).astype(np.int64)
+    vals = costs[finite]
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(keys) > 0])
+    y = np.minimum.reduceat(vals, starts)
+    x = (keys[starts] + 0.5) * bin_width
+    return x, y
 
 
 # -- reference implementations: the original loop-based MC replays --------
@@ -143,6 +257,161 @@ class TestSurfaceKernel:
         assert opt.e_j == pytest.approx(best[0], rel=1e-12)
         assert gm.grid.index_of(opt.t0) == best[1]
         assert gm.grid.index_of(opt.t_inf) == best[2]
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _as_tuple(result):
+    if isinstance(result, list):
+        return [_as_tuple(r) for r in result]
+    return astuple(result) if hasattr(result, "__dataclass_fields__") else result
+
+
+def assert_same(a, b):
+    """Bitwise equality of optima / outcomes (nan equals nan)."""
+    a, b = _as_tuple(a), _as_tuple(b)
+    if "ValueError" in (a[0], b[0]):
+        assert a == b
+    else:
+        np.testing.assert_array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+STREAM_SETTINGS = settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestStreamedSweeps:
+    """The streamed optimisers and frontier equal the materialising ones.
+
+    Reference and streamed sweeps run on separate models, so neither reads
+    rows the other tabulated; the drawn block budget (``None`` keeps the
+    production one) moves the block boundaries over the candidates.
+    """
+
+    T_MAX = 1500.0
+
+    @STREAM_SETTINGS
+    @given(
+        params=model_params,
+        dt=st.sampled_from([0.5, 1.0, 2.0]),
+        window=st.tuples(st.floats(0.0, 0.6), st.floats(0.05, 1.0)),
+        budget=st.sampled_from([None, 3_000, 40_000]),
+    )
+    def test_streamed_equals_materialised(self, params, dt, window, budget):
+        ref_model = make_gridded(params, t_max=self.T_MAX, dt=dt)
+        model = make_gridded(params, t_max=self.T_MAX, dt=dt)
+        t0_min = window[0] * self.T_MAX
+        t0_max = min(self.T_MAX, t0_min + window[1] * self.T_MAX)
+        e_single = optimize_single(ref_model).e_j
+        ratios = (1.1, 1.25, 1.6, 2.0)
+        kw = dict(t0_min=t0_min, t0_max=t0_max)
+        refs = [
+            _outcome(ref_optimize_delayed, ref_model, e_j_single=e_single, **kw),
+            _outcome(ref_optimize_delayed, ref_model, coarse=1, **kw),
+            _outcome(ref_optimize_delayed_cost, ref_model, e_single, **kw),
+            _outcome(ref_optimize_delayed_ratio_sweep, ref_model, ratios, **kw),
+            _outcome(ref_delayed_cost_frontier, ref_model, e_single, **kw),
+        ]
+        with mock.patch.object(delayed, "_BLOCK_FLOATS", budget or delayed._BLOCK_FLOATS):
+            got = [
+                _outcome(optimize_delayed, model, e_j_single=e_single, **kw),
+                _outcome(optimize_delayed, model, coarse=1, **kw),
+                _outcome(optimize_delayed_cost, model, e_single, **kw),
+                _outcome(optimize_delayed_ratio_sweep, model, ratios, **kw),
+                _outcome(delayed_cost_frontier, model, e_single, **kw),
+            ]
+        for ref, new in zip(refs[:4], got[:4]):
+            assert_same(ref, new)
+        (rx, ry), (gx, gy) = refs[4], got[4]
+        np.testing.assert_array_equal(rx, gx)
+        np.testing.assert_array_equal(ry, gy)
+
+    @pytest.mark.parametrize("dt", [0.5, 2.0])
+    def test_paper_window_at_production_budget(self, dt):
+        ref_model = make_gridded((5.6, 1.1, 0.05, 150.0), t_max=4000.0, dt=dt)
+        model = make_gridded((5.6, 1.1, 0.05, 150.0), t_max=4000.0, dt=dt)
+        candidates, _ = _delayed_t0_candidates(model, *T0_WINDOW, 8)
+        assert len(_row_blocks(model, candidates)) > 1
+        e_single = optimize_single(ref_model).e_j
+        kw = dict(t0_min=T0_WINDOW[0], t0_max=T0_WINDOW[1])
+        assert_same(
+            ref_optimize_delayed_cost(ref_model, e_single, **kw),
+            optimize_delayed_cost(model, e_single, **kw),
+        )
+        rx, ry = ref_delayed_cost_frontier(ref_model, e_single, **kw)
+        gx, gy = delayed_cost_frontier(model, e_single, **kw)
+        np.testing.assert_array_equal(rx, gx)
+        np.testing.assert_array_equal(ry, gy)
+
+
+class TestStreamedTieRule:
+    """``_best_streamed`` keeps ``np.argmin``'s first occurrence across blocks."""
+
+    K0 = np.arange(10, 40)
+
+    @pytest.fixture
+    def five_row_blocks(self, monkeypatch):
+        gm = make_gridded((5.6, 1.1, 0.05, 150.0))
+        kmax = min(2 * int(self.K0[-1]), gm.grid.n - 1)
+        monkeypatch.setattr(delayed, "_BLOCK_FLOATS", 5 * (kmax + 1))
+        blocks = _row_blocks(gm, self.K0)
+        assert [b.size for b in blocks] == [5] * 6
+        return blocks
+
+    def stream(self, blocks, full):
+        return _best_streamed(
+            (block, (full[block - self.K0[0]], None)) for block in blocks
+        )
+
+    def test_minimum_in_a_blocks_last_row(self, five_row_blocks):
+        full = np.ones((self.K0.size, 12))
+        full[:, 9:] = np.inf
+        full[9, 3] = 0.5  # last row of the second block
+        full[10, 0] = 0.5 + 1e-12  # first row of the next block, just above
+        assert self.stream(five_row_blocks, full) == (19, 22, 0.5)
+        assert self.stream(five_row_blocks, full) == _best_in_rect(full, self.K0)
+
+    def test_ties_resolve_to_smallest_t0_then_t_inf(self, five_row_blocks):
+        full = np.ones((self.K0.size, 12))
+        full[12, 4] = 0.25
+        full[13, 0] = 0.25  # same block, later row
+        full[27, 1] = 0.25  # later block
+        full[12, 7] = 0.25  # same row, later column
+        assert self.stream(five_row_blocks, full) == (22, 26, 0.25)
+        assert self.stream(five_row_blocks, full) == _best_in_rect(full, self.K0)
+
+    def test_tie_between_two_blocks_keeps_the_first(self, five_row_blocks):
+        full = np.full((self.K0.size, 12), 2.0)
+        full[4, 11] = 1.0  # last cell of the first block
+        full[5, 0] = 1.0  # first cell of the second block
+        assert self.stream(five_row_blocks, full) == (14, 25, 1.0)
+
+    def test_nothing_feasible_raises(self, five_row_blocks):
+        full = np.full((self.K0.size, 12), np.inf)
+        with pytest.raises(ValueError, match="no feasible"):
+            self.stream(five_row_blocks, full)
+
+
+def test_abl_grid_window_cost_optimum_stays_under_64_mb():
+    """The abl-grid finest call: dt 0.5, t_max 10 000, the T0_WINDOW sweep."""
+    gm = make_gridded((5.6, 1.1, 0.05, 150.0), t_max=10_000.0, dt=0.5)
+    e_single = optimize_single(gm).e_j
+    tracemalloc.start()
+    try:
+        optimize_delayed_cost(gm, e_single, t0_min=T0_WINDOW[0], t0_max=T0_WINDOW[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestBestOverT0Hardening:

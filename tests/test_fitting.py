@@ -118,3 +118,24 @@ class TestTruncatedMoments:
             truncated_moment(d, 0, 10.0)
         with pytest.raises(ValueError, match="upper"):
             truncated_moment(d, 1, -1.0)
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_fewer_than_two_points_rejected(self, n_points):
+        d = Exponential(rate=0.01)
+        with pytest.raises(ValueError, match="n_points"):
+            truncated_mean_std(d, 300.0, n_points=n_points)
+        with pytest.raises(ValueError, match="n_points"):
+            truncated_moment(d, 1, 300.0, n_points=n_points)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [LogNormal(mu=6.0, sigma=1.0), Exponential(rate=0.004)],
+        ids=lambda d: d.family,
+    )
+    @pytest.mark.parametrize("n_points", [2, 8001, 20001])
+    def test_mean_std_equals_the_two_moment_calls(self, dist, n_points):
+        m1 = truncated_moment(dist, 1, 10_000.0, n_points=n_points)
+        m2 = truncated_moment(dist, 2, 10_000.0, n_points=n_points)
+        mean, std = truncated_mean_std(dist, 10_000.0, n_points=n_points)
+        assert mean == m1
+        assert std == float(np.sqrt(max(0.0, m2 - m1 * m1)))

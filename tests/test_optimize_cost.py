@@ -11,7 +11,7 @@ from repro.core.optimize import (
     optimize_multiple,
     optimize_single,
 )
-from repro.core.strategies import single_expectation_sweep
+from repro.core.strategies import delayed_cost_bands, single_expectation_sweep
 
 
 class TestOptimizeSingle:
@@ -90,6 +90,20 @@ class TestOptimizeDelayed:
     def test_n_parallel_in_paper_bounds(self, gridded):
         d = optimize_delayed(gridded, t0_min=150.0, t0_max=1500.0)
         assert 1.0 <= d.n_parallel <= 2.0
+
+
+class TestCostReferenceValidation:
+    """A non-finite or non-positive ``e_j_single`` is rejected by name."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -3.0])
+    def test_optimize_delayed_cost_rejects(self, gridded, bad):
+        with pytest.raises(ValueError, match="e_j_single"):
+            optimize_delayed_cost(gridded, bad, t0_min=150.0, t0_max=1500.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    def test_cost_bands_reject(self, gridded, bad):
+        with pytest.raises(ValueError, match="e_j_single"):
+            delayed_cost_bands(gridded, np.arange(100, 120), bad)
 
 
 class TestOptimizeDelayedRatio:
