@@ -161,6 +161,8 @@ class Simulator:
         self._cancelled = 0
         self._compactions = 0
         self._stop_requested = False
+        #: ``t_end`` of the running :meth:`run_until`, else ``-inf``
+        self._horizon = -math.inf
         #: pooled-timer buckets keyed by their boundary instant
         self._pool: dict[float, _TimerBucket] = {}
         #: bucket width (s) of the pooled timer wheel
@@ -195,7 +197,7 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         ev = Event(time, next(self._seq), callback, self)
@@ -204,9 +206,9 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
-                f"cannot schedule into the past (t={time} < now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self._now})"
             )
         ev = Event(time, next(self._seq), callback, self)
         heapq.heappush(self._heap, (time, ev.seq, ev))
@@ -232,9 +234,9 @@ class Simulator:
         events: list[Event] = []
         append = events.append
         for time, callback in zip(times, callbacks):
-            if time < now:
+            if not time >= now:  # also rejects NaN
                 raise ValueError(
-                    f"cannot schedule into the past (t={time} < now={now})"
+                    f"cannot schedule into the past (time={time}, now={now})"
                 )
             ev = Event(time, next(seq), callback, self)
             append(ev)
@@ -265,7 +267,7 @@ class Simulator:
         each.  Use :meth:`schedule` for anything that must fire at an
         exact instant.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         boundary = self.pooled_boundary(delay)
         bucket = self._pool.get(boundary)
@@ -343,34 +345,57 @@ class Simulator:
         """
         self._stop_requested = True
 
+    def claim(self, t: float) -> bool:
+        """Advance to ``t`` and count one event, if one at ``t`` would pop next.
+
+        For a callback walking its own sorted instants: ``True`` means no
+        queued entry is at or before ``t``, ``t`` is within the running
+        :meth:`run_until`'s ``t_end`` and no :meth:`stop` is pending, so
+        the caller runs that event's body inline.  On ``False`` it uses
+        :meth:`schedule_at`: an entry already queued at ``t`` has the
+        smaller seq and runs first.  Always ``False`` outside run_until.
+        """
+        if self._stop_requested or not self._now <= t <= self._horizon:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= t:
+            return False
+        self._now = t
+        self._processed += 1
+        return True
+
     def run_until(self, t_end: float) -> None:
         """Process events with ``time <= t_end``; clock ends at ``t_end``.
 
         If a callback calls :meth:`stop`, the loop returns immediately
         with the clock left at that callback's instant.
         """
-        if t_end < self._now:
-            raise ValueError(f"t_end={t_end} is before now={self._now}")
+        if not t_end >= self._now:  # also rejects NaN
+            raise ValueError(f"t_end={t_end} must be >= now={self._now}")
         self._stop_requested = False
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            time, _, ev = pop(heap)
-            if ev.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time
-            self._processed += 1
-            # detach before running: a late cancel() on a fired event
-            # (strategy cleanup cancels all its timers) must not count
-            # as a pending husk
-            ev.sim = None
-            ev.callback()
-            if self._stop_requested:
-                self._stop_requested = False
-                self._reconcile()
-                return
-        self._now = t_end
+        self._horizon = t_end
+        try:
+            while heap and heap[0][0] <= t_end:
+                time, _, ev = pop(heap)
+                if ev.cancelled:
+                    self._cancelled -= 1
+                    continue
+                self._now = time
+                self._processed += 1
+                # detach before running: a late cancel() on a fired event
+                # (strategy cleanup cancels all its timers) must not count
+                # as a pending husk
+                ev.sim = None
+                ev.callback()
+                if self._stop_requested:
+                    self._stop_requested = False
+                    break
+            else:
+                self._now = t_end
+        finally:
+            self._horizon = -math.inf
         self._reconcile()
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import partial
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +54,18 @@ _DRAW_BLOCK = 256
 #: states proving a job survived its site enqueue (RUNNING when the
 #: site had a free core and started it synchronously)
 _ENQUEUED_STATES = (JobState.QUEUED, JobState.RUNNING)
+
+#: per-job state reads as module constants: ``EnumType.__getattr__``
+#: puts every ``JobState.X`` read on the slow lookup path (~0.1 µs)
+_CREATED = JobState.CREATED
+_MATCHING = JobState.MATCHING
+
+
+def _check_created(jobs: Sequence[Job]) -> None:
+    """Raise before a burst moves any job unless every one is ``CREATED``."""
+    for job in jobs:
+        if job.state is not _CREATED:
+            raise ValueError(f"cannot submit job in state {job.state}")
 
 
 class WorkloadManager:
@@ -204,17 +217,13 @@ class WorkloadManager:
 
     # -- submission path -----------------------------------------------------
 
-    def submit(self, job: Job, then: Callable[[Job], None] | None = None) -> None:
-        """Accept a job: match-making delay, then dispatch to a site.
-
-        ``then`` is invoked right after the job is enqueued at its site
-        (used by fault injection wrappers and tests).
-        """
-        if job.state is not JobState.CREATED:
+    def submit(self, job: Job) -> None:
+        """Accept a job: match-making delay, then dispatch to a site."""
+        if job.state is not _CREATED:
             raise ValueError(f"cannot submit job in state {job.state}")
-        job.state = JobState.MATCHING
+        job.state = _MATCHING
         # partial (not a lambda) so pending dispatches survive snapshotting
-        self.sim.schedule(self._next_delay(), partial(self._dispatch, job, then))
+        self.sim.schedule(self._next_delay(), partial(self._dispatch, job))
 
     def _next_delay(self) -> float:
         """Next match-making delay (block-drawn, law-identical to scalars)."""
@@ -229,12 +238,14 @@ class WorkloadManager:
         return self._delays.popleft()
 
     def submit_many(self, jobs: Sequence[Job]) -> None:
-        """Submit sibling copies together (law-identical to a submit loop)."""
+        """Submit sibling copies together (law-identical to a submit loop);
+        a burst holding any non-``CREATED`` job is rejected before one moves."""
+        _check_created(jobs)
         for job in jobs:
             self.submit(job)
 
-    def _dispatch(self, job: Job, then: Callable[[Job], None] | None) -> None:
-        if job.state is not JobState.MATCHING:
+    def _dispatch(self, job: Job) -> None:
+        if job.state is not _MATCHING:
             return  # cancelled while matching
         site = self.select_site()
         self.dispatch_count += 1
@@ -245,8 +256,6 @@ class WorkloadManager:
             # through the site's on_fail hook); only survivors enqueued.
             # RUNNING covers an instant synchronous start.
             tr.enqueue(job)
-        if then is not None:
-            then(job)
 
     def select_site(self) -> ComputingElement:
         """Rank sites by stale estimated wait plus multiplicative noise."""
@@ -309,7 +318,7 @@ class WorkloadManager:
         skip jobs that are no longer ``MATCHING``, so a job sitting in
         a dispatch bucket dies in place without touching any event.
         """
-        if job.state is JobState.MATCHING:
+        if job.state is _MATCHING:
             job.state = JobState.CANCELLED
             return True
         return False
@@ -360,7 +369,7 @@ class BatchedWorkloadManager(WorkloadManager):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: pending dispatches per sub-window boundary:
-        #: ``[(ready, job, then), ...]``
+        #: ``[(ready, job), ...]``
         self._buckets: dict[float, list] = {}
         #: dispatch quantum: jobs whose match-making delay lands in the
         #: same quantum resolve together at its upper boundary
@@ -372,30 +381,17 @@ class BatchedWorkloadManager(WorkloadManager):
         return sum(
             1
             for bucket in self._buckets.values()
-            for _, job, _ in bucket
+            for _, job in bucket
             if job.state is JobState.MATCHING
         )
 
-    def submit(self, job: Job, then: Callable[[Job], None] | None = None) -> None:
+    def submit(self, job: Job) -> None:
         """Accept a job: pool it in its match-making window's bucket."""
-        if job.state is not JobState.CREATED:
+        if job.state is not _CREATED:
             raise ValueError(f"cannot submit job in state {job.state}")
-        job.state = JobState.MATCHING
-        ready = self.sim.now + self._next_delay()
-        self._pool_dispatch(ready, job, then)
-
-    def submit_many(self, jobs: Sequence[Job]) -> None:
-        """Pool a burst of sibling copies in one pass over the buckets."""
-        now = self.sim.now
-        next_delay = self._next_delay
-        pool = self._pool_dispatch
-        for job in jobs:
-            if job.state is not JobState.CREATED:
-                raise ValueError(f"cannot submit job in state {job.state}")
-            job.state = JobState.MATCHING
-            pool(now + next_delay(), job, None)
-
-    def _pool_dispatch(self, ready: float, job: Job, then) -> None:
+        job.state = _MATCHING
+        delays = self._delays
+        ready = self.sim._now + (delays.popleft() if delays else self._next_delay())
         w = self.dispatch_quantum
         boundary = math.ceil(ready / w) * w
         bucket = self._buckets.get(boundary)
@@ -403,7 +399,25 @@ class BatchedWorkloadManager(WorkloadManager):
             bucket = self._buckets[boundary] = []
             # partial (not a lambda) so pending buckets survive snapshotting
             self.sim.schedule_at(boundary, partial(self._resolve_bucket, boundary))
-        bucket.append((ready, job, then))
+        bucket.append((ready, job))
+
+    def submit_many(self, jobs: Sequence[Job]) -> None:
+        """Pool a burst of sibling copies (law-identical to a submit loop);
+        a burst holding any non-``CREATED`` job is rejected before one moves."""
+        _check_created(jobs)
+        now = self.sim._now
+        delays = self._delays
+        buckets = self._buckets
+        w = self.dispatch_quantum
+        for job in jobs:
+            job.state = _MATCHING
+            ready = now + (delays.popleft() if delays else self._next_delay())
+            boundary = math.ceil(ready / w) * w
+            bucket = buckets.get(boundary)
+            if bucket is None:
+                bucket = buckets[boundary] = []
+                self.sim.schedule_at(boundary, partial(self._resolve_bucket, boundary))
+            bucket.append((ready, job))
 
     #: bucket size below which the scalar ranking path (blocked noise
     #: rows, shared with the oracle's select_site) beats numpy's fixed
@@ -412,45 +426,35 @@ class BatchedWorkloadManager(WorkloadManager):
 
     def _resolve_bucket(self, boundary: float) -> None:
         entries = self._buckets.pop(boundary)
-        MATCHING = JobState.MATCHING
-        CANCELLED = JobState.CANCELLED
         tr = self._tr
         if len(entries) == 1:
             # singleton bucket (sparse campaigns): no sorting, no
             # grouping — essentially the oracle's dispatch body
-            _, job, then = entries[0]
-            if job.state is not MATCHING:
+            _, job = entries[0]
+            if job.state is not _MATCHING:
                 return
             self.current_snapshot()
             site = self.sites[self._select_index()]
             self.dispatch_count += site.enqueue_many([job])
             if tr is not None and job.state in _ENQUEUED_STATES:
                 tr.enqueue(job)
-            if then is not None and job.state is not CANCELLED:
-                then(job)
             return
-        # order by exact match-making instant (index breaks float ties in
-        # submission order, and keeps tuple sorting off the Job objects)
-        live = [
-            (ready, k, job, then)
-            for k, (ready, job, then) in enumerate(entries)
-            if job.state is MATCHING
-        ]
+        # order by exact match-making instant; the stable sort breaks
+        # float ties in submission order
+        entries.sort(key=itemgetter(0))
+        live = [job for _, job in entries if job.state is _MATCHING]
         if not live:
             return
-        live.sort()
         self.current_snapshot()
         k = len(live)
         if k < self._VECTORISE_MIN:
-            for _, _, job, then in live:
-                if job.state is not MATCHING:
-                    continue  # cancelled by an earlier job's callback
+            for job in live:
+                if job.state is not _MATCHING:
+                    continue  # cancelled by an earlier job's start callback
                 site = self.sites[self._select_index()]
                 self.dispatch_count += site.enqueue_many([job])
                 if tr is not None and job.state in _ENQUEUED_STATES:
                     tr.enqueue(job)
-                if then is not None and job.state is not CANCELLED:
-                    then(job)
             return
         est = self._snapshot
         use_pen = self._penalised and not self._all_masked
@@ -468,23 +472,17 @@ class BatchedWorkloadManager(WorkloadManager):
         else:
             choices = np.full(k, int(np.argmin(est)))
         # group winners per site, preserving dispatch order within a site
-        groups: dict[int, list] = {}
-        for (_, _, job, then), site_i in zip(live, choices.tolist()):
-            groups.setdefault(site_i, []).append((job, then))
+        groups: dict[int, list[Job]] = {}
+        for job, site_i in zip(live, choices.tolist()):
+            groups.setdefault(site_i, []).append(job)
         for site_i, bunch in groups.items():
-            site = self.sites[site_i]
-            # re-check state: a callback from an earlier group may have
-            # cancelled a job waiting in a later one
-            todo = [(job, then) for job, then in bunch if job.state is MATCHING]
+            # re-check state: a start callback from an earlier group may
+            # have cancelled a job waiting in a later one
+            todo = [job for job in bunch if job.state is _MATCHING]
             if not todo:
                 continue
-            self.dispatch_count += site.enqueue_many([job for job, _ in todo])
+            self.dispatch_count += self.sites[site_i].enqueue_many(todo)
             if tr is not None:
-                for job, _ in todo:
+                for job in todo:
                     if job.state in _ENQUEUED_STATES:
                         tr.enqueue(job)
-            for job, then in todo:
-                # a job cancelled by a callback mid-group was skipped by
-                # enqueue_many and never dispatched — no `then` for it
-                if then is not None and job.state is not CANCELLED:
-                    then(job)

@@ -58,13 +58,14 @@ def chain_launches(sim, launch_times, start: float, launch) -> None:
     """Call ``launch(i)`` at ``start`` + the launch time of every task ``i``.
 
     Tasks are numbered fleet-major across ``launch_times`` (one array
-    per fleet, at least one task in all).  One self-rechaining event
-    walks the merged schedule instead of preloading one heap entry per
-    task, so a 100k-task run keeps the kernel heap at steady-state size
-    (completions + timers), which makes every sift cheaper.  The
-    fleet-major stable sort reproduces the preloaded order exactly:
-    equal launch instants fire back to back inside one event body, just
-    as their consecutive insertion seqs made them do.
+    per fleet, at least one task in all).  One walker event runs the
+    merged schedule instead of preloading one heap entry per task, and
+    while :meth:`~repro.gridsim.events.Simulator.claim` says no queued
+    event could run first it takes the next instant inline; otherwise
+    it re-chains with one ``schedule_at``.  The fleet-major stable sort
+    reproduces the preloaded order exactly: equal launch instants fire
+    back to back in one walker step, as their consecutive insertion
+    seqs made them do, and each distinct instant counts one event.
     """
     cat = np.concatenate(launch_times)
     order = np.argsort(cat, kind="stable")
@@ -76,12 +77,13 @@ def chain_launches(sim, launch_times, start: float, launch) -> None:
     def fire() -> None:
         nonlocal cursor
         i = cursor
-        t = sorted_t[i]
-        launch(sorted_i[i])
-        i += 1
-        while i < n and sorted_t[i] == t:
-            launch(sorted_i[i])
-            i += 1
+        while True:
+            t = sorted_t[i]
+            while i < n and sorted_t[i] == t:
+                launch(sorted_i[i])
+                i += 1
+            if i == n or not sim.claim(sorted_t[i]):
+                break
         cursor = i
         if i < n:
             sim.schedule_at(sorted_t[i], fire)

@@ -12,6 +12,9 @@ here, as references the equivalence suites compare production against:
   loop, and its closed-form admission replaced by append-then-walk;
 * :func:`run_population_taskcore` — the population driver held on the
   per-task TaskCore path even where the struct-of-arrays pool engages;
+* :func:`chain_launches_rechaining` — the population launch walker with
+  one heap event per launch instant instead of ``Simulator.claim``
+  (:func:`rechaining_launches` installs it on both driver paths);
 * :func:`audit_conservation_reference` — the conservation audit as a
   group-by over the ledger, one ``(task, [jobs])`` group per task.
 """
@@ -19,8 +22,11 @@ here, as references the equivalence suites compare production against:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from heapq import heapreplace
 from unittest import mock
+
+import numpy as np
 
 from repro.gridsim import chaos
 from repro.gridsim.chaos import _IN_FLIGHT, _STARTED, ConservationReport
@@ -31,7 +37,7 @@ from repro.gridsim.fairshare import (
 from repro.gridsim.grid import GridConfig, GridSimulator, GridSnapshot
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.site import ComputingElement
-from repro.population import driver
+from repro.population import driver, soa
 from repro.population.spec import PopulationSpec
 from repro.util.rng import RngLike
 
@@ -204,6 +210,47 @@ def run_population_taskcore(
     return driver._run_population(
         grid, spec, seed=seed, horizon_slack=horizon_slack, pool=False
     )
+
+
+def chain_launches_rechaining(sim, launch_times, start: float, launch) -> None:
+    """Reference for :func:`~repro.population.soa.chain_launches`.
+
+    The walker re-chains itself with one ``schedule_at`` per distinct
+    launch instant, so every instant takes a heap round trip and draws
+    a sequence number.  The claiming walker must fire the same launches
+    in the same order relative to every other event, with the same
+    ``events_processed``.
+    """
+    cat = np.concatenate(launch_times)
+    order = np.argsort(cat, kind="stable")
+    sorted_t = (cat[order] + start).tolist()
+    sorted_i = order.tolist()
+    n = len(sorted_t)
+    cursor = 0
+
+    def fire() -> None:
+        nonlocal cursor
+        i = cursor
+        t = sorted_t[i]
+        launch(sorted_i[i])
+        i += 1
+        while i < n and sorted_t[i] == t:
+            launch(sorted_i[i])
+            i += 1
+        cursor = i
+        if i < n:
+            sim.schedule_at(sorted_t[i], fire)
+
+    sim.schedule_at(sorted_t[0], fire)
+
+
+@contextmanager
+def rechaining_launches():
+    """Run the pool and the TaskCore driver on the re-chaining walker."""
+    with mock.patch.object(
+        soa, "chain_launches", chain_launches_rechaining
+    ), mock.patch.object(driver, "chain_launches", chain_launches_rechaining):
+        yield
 
 
 def audit_conservation_reference(grid: GridSimulator) -> ConservationReport:

@@ -543,3 +543,170 @@ class TestSimulatorStop:
         sim.run_until_idle()
         assert seen == [1.0]
         assert sim.now == 1.0
+
+
+class TestNanTimes:
+    """NaN never enters the clock or the heap: every entry point rejects it."""
+
+    NAN = float("nan")
+
+    def test_run_until_rejects_nan(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="t_end"):
+            sim.run_until(self.NAN)
+        assert sim.now == 0.0
+        sim.run_until(5.0)
+        assert fired == [1.0]
+
+    def test_schedule_rejects_nan(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="delay"):
+            sim.schedule(self.NAN, lambda: None)
+        assert sim.pending == 0
+
+    def test_schedule_at_rejects_nan(self):
+        sim = Simulator()
+        fired = []
+        with pytest.raises(ValueError, match="time"):
+            sim.schedule_at(self.NAN, lambda: None)
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run_until(10.0)
+        assert fired == [1.0]
+
+    def test_schedule_many_rejects_nan(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="time"):
+            sim.schedule_many([1.0, self.NAN], [lambda: None, lambda: None])
+
+    def test_schedule_pooled_rejects_nan(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="delay"):
+            sim.schedule_pooled(self.NAN, lambda: None)
+        assert sim.pending == 0
+
+
+class TestClaim:
+    """``Simulator.claim``: an inline event runs exactly where a queued one would."""
+
+    @staticmethod
+    def walker(sim, times, log, on_launch=None):
+        """Log every instant of ``times`` via ``claim``, else re-chain."""
+        cursor = [0]
+
+        def fire():
+            i = cursor[0]
+            while True:
+                log.append(("launch", sim.now))
+                if on_launch is not None:
+                    on_launch(i)
+                i += 1
+                if i == len(times):
+                    return
+                if not sim.claim(times[i]):
+                    cursor[0] = i
+                    sim.schedule_at(times[i], fire)
+                    return
+
+        sim.schedule_at(times[0], fire)
+
+    def test_claims_inline_and_counts_one_event_each(self):
+        sim = Simulator()
+        log = []
+        self.walker(sim, [1.0, 2.0, 3.0], log)
+        sim.run_until(10.0)
+        assert log == [("launch", 1.0), ("launch", 2.0), ("launch", 3.0)]
+        assert sim.events_processed == 3
+        assert sim.pending == 0
+        assert sim.now == 10.0
+
+    def test_refused_outside_a_run(self):
+        sim = Simulator()
+        assert not sim.claim(0.0)
+        sim.run_until(5.0)
+        assert not sim.claim(5.0)
+        assert sim.events_processed == 0
+
+    def test_existing_event_at_the_instant_runs_first(self):
+        sim = Simulator()
+        log = []
+        self.walker(sim, [1.0, 2.0], log)
+        sim.schedule_at(2.0, lambda: log.append(("other", sim.now)))
+        sim.run_until(10.0)
+        assert log == [("launch", 1.0), ("other", 2.0), ("launch", 2.0)]
+
+    def test_event_a_launch_schedules_at_the_next_instant_runs_first(self):
+        sim = Simulator()
+        log = []
+
+        def on_launch(i):
+            if i == 0:
+                sim.schedule_at(2.0, lambda: log.append(("child", sim.now)))
+
+        self.walker(sim, [1.0, 2.0, 3.0], log, on_launch)
+        sim.run_until(10.0)
+        assert log == [
+            ("launch", 1.0),
+            ("child", 2.0),
+            ("launch", 2.0),
+            ("launch", 3.0),
+        ]
+
+    def test_run_until_ending_mid_stream_resumes(self):
+        sim = Simulator()
+        log = []
+        times = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self.walker(sim, times, log)
+        sim.run_until(2.5)
+        assert [t for _, t in log] == [1.0, 2.0]
+        assert sim.now == 2.5
+        sim.run_until(3.0)
+        assert [t for _, t in log] == [1.0, 2.0, 3.0]
+        sim.run_until(10.0)
+        assert [t for _, t in log] == times
+        assert sim.events_processed == len(times)
+
+    def test_stop_inside_a_launch_returns_at_that_instant(self):
+        sim = Simulator()
+        log = []
+
+        def on_launch(i):
+            if i == 1:
+                sim.stop()
+
+        self.walker(sim, [1.0, 2.0, 3.0], log, on_launch)
+        sim.run_until(10.0)
+        assert [t for _, t in log] == [1.0, 2.0]
+        assert sim.now == 2.0
+        sim.run_until(10.0)
+        assert [t for _, t in log] == [1.0, 2.0, 3.0]
+
+    def test_compaction_during_a_walk_changes_nothing(self):
+        def run(compact):
+            sim = Simulator()
+            log = []
+            husks = [sim.schedule_at(50.0, lambda: None) for _ in range(2000)]
+            # one live event between launch instants blocks the claim
+            sim.schedule_at(2.5, lambda: log.append(("other", sim.now)))
+
+            def on_launch(i):
+                if compact and i == 1:
+                    for ev in husks:
+                        ev.cancel()
+
+            self.walker(sim, [1.0, 2.0, 3.0, 4.0], log, on_launch)
+            sim.run_until(10.0)
+            return sim, log
+
+        plain, plain_log = run(False)
+        compacted, compacted_log = run(True)
+        assert compacted.compactions == 1
+        assert compacted_log == plain_log == [
+            ("launch", 1.0),
+            ("launch", 2.0),
+            ("other", 2.5),
+            ("launch", 3.0),
+            ("launch", 4.0),
+        ]
+        assert compacted.events_processed == plain.events_processed == 5

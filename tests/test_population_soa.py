@@ -1,6 +1,6 @@
 """The struct-of-arrays population pool and the sharded runtime.
 
-Two laws are pinned here:
+Three laws are pinned here:
 
 * the SoA pool (:mod:`repro.population.soa`) reproduces the per-task
   TaskCore driver **bit-for-bit** on every site x WMS engine corner
@@ -8,6 +8,9 @@ Two laws are pinned here:
   latencies, same jobs-per-task, same broker dispatch counts, same
   fair-share usage shares — and checks task and job conservation at
   every readout;
+* the claiming launch walker (:func:`repro.population.soa.chain_launches`)
+  replays the re-chaining walker in ``tests/oracles.py`` bit-for-bit,
+  events processed included, on both driver paths;
 * the sharded runtime (:mod:`repro.population.shard`) is deterministic
   for a fixed shard count of at least 2, and its 2-shard law is pinned
   to recorded digests.
@@ -16,23 +19,36 @@ Two laws are pinned here:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import (
     DelayedResubmission,
     MultipleSubmission,
     SingleResubmission,
 )
-from repro.gridsim import FaultModel, GridConfig, SiteConfig, warmed_snapshot
+from repro.gridsim import (
+    FaultModel,
+    GridConfig,
+    GridSimulator,
+    SiteConfig,
+    warmed_snapshot,
+)
 from repro.population import FleetSpec, PopulationSpec, run_population
 from repro.population import driver
 from repro.population.shard import run_population_sharded
 from repro.population.soa import TaskPool, pool_supported
 from repro.traces.generator import DiurnalProfile
-from oracles import CORNERS, run_population_taskcore, warmed_snapshot_on
+from oracles import (
+    CORNERS,
+    rechaining_launches,
+    run_population_taskcore,
+    warmed_snapshot_on,
+)
 
 SHARES = (("biomed", 0.4), ("atlas", 0.35), ("cms", 0.25))
 
@@ -139,6 +155,87 @@ class TestSoaOracleEquivalence:
         result = run_population(snap.restore(), mixed_spec(), seed=9)
         assert not built_pools
         assert result.total_finished > 0
+
+
+@dataclass(frozen=True)
+class _GriddedSpec(PopulationSpec):
+    """Launch instants snapped to a grid, so they tie with each other
+    and with the dispatch-bucket and timer-wheel boundaries."""
+
+    step: float = 1.0
+
+    def launch_times(self, fleet, rng):
+        return np.round(super().launch_times(fleet, rng) / self.step) * self.step
+
+
+class TestLaunchWalkerOracle:
+    """The claiming walker against the re-chaining one, on both drivers."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n_sites=st.integers(1, 4),
+        n_cores=st.integers(1, 8),
+        wms_engine=st.sampled_from(["batched", "event"]),
+        faults=st.booleans(),
+        sizes=st.tuples(*[st.integers(0, 20)] * 3).filter(any),
+        step=st.sampled_from([1.0, 18.75, 60.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_claiming_walker_matches_rechaining(
+        self, n_sites, n_cores, wms_engine, faults, sizes, step, seed
+    ):
+        config = GridConfig(
+            sites=tuple(
+                SiteConfig(
+                    name=f"s{i}",
+                    n_cores=n_cores,
+                    utilization=0.8,
+                    runtime_median=600.0,
+                    vo_shares=SHARES,
+                )
+                for i in range(n_sites)
+            ),
+            faults=FaultModel(p_lost=0.05) if faults else FaultModel(),
+            wms_engine=wms_engine,
+        )
+        grid = GridSimulator(config, seed=seed)
+        grid.warm_up(1800.0)  # a multiple of every step: launches tie
+        snap = grid.snapshot()
+        # timeouts on the step grid too, so expiries tie with launches
+        strategies = (
+            SingleResubmission(t_inf=300.0),
+            MultipleSubmission(b=2, t_inf=300.0),
+            DelayedResubmission(t0=150.0, t_inf=300.0),
+        )
+        spec = _GriddedSpec(
+            fleets=tuple(
+                FleetSpec(vo, strategy, n, runtime=300.0)
+                for (vo, _), strategy, n in zip(SHARES, strategies, sizes)
+            ),
+            window=1200.0,
+            step=step,
+        )
+        for pool in (True, False):
+            runs = []
+            for walker in (rechaining_launches, None):
+                g = snap.restore()
+                if walker is None:
+                    result = driver._run_population(
+                        g, spec, seed=seed, horizon_slack=20_000.0, pool=pool
+                    )
+                else:
+                    with walker():
+                        result = driver._run_population(
+                            g, spec, seed=seed, horizon_slack=20_000.0, pool=pool
+                        )
+                runs.append((result, g.sim.events_processed))
+            (oracle, oracle_events), (claimed, claimed_events) = runs
+            assert_identical(oracle, claimed)
+            assert claimed_events == oracle_events
 
 
 class TestPoolConservation:

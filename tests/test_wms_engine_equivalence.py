@@ -327,6 +327,30 @@ class TestDispatchBucketRaces:
         grid.run_until(grid.now + 2_000.0)
         assert not wms._buckets
 
+    @pytest.mark.parametrize("wms_engine", ["batched", "event"])
+    def test_rejected_burst_moves_no_job(self, wms_engine):
+        """``submit_many`` checks every state before it pools anything."""
+        grid = GridSimulator(
+            config(util=0.3, wms_engine=wms_engine, faults=FaultModel()), seed=19
+        )
+        grid.warm_up(600.0)
+        wms = grid.wms
+        ok, queued = Job(runtime=50.0), Job(runtime=50.0)
+        queued.state = JobState.QUEUED
+        delays = list(wms._delays)
+        rng_state = wms.rng.bit_generator.state
+        pending = grid.sim.pending
+        with pytest.raises(ValueError, match="state"):
+            wms.submit_many([ok, queued])
+        assert ok.state is JobState.CREATED
+        assert queued.state is JobState.QUEUED
+        assert grid.sim.pending == pending
+        if wms_engine == "batched":
+            assert wms.pending_dispatches == 0
+            assert not wms._buckets
+        assert list(wms._delays) == delays
+        assert wms.rng.bit_generator.state == rng_state
+
     @pytest.mark.parametrize("site_engine", ["vector", "event"])
     def test_bucket_resolves_across_fairshare_decay_boundary(self, site_engine):
         """A bucket whose window spans a usage-decay half-life still
