@@ -24,7 +24,8 @@ substitute: an event-driven simulator with
   the vectorised background chunks;
 * WMS federation (:mod:`repro.gridsim.federation`): several brokers,
   each owning a subset of sites and seeing the rest through a lagged
-  information-system view;
+  information-system view (a broker-free grid is a one-broker
+  federation);
 * grid weather (:mod:`repro.gridsim.weather`): correlated multi-site
   outage storms, black-hole sites that instantly fail the traffic their
   excellent-looking queue attracts, and a service-side self-healing
@@ -60,11 +61,7 @@ from repro.gridsim.fairshare import (
     FairShareVectorComputingElement,
 )
 from repro.gridsim.faults import FaultModel, SubmitFaultConfig
-from repro.gridsim.federation import (
-    BatchedFederatedBroker,
-    BrokerConfig,
-    FederatedBroker,
-)
+from repro.gridsim.federation import BrokerConfig
 from repro.gridsim.grid import (
     GridConfig,
     GridSimulator,
@@ -130,8 +127,6 @@ __all__ = [
     "GridSimulator",
     "GridSnapshot",
     "BrokerConfig",
-    "FederatedBroker",
-    "BatchedFederatedBroker",
     "BatchedWorkloadManager",
     "WorkloadManager",
     "ComputingElement",

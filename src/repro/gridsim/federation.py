@@ -10,35 +10,22 @@ stronger version of the paper's §1 partial-information effect, and the
 reason two users submitting the same second can land on very different
 queues.
 
-:class:`FederatedBroker` extends a Workload Manager with split refresh:
-owned sites re-measure every ``info_refresh`` seconds, remote sites
-every ``info_refresh + info_lag``.  Match-making delay, ranking noise
-and the dispatch path are inherited unchanged, so a single broker
-owning every site with zero lag *is* the plain WMS (pinned
-byte-for-byte by ``tests/test_federation.py``).
-
-The federated view is a pure information-system overlay
-(:class:`_FederatedInfoMixin`), so it composes with either dispatch
-engine: :class:`FederatedBroker` rides the per-job event oracle,
-:class:`BatchedFederatedBroker` the windowed bucket lane of
-:class:`~repro.gridsim.wms.BatchedWorkloadManager` — federation gets
-the batched speedup for free because bucket resolution ranks through
-``current_snapshot()``, which is exactly what the mixin overrides.
+:class:`BrokerConfig` declares one broker; the grid builds each as a
+:class:`~repro.gridsim.wms.WorkloadManager` (or its batched lane) with
+split refresh: owned sites re-measure every ``info_refresh`` seconds,
+remote sites every ``info_refresh + info_lag``.  A grid without brokers
+is a one-broker federation whose only broker owns every site, which is
+why a single broker owning every site with zero lag reproduces the
+broker-free grid byte for byte (pinned by ``tests/test_federation.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from repro.gridsim.events import Simulator
-from repro.gridsim.site import ComputingElement
-from repro.gridsim.wms import BatchedWorkloadManager, WorkloadManager
 from repro.util.validation import check_nonnegative
 
-__all__ = ["BatchedFederatedBroker", "BrokerConfig", "FederatedBroker"]
+__all__ = ["BrokerConfig"]
 
 
 @dataclass(frozen=True)
@@ -75,123 +62,3 @@ class BrokerConfig:
                 f"{', '.join(sorted(dupes))}"
             )
         check_nonnegative("info_lag", self.info_lag)
-
-
-class _FederatedInfoMixin:
-    """Split-refresh information system shared by both dispatch engines.
-
-    Overrides only the snapshot machinery of the underlying Workload
-    Manager (owned sites fresh, remote sites lagged); the submission
-    path — per-job events or windowed buckets — comes from the sibling
-    base class.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        sites: Sequence[ComputingElement],
-        rng: np.random.Generator,
-        *,
-        owned: Sequence[str],
-        info_lag: float = 600.0,
-        name: str = "wms",
-        **kwargs,
-    ) -> None:
-        owned_set = set(owned)
-        unknown = owned_set - {s.name for s in sites}
-        if unknown:
-            raise ValueError(
-                f"broker {name!r} owns unknown site(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        check_nonnegative("info_lag", info_lag)
-        self.name = name
-        self.info_lag = float(info_lag)
-        # resolved before super().__init__, which measures loads once
-        self._owned_idx = [
-            i for i, s in enumerate(sites) if s.name in owned_set
-        ]
-        self._remote_idx = [
-            i for i, s in enumerate(sites) if s.name not in owned_set
-        ]
-        self._remote_time = 0.0
-        super().__init__(sim, sites, rng, **kwargs)
-
-    # -- information system -------------------------------------------------
-
-    def _measure_loads(self) -> np.ndarray:
-        # the initial full measurement (constructor) also primes the
-        # remote view; afterwards owned/remote refresh independently
-        self._remote_time = self.sim.now
-        return super()._measure_loads()
-
-    def _refresh_partial(self, indices: list[int]) -> None:
-        loads = self._snapshot_list
-        sites = self.sites
-        guess = self.runtime_guess
-        for i in indices:
-            loads[i] = sites[i].estimated_wait(guess)
-        self._snapshot = np.asarray(loads)
-        if self._health_aware:
-            # penalties travel with the load reports: a remote site's
-            # ban reaches this broker only at the *lagged* refresh, so a
-            # lagged broker keeps feeding a banned site for up to one
-            # refresh window plus its info_lag — the federated failure
-            # mode the grid-weather experiment measures
-            self._refresh_health(indices)
-
-    def current_snapshot(self) -> np.ndarray:
-        """Owned sites on the normal cadence, remote with ``info_lag``."""
-        now = self.sim.now
-        if now - self._snapshot_time >= self.info_refresh:
-            self._refresh_partial(self._owned_idx)
-            self._snapshot_time = now
-        if (
-            self._remote_idx
-            and now - self._remote_time >= self.info_refresh + self.info_lag
-        ):
-            self._refresh_partial(self._remote_idx)
-            self._remote_time = now
-        return self._snapshot
-
-    def snapshot_staleness(self) -> float:
-        """Worst-case age of the split view: owned cadence vs lagged remote.
-
-        Pure read (no refresh), like the base implementation — the
-        trace's broker-hop events record how stale a ranking could be.
-        """
-        now = self.sim.now
-        staleness = now - self._snapshot_time
-        if self._remote_idx:
-            staleness = max(staleness, now - self._remote_time)
-        return staleness
-
-    def end_outage(self) -> None:
-        """Recover with a cold *federated* view as well.
-
-        The base recovery keeps the owned-site snapshot stale for one
-        refresh window; a federated broker additionally restarts its
-        remote clock, so the lagged view stays pre-outage for up to
-        ``info_refresh + info_lag`` — rejoining brokers are the stalest
-        rankers on the grid, which is what failover clients route into.
-        """
-        super().end_outage()
-        self._remote_time = self.sim.now
-
-    def owned_sites(self) -> list[str]:
-        """Names of the sites this broker owns."""
-        return [self.sites[i].name for i in self._owned_idx]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}({self.name}, owns={len(self._owned_idx)}/"
-            f"{len(self.sites)} sites, lag={self.info_lag:g}s)"
-        )
-
-
-class FederatedBroker(_FederatedInfoMixin, WorkloadManager):
-    """Federated broker on the per-job event dispatch oracle."""
-
-
-class BatchedFederatedBroker(_FederatedInfoMixin, BatchedWorkloadManager):
-    """Federated broker on the windowed bucket dispatch lane."""

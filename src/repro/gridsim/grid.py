@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import pickle
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -25,11 +26,7 @@ from repro.gridsim.fairshare import (
     normalize_vo_shares,
 )
 from repro.gridsim.faults import FaultModel, SubmitFaultConfig
-from repro.gridsim.federation import (
-    BatchedFederatedBroker,
-    BrokerConfig,
-    FederatedBroker,
-)
+from repro.gridsim.federation import BrokerConfig
 from repro.gridsim.health import HealthConfig, HealthService
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.middleware import MiddlewareDomain, RetryPolicy
@@ -60,11 +57,17 @@ __all__ = [
     "warmed_snapshot",
 ]
 
-#: WMS engine selected by :attr:`GridConfig.wms_engine` —
-#: ``(plain WMS class, federated broker class)`` per engine
+#: job states :meth:`GridSimulator.cancel_many` hands to the job's site,
+#: and those it cancels by a state flip (module constants: ``JobState.X``
+#: reads take the enum's slow attribute path)
+_AT_SITE = (JobState.QUEUED, JobState.RUNNING)
+_OFF_SITE = (JobState.MATCHING, JobState.STUCK, JobState.LOST, JobState.CREATED)
+_CANCELLED = JobState.CANCELLED
+
+#: broker class per :attr:`GridConfig.wms_engine`
 _WMS_ENGINES = {
-    "batched": (BatchedWorkloadManager, BatchedFederatedBroker),
-    "event": (WorkloadManager, FederatedBroker),
+    "batched": BatchedWorkloadManager,
+    "event": WorkloadManager,
 }
 
 
@@ -103,6 +106,20 @@ class SiteConfig:
     vo_shares: tuple[tuple[str, float], ...] = ()
     vo_traffic: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        # bool is an Integral too, but never a core count
+        if isinstance(self.n_cores, bool) or not isinstance(
+            self.n_cores, numbers.Integral
+        ):
+            raise TypeError(
+                f"site {self.name!r}: n_cores must be an integer, "
+                f"got {self.n_cores!r}"
+            )
+        if self.n_cores < 1:
+            raise ValueError(
+                f"site {self.name!r} must have >= 1 core, got {self.n_cores}"
+            )
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -137,8 +154,8 @@ class GridConfig:
         sites (``math.inf`` disables decay).
     brokers:
         Federated WMS brokers (:class:`~repro.gridsim.federation.BrokerConfig`).
-        Empty keeps the single all-seeing WMS — today's behaviour,
-        byte-for-byte.  With brokers, submissions route round-robin (or
+        Empty builds one broker named ``"0"`` that owns every site — the
+        single all-seeing WMS.  With brokers, submissions route round-robin (or
         explicitly via :meth:`GridSimulator.submit`'s ``via``) and each
         broker ranks owned sites on fresh estimates, the rest through
         the lagged federated view.
@@ -219,10 +236,6 @@ class GridConfig:
                 "unique"
             )
         for sc in self.sites:
-            if int(sc.n_cores) < 1:
-                raise ValueError(
-                    f"site {sc.name!r} must have >= 1 core, got {sc.n_cores}"
-                )
             if sc.vo_shares:
                 shares = normalize_vo_shares(sc.vo_shares)
                 if sc.vo_traffic:
@@ -237,6 +250,11 @@ class GridConfig:
                 raise ValueError(
                     f"site {sc.name!r} sets vo_traffic without vo_shares"
                 )
+        if not 0.0 <= self.diurnal_amplitude < 1.0:  # also rejects NaN
+            raise ValueError(
+                "diurnal_amplitude must be in [0, 1), "
+                f"got {self.diurnal_amplitude!r}"
+            )
         if not self.fairshare_halflife > 0.0:
             raise ValueError(
                 f"fairshare_halflife must be > 0, got {self.fairshare_halflife!r}"
@@ -463,38 +481,37 @@ class GridSimulator:
             )
             for sc in config.sites
         ]
-        wms_kwargs = dict(
-            matchmaking_median=config.matchmaking_median,
-            matchmaking_sigma=config.matchmaking_sigma,
-            info_refresh=config.info_refresh,
-            ranking_noise=config.ranking_noise,
-        )
-        wms_cls, broker_cls = _WMS_ENGINES[config.wms_engine]
         #: client timeout timers ride the pooled wheel on the batched lane
         self._pooled_timers = config.wms_engine == "batched"
-        if config.brokers:
-            broker_rngs = [rngs[1], *rngs[2 + len(config.sites):]]
-            self.brokers = [
-                broker_cls(
-                    self.sim,
-                    self.sites,
-                    rng,
-                    owned=bc.sites,
-                    info_lag=bc.info_lag,
-                    name=bc.name,
-                    **wms_kwargs,
-                )
-                for bc, rng in zip(config.brokers, broker_rngs)
-            ]
-        else:
-            self.brokers = [
-                wms_cls(self.sim, self.sites, rngs[1], **wms_kwargs)
-            ]
+        # a broker-free grid is a one-broker federation: broker "0" owns
+        # every site and draws from the historical WMS stream rngs[1];
+        # extra brokers take the streams appended after the sites'
+        broker_configs = config.brokers or (
+            BrokerConfig(
+                "0", tuple(sc.name for sc in config.sites), info_lag=0.0
+            ),
+        )
+        broker_cls = _WMS_ENGINES[config.wms_engine]
+        self.brokers = [
+            broker_cls(
+                self.sim,
+                self.sites,
+                rng,
+                owned=bc.sites,
+                info_lag=bc.info_lag,
+                name=bc.name,
+                matchmaking_median=config.matchmaking_median,
+                matchmaking_sigma=config.matchmaking_sigma,
+                info_refresh=config.info_refresh,
+                ranking_noise=config.ranking_noise,
+            )
+            for bc, rng in zip(
+                broker_configs, [rngs[1], *rngs[2 + len(config.sites) :]]
+            )
+        ]
         #: the primary broker (the only one on broker-free grids)
         self.wms = self.brokers[0]
-        self._broker_by_name = {
-            getattr(b, "name", str(i)): b for i, b in enumerate(self.brokers)
-        }
+        self._broker_by_name = {b.name: b for b in self.brokers}
         self._next_broker = 0
         self.background = [
             BackgroundLoad(
@@ -658,8 +675,8 @@ class GridSimulator:
             if hasattr(site, "usage_shares"):
                 # fair-share engines publish their decayed usage split
                 m.register_gauge(f"site.{site.name}.usage_shares", site.usage_shares)
-        for i, broker in enumerate(self.brokers):
-            name = getattr(broker, "name", str(i))
+        for broker in self.brokers:
+            name = broker.name
             m.register_gauge(f"broker.{name}.dispatches", broker, "dispatch_count")
             m.register_gauge(
                 f"broker.{name}.outages_started", broker, "outages_started"
@@ -718,7 +735,7 @@ class GridSimulator:
         via: int | str | None = None,
         task=None,
     ) -> Job:
-        """Submit a job through the fault-prone middleware path.
+        """Submit one job: a one-item :meth:`submit_many`.
 
         Parameters
         ----------
@@ -729,8 +746,8 @@ class GridSimulator:
         via:
             Broker to route through on federated grids — an index into
             :attr:`brokers`, a broker name, or ``None`` for the default
-            policy (round-robin across brokers; the single WMS when the
-            grid has no federation).
+            policy (round-robin across brokers; broker ``"0"`` when the
+            grid configures none).
         task:
             The owning :class:`~repro.gridsim.client.TaskCore`, giving
             the middleware fault domain a retry context (backoff timers,
@@ -738,30 +755,7 @@ class GridSimulator:
             free — on grids without a middleware fault domain; without a
             task, a failed submit attempt is simply LOST (no retries).
         """
-        if self._mw is not None:
-            return self._mw.submit(job, on_start, via, task)
-        job.submit_time = self.sim.now
-        self.jobs_submitted += 1
-        tr = self._tr
-        if tr is not None and task is not None:
-            tr.submit(task, job)
-        if self._faulty and self._faulted(job):
-            return job
-        # attach the watcher only to jobs that can actually start: a
-        # watcher on a lost/stuck job would never fire and only pins a
-        # job→task reference cycle for the garbage collector.  The broker
-        # is resolved only now, so a lost job never advances the
-        # round-robin
-        if on_start is not None:
-            job.on_start = on_start
-        brokers = self.brokers
-        if via is None and len(brokers) == 1:
-            broker = brokers[0]
-        else:
-            broker = self.broker_for(via)
-        if tr is not None:
-            tr.hop(job, broker)
-        broker.submit(job)
+        self.submit_many([job], on_start, via=via, task=task)
         return job
 
     def submit_many(
@@ -774,7 +768,7 @@ class GridSimulator:
     ) -> list[Job]:
         """Submit a batch of sibling copies in one call.
 
-        Law-identical to looping :meth:`submit` (same per-job fault
+        Law-identical to one :meth:`submit` per job (same per-job fault
         draws in the same order, same match-making delay stream), but
         the survivors reach the broker through one
         ``WorkloadManager.submit_many`` call — the lane burst strategies
@@ -792,7 +786,7 @@ class GridSimulator:
             for job in jobs:
                 mw.submit(job, on_start, via, task)
             return jobs
-        now = self.sim.now
+        now = self.sim._now
         tr = self._tr
         faulty = self._faulty
         live: list[Job] = []
@@ -803,11 +797,20 @@ class GridSimulator:
                 tr.submit(task, job)
             if faulty and self._faulted(job):
                 continue
+            # attach the watcher only to jobs that can actually start: a
+            # watcher on a lost/stuck job would never fire and only pins
+            # a job→task reference cycle for the garbage collector
             if on_start is not None:
                 job.on_start = on_start
             live.append(job)
         if live:
-            broker = self.broker_for(via)
+            # resolved only now, so a lost burst never advances the
+            # round-robin
+            brokers = self.brokers
+            if via is None and len(brokers) == 1:
+                broker = brokers[0]
+            else:
+                broker = self.broker_for(via)
             if tr is not None:
                 for job in live:
                     tr.hop(job, broker)
@@ -818,8 +821,6 @@ class GridSimulator:
         """Resolve a submission's broker (see :meth:`submit`)."""
         brokers = self.brokers
         if via is None:
-            if len(brokers) == 1:
-                return brokers[0]
             broker = brokers[self._next_broker]
             self._next_broker = (self._next_broker + 1) % len(brokers)
             return broker
@@ -895,40 +896,16 @@ class GridSimulator:
         return self.task_ledger
 
     def cancel(self, job: Job) -> None:
-        """Cancel a job wherever it is (matching, queued, running, stuck).
-
-        CREATED jobs cancel too: under a retry policy a copy sits in
-        that state between failed submit attempts, and the sibling
-        cancel that settles its task must kill the pending retry saga.
-        """
-        job.on_start = None
-        tr = self._tr
-        if job.duplicate:
-            # an at-least-once ghost reconciled by sibling-cancel
-            job.duplicate = False
-            self.duplicates_reconciled += 1
-            if tr is not None:
-                tr.dup_reconciled(job)
-        if job.state is JobState.MATCHING:
-            self.wms.cancel_matching(job)
-            if tr is not None:
-                tr.cancel(job)
-            return
-        if job.state in (JobState.STUCK, JobState.LOST, JobState.CREATED):
-            job.state = JobState.CANCELLED
-            if tr is not None:
-                tr.cancel(job)
-            return
-        if job.state in (JobState.QUEUED, JobState.RUNNING):
-            site = self._site_by_name.get(job.site)
-            if site is not None:
-                site.cancel(job)
-                if tr is not None:
-                    tr.cancel(job)
+        """Cancel a job wherever it is: a one-item :meth:`cancel_many`."""
+        self.cancel_many([job])
 
     def cancel_many(self, jobs: list[Job]) -> None:
         """Cancel a batch of jobs in one grid call (sibling copies).
 
+        Jobs die wherever they are — matching, queued, running, stuck or
+        lost.  CREATED jobs cancel too: under a retry policy a copy sits
+        in that state between failed submit attempts, and the sibling
+        cancel that settles its task must kill the pending retry saga.
         Matching/stuck/lost jobs die by state flip; queued and running
         jobs are grouped per site and handed to the site's
         ``cancel_many``, so each touched site pays one dispatch /
@@ -946,18 +923,14 @@ class GridSimulator:
                 if tr is not None:
                     tr.dup_reconciled(job)
             state = job.state
-            if state is JobState.MATCHING:
-                job.state = JobState.CANCELLED
-                if tr is not None:
-                    tr.cancel(job)
-            elif state in (JobState.STUCK, JobState.LOST, JobState.CREATED):
-                job.state = JobState.CANCELLED
-                if tr is not None:
-                    tr.cancel(job)
-            elif state in (JobState.QUEUED, JobState.RUNNING):
+            if state in _AT_SITE:
                 by_site.setdefault(job.site, []).append(job)
-                if tr is not None:
-                    tr.cancel(job)
+            elif state in _OFF_SITE:
+                job.state = _CANCELLED
+            else:
+                continue
+            if tr is not None:
+                tr.cancel(job)
         for name, bunch in by_site.items():
             site = self._site_by_name.get(name)
             if site is not None:
@@ -1182,11 +1155,12 @@ def warmed_snapshot(
     which is far cheaper than re-warming there.
     """
     check_positive("duration", duration)
-    if not isinstance(seed, int):
+    if not isinstance(seed, numbers.Integral):
         raise TypeError(
             f"warmed_snapshot caches integer seeds only, got {type(seed).__name__}"
         )
-    key = (config, int(seed), float(duration))
+    seed = int(seed)
+    key = (config, seed, float(duration))
     snap = _WARM_CACHE.get(key)
     if snap is None:
         master = GridSimulator(config, seed=seed)
@@ -1213,11 +1187,12 @@ def warmed_grid(
     indistinguishable from independently warmed grids because
     construction and warm-up are deterministic given the seed.
 
-    Only integer seeds are cached — generator seeds mutate and cannot
-    key a cache, so those fall back to a direct warm-up.
+    Only integer seeds (numpy integers included) are cached — generator
+    seeds mutate and cannot key a cache, so those fall back to a direct
+    warm-up.
     """
     check_positive("duration", duration)
-    if not isinstance(seed, int):
+    if not isinstance(seed, numbers.Integral):
         grid = GridSimulator(config, seed=seed)
         grid.warm_up(duration)
         return grid

@@ -187,11 +187,8 @@ class MiddlewareDomain:
         #: path increments — one set of books, not two
         reg = grid.metrics
         self.stats = [
-            {
-                key: reg.counter(f"mw.{getattr(b, 'name', str(i))}.{key}")
-                for key in _STAT_KEYS
-            }
-            for i, b in enumerate(grid.brokers)
+            {key: reg.counter(f"mw.{b.name}.{key}") for key in _STAT_KEYS}
+            for b in grid.brokers
         ]
         #: per-broker breakers (empty without a retry policy — failover
         #: is meaningless for a client that never retries)
@@ -224,9 +221,7 @@ class MiddlewareDomain:
     def _preferred(self, via) -> int:
         """Index of the broker this attempt would normally route to."""
         grid = self.grid
-        broker = grid.broker_for(via)
-        brokers = grid.brokers
-        return 0 if len(brokers) == 1 else brokers.index(broker)
+        return grid.brokers.index(grid.broker_for(via))
 
     def _choose(self, pref: int, now: float) -> int:
         """Apply breaker-driven failover to the preferred broker."""
@@ -422,5 +417,5 @@ class MiddlewareDomain:
             if self.breakers:
                 entry["breaker_trips"] = self.breakers[i].trips
                 entry["breaker_state"] = self.breakers[i].state
-            out[getattr(broker, "name", str(i))] = entry
+            out[broker.name] = entry
         return out

@@ -155,29 +155,12 @@ class ComputingElement:
 
         Queued jobs are removed from the queue; running jobs are killed
         and their core released (EGEE's ``glite-wms-job-cancel``
-        semantics).  Jobs already completed are left untouched.
+        semantics).  Jobs already completed are left untouched.  A
+        one-item batch of *this* class's :meth:`cancel_many`, named
+        explicitly: the fair-share subclass loops ``cancel`` in its own
+        ``cancel_many`` and ends its ``cancel`` here.
         """
-        if job.state is JobState.QUEUED:
-            if job.site != self.name:
-                return False  # queued, but at some other site
-            # lazy removal: leave a husk in the deque for _try_start to
-            # skip; queue_length discounts it immediately
-            job.state = JobState.CANCELLED
-            self._queue_husks += 1
-            return True
-        if job.state is JobState.RUNNING:
-            ev = job.completion_event
-            if ev is not None:
-                ev.cancel()
-                job.completion_event = None
-            self.running_jobs.pop(job.job_id, None)
-            job.state = JobState.CANCELLED
-            job.end_time = self.sim.now
-            self.free_cores += 1
-            if self.dispatch_enabled:
-                self._try_start()
-            return True
-        return False
+        return ComputingElement.cancel_many(self, [job]) > 0
 
     def cancel_many(self, jobs: list[Job]) -> int:
         """Cancel a batch of sibling jobs at this site; returns the count.
@@ -570,46 +553,13 @@ class VectorComputingElement:
         return n
 
     def cancel(self, job: Job) -> bool:
-        """Cancel a queued or running client job; returns ``True`` if it acted."""
-        ends = self._client_ends
-        if ends and ends[0][0] <= self.sim._now:
-            # a completion at or before now beats the cancel (the oracle
-            # fires the completion event first) — settle those before
-            # deciding whether the job is still cancellable
-            self._drain_completions()
-        if job.state is JobState.QUEUED:
-            if job.site != self.name:
-                return False  # queued, but at some other site
-            job.state = JobState.CANCELLED
-            self._client_husks += 1
-            # a removed entry only moves *later* starts earlier, so the
-            # wake needs re-aiming only when the cancelled job was the
-            # head client — if some earlier client is still queued, its
-            # prediction (and the wake) are untouched
-            for q in self._client_q:
-                if q is job:
-                    self._ensure_wake()
-                    break
-                if q.state is JobState.QUEUED:
-                    break
-            return True
-        if job.state is JobState.RUNNING:
-            ev = job.completion_event
-            if ev is not None:
-                ev.cancel()
-                job.completion_event = None
-            self.running_jobs.pop(job.job_id, None)
-            job.state = JobState.CANCELLED
-            now = self.sim._now
-            job.end_time = now
-            self._release_core(job.start_time + job.runtime, now)
-            self._killed += 1
-            self._next_due = 0.0  # the freed core may start earlier work
-            self._lane_epoch += 1
-            self._advance()  # the freed core may start queued work this instant
-            self._ensure_wake()
-            return True
-        return False
+        """Cancel a queued or running client job; returns ``True`` if it acted.
+
+        A one-item batch of *this* class's :meth:`cancel_many`, named
+        explicitly: the fair-share subclass loops ``cancel`` in its own
+        ``cancel_many`` and ends its ``cancel`` here.
+        """
+        return VectorComputingElement.cancel_many(self, [job]) > 0
 
     def cancel_many(self, jobs: list[Job]) -> int:
         """Cancel a batch of sibling jobs at this site; returns the count.

@@ -144,7 +144,7 @@ class TraceRecorder:
                 self.sim.now,
                 tid,
                 job.job_id,
-                (getattr(broker, "name", "wms"), broker.snapshot_staleness()),
+                (broker.name, broker.snapshot_staleness()),
             )
         )
 

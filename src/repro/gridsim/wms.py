@@ -29,6 +29,16 @@ Two dispatch engines implement the same submission contract (selected by
   match-making instant — a deliberate, law-level approximation (a few
   seconds against a minutes-scale latency floor) pinned against the
   oracle by ``tests/test_wms_engine_equivalence.py``.
+
+Every broker is a member of a WMS federation: it *owns* a subset of the
+computing elements (their load reports arrive on the normal
+``info_refresh`` cadence) and sees the rest only through the federated
+information system, which adds ``info_lag`` seconds of staleness.  A
+grid without configured brokers builds one broker named ``"0"`` that
+owns every site, so its view has no lagged part and the split refresh
+reduces to the single periodic snapshot.  The federated view only
+changes what ``current_snapshot()`` returns, so it composes with either
+dispatch engine: bucket resolution ranks through the same snapshot.
 """
 
 from __future__ import annotations
@@ -69,7 +79,13 @@ def _check_created(jobs: Sequence[Job]) -> None:
 
 
 class WorkloadManager:
-    """Match-maker and dispatcher over a set of computing elements."""
+    """Match-maker and dispatcher over a set of computing elements.
+
+    ``owned`` names the sites whose load reports this broker receives on
+    the normal cadence (``None``: every site); the others re-measure only
+    every ``info_refresh + info_lag`` seconds.  ``name`` labels the
+    broker in routing (``via``), metrics and traces.
+    """
 
     #: health-aware ranking (set by :meth:`enable_health`): when on, the
     #: stale snapshot also carries each site's ``health_penalty`` and the
@@ -102,6 +118,9 @@ class WorkloadManager:
         sites: Sequence[ComputingElement],
         rng: np.random.Generator,
         *,
+        owned: Sequence[str] | None = None,
+        info_lag: float = 600.0,
+        name: str = "wms",
         matchmaking_median: float = 60.0,
         matchmaking_sigma: float = 0.6,
         info_refresh: float = 300.0,
@@ -110,23 +129,37 @@ class WorkloadManager:
     ) -> None:
         if not sites:
             raise ValueError("WMS needs at least one computing element")
+        check_nonnegative("info_lag", info_lag)
         check_positive("matchmaking_median", matchmaking_median)
         check_nonnegative("matchmaking_sigma", matchmaking_sigma)
         check_positive("info_refresh", info_refresh)
         check_nonnegative("ranking_noise", ranking_noise)
         check_positive("runtime_guess", runtime_guess)
+        names = [s.name for s in sites]
+        owned_set = set(names if owned is None else owned)
+        unknown = owned_set.difference(names)
+        if unknown:
+            raise ValueError(
+                f"broker {name!r} owns unknown site(s): "
+                f"{', '.join(sorted(unknown))}"
+            )
         self.sim = sim
         self.sites = list(sites)
         self.rng = rng
+        self.name = name
+        self.info_lag = float(info_lag)
         self.matchmaking_median = matchmaking_median
         self.matchmaking_sigma = matchmaking_sigma
         self.info_refresh = info_refresh
         self.ranking_noise = ranking_noise
         self.runtime_guess = runtime_guess
-        # _measure_loads sets both _snapshot_list (hot ranking loop) and
-        # _snapshot (the current_snapshot() surface)
+        self._owned_idx = [i for i, n in enumerate(names) if n in owned_set]
+        self._remote_idx = [i for i, n in enumerate(names) if n not in owned_set]
+        # the first full measurement primes the owned and the remote
+        # view alike
         self._snapshot: np.ndarray = self._measure_loads()
         self._snapshot_time: float = sim.now
+        self._remote_time: float = sim.now
         self.dispatch_count = 0
         self._log_mm_median = float(np.log(matchmaking_median))
         # block-drawn randomness (law-identical to scalar draws, far
@@ -135,20 +168,43 @@ class WorkloadManager:
         self._noise_rows: list[list[float]] = []
         self._noise_next = 0
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}({self.name}, owns={len(self._owned_idx)}/"
+            f"{len(self.sites)} sites, lag={self.info_lag:g}s)"
+        )
+
+    def owned_sites(self) -> list[str]:
+        """Names of the sites this broker owns."""
+        return [self.sites[i].name for i in self._owned_idx]
+
     # -- information system -------------------------------------------------
 
     def _measure_loads(self) -> np.ndarray:
+        """Re-measure every site (owned or not) and return the snapshot."""
+        self._snapshot_list = [0.0] * len(self.sites)
+        self._refresh_partial(range(len(self.sites)))
+        return self._snapshot
+
+    def _refresh_partial(self, indices) -> None:
         # reading estimated_wait is a reconciliation point on the
         # vectorised site engine: every refresh advances each site's
         # background lane to the refresh instant before publishing.
         # Both views are set together — the list feeds the hot ranking
         # loop, the array is the external current_snapshot() surface
-        loads = [s.estimated_wait(self.runtime_guess) for s in self.sites]
-        self._snapshot_list = loads
+        loads = self._snapshot_list
+        sites = self.sites
+        guess = self.runtime_guess
+        for i in indices:
+            loads[i] = sites[i].estimated_wait(guess)
         self._snapshot = np.asarray(loads)
         if self._health_aware:
-            self._refresh_health(range(len(self.sites)))
-        return self._snapshot
+            # penalties travel with the load reports: a remote site's
+            # ban reaches this broker only at the *lagged* refresh, so a
+            # lagged broker keeps feeding a banned site for up to one
+            # refresh window plus its info_lag — the federated failure
+            # mode the grid-weather experiment measures
+            self._refresh_health(indices)
 
     def enable_health(self) -> None:
         """Fold site health penalties into ranking (health-aware grids).
@@ -172,19 +228,32 @@ class WorkloadManager:
         self._pen_vec = np.asarray(pl)
 
     def current_snapshot(self) -> np.ndarray:
-        """Stale load estimates, refreshed every ``info_refresh`` seconds."""
-        if self.sim.now - self._snapshot_time >= self.info_refresh:
-            self._measure_loads()
-            self._snapshot_time = self.sim.now
+        """Stale load estimates: owned sites refreshed every
+        ``info_refresh`` seconds, remote sites every
+        ``info_refresh + info_lag``."""
+        now = self.sim._now
+        if now - self._snapshot_time >= self.info_refresh:
+            self._refresh_partial(self._owned_idx)
+            self._snapshot_time = now
+        if (
+            self._remote_idx
+            and now - self._remote_time >= self.info_refresh + self.info_lag
+        ):
+            self._refresh_partial(self._remote_idx)
+            self._remote_time = now
         return self._snapshot
 
     def snapshot_staleness(self) -> float:
-        """Age (s) of the load view the next dispatch would rank on.
+        """Worst-case age (s) of the view the next dispatch would rank on.
 
         Pure read — it does not refresh the snapshot, so recording it in
         a trace perturbs nothing.
         """
-        return self.sim.now - self._snapshot_time
+        now = self.sim._now
+        staleness = now - self._snapshot_time
+        if self._remote_idx:
+            staleness = max(staleness, now - self._remote_time)
+        return staleness
 
     # -- broker outages (middleware fault domain) ----------------------------
 
@@ -210,10 +279,14 @@ class WorkloadManager:
         serving its pre-outage snapshot for one full refresh window
         (increasingly stale the longer the outage lasted), exactly like
         a production WMS rejoining the information system mid-cadence.
-        Deterministic on purpose: recovery consumes no randomness.
+        Deterministic on purpose: recovery consumes no randomness.  A
+        broker with remote sites also restarts its remote clock, so its
+        lagged view stays pre-outage for up to ``info_refresh +
+        info_lag`` — rejoining brokers are the stalest rankers on the
+        grid, which is what failover clients route into.
         """
         self.accepting = True
-        self._snapshot_time = self.sim.now
+        self._snapshot_time = self._remote_time = self.sim.now
 
     # -- submission path -----------------------------------------------------
 

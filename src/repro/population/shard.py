@@ -266,7 +266,8 @@ class _ShardRuntime:
 
     def _apply_loads(self, tables) -> None:
         # patch the remote tail of the current snapshot in place; the
-        # next refresh re-reads the stand-ins' loads anyway
+        # broker owns only the local sites, so its periodic refreshes
+        # never touch this tail
         for r in self._remote:
             r.load = float(tables[r.shard][r.idx])
         b = self.broker

@@ -410,6 +410,27 @@ class TestGridConfigValidation:
         with pytest.raises(ValueError, match=">= 1 core"):
             GridConfig(sites=(SiteConfig("a", -3),))
 
+    @pytest.mark.parametrize("n_cores", [2.5, 4.0, "4", True])
+    def test_non_integer_cores_rejected(self, n_cores):
+        with pytest.raises(TypeError, match="site 'a': n_cores"):
+            SiteConfig("a", n_cores)
+
+    def test_numpy_integer_cores_accepted(self):
+        cfg = GridConfig(sites=(SiteConfig("a", np.int64(4)),))
+        assert GridSimulator(cfg, seed=1).sites[0].n_cores == 4
+
+    def test_nan_diurnal_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="diurnal_amplitude"):
+            GridConfig(sites=(SiteConfig("a", 8),), diurnal_amplitude=math.nan)
+
+    def test_negative_diurnal_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="diurnal_amplitude"):
+            GridConfig(sites=(SiteConfig("a", 8),), diurnal_amplitude=-0.5)
+
+    def test_diurnal_amplitude_of_one_rejected(self):
+        with pytest.raises(ValueError, match="diurnal_amplitude"):
+            GridConfig(sites=(SiteConfig("a", 8),), diurnal_amplitude=1.0)
+
     def test_duplicate_vo_rejected(self):
         with pytest.raises(ValueError, match="duplicate VO"):
             GridConfig(

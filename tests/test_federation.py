@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from repro.gridsim import (
+    BatchedWorkloadManager,
     BrokerConfig,
     FaultModel,
-    FederatedBroker,
     GridConfig,
     GridSimulator,
     Job,
+    JobState,
     ProbeExperiment,
     SiteConfig,
     Simulator,
     VectorComputingElement,
+    WorkloadManager,
     federated_grid_config,
 )
 
@@ -99,6 +101,37 @@ class TestDegenerateByteIdentity:
         ]
 
 
+class TestOneBrokerGrid:
+    """A broker-free grid is a one-broker federation."""
+
+    @pytest.mark.parametrize(
+        "engine, cls",
+        [("batched", BatchedWorkloadManager), ("event", WorkloadManager)],
+    )
+    def test_the_only_broker_is_named_0_and_owns_every_site(self, engine, cls):
+        g = GridSimulator(two_site_config(wms_engine=engine), seed=3)
+        assert len(g.brokers) == 1
+        (broker,) = g.brokers
+        assert type(broker) is cls
+        assert broker is g.wms
+        assert broker.name == "0"
+        assert broker.owned_sites() == ["a", "b"]
+        assert broker.info_lag == 0.0
+        g.run_until(5000.0)
+        broker.current_snapshot()
+        # no remote sites: one refresh leaves no lagged part of the view
+        assert broker.snapshot_staleness() == 0.0
+
+    def test_via_the_implicit_name_routes_to_it(self):
+        g = GridSimulator(two_site_config(faults=FaultModel()), seed=3)
+        assert g.broker_for("0") is g.wms
+        job = g.submit(Job(runtime=10.0), via="0")
+        assert job.state is JobState.MATCHING
+        assert g.metrics.value("broker.0.dispatches") == 0
+        g.run_until(g.now + 3600.0)
+        assert g.metrics.value("broker.0.dispatches") == 1
+
+
 class TestStaleViews:
     def make_broker(self, info_lag=1000.0, info_refresh=300.0):
         sim = Simulator()
@@ -106,7 +139,7 @@ class TestStaleViews:
             VectorComputingElement("own", 2, sim),
             VectorComputingElement("far", 2, sim),
         ]
-        broker = FederatedBroker(
+        broker = WorkloadManager(
             sim,
             sites,
             np.random.default_rng(0),
@@ -149,7 +182,7 @@ class TestStaleViews:
         sim, sites, broker = self.make_broker()
         assert broker.owned_sites() == ["own"]
         with pytest.raises(ValueError, match="unknown site"):
-            FederatedBroker(
+            WorkloadManager(
                 sim,
                 sites,
                 np.random.default_rng(0),

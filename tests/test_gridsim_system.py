@@ -190,11 +190,11 @@ class TestGridSimulator:
         routed = []
         for broker in g.brokers:
 
-            def record(job, name=broker.name, submit=broker.submit):
-                routed.append(name)
-                submit(job)
+            def record(jobs, name=broker.name, submit_many=broker.submit_many):
+                routed.extend([name] * len(jobs))
+                submit_many(jobs)
 
-            broker.submit = record
+            broker.submit_many = record
         jobs = [Job(runtime=10.0) for _ in range(40)]
         for job in jobs:
             g.submit(job)

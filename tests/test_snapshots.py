@@ -22,6 +22,7 @@ from repro.gridsim import (
     default_grid_config,
     run_strategy_on_grid,
     warmed_grid,
+    warmed_snapshot,
 )
 from repro.gridsim.grid import _WARM_CACHE
 from repro.gridsim.jobs import Job
@@ -208,6 +209,16 @@ class TestWarmedGridFactory:
             configure_warm_cache(max_entries=0)
         with pytest.raises(ValueError):
             configure_warm_cache(max_bytes=0)
+
+    def test_numpy_integer_seeds_hit_the_cache(self):
+        _WARM_CACHE.clear()
+        snap = warmed_snapshot(config(), np.int64(3), 900.0)
+        assert list(_WARM_CACHE) == [(config(), 3, 900.0)]
+        assert warmed_snapshot(config(), np.int64(3), 900.0) is snap
+        assert warmed_snapshot(config(), 3, 900.0) is snap
+        g = warmed_grid(config(), seed=np.int32(3), duration=900.0)
+        assert len(_WARM_CACHE) == 1
+        assert state_fingerprint(g) == state_fingerprint(snap.restore())
 
     def test_generator_seeds_bypass_cache(self):
         _WARM_CACHE.clear()

@@ -203,6 +203,24 @@ class TestHopEvents:
         assert names <= {"wms-0", "wms-1"}
         assert all(aux[1] >= 0.0 for _, _, _, _, aux in hops)
 
+    def test_plain_grid_hop_labels_match_the_registry(self):
+        cfg = dataclasses.replace(
+            chaos_grid_config(seed=7), brokers=(), tracing=True
+        )
+        grid = GridSimulator(cfg, seed=11)
+        grid.warm_up(3600.0)
+        results: list = []
+        for _ in range(4):
+            launch_task(grid, SingleResubmission(t_inf=1800.0), 600.0, results)
+        grid.run_until(grid.now + 4 * 3600.0)
+        hops = [ev for ev in grid.trace.events if ev[0] == "hop"]
+        assert hops, "no hop events in a traced run"
+        labels = {aux[0] for _, _, _, _, aux in hops}
+        assert labels == {"0"}
+        names = grid.metrics.names()
+        for label in labels:
+            assert f"broker.{label}.dispatches" in names
+
 
 # -- serialisation round-trips ----------------------------------------------
 
