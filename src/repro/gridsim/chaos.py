@@ -322,7 +322,10 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
     twice: set[int] = set()
     stray: dict[int, list] = {}  # done task -> its in-flight copies
     dup_bad: dict[int, list] = {}  # task -> unreconciled duplicates
-    counts: dict[JobState, int] = {}
+    # final state value -> jobs, in first-seen order; keyed by the
+    # member's str value, whose hash is cached, not by the member, whose
+    # Enum.__hash__ is a Python call per ledger entry
+    counts: dict[str, int] = {}
     dup_live = 0
     for task, job in ledger:
         tid = id(task)
@@ -338,7 +341,8 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
         else:
             seen.add(key)
         state = job.state
-        counts[state] = counts.get(state, 0) + 1
+        value = state._value_
+        counts[value] = counts.get(value, 0) + 1
         if state in _STARTED:
             started[tid] = started.get(tid, 0) + 1
         elif state in _IN_FLIGHT and task.done:
@@ -409,7 +413,7 @@ def audit_conservation(grid: GridSimulator) -> ConservationReport:
         tasks=len(tasks),
         done_tasks=done_tasks,
         jobs=len(ledger),
-        by_state={state.value: n for state, n in counts.items()},
+        by_state=counts,
         duplicates=mw.duplicates if mw is not None else 0,
         duplicates_reconciled=grid.duplicates_reconciled,
         violations=tuple(violations),

@@ -102,7 +102,6 @@ class TaskCore:
         self,
         grid: GridSimulator,
         runtime: float,
-        *,
         vo: str = "",
         via: int | str | None = None,
     ) -> None:
@@ -110,7 +109,7 @@ class TaskCore:
         self.runtime = runtime
         self.vo = vo
         self.via = via
-        self.t_start = grid.now
+        self.t_start = grid.sim._now
         self.jobs_used = 0
         self.done = False
         self.active_jobs: list[Job] = []
@@ -218,36 +217,40 @@ class TaskCore:
 
 
 class _StrategyTask(TaskCore):
-    """A task that records ``(total latency, jobs used)`` when it finishes."""
+    """A task that records ``(total latency, jobs used)`` when it finishes.
 
-    __slots__ = ("results", "on_done")
+    Built positionally by :func:`launch_task` (no keywords repacked down
+    the constructor chain) and started by the subclass's ``_round``,
+    which reads its parameters off ``strategy``.
+    """
 
-    def __init__(self, grid, runtime, results, *, on_done=None, **kwargs) -> None:
-        super().__init__(grid, runtime, **kwargs)
+    __slots__ = ("strategy", "results", "on_done")
+
+    def __init__(
+        self, grid, strategy, runtime, results, vo="", via=None, on_done=None
+    ) -> None:
+        TaskCore.__init__(self, grid, runtime, vo, via)
+        self.strategy = strategy
         self.results = results
         self.on_done = on_done
+        self._round()
 
     def finished(self, winner: Job) -> None:
-        self.results.append((self.grid.now - self.t_start, self.jobs_used))
+        self.results.append((self.grid.sim._now - self.t_start, self.jobs_used))
         if self.on_done is not None:
             self.on_done()
 
 
 class _SingleTask(_StrategyTask):
-    __slots__ = ("t_inf",)
+    __slots__ = ()
 
     trace_label = "single"
-
-    def __init__(self, grid, runtime, results, t_inf: float, **kwargs) -> None:
-        super().__init__(grid, runtime, results, **kwargs)
-        self.t_inf = t_inf
-        self._round()
 
     def _round(self) -> None:
         if self.done:
             return
         job = self.submit_copy()
-        self.arm(self.t_inf, partial(self._timeout, job))
+        self.arm(self.strategy.t_inf, partial(self._timeout, job))
 
     def _timeout(self, job: Job) -> None:
         if self.done:
@@ -260,23 +263,16 @@ class _SingleTask(_StrategyTask):
 
 
 class _MultipleTask(_StrategyTask):
-    __slots__ = ("b", "t_inf")
+    __slots__ = ()
 
     trace_label = "multiple"
-
-    def __init__(
-        self, grid, runtime, results, b: int, t_inf: float, **kwargs
-    ) -> None:
-        super().__init__(grid, runtime, results, **kwargs)
-        self.b = b
-        self.t_inf = t_inf
-        self._round()
 
     def _round(self) -> None:
         if self.done:
             return
-        batch = self.submit_copies(self.b)
-        self.arm(self.t_inf, partial(self._timeout, batch))
+        strategy = self.strategy
+        batch = self.submit_copies(strategy.b)
+        self.arm(strategy.t_inf, partial(self._timeout, batch))
 
     def _timeout(self, batch: list[Job]) -> None:
         if self.done:
@@ -287,30 +283,42 @@ class _MultipleTask(_StrategyTask):
 
 
 class _DelayedTask(_StrategyTask):
-    __slots__ = ("t0", "t_inf")
+    __slots__ = ()
 
     trace_label = "delayed"
 
-    def __init__(
-        self, grid, runtime, results, t0: float, t_inf: float, **kwargs
-    ) -> None:
-        super().__init__(grid, runtime, results, **kwargs)
-        self.t0 = t0
-        self.t_inf = t_inf
-        self._submit_next()
-
-    def _submit_next(self) -> None:
+    def _round(self) -> None:
         if self.done:
             return
+        strategy = self.strategy
         job = self.submit_copy()
-        self.arm(self.t_inf, partial(self._cancel_copy, job))
-        self.arm(self.t0, self._submit_next)
+        self.arm(strategy.t_inf, partial(self._cancel_copy, job))
+        self.arm(strategy.t0, self._round)
 
     def _cancel_copy(self, job: Job) -> None:
         if self.done:
             return
         self.grid.report_failed([job])
         self.grid.cancel(job)
+
+
+#: strategy type -> the task class executing it
+_TASK_CLASSES = {
+    SingleResubmission: _SingleTask,
+    MultipleSubmission: _MultipleTask,
+    DelayedResubmission: _DelayedTask,
+}
+
+
+def _task_class(strategy: Strategy) -> type[_StrategyTask]:
+    """The task class executing ``strategy`` (subclasses included)."""
+    cls = _TASK_CLASSES.get(type(strategy))
+    if cls is not None:
+        return cls
+    for kind, cls in _TASK_CLASSES.items():
+        if isinstance(strategy, kind):
+            return cls
+    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
 def launch_task(
@@ -333,33 +341,9 @@ def launch_task(
     and ``via`` pins a broker on federated grids — this is the
     building block :mod:`repro.population` drives fleets with.
     """
-    if isinstance(strategy, SingleResubmission):
-        return _SingleTask(
-            grid, runtime, results, strategy.t_inf, vo=vo, via=via, on_done=on_done
-        )
-    if isinstance(strategy, MultipleSubmission):
-        return _MultipleTask(
-            grid,
-            runtime,
-            results,
-            strategy.b,
-            strategy.t_inf,
-            vo=vo,
-            via=via,
-            on_done=on_done,
-        )
-    if isinstance(strategy, DelayedResubmission):
-        return _DelayedTask(
-            grid,
-            runtime,
-            results,
-            strategy.t0,
-            strategy.t_inf,
-            vo=vo,
-            via=via,
-            on_done=on_done,
-        )
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    return _task_class(strategy)(
+        grid, strategy, runtime, results, vo, via, on_done
+    )
 
 
 def _run_campaign(
@@ -445,10 +429,7 @@ def run_strategy_on_grid(
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     check_positive("task_interval", task_interval)
     check_positive("horizon", horizon)
-    if not isinstance(
-        strategy, (SingleResubmission, MultipleSubmission, DelayedResubmission)
-    ):
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    _task_class(strategy)  # reject an unsupported strategy before running
     results, tasks = _run_campaign(
         grid, (strategy,), n_tasks, task_interval, runtime, horizon
     )

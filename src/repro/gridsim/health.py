@@ -66,6 +66,14 @@ class HealthState(enum.Enum):
     PROBING = "probing"
 
 
+# members read once: an attribute read on the Enum class goes through
+# EnumType.__getattr__, and _observe runs on every client start
+_OK = HealthState.OK
+_DEGRADED = HealthState.DEGRADED
+_BANNED = HealthState.BANNED
+_PROBING = HealthState.PROBING
+
+
 @dataclass(frozen=True)
 class HealthConfig:
     """Thresholds and timers of the health state machine.
@@ -172,20 +180,22 @@ class HealthService:
             self._observe(sh, 1.0)
 
     def _observe(self, sh: SiteHealth, x: float) -> None:
+        config = self.config
         sh.n_obs += 1
-        sh.ewma += self.config.alpha * (x - sh.ewma)
-        if sh.state in (HealthState.BANNED, HealthState.PROBING):
+        sh.ewma += config.alpha * (x - sh.ewma)
+        state = sh.state
+        if state is _BANNED or state is _PROBING:
             return  # re-admission is the probe loop's job, not the EWMA's
-        if sh.n_obs < self.config.min_observations:
+        if sh.n_obs < config.min_observations:
             return
-        if sh.ewma >= self.config.ban_threshold:
-            self._transition(sh, HealthState.BANNED)
-        elif sh.state is HealthState.OK:
-            if sh.ewma >= self.config.degrade_threshold:
-                self._transition(sh, HealthState.DEGRADED)
-        elif sh.state is HealthState.DEGRADED:
-            if sh.ewma < self.config.recover_threshold:
-                self._transition(sh, HealthState.OK)
+        if sh.ewma >= config.ban_threshold:
+            self._transition(sh, _BANNED)
+        elif state is _OK:
+            if sh.ewma >= config.degrade_threshold:
+                self._transition(sh, _DEGRADED)
+        elif state is _DEGRADED:
+            if sh.ewma < config.recover_threshold:
+                self._transition(sh, _OK)
 
     # -- the state machine ---------------------------------------------------
 

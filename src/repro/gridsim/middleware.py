@@ -24,6 +24,7 @@ submission takes exactly the historical code path, byte-for-byte.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -40,6 +41,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gridsim.grid import GridSimulator
 
 __all__ = ["CircuitBreaker", "MiddlewareDomain", "RetryPolicy"]
+
+_CREATED = JobState.CREATED
+_LOST = JobState.LOST
+
+#: uniforms drawn per block from a private stream
+_BLOCK = 256
+
+
+def _uniform(buffer: deque, rng) -> float:
+    """The next uniform of ``rng``, block-drawn into ``buffer``.
+
+    A block of ``rng.random(n)`` holds the values ``n`` scalar
+    ``rng.random()`` calls would return, in order, so a stream no other
+    code draws from yields the same sequence for a fraction of the
+    per-call cost.
+    """
+    if not buffer:
+        buffer.extend(rng.random(_BLOCK).tolist())
+    return buffer.popleft()
 
 
 @dataclass(frozen=True)
@@ -153,7 +173,7 @@ class CircuitBreaker:
         self.opened_at = None
 
 
-#: telemetry keys of one broker's stats dict (order = report order)
+#: per-broker telemetry counters (order = report order)
 _STAT_KEYS = ("submits", "rejects", "black_holed", "failovers")
 
 
@@ -181,15 +201,24 @@ class MiddlewareDomain:
         self.faults = faults
         self._chaos_rng = chaos_rng
         self._jitter_rng = jitter_rng
-        #: per-broker counters, aligned with ``grid.brokers``; the
-        #: Counter objects live in the grid's MetricsRegistry, so
-        #: ``mw.<broker>.<key>`` reads there see the same cells the hot
-        #: path increments — one set of books, not two
+        self._chaos_uniforms: deque[float] = deque()
+        self._jitter_uniforms: deque[float] = deque()
+        #: per-key lists of per-broker counters, aligned with
+        #: ``grid.brokers``; the Counter objects live in the grid's
+        #: MetricsRegistry, so ``mw.<broker>.<key>`` reads there see the
+        #: same cells the hot path increments — one set of books, not two
         reg = grid.metrics
-        self.stats = [
-            {key: reg.counter(f"mw.{b.name}.{key}") for key in _STAT_KEYS}
+        per_broker = [
+            [reg.counter(f"mw.{b.name}.{key}") for key in _STAT_KEYS]
             for b in grid.brokers
         ]
+        self.counters = dict(zip(_STAT_KEYS, map(list, zip(*per_broker))))
+        self._submits = self.counters["submits"]
+        self._rejects = self.counters["rejects"]
+        self._black_holed = self.counters["black_holed"]
+        self._failovers = self.counters["failovers"]
+        #: broker -> its index in ``grid.brokers``
+        self._index = {b: i for i, b in enumerate(grid.brokers)}
         #: per-broker breakers (empty without a retry policy — failover
         #: is meaningless for a client that never retries)
         self.breakers = (
@@ -208,7 +237,7 @@ class MiddlewareDomain:
     def submit(self, job: Job, on_start, via, task) -> Job:
         """The resilient counterpart of ``GridSimulator.submit``."""
         grid = self.grid
-        job.submit_time = grid.sim.now
+        job.submit_time = grid.sim._now
         grid.jobs_submitted += 1
         if task is not None:
             task.client_attempts += 1
@@ -218,21 +247,17 @@ class MiddlewareDomain:
         self._attempt(job, on_start, via, task, 0)
         return job
 
-    def _preferred(self, via) -> int:
-        """Index of the broker this attempt would normally route to."""
-        grid = self.grid
-        return grid.brokers.index(grid.broker_for(via))
-
     def _choose(self, pref: int, now: float) -> int:
-        """Apply breaker-driven failover to the preferred broker."""
+        """Apply breaker-driven failover to the preferred broker, whose
+        breaker is open (it may admit a half-open trial)."""
         breakers = self.breakers
-        if not breakers or breakers[pref].allow(now):
+        if breakers[pref].allow(now):
             return pref
         n = len(breakers)
         for k in range(1, n):
             i = (pref + k) % n
             if breakers[i].allow(now):
-                self.stats[i]["failovers"].inc()
+                self._failovers[i].value += 1
                 return i
         # every breaker open: hammer the preferred one anyway (there is
         # nowhere better, and the attempt doubles as a half-open trial)
@@ -240,9 +265,13 @@ class MiddlewareDomain:
 
     def _attempt(self, job: Job, on_start, via, task, attempt: int) -> None:
         grid = self.grid
-        idx = self._choose(self._preferred(via), grid.sim.now)
-        stats = self.stats[idx]
-        stats["submits"].inc()
+        # the broker this attempt would normally route to; a closed
+        # breaker admits it without a failover scan
+        idx = self._index[grid.broker_for(via)]
+        breakers = self.breakers
+        if breakers and breakers[idx].opened_at is not None:
+            idx = self._choose(idx, grid.sim._now)
+        self._submits[idx].value += 1
         broker = grid.brokers[idx]
         tr = grid._tr
         if tr is not None:
@@ -251,10 +280,10 @@ class MiddlewareDomain:
             if broker.outage_mode == "black-hole":
                 # the broker swallowed the call; the client only learns
                 # at its own submit timeout (if it has one)
-                stats["black_holed"].inc()
+                self._black_holed[idx].value += 1
                 policy = self.retry
                 if policy is None or task is None:
-                    job.state = JobState.LOST
+                    job.state = _LOST
                     if tr is not None:
                         tr.fail(job, "lost")
                     return
@@ -265,24 +294,30 @@ class MiddlewareDomain:
                 )
                 return
             # synchronous rejection
-            stats["rejects"].inc()
+            self._rejects[idx].value += 1
             self._failed(job, on_start, via, task, idx, attempt)
             return
         f = self.faults
         if (
             f is not None
             and f.p_fail > 0.0
-            and self._chaos_rng.random() < f.p_fail
+            and _uniform(self._chaos_uniforms, self._chaos_rng) < f.p_fail
         ):
-            stats["rejects"].inc()
-            if f.p_landed > 0.0 and self._chaos_rng.random() < f.p_landed:
+            self._rejects[idx].value += 1
+            if (
+                f.p_landed > 0.0
+                and _uniform(self._chaos_uniforms, self._chaos_rng) < f.p_landed
+            ):
                 self._landed(job, on_start, via, task, idx, attempt, broker)
             else:
                 self._failed(job, on_start, via, task, idx, attempt)
             return
         # clean accept: the historical fault channels + dispatch
-        if self.breakers:
-            self.breakers[idx].record_success()
+        if breakers:
+            # CircuitBreaker.record_success, inline
+            breaker = breakers[idx]
+            breaker.failures = 0
+            breaker.opened_at = None
         grid._submit_plain(job, on_start, broker)
 
     # -- failure handling ------------------------------------------------
@@ -300,7 +335,7 @@ class MiddlewareDomain:
         )
         if policy.jitter > 0.0:
             delay *= 1.0 + policy.jitter * (
-                2.0 * self._jitter_rng.random() - 1.0
+                2.0 * _uniform(self._jitter_uniforms, self._jitter_rng) - 1.0
             )
         return delay
 
@@ -308,11 +343,11 @@ class MiddlewareDomain:
         """A client-visible submit failure: back off and retry, or give up."""
         grid = self.grid
         if self.breakers:
-            self.breakers[idx].record_failure(grid.sim.now)
+            self.breakers[idx].record_failure(grid.sim._now)
         policy = self.retry
         tr = grid._tr
         if policy is None or task is None or attempt + 1 >= policy.max_attempts:
-            job.state = JobState.LOST
+            job.state = _LOST
             if tr is not None:
                 tr.fail(job, "lost")
             return
@@ -326,12 +361,12 @@ class MiddlewareDomain:
         task.retry_pending -= 1
         # the task may have settled (a sibling started) or the strategy's
         # own timeout may have cancelled this copy while the backoff ran
-        if task.done or job.state is not JobState.CREATED:
+        if task.done or job.state is not _CREATED:
             return
         grid = self.grid
         grid.jobs_submitted += 1
         task.client_attempts += 1
-        job.submit_time = grid.sim.now
+        job.submit_time = grid.sim._now
         tr = grid._tr
         if tr is not None:
             tr.submit(task, job)
@@ -340,7 +375,7 @@ class MiddlewareDomain:
     def _ack_timeout(self, job: Job, on_start, via, task, idx: int, attempt: int) -> None:
         """The submit timeout fired on a black-holed attempt."""
         task.retry_pending -= 1
-        if task.done or job.state is not JobState.CREATED:
+        if task.done or job.state is not _CREATED:
             return
         self._failed(job, on_start, via, task, idx, attempt)
 
@@ -361,7 +396,7 @@ class MiddlewareDomain:
             return
         if self.breakers:
             # the client observed a failure, whatever actually happened
-            self.breakers[idx].record_failure(grid.sim.now)
+            self.breakers[idx].record_failure(grid.sim._now)
         job.duplicate = True
         self.duplicates += 1
         tr = grid._tr
@@ -381,7 +416,7 @@ class MiddlewareDomain:
         if attempt + 1 >= policy.max_attempts:
             # out of budget: the fresh copy dies unsubmitted, but the
             # landed ghost is still in flight and can win the task
-            retry_job.state = JobState.LOST
+            retry_job.state = _LOST
             if tr is not None:
                 tr.fail(retry_job, "lost")
             return
@@ -399,10 +434,7 @@ class MiddlewareDomain:
         Plain-int view over the registry counters the submission path
         increments in place.
         """
-        out = dict.fromkeys(_STAT_KEYS, 0)
-        for stats in self.stats:
-            for k in _STAT_KEYS:
-                out[k] += stats[k].value
+        out = {k: sum(c.value for c in cs) for k, cs in self.counters.items()}
         out["breaker_trips"] = sum(b.trips for b in self.breakers)
         out["duplicates"] = self.duplicates
         return out
@@ -412,7 +444,7 @@ class MiddlewareDomain:
         grid = self.grid
         out = {}
         for i, broker in enumerate(grid.brokers):
-            entry = {k: self.stats[i][k].value for k in _STAT_KEYS}
+            entry = {k: cs[i].value for k, cs in self.counters.items()}
             entry["outages"] = broker.outages_started
             if self.breakers:
                 entry["breaker_trips"] = self.breakers[i].trips

@@ -11,8 +11,8 @@ named instruments:
     (``inc`` is one attribute add — no dict lookup, no allocation; the
     publishing subsystem holds the counter object directly).
 ``Histogram``
-    fixed-bucket distribution (``observe`` is a linear scan over a
-    handful of edges — no per-event allocation).
+    fixed-bucket distribution (``observe`` bisects its edges — no
+    per-event allocation).
 gauges
     lazy reads registered as ``(obj, attribute)`` pairs or zero-arg
     bound methods, evaluated only when sampled.  Never lambdas:
@@ -27,6 +27,7 @@ is byte-identical to a bare one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry"]
@@ -71,13 +72,11 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, x: float) -> None:
-        counts = self.counts
-        i = 0
-        for edge in self.edges:
-            if x <= edge:
-                break
-            i += 1
-        counts[i] += 1
+        # the first edge >= x; NaN compares false everywhere, so it goes
+        # to the overflow bucket (bisection alone would file it first)
+        edges = self.edges
+        i = bisect_left(edges, x) if x == x else len(edges)
+        self.counts[i] += 1
         self.total += 1
         self.sum += x
 

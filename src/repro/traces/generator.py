@@ -18,7 +18,7 @@ from repro.core.model import LatencyModel
 from repro.traces.dataset import TraceSet
 from repro.traces.records import PROBE_TIMEOUT
 from repro.util.rng import RngLike, as_rng
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_finite, check_in_range, check_positive
 
 __all__ = ["DiurnalProfile", "generate_probe_trace"]
 
@@ -48,6 +48,7 @@ class DiurnalProfile:
     def __post_init__(self) -> None:
         check_in_range("amplitude", self.amplitude, 0.0, 1.0, inclusive=(True, False))
         check_positive("period", self.period)
+        check_finite("phase", self.phase)
 
     def factor(self, t: np.ndarray | float) -> np.ndarray | float:
         """Latency multiplier at submission time ``t``."""

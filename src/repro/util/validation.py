@@ -60,7 +60,8 @@ def check_int_at_least(name: str, value: int, minimum: int) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
         as_int = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an infinite float has no integer value
         raise TypeError(f"{name} must be an integer, got {value!r}") from exc
     if as_int != value:
         raise TypeError(f"{name} must be an integer, got {value!r}")

@@ -16,7 +16,10 @@ here, as references the equivalence suites compare production against:
   one heap event per launch instant instead of ``Simulator.claim``
   (:func:`rechaining_launches` installs it on both driver paths);
 * :func:`audit_conservation_reference` — the conservation audit as a
-  group-by over the ledger, one ``(task, [jobs])`` group per task.
+  group-by over the ledger, one ``(task, [jobs])`` group per task;
+* :func:`decompose_reference` — the latency decomposition with one
+  ``jid -> t`` map per stamped kind behind a kind lookup, and a
+  keyword-built record per completed task.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.gridsim.fairshare import (
 from repro.gridsim.grid import GridConfig, GridSimulator, GridSnapshot
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.site import ComputingElement
+from repro.gridsim.tracing import TaskBreakdown
 from repro.population import driver, soa
 from repro.population.spec import PopulationSpec
 from repro.util.rng import RngLike
@@ -340,3 +344,50 @@ def audit_conservation_reference(grid: GridSimulator) -> ConservationReport:
         duplicates_reconciled=grid.duplicates_reconciled,
         violations=tuple(violations),
     )
+
+
+def decompose_reference(events) -> list[TaskBreakdown]:
+    """Reference for :func:`~repro.gridsim.tracing.decompose`.
+
+    Stamps with a negative job id are never filed, so a winner without
+    one falls back along its whole span; the production pass must return
+    equal records, floats equal.
+    """
+    tasks: dict[int, tuple] = {}
+    complete: dict[int, tuple] = {}
+    # one jid -> t map per stamped kind; last write wins: a retried
+    # job's fresh submit supersedes
+    submit: dict[int, float] = {}
+    enqueue: dict[int, float] = {}
+    start: dict[int, float] = {}
+    stamps = {"submit": submit, "enqueue": enqueue, "start": start}
+    for kind, t, tid, jid, aux in events:
+        if kind == "task":
+            tasks[tid] = (t, aux[0], aux[1], aux[2])
+        elif kind == "complete":
+            complete[tid] = (t, jid)
+        else:
+            stamp = stamps.get(kind)
+            if stamp is not None and jid >= 0:
+                stamp[jid] = t
+    out = []
+    for tid in sorted(complete):
+        t_done, winner = complete[tid]
+        t0, label, vo, runtime = tasks[tid]
+        t_submit = submit.get(winner, t0)
+        t_enqueue = enqueue.get(winner, t_submit)
+        t_start = start.get(winner, t_done)
+        out.append(
+            TaskBreakdown(
+                task_id=tid,
+                label=label,
+                vo=vo,
+                runtime=runtime,
+                t_launch=t0,
+                retry_loss=t_submit - t0,
+                middleware=t_enqueue - t_submit,
+                queue_wait=t_start - t_enqueue,
+                makespan=t_done - t0,
+            )
+        )
+    return out

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,25 @@ class TestTraceReport:
         assert "Latency decomposition by VO" in text
         assert "Latency decomposition by strategy" in report_out.read_text()
         assert gwf.exists() and "GWF rows" in text
+
+    def test_trace_matches_the_committed_golden_trace(self, tmp_path):
+        # every event of the recorded storm campaign — kind, virtual
+        # time, ids, broker hop labels and staleness — byte for byte.
+        # A fresh interpreter, as the command runs: job ids count from
+        # the process's first job
+        root = Path(__file__).resolve().parents[1]
+        trace = tmp_path / "trace.jsonl"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--schedule",
+             "storm-broker-site", "--trace", str(trace), "--tasks", "20"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        golden = root / "tests" / "data" / "storm-broker-site-20.jsonl"
+        assert trace.read_bytes() == golden.read_bytes()
 
     def test_trace_requires_schedule(self, tmp_path):
         code, text = run_cli("chaos", "--trace", str(tmp_path / "t.jsonl"))

@@ -40,6 +40,13 @@ class TestDiurnalProfile:
         with pytest.raises(ValueError):
             DiurnalProfile(amplitude=0.1, period=0.0)
 
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_is_rejected(self, phase):
+        # a NaN phase would make every launch instant drawn from the
+        # profile NaN, and the kernel would then fail on `time`
+        with pytest.raises(ValueError, match="phase must be finite"):
+            DiurnalProfile(amplitude=0.4, phase=phase)
+
 
 class TestGenerateProbeTrace:
     def test_constant_probe_protocol_renews(self, model):

@@ -97,6 +97,28 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram("x", (1.0, 1.0))
 
+    def test_histogram_bisection_matches_the_edge_scan(self):
+        def scan(edges, x):
+            # the linear scan observe() replaced: first edge with x <= edge
+            i = 0
+            for edge in edges:
+                if x <= edge:
+                    break
+                i += 1
+            return i
+
+        edges = (-5.0, 0.0, 10.0, 100.0, 86400.0)
+        between = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+        xs = [*edges, *between, -1e9, -5.000001, 1e12, -0.0, 0]
+        xs += [math.nextafter(e, math.inf) for e in edges]
+        xs += [math.nextafter(e, -math.inf) for e in edges]
+        xs += [math.inf, -math.inf, math.nan]
+        for x in xs:
+            h = Histogram("x", edges)
+            h.observe(x)
+            assert h.counts.index(1) == scan(edges, x), x
+        assert scan(edges, math.nan) == len(edges)  # NaN: overflow
+
     def test_empty_histogram_mean_is_zero(self):
         assert Histogram("x", (1.0,)).mean == 0.0
 

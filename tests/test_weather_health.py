@@ -43,6 +43,7 @@ from repro.gridsim import (
     WeatherConfig,
     run_strategy_on_grid,
 )
+from repro.gridsim.middleware import RetryPolicy
 from repro.population import FleetSpec, PopulationSpec, run_population
 from oracles import engine_pair
 
@@ -125,6 +126,23 @@ class TestWeatherValidation:
             HealthConfig(min_observations=True)
         with pytest.raises(ValueError, match="degraded_penalty"):
             HealthConfig(degraded_penalty=0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (StormConfig, "subset_size"),
+            (ResubmitConfig, "max_retries"),
+            (RetryPolicy, "max_attempts"),
+            (RetryPolicy, "breaker_threshold"),
+            (HealthConfig, "min_observations"),
+            (HealthConfig, "n_probes"),
+        ],
+    )
+    def test_infinite_integer_names_its_field(self, cls, name, value):
+        # int(inf) overflows; the error must still name the field
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            cls(**{name: value})
 
     def test_resubmit_config(self):
         with pytest.raises(ValueError, match="period"):
