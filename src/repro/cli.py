@@ -686,7 +686,11 @@ def _cmd_report(args, out) -> int:
     except (OSError, ValueError, KeyError) as exc:
         out.write(f"error: cannot read trace {args.trace}: {exc}\n")
         return 2
-    records = decompose(events)
+    try:
+        records = decompose(events)
+    except ValueError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
     by_strategy, by_vo = breakdown_tables(records)
     text = (
         f"trace: {args.trace} — {len(events)} events, "

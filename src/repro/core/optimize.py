@@ -17,6 +17,7 @@ optimum on every model we regenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -199,8 +200,16 @@ def _best_streamed(blocks) -> tuple[int, int, float]:
     ``np.argmin`` over the whole rectangle, which therefore never has to
     exist.  Cells are finite or ``+inf`` by construction (infeasible cells
     are masked to ``+inf``).
+
+    ``blocks`` may instead be a function that builds the stream from a
+    ``cutoff`` — a zero-argument reader of the incumbent value — as
+    :func:`delayed_band_blocks` takes it; the stream then skips every row
+    whose lower bound reaches the incumbent.  Such a row holds no cell
+    strictly below the incumbent, so the rule above picks the same cell.
     """
     best = (0, 0, np.inf)
+    if callable(blocks):
+        blocks = blocks(cutoff=lambda: best[2])
     for block, (rect, _) in blocks:
         i, j = divmod(int(np.argmin(rect)), rect.shape[1])
         if rect[i, j] < best[2]:
@@ -219,15 +228,16 @@ def _best_two_stage(
     """Coarse streamed sweep, then a unit-stride one around its best ``t0``.
 
     Minimises ``E_J``, or ``Δcost`` against ``e_j_single`` when given.
+    Both sweeps are pruned (see :func:`delayed_band_blocks`).
     """
     k0, k_inf, value = _best_streamed(
-        delayed_band_blocks(model, candidates, e_j_single)
+        partial(delayed_band_blocks, model, candidates, e_j_single)
     )
     if stride > 1:
         lo = max(2, k0 - stride)
         hi = min(model.grid.n - 1, k0 + stride)
         k0, k_inf, value = _best_streamed(
-            delayed_band_blocks(model, np.arange(lo, hi + 1), e_j_single)
+            partial(delayed_band_blocks, model, np.arange(lo, hi + 1), e_j_single)
         )
     return k0, k_inf, value
 
@@ -335,7 +345,9 @@ def optimize_delayed_ratio_sweep(
     The coarse ``t0`` candidate set is shared by every ratio, so the whole
     Table 3 / Table 4 sweep costs one streamed surface pass — each row
     block hands every ratio its one cell per row — plus one thin
-    refinement per ratio (which itself reuses cached rows).
+    refinement per ratio (which itself reuses cached rows).  The pass
+    stops once a row's lower bound reaches the largest of the per-ratio
+    incumbents.
     """
     ratios = list(ratios)
     for ratio in ratios:
@@ -346,11 +358,17 @@ def optimize_delayed_ratio_sweep(
     k_inf_all = np.array(
         [_ratio_k_inf(model, candidates, ratio) for ratio in ratios], dtype=np.intp
     ).reshape(len(ratios), len(candidates))
-    values_all = np.empty(k_inf_all.shape)
+    # a row is pruned once it can improve no ratio (with no ratios, at
+    # once); pruned rows stay +inf, at or above every ratio's incumbent
+    values_all = np.full(k_inf_all.shape, np.inf)
+    incumbents = np.full(len(ratios), np.inf)
     start = 0
-    for block, (rect, _) in delayed_band_blocks(model, candidates):
+    for block, (rect, _) in delayed_band_blocks(
+        model, candidates, cutoff=lambda: incumbents.max(initial=-np.inf)
+    ):
         cols = slice(start, start + block.size)
         values_all[:, cols] = rect[np.arange(block.size), k_inf_all[:, cols] - block]
+        np.minimum(incumbents, values_all[:, cols].min(axis=1), out=incumbents)
         start += block.size
 
     def objective_for(ratio: float):

@@ -61,6 +61,12 @@ __all__ = [
 #: whatever the grid resolution or ``t0`` window
 _BLOCK_FLOATS = 1 << 18
 
+#: row cap of the blocks a pruned stream (``cutoff`` given to
+#: :func:`delayed_band_blocks`) evaluates: rows are dropped only between
+#: blocks, so a small block ends the sweep close to the first row whose
+#: lower bound reaches the incumbent
+_PRUNED_BLOCK_ROWS = 16
+
 #: total float64 budget of the per-model surface-row cache (~64 MB);
 #: oldest rows are evicted first once it is exceeded
 _DELAYED_CACHE_BUDGET = 8_000_000
@@ -170,19 +176,24 @@ def _compute_band_block(
     return [vals[i, : hiv[i] - k0v[i] + 1] for i in range(len(k0v))]
 
 
-def _row_blocks(model: GriddedLatencyModel, k0s) -> list[np.ndarray]:
+def _row_blocks(
+    model: GriddedLatencyModel, k0s, max_rows: int | None = None
+) -> list[np.ndarray]:
     """Consecutive slices of ``k0s`` within the :data:`_BLOCK_FLOATS` budget.
 
     Slices share one row count (the last may be shorter), sized so that
     rows × ``(kmax+1)`` of the widest requested row fits the budget (at
-    least one row).  Ascending input gives ascending blocks, which the
-    streamed optimisers rely on for their first-occurrence tie rule.
+    least one row), and at most ``max_rows`` when given.  Ascending input
+    gives ascending blocks, which the streamed optimisers rely on for
+    their first-occurrence tie rule.
     """
     k0v = np.asarray(k0s, dtype=np.intp).ravel()
     if k0v.size == 0:
         return []
     kmax = min(2 * int(k0v.max()), model.grid.n - 1)
     rows = max(1, _BLOCK_FLOATS // (kmax + 1))
+    if max_rows is not None:
+        rows = min(rows, max_rows)
     return [k0v[start : start + rows] for start in range(0, k0v.size, rows)]
 
 
@@ -264,7 +275,30 @@ def delayed_cost_bands(
     return costs, n_par
 
 
-def delayed_band_blocks(model: GriddedLatencyModel, k0s, e_j_single=None):
+def _band_floor(
+    model: GriddedLatencyModel, k0s, e_j_single: float | None = None
+) -> np.ndarray:
+    """Per-row lower bound of :func:`delayed_band_blocks`' rectangles.
+
+    Every ``E_J`` cell of row ``t0`` is ``A(t0) + (c_win + q·d)/p`` with
+    ``A(t0) = ∫₀^t0 S``: ``S = 1-F̃`` lies in ``[0, 1]`` (``F̃`` is clipped
+    and monotone), ``c_win`` is a window of a cumulative sum of
+    non-negative steps, ``d = A(t0) - A(t∞-t0) >= 0`` because ``A`` never
+    decreases, and ``p > 0`` on every finite cell (the others are
+    ``+inf``).  So every cell is at least ``A(t0)`` in floating point.  A
+    ``Δcost`` cell is ``N_//·E_J/e_j_single`` with ``N_// >= 1`` up to the
+    ``1e-12`` floor fudge of :func:`_n_parallel_kernel`, which the
+    ``1 - 1e-9`` factor absorbs.  The bound never decreases with ``t0``.
+    """
+    a = model.A[np.asarray(k0s, dtype=np.intp)]
+    if e_j_single is None:
+        return a
+    return (1.0 - 1e-9) * a / e_j_single
+
+
+def delayed_band_blocks(
+    model: GriddedLatencyModel, k0s, e_j_single=None, cutoff=None
+):
     """Stream the feasible bands of many ``t0`` candidates in row blocks.
 
     Yields ``(block, bands)`` for consecutive :func:`_row_blocks` slices
@@ -273,8 +307,22 @@ def delayed_band_blocks(model: GriddedLatencyModel, k0s, e_j_single=None):
     sweep over many candidates (the optimisers, the Fig. 8 frontier) walks
     the surface through here, so none holds more than one block's
     rectangle; ascending ``k0s`` give ascending blocks.
+
+    ``cutoff``, when given, is a zero-argument function returning the
+    consumer's incumbent (its best value so far), and the stream becomes a
+    branch-and-bound sweep over ascending ``k0s``: blocks are at most
+    :data:`_PRUNED_BLOCK_ROWS` rows, each drops, before it is evaluated,
+    the rows whose :func:`_band_floor` is at or above the incumbent,
+    and the stream ends at the first block left empty.  A dropped row has
+    no cell strictly below the incumbent, and as the floor never decreases
+    neither has any later row.
     """
-    for block in _row_blocks(model, k0s):
+    max_rows = None if cutoff is None else _PRUNED_BLOCK_ROWS
+    for block in _row_blocks(model, k0s, max_rows):
+        if cutoff is not None:
+            block = block[_band_floor(model, block, e_j_single) < cutoff()]
+            if block.size == 0:
+                return
         if e_j_single is None:
             yield block, delayed_expectation_bands(model, block)
         else:

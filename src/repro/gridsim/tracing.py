@@ -304,7 +304,8 @@ def decompose(events: Sequence[tuple]) -> list[TaskBreakdown]:
     missing stamp falls back along the span (submit → launch, enqueue →
     submit, start → completion); so do all three for a winner without a
     job id.  One pass over the events, then one over the completed
-    tasks in id order.
+    tasks in id order.  A trace cut short before a completed task's
+    ``task`` event (a tail of a recording) raises ``ValueError``.
     """
     tasks: dict[int, tuple] = {}
     complete: dict[int, tuple] = {}
@@ -329,7 +330,13 @@ def decompose(events: Sequence[tuple]) -> list[TaskBreakdown]:
     append = out.append
     for tid in sorted(complete):
         t_done, winner = complete[tid]
-        t0, (label, vo, runtime) = tasks[tid]
+        try:
+            t0, (label, vo, runtime) = tasks[tid]
+        except KeyError:
+            raise ValueError(
+                f"trace is incomplete: task {tid} completes but its "
+                "'task' event is missing"
+            ) from None
         if winner < 0:
             # stamps without a job id match no winner
             t_submit = t_enqueue = t0

@@ -299,6 +299,20 @@ class TestTraceReport:
         code, text = run_cli("report", str(tmp_path / "missing.jsonl"))
         assert code == 2 and "cannot read trace" in text
 
+    def test_report_on_a_truncated_trace_names_the_missing_task(self, tmp_path):
+        # the last 100 events of the golden trace: task 8 completes inside
+        # the window, its 'task' event lies before it
+        golden = Path(__file__).resolve().parent / "data" / "storm-broker-site-20.jsonl"
+        lines = golden.read_text(encoding="utf-8").splitlines(keepends=True)
+        trace = tmp_path / "tail.jsonl"
+        trace.write_text("".join(lines[-100:]), encoding="utf-8")
+        code, text = run_cli("report", str(trace))
+        assert code == 2
+        assert text == (
+            "error: trace is incomplete: task 8 completes but its "
+            "'task' event is missing\n"
+        )
+
     def test_report_on_empty_trace_still_succeeds(self, tmp_path):
         trace = tmp_path / "empty.jsonl"
         trace.write_text("# no events\n", encoding="utf-8")

@@ -83,6 +83,18 @@ def test_winner_without_job_id_ignores_unlabelled_stamps():
     assert decompose(events) == decompose_reference(events)
 
 
+def test_completion_without_its_task_event_names_the_task():
+    # a trace cut short: task 8 completes but was launched before the cut
+    events = [
+        _task(2, 0.0),
+        ("complete", 40.0, 2, 5, None),
+        ("submit", 50.0, 8, 6, None),
+        ("complete", 90.0, 8, 6, None),
+    ]
+    with pytest.raises(ValueError, match="trace is incomplete: task 8 "):
+        decompose(events)
+
+
 def test_breakdown_is_an_immutable_record_with_derived_spans():
     r = TaskBreakdown(1, "single", "atlas", 120.0, 10.0, 5.0, 30.0, 25.0, 60.0)
     assert TaskBreakdown._fields == (

@@ -7,6 +7,7 @@ bodies are kept here verbatim as references)."""
 
 import tracemalloc
 from dataclasses import astuple
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -29,8 +30,11 @@ from repro.core.optimize import (
 from repro.core.strategies import delayed
 from repro.core.strategies.delayed import (
     _DELAYED_CACHE_BUDGET,
+    _PRUNED_BLOCK_ROWS,
+    _band_floor,
     _band_rows,
     _row_blocks,
+    delayed_band_blocks,
     delayed_cost_bands,
     delayed_expectation_bands,
     delayed_expectation_for_t0,
@@ -399,6 +403,114 @@ class TestStreamedTieRule:
         full = np.full((self.K0.size, 12), np.inf)
         with pytest.raises(ValueError, match="no feasible"):
             self.stream(five_row_blocks, full)
+
+
+class TestPruningBound:
+    """Every cell of row ``t0`` is at least that row's floor."""
+
+    @STREAM_SETTINGS
+    @given(
+        params=model_params,
+        dt=st.sampled_from([0.5, 1.0, 2.0]),
+        e_single=st.floats(min_value=10.0, max_value=5000.0),
+    )
+    def test_bands_never_undercut_the_floor(self, params, dt, e_single):
+        gm = make_gridded(params, t_max=1000.0, dt=dt)
+        k0s = np.arange(2, gm.grid.n)
+        for block, (rect, _) in delayed_band_blocks(gm, k0s):
+            finite = np.isfinite(rect)
+            floor = gm.A[block][:, None]
+            assert (rect >= floor)[finite].all()
+            np.testing.assert_array_equal(_band_floor(gm, block), gm.A[block])
+        for block, (costs, _) in delayed_band_blocks(gm, k0s, e_single):
+            finite = np.isfinite(costs)
+            floor = (1.0 - 1e-9) * gm.A[block][:, None] / e_single
+            assert (costs >= floor)[finite].all()
+            np.testing.assert_array_equal(
+                _band_floor(gm, block, e_single), floor[:, 0]
+            )
+
+
+class TestPruningEdges:
+    """Crafted floors and rectangles at the edges of the prune rule.
+
+    The model's ``A`` (the floor) and the band rectangle are set by hand;
+    the stream is the production one, so these pin which rows it drops
+    and that the pruned search still returns ``np.argmin``'s cell.
+    """
+
+    K0 = np.arange(10, 10 + 4 * _PRUNED_BLOCK_ROWS)
+
+    @pytest.fixture
+    def crafted(self, monkeypatch):
+        gm = make_gridded((5.6, 1.1, 0.05, 150.0))
+        gm.A = np.zeros(gm.grid.n)
+        full = np.full((self.K0.size, 12), 2.0)
+        evaluated = []
+
+        def bands(model, block):
+            evaluated.extend(int(k0) for k0 in block)
+            return full[block - self.K0[0]], None
+
+        monkeypatch.setattr(delayed, "delayed_expectation_bands", bands)
+        return gm, full, evaluated
+
+    def search(self, gm):
+        return _best_streamed(partial(delayed_band_blocks, gm, self.K0, None))
+
+    def test_a_later_row_whose_floor_equals_the_incumbent_is_dropped(self, crafted):
+        gm, full, evaluated = crafted
+        full[3, 5] = 1.0  # the incumbent, in the first block
+        gm.A[self.K0[20] :] = 1.0  # from the fifth row of the second block on
+        assert self.search(gm) == (13, 18, 1.0) == _best_in_rect(full, self.K0)
+        assert evaluated == list(self.K0[:20])
+
+    def test_a_dropped_row_holding_a_tie_keeps_the_earlier_cell(self, crafted):
+        gm, full, evaluated = crafted
+        full[3, 5] = 1.0
+        gm.A[self.K0[20] :] = 1.0
+        full[20, 0] = 1.0  # ties the incumbent at a smaller t∞, but later t0
+        full[40, 0] = 1.0
+        assert self.search(gm) == (13, 18, 1.0) == _best_in_rect(full, self.K0)
+        assert evaluated == list(self.K0[:20])
+
+    def test_a_row_just_below_the_incumbent_is_kept(self, crafted):
+        gm, full, evaluated = crafted
+        full[3, 5] = 1.0
+        below = np.nextafter(1.0, 0.0)
+        gm.A[self.K0[20] :] = below
+        full[33, 2] = below  # strictly smaller, in the third block
+        gm.A[self.K0[34] :] = 1.0
+        assert self.search(gm) == (43, 45, below) == _best_in_rect(full, self.K0)
+        assert evaluated == list(self.K0[:34])
+
+    def test_a_blocks_dropped_first_row_ends_the_stream(self, crafted):
+        gm, full, evaluated = crafted
+        full[3, 5] = 1.0
+        gm.A[self.K0[_PRUNED_BLOCK_ROWS] :] = 1.0
+        assert self.search(gm) == (13, 18, 1.0)
+        assert evaluated == list(self.K0[:_PRUNED_BLOCK_ROWS])
+
+
+class TestPrunedSweeps:
+    def test_ratio_sweep_keeps_an_optimum_past_another_ratios_cut(self):
+        # with rho = 0 the t∞ = t0 optimum sits near the end of the grid,
+        # past where the ratio 2 incumbent alone would cut the sweep
+        params = (5.0, 0.6, 0.0, 100.0)
+        ref_model = make_gridded(params, t_max=1500.0, dt=2.0)
+        model = make_gridded(params, t_max=1500.0, dt=2.0)
+        ratios = (1.0, 1.5, 2.0)
+        ref = ref_optimize_delayed_ratio_sweep(ref_model, ratios)
+        assert ref_model.A[ref_model.grid.index_of(ref[0].t0)] >= ref[2].e_j
+        assert_same(ref, optimize_delayed_ratio_sweep(model, ratios))
+
+    @pytest.mark.parametrize("dt", [0.5, 2.0])
+    def test_pruning_engages_on_the_paper_window(self, dt):
+        gm = make_gridded((5.6, 1.1, 0.05, 150.0), t_max=4000.0, dt=dt)
+        candidates, _ = _delayed_t0_candidates(gm, *T0_WINDOW, 8)
+        e_single = optimize_single(gm).e_j
+        optimize_delayed_cost(gm, e_single, t0_min=T0_WINDOW[0], t0_max=T0_WINDOW[1])
+        assert len(gm._delayed_band_cache) < len(candidates)
 
 
 def test_abl_grid_window_cost_optimum_stays_under_64_mb():
