@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.cost import delta_cost
 from repro.core.model import GriddedLatencyModel
 from repro.core.strategies.delayed import (
-    _band_rows,
     delayed_band_blocks,
     delayed_moments,
     n_parallel_for_latency,
@@ -164,31 +163,6 @@ def _delayed_t0_candidates(
     return np.arange(lo, hi + 1, stride), stride
 
 
-def _best_over_t0(
-    model: GriddedLatencyModel,
-    k0_values: np.ndarray,
-    objective,
-) -> tuple[int, int, float]:
-    """Scan ``t0`` candidates, return (k0, k_inf, value) minimising objective.
-
-    ``objective(k0) -> (values, ks)`` maps a ``t0`` index to objective
-    values over its feasible ``t∞`` indices.  Candidates whose objective is
-    NaN everywhere (degenerate models, empty windows) are skipped rather
-    than crashing ``np.nanargmin``.
-    """
-    best = (None, None, np.inf)
-    for k0 in k0_values:
-        values, ks = objective(int(k0))
-        if values.size == 0 or np.isnan(values).all():
-            continue
-        j = int(np.nanargmin(values))
-        if values[j] < best[2]:
-            best = (int(k0), int(ks[j]), float(values[j]))
-    if best[0] is None:
-        raise ValueError("no feasible (t0, t_inf) in the search window")
-    return best
-
-
 def _best_streamed(blocks) -> tuple[int, int, float]:
     """Global minimiser of an objective streamed as ``(block, bands)`` pairs.
 
@@ -308,6 +282,41 @@ def _finish_delayed(
     )
 
 
+def _best_ratio_cells(
+    model: GriddedLatencyModel, k0s: np.ndarray, ratios
+) -> list[tuple[int, int]]:
+    """Per-ratio minimising ``(k0, k∞)`` over ``t0`` candidates ``k0s``.
+
+    ``t∞`` is tied to ``ratio·t0`` (:func:`_ratio_k_inf`), so each row of
+    one streamed pass hands every ratio its one cell.  The pass is pruned
+    (see :func:`delayed_band_blocks`): it stops once a row's lower bound
+    reaches the largest of the per-ratio incumbents, and the rows it never
+    evaluates stay ``+inf``, at or above every ratio's incumbent.  Ties
+    resolve to the smallest ``t0``.
+    """
+    k_inf_all = np.array(
+        [_ratio_k_inf(model, k0s, ratio) for ratio in ratios], dtype=np.intp
+    ).reshape(len(ratios), len(k0s))
+    values_all = np.full(k_inf_all.shape, np.inf)
+    incumbents = np.full(len(ratios), np.inf)
+    start = 0
+    # with no ratios the cutoff is -inf, which prunes the first block
+    for block, (rect, _) in delayed_band_blocks(
+        model, k0s, cutoff=lambda: incumbents.max(initial=-np.inf)
+    ):
+        cols = slice(start, start + block.size)
+        values_all[:, cols] = rect[np.arange(block.size), k_inf_all[:, cols] - block]
+        np.minimum(incumbents, values_all[:, cols].min(axis=1), out=incumbents)
+        start += block.size
+    out = []
+    for k_inf_v, values in zip(k_inf_all, values_all):
+        best_i = int(np.argmin(values))  # band rows are finite or +inf
+        if not np.isfinite(values[best_i]):
+            raise ValueError("no feasible (t0, t_inf) in the search window")
+        out.append((int(k0s[best_i]), int(k_inf_v[best_i])))
+    return out
+
+
 def optimize_delayed_ratio(
     model: GriddedLatencyModel,
     ratio: float,
@@ -343,11 +352,10 @@ def optimize_delayed_ratio_sweep(
     """Ratio-constrained optima for many imposed ratios from one surface.
 
     The coarse ``t0`` candidate set is shared by every ratio, so the whole
-    Table 3 / Table 4 sweep costs one streamed surface pass — each row
-    block hands every ratio its one cell per row — plus one thin
-    refinement per ratio (which itself reuses cached rows).  The pass
-    stops once a row's lower bound reaches the largest of the per-ratio
-    incumbents.
+    Table 3 / Table 4 sweep costs one streamed surface pass
+    (:func:`_best_ratio_cells`) plus, per ratio, the same pass over the
+    unit-stride window around its coarse optimum (which reuses cached
+    rows).
     """
     ratios = list(ratios)
     for ratio in ratios:
@@ -355,41 +363,15 @@ def optimize_delayed_ratio_sweep(
             raise ValueError(f"ratio must be in [1, 2], got {ratio!r}")
 
     candidates, stride = _delayed_t0_candidates(model, t0_min, t0_max, 4)
-    k_inf_all = np.array(
-        [_ratio_k_inf(model, candidates, ratio) for ratio in ratios], dtype=np.intp
-    ).reshape(len(ratios), len(candidates))
-    # a row is pruned once it can improve no ratio (with no ratios, at
-    # once); pruned rows stay +inf, at or above every ratio's incumbent
-    values_all = np.full(k_inf_all.shape, np.inf)
-    incumbents = np.full(len(ratios), np.inf)
-    start = 0
-    for block, (rect, _) in delayed_band_blocks(
-        model, candidates, cutoff=lambda: incumbents.max(initial=-np.inf)
-    ):
-        cols = slice(start, start + block.size)
-        values_all[:, cols] = rect[np.arange(block.size), k_inf_all[:, cols] - block]
-        np.minimum(incumbents, values_all[:, cols].min(axis=1), out=incumbents)
-        start += block.size
-
-    def objective_for(ratio: float):
-        def objective(k0: int) -> tuple[np.ndarray, np.ndarray]:
-            k_inf = int(_ratio_k_inf(model, np.array([k0]), ratio)[0])
-            (row,) = _band_rows(model, [k0])
-            return row[[k_inf - k0]], np.array([k_inf])
-
-        return objective
-
     out = []
-    for ratio, k_inf_v, values in zip(ratios, k_inf_all, values_all):
-        best_i = int(np.argmin(values))  # band rows are finite or +inf
-        if not np.isfinite(values[best_i]):
-            raise ValueError("no feasible (t0, t_inf) in the search window")
-        k0, k_inf = int(candidates[best_i]), int(k_inf_v[best_i])
+    for ratio, (k0, k_inf) in zip(
+        ratios, _best_ratio_cells(model, candidates, ratios)
+    ):
         if stride > 1:
             lo = max(2, k0 - stride)
             hi = min(model.grid.n - 1, k0 + stride)
-            k0, k_inf, _ = _best_over_t0(
-                model, np.arange(lo, hi + 1), objective_for(ratio)
+            ((k0, k_inf),) = _best_ratio_cells(
+                model, np.arange(lo, hi + 1), (ratio,)
             )
         out.append(_finish_delayed(model, k0, k_inf, e_j_single))
     return out

@@ -55,11 +55,7 @@ from repro.gridsim.chaos import (
     standard_schedules,
 )
 from repro.gridsim.events import PooledTimer, Simulator
-from repro.gridsim.fairshare import (
-    FairShareComputingElement,
-    FairShareState,
-    FairShareVectorComputingElement,
-)
+from repro.gridsim.fairshare import FairShareState, FairShareVectorComputingElement
 from repro.gridsim.faults import FaultModel, SubmitFaultConfig
 from repro.gridsim.federation import BrokerConfig
 from repro.gridsim.grid import (
@@ -109,7 +105,7 @@ from repro.gridsim.tracing import (
     read_trace,
     write_trace,
 )
-from repro.gridsim.site import ComputingElement, VectorComputingElement
+from repro.gridsim.site import VectorComputingElement
 from repro.gridsim.wms import BatchedWorkloadManager, WorkloadManager
 from repro.gridsim.client import (
     StrategyOutcome,
@@ -129,9 +125,7 @@ __all__ = [
     "BrokerConfig",
     "BatchedWorkloadManager",
     "WorkloadManager",
-    "ComputingElement",
     "VectorComputingElement",
-    "FairShareComputingElement",
     "FairShareState",
     "FairShareVectorComputingElement",
     "TraceReplayLoad",

@@ -8,42 +8,34 @@ utilisation — the regime where waiting times are heavy-tailed.
 
 The stream is generated in *chunks*: each refill block-draws
 ``chunk_size`` exponential gaps, the thinning uniforms and the
-log-normal runtimes with numpy, and leaves a single refill event at the
-last drawn arrival time.  What happens to the accepted arrivals depends
-on the site engine:
+log-normal runtimes with numpy, hands the accepted arrivals to the site
+as arrays (``site.feed_background``, one call per refill), and leaves a
+single refill event at the last drawn arrival time.  Every site engine
+takes background load that way: the production
+:class:`~repro.gridsim.site.VectorComputingElement` resolves the chunk
+lazily with zero events and zero :class:`~repro.gridsim.jobs.Job`
+objects per background job, while the event-driven test oracle
+schedules one arrival event per job.
 
-* a :class:`~repro.gridsim.site.VectorComputingElement` takes the whole
-  chunk as arrays (:meth:`feed_background`) — **zero events, zero**
-  :class:`~repro.gridsim.jobs.Job` **objects per background job**; the
-  site's Lindley lane resolves start/completion times lazily;
-* the event-driven oracle keeps the PR 2 path: one shared-callback
-  arrival event per accepted job via
-  :meth:`~repro.gridsim.events.Simulator.schedule_many`, runtimes riding
-  a FIFO deque.
-
-The process law is identical either way — gaps stay i.i.d. exponential
-at the peak rate, thinning still compares a uniform against
-``rate(t)/peak`` at the arrival time, runtimes stay log-normal, and the
-RNG consumption order is byte-for-byte the same, so the two engines see
-*identical* (arrival, runtime) sequences for a given seed.  On
-multi-VO sites a ``vo_mix`` adds one block of label uniforms per chunk
-*after* the runtimes (inverse-CDF against the traffic mix), so
-single-VO streams consume the RNG exactly as before and the two engines
-also agree on every VO label.
-``tests/test_background_equivalence.py`` keeps the historical
-per-arrival loop as the law oracle; ``tests/test_site_engine_equivalence.py``
-pins the two engines against each other.
+Gaps stay i.i.d. exponential at the peak rate, thinning compares a
+uniform against ``rate(t)/peak`` at the arrival time, runtimes stay
+log-normal, and the RNG consumption order does not depend on the site,
+so every engine sees *identical* (arrival, runtime) sequences for a
+given seed.  On multi-VO sites a ``vo_mix`` adds one block of label
+uniforms per chunk *after* the runtimes (inverse-CDF against the
+traffic mix, translated into site VO indices), so single-VO streams
+consume the RNG exactly as before and the engines also agree on every
+VO label.  ``tests/test_background_equivalence.py`` keeps the
+historical per-arrival loop as the law oracle;
+``tests/test_site_engine_equivalence.py`` pins the engines against
+each other.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
-
 import numpy as np
 
 from repro.gridsim.events import Simulator
-from repro.gridsim.jobs import Job
 from repro.traces.generator import DiurnalProfile
 from repro.util.validation import check_in_range, check_positive
 
@@ -84,42 +76,29 @@ class BackgroundLoad:
         self.runtime_sigma = runtime_sigma
         self.diurnal = diurnal
         self.chunk_size = int(chunk_size)
-        #: whether the site takes chunks as arrays (the vectorised lane)
-        self._bulk = hasattr(site, "feed_background")
-        self._generated = 0
         self._log_median = float(np.log(runtime_median))
-        #: runtimes of accepted arrivals already scheduled, consumed FIFO
-        #: by :meth:`_deliver` (arrival events fire in schedule order;
-        #: unused on the vectorised lane)
-        self._runtimes: deque[float] = deque()
         #: multi-VO production mix: labels are block-drawn per chunk
         #: (one uniform per accepted arrival, inverse-CDF against the
         #: cumulative mix) *after* the runtimes, so single-VO streams
         #: consume the RNG byte-for-byte as before
+        self._vo_cum = None
+        self._vo_site_idx = None
         if vo_mix is not None and len(vo_mix) >= 1:
             weights = np.asarray([w for _, w in vo_mix], dtype=np.float64)
             if (weights <= 0.0).any():
                 raise ValueError("vo_mix weights must be > 0")
-            self._vo_names = tuple(n for n, _ in vo_mix)
             # a single-entry mix is a constant label: no uniforms drawn,
             # so such streams consume the RNG exactly like unlabelled ones
-            self._vo_cum = (
-                np.cumsum(weights / weights.sum()) if len(vo_mix) >= 2 else None
-            )
-            # translate mix order into the site's VO index space (bulk
-            # lane); fair-share sites expose the mapping, others take 0
+            if len(vo_mix) >= 2:
+                self._vo_cum = np.cumsum(weights / weights.sum())
+            # translate mix order into the site's VO index space;
+            # fair-share sites expose the mapping, others take 0
             index_of = getattr(
                 getattr(site, "fairshare", None), "index_of", lambda _n: 0
             )
             self._vo_site_idx = np.asarray(
-                [index_of(n) for n in self._vo_names], dtype=np.intp
+                [index_of(n) for n, _ in vo_mix], dtype=np.intp
             )
-        else:
-            self._vo_names = None
-            self._vo_cum = None
-            self._vo_site_idx = None
-        #: VO labels matching :attr:`_runtimes` on the event lane
-        self._vo_labels: deque[int] = deque()
         # mean of lognormal = median * exp(sigma^2/2)
         mean_runtime = runtime_median * float(np.exp(runtime_sigma**2 / 2.0))
         #: base arrival rate achieving the target utilisation (jobs/s)
@@ -131,10 +110,8 @@ class BackgroundLoad:
 
     @property
     def jobs_generated(self) -> int:
-        """Arrivals delivered to the site so far (lazy on the vector lane)."""
-        if self._bulk:
-            return self.site.background_delivered()
-        return self._generated
+        """Arrivals delivered to the site so far (the site counts them)."""
+        return self.site.background_delivered()
 
     def start(self) -> None:
         """Begin generating arrivals (call once)."""
@@ -158,44 +135,19 @@ class BackgroundLoad:
         runtimes = rng.lognormal(
             self._log_median, self.runtime_sigma, size=accepted.size
         )
-        if self._vo_cum is not None:
-            labels = np.searchsorted(
-                self._vo_cum, rng.random(accepted.size), side="right"
-            )
-            # guard against a uniform landing exactly on the last edge
-            np.minimum(labels, len(self._vo_names) - 1, out=labels)
-        elif self._vo_names is not None:
-            # single-VO mix: constant label, no draws
-            labels = np.zeros(accepted.size, dtype=np.intp)
-        else:
-            labels = None
-        if self._bulk:
-            # the vector lane takes the whole chunk as arrays: no events,
-            # no Job objects — the site commits starts lazily
-            if labels is None:
-                self.site.feed_background(accepted.tolist(), runtimes.tolist())
+        vos = None
+        if self._vo_site_idx is not None:
+            if self._vo_cum is None:
+                # single-VO mix: constant label, no draws
+                labels = np.zeros(accepted.size, dtype=np.intp)
             else:
-                self.site.feed_background(
-                    accepted.tolist(),
-                    runtimes.tolist(),
-                    self._vo_site_idx[labels].tolist(),
+                labels = np.searchsorted(
+                    self._vo_cum, rng.random(accepted.size), side="right"
                 )
-        else:
-            self._runtimes.extend(runtimes.tolist())
-            if labels is not None:
-                self._vo_labels.extend(labels.tolist())
-            # one shared bound-method callback for the whole chunk: arrival
-            # events fire in time order (FIFO among ties), matching the
-            # _runtimes queue
-            self.sim.schedule_many(accepted.tolist(), repeat(self._deliver))
+                # guard against a uniform landing exactly on the last edge
+                np.minimum(labels, len(self._vo_site_idx) - 1, out=labels)
+            vos = self._vo_site_idx[labels].tolist()
+        self.site.feed_background(accepted.tolist(), runtimes.tolist(), vos)
         # the refill rides at the last *drawn* time so the next chunk
         # continues the gap sequence seamlessly
         self.sim.schedule_at(float(times[-1]), self._refill)
-
-    def _deliver(self) -> None:
-        job = Job(runtime=self._runtimes.popleft(), tag="background")
-        if self._vo_labels:
-            job.vo = self._vo_names[self._vo_labels.popleft()]
-        job.submit_time = self.sim._now
-        self.site.enqueue(job)
-        self._generated += 1

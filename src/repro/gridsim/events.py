@@ -223,9 +223,10 @@ class Simulator:
 
         ``times`` and ``callbacks`` are consumed pairwise; sequence
         numbers are assigned in iteration order, so equal-time entries
-        keep the usual FIFO tie-break.  Used by the chunked background
-        streams, where per-call :meth:`schedule_at` overhead would undo
-        the benefit of block-drawing the randomness.
+        keep the usual FIFO tie-break.  Used by the event-driven site's
+        background intake (one event per arrival of a fed chunk), where
+        per-call :meth:`schedule_at` overhead would undo the benefit of
+        block-drawing the randomness.
         """
         now = self._now
         heap = self._heap

@@ -15,11 +15,12 @@ engines without touching them:
   grids on: per-VO FIFO queues in front of the same core pool; every
   free core is handed to the head job of the most underserved VO.
 * :class:`FairShareVectorComputingElement` — the production engine: the
-  chunked background lane carries a VO label per arrival
-  (:meth:`~FairShareVectorComputingElement.feed_background` grows a
-  third array), and the Lindley commit loop resolves fair-share priority
-  at every start while still creating **zero events and zero Job
-  objects** for background work.
+  Lindley commit loop resolves fair-share priority at every start while
+  still creating **zero events and zero Job objects** for background
+  work.
+
+Both take a VO label per background arrival (``feed_background``'s
+third array, site VO indices).
 
 With a single configured VO both schedulers degrade to plain FIFO over
 one queue and charge/decay arithmetic that never influences a decision,
@@ -61,6 +62,8 @@ _INF = math.inf
 #: per-job state reads as module constants: ``EnumType.__getattr__``
 #: puts every ``JobState.X`` read on the slow lookup path (~0.1 µs)
 _QUEUED = JobState.QUEUED
+_CANCELLED = JobState.CANCELLED
+_FAILED = JobState.FAILED
 _ENQUEUABLE = (JobState.MATCHING, JobState.CREATED)
 
 
@@ -272,6 +275,7 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
     ) -> None:
         super().__init__(name, n_cores, sim, on_start=on_start)
         self.fairshare = FairShareState(vo_shares, fairshare_halflife)
+        self._vo_names = self.fairshare.names
         self._vo_queues: list[deque[Job]] = [
             deque() for _ in self.fairshare.names
         ]
@@ -646,7 +650,7 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         if job.state is _QUEUED:
             if job.site != self.name:
                 return False
-            job.state = JobState.CANCELLED
+            job.state = _CANCELLED
             self._vo_husks[self.fairshare.index_of(job.vo)] += 1
             self._live_clients -= 1
             self._mut += 1  # the husk may be its VO's cached head
@@ -672,9 +676,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         failed = 0
         for v, q in enumerate(self._clq):
             for job in q:
-                if job.state is not JobState.QUEUED:
+                if job.state is not _QUEUED:
                     continue
-                job.state = JobState.FAILED
+                job.state = _FAILED
                 job.end_time = now
                 failed += 1
                 if on_fail is not None and job.tag != "background":

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.validation import check_probability
 
 __all__ = ["FaultModel", "SubmitFaultConfig"]
@@ -66,14 +64,6 @@ class FaultModel:
         measurement timeout).
         """
         return self.p_lost + (1.0 - self.p_lost) * self.p_stuck
-
-    def draw_lost(self, rng: np.random.Generator) -> bool:
-        """Sample the lost-submission channel."""
-        return bool(rng.random() < self.p_lost)
-
-    def draw_stuck(self, rng: np.random.Generator) -> bool:
-        """Sample the stuck-at-site channel."""
-        return bool(rng.random() < self.p_stuck)
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,16 @@ __all__ = [
     "warmed_snapshot",
 ]
 
-#: job states :meth:`GridSimulator.cancel_many` hands to the job's site,
-#: and those it cancels by a state flip (module constants: ``JobState.X``
-#: reads take the enum's slow attribute path)
+#: job states as module constants (``JobState.X`` reads take the enum's
+#: slow attribute path): those :meth:`GridSimulator.cancel_many` hands to
+#: the job's site, those it cancels by a state flip, and the single
+#: states the per-job paths read or write
 _AT_SITE = (JobState.QUEUED, JobState.RUNNING)
 _OFF_SITE = (JobState.MATCHING, JobState.STUCK, JobState.LOST, JobState.CREATED)
 _CANCELLED = JobState.CANCELLED
+_QUEUED = JobState.QUEUED
+_LOST = JobState.LOST
+_STUCK = JobState.STUCK
 
 #: broker class per :attr:`GridConfig.wms_engine`
 _WMS_ENGINES = {
@@ -867,13 +871,13 @@ class GridSimulator:
         if len(uniforms) < 2:
             uniforms.extend(self._fault_rng.random(256).tolist())
         if uniforms.popleft() < faults.p_lost:
-            job.state = JobState.LOST
+            job.state = _LOST
             self.jobs_lost += 1
             reason = "lost"
         elif uniforms.popleft() < faults.p_stuck:
             # the job will sit in a mis-configured queue forever: model
             # it as matching that never dispatches
-            job.state = JobState.STUCK
+            job.state = _STUCK
             self.jobs_stuck += 1
             reason = "stuck"
         else:
@@ -987,7 +991,7 @@ class GridSimulator:
         if health is None:
             return
         for job in jobs:
-            if job.state is JobState.QUEUED and job.site:
+            if job.state is _QUEUED and job.site:
                 health.observe_failure(job.site)
 
     # -- internals -------------------------------------------------------

@@ -72,6 +72,7 @@ _OK = HealthState.OK
 _DEGRADED = HealthState.DEGRADED
 _BANNED = HealthState.BANNED
 _PROBING = HealthState.PROBING
+_QUEUED = JobState.QUEUED
 
 
 @dataclass(frozen=True)
@@ -203,14 +204,14 @@ class HealthService:
         key = f"{sh.state.value}->{new.value}"
         self.transitions[key] = self.transitions.get(key, 0) + 1
         sh.state = new
-        if new is HealthState.BANNED:
+        if new is _BANNED:
             sh.site.health_penalty = math.inf
             self.sim.schedule(
                 self.config.ban_cooldown, partial(self._begin_probing, sh)
             )
-        elif new is HealthState.DEGRADED:
+        elif new is _DEGRADED:
             sh.site.health_penalty = self.config.degraded_penalty
-        elif new is HealthState.OK:
+        elif new is _OK:
             sh.site.health_penalty = 1.0
             # fresh start: past sins are forgiven once probes vouch for
             # the site (and on degraded → ok recovery, which has already
@@ -219,9 +220,9 @@ class HealthService:
             sh.n_obs = 0
 
     def _begin_probing(self, sh: SiteHealth) -> None:
-        if sh.state is not HealthState.BANNED:  # pragma: no cover - safety
+        if sh.state is not _BANNED:  # pragma: no cover - safety
             return
-        self._transition(sh, HealthState.PROBING)  # penalty stays inf
+        self._transition(sh, _PROBING)  # penalty stays inf
         sh.site.health_penalty = math.inf
         now = self.sim._now
         probes = []
@@ -242,18 +243,18 @@ class HealthService:
         # reaching a worker node is the re-admission criterion (the
         # paper's probes measure exactly this); a black-hole site fails
         # its probes before they start and never gets here
-        if sh.state is HealthState.PROBING:
+        if sh.state is _PROBING:
             sh.probes = []
-            self._transition(sh, HealthState.OK)
+            self._transition(sh, _OK)
 
     def _probe_verdict(self, sh: SiteHealth, probes: list) -> None:
-        leftovers = [j for j in probes if j.state is JobState.QUEUED]
+        leftovers = [j for j in probes if j.state is _QUEUED]
         if leftovers:
             sh.site.cancel_many(leftovers)
-        if sh.state is HealthState.PROBING and sh.probes is probes:
+        if sh.state is _PROBING and sh.probes is probes:
             # no probe started inside the window: another ban cycle
             sh.probes = []
-            self._transition(sh, HealthState.BANNED)
+            self._transition(sh, _BANNED)
 
     # -- telemetry -----------------------------------------------------------
 

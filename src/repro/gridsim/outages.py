@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gridsim.events import Simulator
-from repro.gridsim.site import ComputingElement
+from repro.gridsim.site import VectorComputingElement
 from repro.util.validation import check_positive, check_probability
 
 __all__ = ["OutageProcess"]
@@ -32,7 +32,7 @@ class OutageProcess:
 
     def __init__(
         self,
-        site: ComputingElement,
+        site: VectorComputingElement,
         sim: Simulator,
         rng: np.random.Generator,
         *,

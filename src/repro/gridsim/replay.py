@@ -4,14 +4,13 @@ The synthetic :class:`~repro.gridsim.background.BackgroundLoad` keeps a
 site near a target utilisation with Poisson arrivals; this bridge
 instead *replays* a recorded production workload — the Parallel
 Workloads Archive (SWF) or Grid Workloads Archive (GWF) traces the
-paper's related work mines — through the very same site lanes:
-
-* on a :class:`~repro.gridsim.site.VectorComputingElement` (or its
-  fair-share flavour) the replayed arrivals flow through the chunked
-  array lane — zero events, zero Job objects per replayed job;
-* on the event oracle each arrival becomes a background
-  :class:`~repro.gridsim.jobs.Job`, so the replay is engine-equivalent
-  and testable against the Lindley lane.
+paper's related work mines — through the very same site intake: each
+refill hands one chunk of replayed arrivals to ``site.feed_background``.
+A :class:`~repro.gridsim.site.VectorComputingElement` (or its fair-share
+flavour) resolves the chunk with zero events and zero Job objects per
+replayed job; the event-driven test oracle turns each arrival into a
+background :class:`~repro.gridsim.jobs.Job`, so the replay is
+engine-equivalent and testable against the Lindley lane.
 
 ``tests/test_replay.py`` round-trips the bundled toy trace through
 parse → replay → telemetry on both engines.
@@ -19,8 +18,6 @@ parse → replay → telemetry on both engines.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +25,6 @@ import numpy as np
 
 from repro.gridsim.background import DEFAULT_CHUNK
 from repro.gridsim.events import Simulator
-from repro.gridsim.jobs import Job
 from repro.traces.gwf import read_gwf_workload
 from repro.traces.swf import read_swf_workload
 from repro.util.validation import check_positive
@@ -141,11 +137,9 @@ class TraceReplayLoad:
         self._run = run * float(runtime_scale)
         self._cursor = 0
         self._base = 0.0
-        self._bulk = hasattr(site, "feed_background")
         self._vo_idx = getattr(
             getattr(site, "fairshare", None), "index_of", lambda _n: 0
         )(vo)
-        self._runtimes: deque[float] = deque()
         self._started = False
 
     @property
@@ -161,12 +155,8 @@ class TraceReplayLoad:
         synthetic :class:`BackgroundLoad` besides the replay, so the
         site-level delivered counter would alias the two).
         """
-        if self._bulk:
-            reached = self.sim.now - self._base
-            return int(
-                np.searchsorted(self._arr[: self._cursor], reached, side="right")
-            )
-        return self._cursor - len(self._runtimes)
+        reached = self.sim.now - self._base
+        return int(np.searchsorted(self._arr[: self._cursor], reached, side="right"))
 
     @property
     def exhausted(self) -> bool:
@@ -187,20 +177,7 @@ class TraceReplayLoad:
         times = (self._base + self._arr[lo:hi]).tolist()
         runtimes = self._run[lo:hi].tolist()
         self._cursor = hi
-        if self._bulk:
-            if self._vo_idx:
-                self.site.feed_background(
-                    times, runtimes, [self._vo_idx] * len(times)
-                )
-            else:
-                self.site.feed_background(times, runtimes)
-        else:
-            self._runtimes.extend(runtimes)
-            self.sim.schedule_many(times, repeat(self._deliver))
+        vos = [self._vo_idx] * len(times) if self._vo_idx else None
+        self.site.feed_background(times, runtimes, vos)
         if hi < self._arr.size:
             self.sim.schedule_at(times[-1], self._refill)
-
-    def _deliver(self) -> None:
-        job = Job(runtime=self._runtimes.popleft(), tag="background", vo=self.vo)
-        job.submit_time = self.sim._now
-        self.site.enqueue(job)

@@ -1,13 +1,16 @@
 """Computing elements: batch queue + worker cores of one grid site.
 
-Two engines implement the same site contract:
+Two engines implement the same site contract, background intake
+included: load generators hand over chunks of arrivals through
+``feed_background(times, runtimes, vos=None)``.
 
 * :class:`ComputingElement` — the original event-driven FIFO.  Every job
   (client *and* background) is a :class:`Job` whose start and completion
-  are heap events.  It is kept as the law oracle, outside production
-  grids: the equivalence suite (``tests/test_site_engine_equivalence.py``)
-  builds grids on it and replays identical workloads through both
-  engines to compare traces.
+  are heap events; ``feed_background`` schedules one arrival event per
+  background job, which builds that job when it fires.  It is kept as
+  the law oracle, outside production grids: the equivalence suite
+  (``tests/test_site_engine_equivalence.py``) builds grids on it and
+  replays identical workloads through both engines to compare traces.
 * :class:`VectorComputingElement` — the production two-lane engine.
   Client-visible jobs (probes, strategy copies, cancellations) keep the
   exact event-kernel semantics, while anonymous background jobs flow
@@ -38,6 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -73,6 +77,9 @@ class ComputingElement:
     #: match-making penalty published to health-aware brokers
     #: (1.0 ok, >1 degraded, inf banned)
     health_penalty = 1.0
+    #: VO names by site VO index, the labels ``feed_background`` takes;
+    #: the plain FIFO has one unnamed VO
+    _vo_names: tuple[str, ...] = ("",)
 
     def __init__(
         self,
@@ -107,6 +114,40 @@ class ComputingElement:
         self.jobs_killed = 0
         #: jobs failed on arrival (or drained) by a black hole
         self.jobs_failed_bh = 0
+        #: background arrivals whose event has fired
+        self._bg_delivered = 0
+
+    # -- background lane ---------------------------------------------------
+
+    def feed_background(
+        self,
+        times: list[float],
+        runtimes: list[float],
+        vos: list[int] | None = None,
+    ) -> None:
+        """Schedule a chunk of background arrivals, one event each.
+
+        The chunk's events share one callback holding its runtimes (and
+        VO labels, site VO indices) in deques; the events fire in time
+        order, FIFO among ties, so each pops its own entries, and chunks
+        from two generators feeding one site never trade runtimes.
+        """
+        labels = None if vos is None else deque(vos)
+        arrive = partial(self._arrive, deque(runtimes), labels)
+        self.sim.schedule_many(times, repeat(arrive))
+
+    def background_delivered(self) -> int:
+        """Background arrivals whose arrival event has fired."""
+        return self._bg_delivered
+
+    def _arrive(self, runtimes: deque[float], vos: deque[int] | None) -> None:
+        """Build and enqueue one background arrival of a fed chunk."""
+        job = Job(runtime=runtimes.popleft(), tag="background")
+        if vos is not None:
+            job.vo = self._vo_names[vos.popleft()]
+        job.submit_time = self.sim._now
+        self.enqueue(job)
+        self._bg_delivered += 1
 
     # -- queue operations ------------------------------------------------
 
@@ -455,12 +496,18 @@ class VectorComputingElement:
 
     # -- background lane ---------------------------------------------------
 
-    def feed_background(self, times: list[float], runtimes: list[float]) -> None:
+    def feed_background(
+        self,
+        times: list[float],
+        runtimes: list[float],
+        vos: list[int] | None = None,
+    ) -> None:
         """Append a chunk of background arrivals (sorted, all in the future).
 
-        Called by :class:`~repro.gridsim.background.BackgroundLoad` once
-        per refill; the reconciliation here also trims committed entries
-        so pending arrays stay chunk-sized on healthy sites.
+        Called by the load generators once per refill; the
+        reconciliation here also trims committed entries so pending
+        arrays stay chunk-sized on healthy sites.  The plain FIFO has one
+        VO, so ``vos`` (site VO indices) carries no information here.
         """
         self._advance()
         i = self._bg_i
@@ -523,8 +570,9 @@ class VectorComputingElement:
         commits whatever can start and one wake re-aim covers the whole
         batch — instead of an ``_advance`` + ``_ensure_wake`` per job.
         Jobs cancelled by a start callback fired mid-batch die as queue
-        husks, the same outcome the per-job path reaches via
-        :meth:`~repro.gridsim.wms.WorkloadManager.cancel_matching`.
+        husks, the same outcome the per-job path reaches: there the grid
+        cancels a copy still in match-making by a state flip, and its
+        dispatch skips it.
         """
         if self.black_hole:
             return self._fail_batch(jobs)

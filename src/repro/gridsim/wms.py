@@ -24,7 +24,7 @@ Two dispatch engines implement the same submission contract (selected by
   bucket is resolved by a **single** simulator event at its boundary —
   site selection vectorised over the whole bucket (one numpy ``argmin``
   over ``(est + mm) · noise`` rows) and jobs handed to each chosen site
-  in one :meth:`ComputingElement.enqueue_many` call.  Jobs therefore
+  in one :meth:`VectorComputingElement.enqueue_many` call.  Jobs therefore
   reach their queue at the quantum boundary rather than at their exact
   match-making instant — a deliberate, law-level approximation (a few
   seconds against a minutes-scale latency floor) pinned against the
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.gridsim.events import Simulator
 from repro.gridsim.jobs import Job, JobState
-from repro.gridsim.site import ComputingElement
+from repro.gridsim.site import VectorComputingElement
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["BatchedWorkloadManager", "WorkloadManager"]
@@ -115,7 +115,7 @@ class WorkloadManager:
     def __init__(
         self,
         sim: Simulator,
-        sites: Sequence[ComputingElement],
+        sites: Sequence[VectorComputingElement],
         rng: np.random.Generator,
         *,
         owned: Sequence[str] | None = None,
@@ -330,7 +330,7 @@ class WorkloadManager:
             # RUNNING covers an instant synchronous start.
             tr.enqueue(job)
 
-    def select_site(self) -> ComputingElement:
+    def select_site(self) -> VectorComputingElement:
         """Rank sites by stale estimated wait plus multiplicative noise."""
         self.current_snapshot()
         return self.sites[self._select_index()]
@@ -382,19 +382,6 @@ class WorkloadManager:
         else:
             best = est.index(min(est))
         return best
-
-    def cancel_matching(self, job: Job) -> bool:
-        """Cancel a job still in match-making (before any queue).
-
-        The state flip is the whole protocol on both engines: the
-        per-job dispatch event and the batched bucket resolver each
-        skip jobs that are no longer ``MATCHING``, so a job sitting in
-        a dispatch bucket dies in place without touching any event.
-        """
-        if job.state is _MATCHING:
-            job.state = JobState.CANCELLED
-            return True
-        return False
 
 
 class BatchedWorkloadManager(WorkloadManager):

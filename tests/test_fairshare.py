@@ -20,8 +20,6 @@ import numpy as np
 import pytest
 
 from repro.gridsim import (
-    ComputingElement,
-    FairShareComputingElement,
     FairShareState,
     FairShareVectorComputingElement,
     FaultModel,
@@ -34,6 +32,8 @@ from repro.gridsim import (
     Simulator,
     VectorComputingElement,
 )
+from repro.gridsim.fairshare import FairShareComputingElement
+from repro.gridsim.site import ComputingElement
 from oracles import make_grid
 
 SHARES3 = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))

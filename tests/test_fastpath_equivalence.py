@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.model import LatencyModel
 from repro.core.optimize import (
-    _best_over_t0,
     _best_streamed,
     _delayed_t0_candidates,
     _finish_delayed,
@@ -107,6 +106,26 @@ def ref_optimize_delayed_cost(model, e_j_single, *, t0_min=None, t0_max=None, co
         lambda k0s: delayed_cost_bands(model, k0s, e_j_single)[0],
     )
     return _finish_delayed(model, k0, k_inf, None, cost=best_cost)
+
+
+def _best_over_t0(model, k0_values, objective):
+    """The per-row reducer the ratio-sweep refinement used to run.
+
+    ``objective(k0) -> (values, ks)`` maps a ``t0`` index to objective
+    values over its feasible ``t∞`` indices; all-NaN candidates are
+    skipped.
+    """
+    best = (None, None, np.inf)
+    for k0 in k0_values:
+        values, ks = objective(int(k0))
+        if values.size == 0 or np.isnan(values).all():
+            continue
+        j = int(np.nanargmin(values))
+        if values[j] < best[2]:
+            best = (int(k0), int(ks[j]), float(values[j]))
+    if best[0] is None:
+        raise ValueError("no feasible (t0, t_inf) in the search window")
+    return best
 
 
 def ref_optimize_delayed_ratio_sweep(model, ratios, *, t0_min=None, t0_max=None):
@@ -526,29 +545,13 @@ def test_abl_grid_window_cost_optimum_stays_under_64_mb():
     assert peak < 64 * 2**20
 
 
-class TestBestOverT0Hardening:
-    def test_all_nan_candidates_are_skipped(self):
-        gm = make_gridded((5.6, 1.1, 0.05, 150.0))
-
-        def objective(k0):
-            ks = np.arange(k0, min(2 * k0, gm.grid.n - 1) + 1)
-            if k0 < 100:
-                return np.full(ks.size, np.nan), ks
-            return np.asarray(delayed_expectation_for_t0(gm, k0)[ks]), ks
-
-        k0, k_inf, value = _best_over_t0(gm, np.arange(50, 160, 10), objective)
-        assert k0 >= 100
-        assert np.isfinite(value)
-
-    def test_everything_nan_raises_value_error(self):
-        gm = make_gridded((5.6, 1.1, 0.05, 150.0))
-
-        def objective(k0):
-            ks = np.arange(k0, min(2 * k0, gm.grid.n - 1) + 1)
-            return np.full(ks.size, np.nan), ks
-
+class TestRatioSweepHardening:
+    def test_no_feasible_cell_raises_value_error(self):
+        # F̃ is zero below the 400 s shift, so every cell of a window that
+        # ends at t∞ <= 2·t0 <= 200 s is infeasible
+        gm = make_gridded((5.6, 1.1, 0.05, 400.0))
         with pytest.raises(ValueError, match="no feasible"):
-            _best_over_t0(gm, np.arange(50, 100, 10), objective)
+            optimize_delayed_ratio_sweep(gm, (1.5, 2.0), t0_min=20.0, t0_max=100.0)
 
 
 class TestClosedFormMcLaw:

@@ -5,9 +5,15 @@ import pytest
 
 from repro.gridsim.events import Simulator
 from repro.gridsim.faults import FaultModel
+from repro.gridsim.grid import GridConfig, GridSimulator, SiteConfig
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.site import ComputingElement
 from repro.gridsim.wms import WorkloadManager
+
+
+def _plain_grid(**kw) -> GridConfig:
+    """One small site behind one broker."""
+    return GridConfig(sites=(SiteConfig("s", 4),), **kw)
 
 
 class TestSimulator:
@@ -378,13 +384,18 @@ class TestWorkloadManager:
         snap = wms.current_snapshot()
         assert snap[2] > 0.0
 
-    def test_cancel_matching(self):
-        sim, sites, wms = self.make()
+    @pytest.mark.parametrize("engine", ["event", "batched"])
+    def test_grid_cancel_in_matching(self, engine):
+        grid = GridSimulator(_plain_grid(wms_engine=engine), seed=3)
         job = Job(runtime=1.0)
-        wms.submit(job)
-        assert wms.cancel_matching(job)
-        sim.run_until_idle()
+        grid.submit(job)
+        assert job.state is JobState.MATCHING
+        grid.cancel(job)
+        grid.run_until(3600.0)
+        # the dispatch skips the dead copy: it never reaches a queue
         assert job.state is JobState.CANCELLED
+        assert job.site == ""
+        assert np.isnan(job.queue_time)
 
     def test_submit_state_validation(self):
         _sim, _sites, wms = self.make()
@@ -404,17 +415,23 @@ class TestFaultModel:
         f = FaultModel(p_lost=0.1, p_stuck=0.2)
         assert f.rho == pytest.approx(0.1 + 0.9 * 0.2)
 
+    @staticmethod
+    def _lost_fraction(faults: FaultModel, n: int, seed: int) -> float:
+        """Share of ``n`` plain grid submissions the fault gate loses."""
+        grid = GridSimulator(_plain_grid(faults=faults), seed=seed)
+        for _ in range(n):
+            grid.submit(Job(runtime=1.0))
+        assert grid.jobs_submitted == n
+        return grid.jobs_lost / grid.jobs_submitted
+
     def test_zero_faults(self):
         f = FaultModel()
         assert f.rho == 0.0
-        rng = np.random.default_rng(0)
-        assert not any(f.draw_lost(rng) for _ in range(100))
+        assert self._lost_fraction(f, 100, seed=0) == 0.0
 
     def test_draw_rates(self):
         f = FaultModel(p_lost=0.3, p_stuck=0.0)
-        rng = np.random.default_rng(1)
-        hits = sum(f.draw_lost(rng) for _ in range(20_000))
-        assert hits / 20_000 == pytest.approx(0.3, abs=0.02)
+        assert self._lost_fraction(f, 20_000, seed=1) == pytest.approx(0.3, abs=0.02)
 
     def test_validation(self):
         with pytest.raises(ValueError):

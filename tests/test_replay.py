@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from repro.gridsim import (
-    ComputingElement,
     Simulator,
     TraceReplayLoad,
     VectorComputingElement,
     replay_arrays_from_trace,
 )
 from repro.gridsim.fairshare import FairShareVectorComputingElement
+from repro.gridsim.site import ComputingElement
 from repro.traces.gwf import read_gwf_workload, write_gwf
 from repro.traces.swf import read_swf_workload
 

@@ -22,7 +22,6 @@ from repro.core.strategies import SingleResubmission
 from repro.gridsim import (
     BlackHoleConfig,
     BrokerConfig,
-    ComputingElement,
     FaultModel,
     GridConfig,
     GridMonitor,
@@ -44,6 +43,7 @@ from repro.gridsim import (
     run_strategy_on_grid,
 )
 from repro.gridsim.middleware import RetryPolicy
+from repro.gridsim.site import ComputingElement
 from repro.population import FleetSpec, PopulationSpec, run_population
 from oracles import engine_pair
 
