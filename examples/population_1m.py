@@ -21,6 +21,7 @@ Two properties worth seeing live:
 """
 
 import argparse
+import resource
 import time
 
 from repro.gridsim import warmed_snapshot
@@ -52,6 +53,8 @@ def main() -> None:
     grid = warmed_snapshot(config, seed=args.seed, duration=6 * 3600.0).restore()
     result = run_population(grid, spec, seed=args.seed)
     wall = time.perf_counter() - t0
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     for f in result.fleets:
         print(
@@ -61,7 +64,8 @@ def main() -> None:
         )
     print(
         f"finished {result.total_finished}/{spec.total_tasks} in "
-        f"{wall:.1f}s wall ({spec.total_tasks / wall:,.0f} tasks/s), "
+        f"{wall:.1f}s wall ({spec.total_tasks / wall:,.0f} tasks/s, "
+        f"peak RSS {peak_mb:.0f} MB), "
         f"virtual span {result.duration / 3600.0:.1f}h"
     )
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.stats as st
 
 from repro.distributions.base import LatencyDistribution
 from repro.distributions.parametric import (
@@ -79,6 +78,14 @@ def _positive_samples(samples: np.ndarray) -> np.ndarray:
     return np.maximum(arr, 1e-9)
 
 
+def _scipy_mle(dist: str, x: np.ndarray) -> tuple[float, float]:
+    """Zero-location MLE ``(shape, scale)`` from ``scipy.stats.<dist>.fit``."""
+    import scipy.stats
+
+    shape, _loc, scale = getattr(scipy.stats, dist).fit(x, floc=0.0)
+    return float(shape), float(scale)
+
+
 def _fit_lognormal(x: np.ndarray) -> LatencyDistribution:
     # MLE for the zero-location log-normal is available in closed form.
     logs = np.log(x)
@@ -86,13 +93,11 @@ def _fit_lognormal(x: np.ndarray) -> LatencyDistribution:
 
 
 def _fit_weibull(x: np.ndarray) -> LatencyDistribution:
-    shape, _loc, scale = st.weibull_min.fit(x, floc=0.0)
-    return Weibull(shape=float(shape), scale=float(scale))
+    return Weibull(*_scipy_mle("weibull_min", x))
 
 
 def _fit_gamma(x: np.ndarray) -> LatencyDistribution:
-    shape, _loc, scale = st.gamma.fit(x, floc=0.0)
-    return Gamma(shape=float(shape), scale=float(scale))
+    return Gamma(*_scipy_mle("gamma", x))
 
 
 def _fit_exponential(x: np.ndarray) -> LatencyDistribution:
@@ -100,13 +105,11 @@ def _fit_exponential(x: np.ndarray) -> LatencyDistribution:
 
 
 def _fit_pareto(x: np.ndarray) -> LatencyDistribution:
-    alpha, _loc, scale = st.lomax.fit(x, floc=0.0)
-    return Pareto(alpha=float(alpha), scale=float(scale))
+    return Pareto(*_scipy_mle("lomax", x))
 
 
 def _fit_loglogistic(x: np.ndarray) -> LatencyDistribution:
-    shape, _loc, scale = st.fisk.fit(x, floc=0.0)
-    return LogLogistic(shape=float(shape), scale=float(scale))
+    return LogLogistic(*_scipy_mle("fisk", x))
 
 
 _FITTERS: dict[str, tuple[Callable[[np.ndarray], LatencyDistribution], int]] = {
@@ -142,6 +145,8 @@ def fit_distribution(samples: np.ndarray, family: str) -> FitResult:
         raise ValueError(
             f"unknown family {family!r}; supported: {', '.join(SUPPORTED_FAMILIES)}"
         )
+    import scipy.stats
+
     x = _positive_samples(samples)
     fitter, n_params = _FITTERS[family]
     dist = fitter(x)
@@ -152,7 +157,7 @@ def fit_distribution(samples: np.ndarray, family: str) -> FitResult:
     n = x.size
     aic = 2.0 * n_params - 2.0 * loglik
     bic = n_params * float(np.log(n)) - 2.0 * loglik
-    ks = st.kstest(x, lambda t: np.asarray(dist.cdf(t)))
+    ks = scipy.stats.kstest(x, lambda t: np.asarray(dist.cdf(t)))
     return FitResult(
         distribution=dist,
         family=family,

@@ -12,14 +12,16 @@ reports read naturally.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-import scipy.stats as st
 
 from repro.distributions.base import LatencyDistribution
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from scipy.stats import rv_continuous
 
 __all__ = ["LogNormal", "Weibull", "Gamma", "Exponential", "Pareto", "LogLogistic"]
 
@@ -30,11 +32,15 @@ class _ScipyBacked(LatencyDistribution):
     Holds the shared scipy generator and its shape/scale keywords and
     forwards every call to it — exactly the call a frozen ``rv_frozen``
     makes, so the floats are the same, without the per-instance generator
-    copy (and docstring formatting) that ``freeze`` pays.
+    copy (and docstring formatting) that ``freeze`` pays.  The generator is
+    looked up by name when a family is built, so :mod:`scipy.stats` loads
+    only once a process builds one (the grid simulator never does).
     """
 
-    def __init__(self, dist: st.rv_continuous, **kwds: float) -> None:
-        self._dist = dist
+    def __init__(self, dist: str, **kwds: float) -> None:
+        import scipy.stats
+
+        self._dist: rv_continuous = getattr(scipy.stats, dist)
         self._kwds = kwds
 
     def pdf(self, t):
@@ -91,7 +97,7 @@ class LogNormal(_ScipyBacked):
     def __init__(self, mu: float, sigma: float) -> None:
         self.mu = float(mu)
         self.sigma = check_positive("sigma", sigma)
-        super().__init__(st.lognorm, s=self.sigma, scale=np.exp(self.mu))
+        super().__init__("lognorm", s=self.sigma, scale=np.exp(self.mu))
 
     @classmethod
     def from_mean_std(cls, mean: float, std: float) -> "LogNormal":
@@ -119,7 +125,7 @@ class Weibull(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.weibull_min, c=self.shape, scale=self.scale)
+        super().__init__("weibull_min", c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -133,7 +139,7 @@ class Gamma(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.gamma, a=self.shape, scale=self.scale)
+        super().__init__("gamma", a=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -150,7 +156,7 @@ class Exponential(_ScipyBacked):
 
     def __init__(self, rate: float) -> None:
         self.rate = check_positive("rate", rate)
-        super().__init__(st.expon, scale=1.0 / self.rate)
+        super().__init__("expon", scale=1.0 / self.rate)
 
     def params(self) -> dict[str, Any]:
         return {"rate": self.rate}
@@ -170,7 +176,7 @@ class Pareto(_ScipyBacked):
     def __init__(self, alpha: float, scale: float) -> None:
         self.alpha = check_positive("alpha", alpha)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.lomax, c=self.alpha, scale=self.scale)
+        super().__init__("lomax", c=self.alpha, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"alpha": self.alpha, "scale": self.scale}
@@ -188,7 +194,7 @@ class LogLogistic(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.fisk, c=self.shape, scale=self.scale)
+        super().__init__("fisk", c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}

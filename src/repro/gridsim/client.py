@@ -27,7 +27,7 @@ from repro.core.strategies import (
 )
 from repro.gridsim.grid import GridSimulator
 from repro.gridsim.jobs import Job
-from repro.util.validation import check_positive
+from repro.util.validation import check_int_at_least, check_positive
 
 __all__ = [
     "StrategyOutcome",
@@ -365,6 +365,9 @@ def _run_campaign(
     those ties.  Returns the ``(latency, jobs)`` results in completion
     order and the tasks launched.
     """
+    check_positive("task_interval", task_interval)
+    check_positive("runtime", runtime)
+    check_positive("horizon", horizon)
     results: list[tuple[float, int]] = []
     tasks: list[_StrategyTask] = []
     pending = [n_tasks]
@@ -425,10 +428,7 @@ def run_strategy_on_grid(
     horizon:
         Hard stop for the whole experiment (virtual s).
     """
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    check_positive("task_interval", task_interval)
-    check_positive("horizon", horizon)
+    n_tasks = check_int_at_least("n_tasks", n_tasks, 1)
     _task_class(strategy)  # reject an unsupported strategy before running
     results, tasks = _run_campaign(
         grid, (strategy,), n_tasks, task_interval, runtime, horizon

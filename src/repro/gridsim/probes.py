@@ -22,7 +22,7 @@ from repro.gridsim.grid import GridSimulator
 from repro.gridsim.jobs import Job
 from repro.traces.dataset import TraceSet
 from repro.traces.records import PROBE_TIMEOUT
-from repro.util.validation import check_positive
+from repro.util.validation import check_int_at_least, check_positive
 
 __all__ = ["ProbeExperiment"]
 
@@ -68,12 +68,10 @@ class ProbeExperiment:
         timeout: float = PROBE_TIMEOUT,
         probe_runtime: float = 1.0,
     ) -> None:
-        if n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+        self.n_slots = check_int_at_least("n_slots", n_slots, 1)
         check_positive("timeout", timeout)
         check_positive("probe_runtime", probe_runtime)
         self.grid = grid
-        self.n_slots = int(n_slots)
         self.timeout = timeout
         self.probe_runtime = probe_runtime
         self._submit_times: list[float] = []

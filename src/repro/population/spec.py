@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.strategies import Strategy
 from repro.traces.generator import DiurnalProfile
-from repro.util.validation import check_positive
+from repro.util.validation import check_int_at_least, check_positive
 
 __all__ = ["FleetSpec", "PopulationSpec", "adoption_population"]
 
@@ -58,11 +58,11 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not self.vo:
             raise ValueError("fleet vo must be non-empty")
-        if self.n_tasks < 0:
-            # zero is allowed: sweeps that carve adopters out of a VO's
-            # volume can leave an empty fleet, which simply contributes
-            # nothing (the driver returns empty outcome arrays for it)
-            raise ValueError(f"n_tasks must be >= 0, got {self.n_tasks}")
+        # zero is allowed: sweeps that carve adopters out of a VO's
+        # volume can leave an empty fleet, which simply contributes
+        # nothing (the driver returns empty outcome arrays for it)
+        n_tasks = check_int_at_least("n_tasks", self.n_tasks, 0)
+        object.__setattr__(self, "n_tasks", n_tasks)
         check_positive("runtime", self.runtime)
         if not self.label:
             object.__setattr__(

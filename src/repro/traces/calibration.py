@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.distributions.base import LatencyDistribution
 from repro.distributions.moments import truncated_mean_std
@@ -86,6 +85,8 @@ def calibrate_lognormal(
         If the optimiser cannot match the targets within ``tol`` — e.g.
         a coefficient of variation unreachable under the family.
     """
+    from scipy.optimize import least_squares
+
     check_positive("target_mean", target_mean)
     check_positive("target_std", target_std)
     check_positive("timeout", timeout)

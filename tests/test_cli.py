@@ -200,6 +200,9 @@ class TestWeather:
         assert code == 2 and "n_tasks" in text
         code, text = run_cli("weather", "--t-inf", "-5")
         assert code == 2 and "t_inf" in text
+        code, text = run_cli("weather", "--runtime", "-5", "--tasks", "2")
+        assert code == 2
+        assert text == "error: runtime must be > 0, got -5.0\n"
 
 
 class TestChaos:

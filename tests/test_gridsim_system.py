@@ -26,6 +26,7 @@ from repro.gridsim import (
     SiteConfig,
     VectorComputingElement,
     default_grid_config,
+    run_chaos,
     run_strategy_on_grid,
 )
 from repro.gridsim.jobs import Job, JobState
@@ -147,6 +148,63 @@ class TestGridSimulator:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["16", str(256 * 1024 * 1024)]
 
+    def test_grid_stack_runs_without_scipy(self):
+        # the DES, the population pool, chaos and tracing need numpy only;
+        # scipy loads with the first fit.  A fresh interpreter, because
+        # this one has long since imported it
+        script = """
+import dataclasses, sys
+import numpy as np
+import repro, repro.gridsim, repro.population
+from repro.core.strategies import MultipleSubmission, SingleResubmission
+from repro.gridsim import (
+    GridConfig, GridSimulator, SiteConfig, chaos_grid_config, run_chaos,
+    run_strategy_on_grid, warmed_snapshot,
+)
+from repro.population import FleetSpec, PopulationSpec, run_population
+from repro.population.soa import pool_supported
+
+cfg = GridConfig(sites=(SiteConfig("a", 8, utilization=0.6),))
+spec = PopulationSpec(
+    fleets=(FleetSpec("vo", SingleResubmission(t_inf=3600.0), 20),),
+    window=3600.0,
+)
+for traced in (False, True):
+    grid = warmed_snapshot(
+        dataclasses.replace(cfg, tracing=traced), seed=1, duration=3600.0
+    ).restore()
+    assert pool_supported(grid, spec.fleets) is not traced
+    assert run_population(grid, spec, seed=1).total_finished == 20
+out = run_chaos(
+    dataclasses.replace(chaos_grid_config(seed=7), tracing=True),
+    n_tasks=4, warm=1800.0, horizon=4 * 3600.0,
+)
+assert out.ok and out.events
+grid = GridSimulator(cfg, seed=2)
+grid.warm_up(1800.0)
+run_strategy_on_grid(grid, MultipleSubmission(b=2, t_inf=1800.0), 3)
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+fit = repro.fit_distribution(np.random.default_rng(1).weibull(1.5, 200), "weibull")
+assert "scipy.stats" in sys.modules
+assert np.isfinite(fit.log_likelihood) and 0.0 <= fit.ks_pvalue <= 1.0
+"""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_no_library_module_reads_the_environment(self):
         pkg = Path(repro.__file__).resolve().parent
         readers = [
@@ -252,6 +310,10 @@ class TestProbeExperiment:
         with pytest.raises(ValueError):
             exp.run(0.0)
 
+    def test_slot_count_must_be_an_integer(self, grid):
+        with pytest.raises(TypeError, match="n_slots must be an integer"):
+            ProbeExperiment(grid, n_slots=2.5)
+
     def test_feeds_latency_model_pipeline(self, grid):
         from repro.core import optimize_single
         from repro.util.grids import TimeGrid
@@ -329,6 +391,29 @@ class TestStrategyExecutors:
         g = GridSimulator(small_config(), seed=1)
         with pytest.raises(ValueError):
             run_strategy_on_grid(g, SingleResubmission(t_inf=100.0), 0)
+
+    @pytest.mark.parametrize("n_tasks", [True, 2.5, float("inf")])
+    def test_non_integer_task_count_is_named(self, n_tasks):
+        g = GridSimulator(small_config(), seed=1)
+        with pytest.raises(TypeError, match="n_tasks must be an integer"):
+            run_strategy_on_grid(g, SingleResubmission(t_inf=100.0), n_tasks)
+
+    @pytest.mark.parametrize("entry", ["run_strategy_on_grid", "run_chaos"])
+    @pytest.mark.parametrize("field", ["runtime", "task_interval", "horizon"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 0.0, -5.0]
+    )
+    def test_campaign_rejects_bad_times(self, entry, field, value):
+        # both entry points share one campaign loop, which validates
+        # these before it launches anything
+        with pytest.raises(ValueError, match=field):
+            if entry == "run_chaos":
+                run_chaos(small_config(), n_tasks=2, warm=60.0, **{field: value})
+            else:
+                g = GridSimulator(small_config(), seed=1)
+                run_strategy_on_grid(
+                    g, SingleResubmission(t_inf=100.0), 2, **{field: value}
+                )
 
 
 class TestProbeExperimentReentrancy:

@@ -78,6 +78,11 @@ class TestSpecs:
         with pytest.raises(ValueError, match="runtime"):
             FleetSpec("v", SingleResubmission(t_inf=100.0), 1, runtime=-1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_fleet_task_count_must_be_an_integer(self, bad):
+        with pytest.raises(TypeError, match="n_tasks must be an integer"):
+            FleetSpec("v", SingleResubmission(t_inf=100.0), bad)
+
     def test_population_validation(self):
         # an empty fleet tuple is legal (run_population returns an
         # empty result); the window still has to be positive
