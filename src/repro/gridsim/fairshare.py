@@ -162,32 +162,6 @@ class FairShareState:
         self._decay_to(t)
         self._usage[vo] += cpu
 
-    def fork(self) -> "FairShareState":
-        """An independent copy (for non-committing start predictions)."""
-        clone = FairShareState.__new__(FairShareState)
-        clone.names = self.names
-        clone.shares = self.shares
-        clone.halflife = self.halflife
-        clone._index = self._index
-        clone._usage = list(self._usage)
-        clone._last = self._last
-        return clone
-
-    def reset_from(self, other: "FairShareState") -> None:
-        """Reset in place to mirror ``other`` (reusable scratch forks).
-
-        The wake predictor replays the commit recurrence on a fork per
-        prediction; resetting one long-lived scratch instead of
-        allocating a fresh copy keeps the hot path allocation-free.
-        Only the mutable accounting (usage vector, decay timestamp) is
-        copied — the VO table is assumed shared.
-        """
-        u = self._usage
-        ou = other._usage
-        for k in range(len(u)):
-            u[k] = ou[k]
-        self._last = other._last
-
     def decayed_usage(self, t: float) -> list[float]:
         """Usage decayed to ``t`` *without* committing the decay step."""
         f = 0.5 ** (max(t - self._last, 0.0) / self.halflife)
@@ -359,13 +333,13 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
             job.completion_event = self.sim.schedule(
                 job.runtime, partial(self._complete, job)
             )
-            self.running_jobs[job.job_id] = job
+            self.running_jobs[job] = None
             if self.on_start is not None and job.tag != "background":
                 self.on_start(job)
 
     def _complete(self, job: Job) -> None:
         job.completion_event = None
-        self.running_jobs.pop(job.job_id, None)
+        self.running_jobs.pop(job, None)
         if job.state is not JobState.RUNNING:
             return  # killed in the meantime
         job.state = JobState.COMPLETED
@@ -432,12 +406,12 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     bit-for-bit to a per-start :class:`FairShareState`-method oracle
     loop that appends every client and walks.
 
-    The single wake is aimed at the earliest predicted *client* start,
-    computed by replaying the identical commit recurrence on a
-    reusable scratch fork of the fair-share state; a later background
-    chunk can only postpone that instant (new work competes for
-    cores), never advance it, so a stale wake fires early, commits
-    nothing, and re-aims itself.
+    The wake follows the base engine's one rule
+    (:meth:`~repro.gridsim.site.VectorComputingElement._ensure_wake`):
+    while a live client waits behind an open gate, the wake sits at
+    ``max(now, _next_due)``.  With a client waiting, every walk leaves
+    the memo at the next core release (or dispatch floor), so the wake
+    fires once per release until a client wins a core.
     """
 
     def __init__(
@@ -463,16 +437,6 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         #: queued client jobs per VO (husks skipped lazily)
         self._clq: list[deque[Job]] = [deque() for _ in range(nvo)]
         self._vo_husks = [0] * nvo
-        #: queued (live) client jobs across all VO queues — O(1) guard
-        #: for the wake predictor instead of a full-queue scan
-        self._live_clients = 0
-        #: fair-share flavour of the base lane's next-commit memo: the
-        #: decision loop exits record when the next start can happen, so
-        #: reconciliation points before that instant return immediately
-        self._next_due = 0.0
-        #: reusable scratch fork for the wake predictor (lazily created,
-        #: reset in place per prediction — no allocation on the hot path)
-        self._pred_scratch: FairShareState | None = None
         #: per-VO head rows of the block resolver (merged head arrivals
         #: and their background/client components).  Valid whenever
         #: ``_heads_mut == _mut``: the commit loop maintains them
@@ -540,10 +504,12 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 )
         self._mut += 1
         nd = times[0]
-        if nd < self._next_due:
+        if nd < self._next_due and not self._live_clients:
             # an arrival can never start before it lands, so the memo
             # only needs lowering to the chunk head — all-future feeds
-            # leave the walk deferred
+            # leave the walk deferred.  Behind a waiting client the memo
+            # is the next core release (or floor), which no arrival can
+            # beat, so it, and the wake on it, stay put
             self._next_due = nd
 
     def background_delivered(self) -> int:
@@ -636,15 +602,16 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                     self._heads[vi] = now
         if e <= now:
             # a core is free but the closed form does not apply (gate
-            # closed, hole, or a husk): let the walk decide
+            # closed, hole, or a husk): let the walk decide, and re-arm
             self._next_due = 0.0
             self._advance()
-        elif e < self._next_due:
-            # every core is busy past now — no start can happen before
-            # ``e``, so lowering the memo there keeps the walk deferred
-            self._next_due = e
-        if job.state is _QUEUED:
-            self._defer_wake()
+        else:
+            if e < self._next_due:
+                # every core is busy past now — no start can happen
+                # before ``e``, so lowering the memo there keeps the
+                # walk deferred
+                self._next_due = e
+            self._ensure_wake()
 
     def cancel(self, job: Job) -> bool:
         if job.state is _QUEUED:
@@ -654,9 +621,10 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
             self._vo_husks[self.fairshare.index_of(job.vo)] += 1
             self._live_clients -= 1
             self._mut += 1  # the husk may be its VO's cached head
-            # a removed competitor can advance any waiting client's
-            # predicted start: re-aim, at worst early
-            self._defer_wake()
+            # the memo still bounds the next commit (one competitor
+            # fewer frees no core); the last waiting client takes the
+            # wake with it
+            self._ensure_wake()
             return True
         return super().cancel(job)
 
@@ -664,9 +632,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         """Fail both per-VO lanes, then flip via the base hook.
 
         Queued client jobs fail with their ``on_fail`` notification;
-        arrived-but-unstarted background entries are consumed as
-        anonymous failures.  The base hook then only has running work
-        left to kill (its own background arrays are unused and empty).
+        the base hook then consumes arrived-but-unstarted background
+        entries as anonymous failures (through :meth:`_drain_hole`) and
+        kills the running work.
         """
         if self.black_hole:
             return
@@ -685,22 +653,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                     on_fail(job)
             q.clear()
             self._vo_husks[v] = 0
-            a = self._bga[v]
-            c = self._bgc[v]
-            j = bisect_right(a, now, c)
-            failed += j - c
-            self._bgc[v] = j
         self.jobs_failed_bh += failed
-        self._live_clients = 0
         self._mut += 1
         super().begin_black_hole()
-
-    def end_black_hole(self) -> None:
-        """Resume normal operation; arrivals during the hole stay failed."""
-        if not self.black_hole:
-            return
-        self._drain_hole(self.sim._now)
-        super().end_black_hole()
 
     def _drain_hole(self, t: float) -> None:
         """Consume per-VO background arrivals <= ``t`` as failures."""
@@ -718,8 +673,8 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
 
     # -- the fair-share commit loop ----------------------------------------
 
-    def _advance(self) -> None:
-        """Commit every start with start time <= now, fair-share order.
+    def _commit_block(self, t: float) -> None:
+        """Commit every start at or before ``t``, fair-share order.
 
         Each start's decision instant ``d`` is the first moment a free
         core and an arrived job coexist — ``max(min core-free, dispatch
@@ -728,22 +683,7 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         plain engine's ``max(arrival, m)`` applies).  All VOs whose
         head arrived by ``d`` compete and the decayed ``usage/share``
         argmin picks the winner; commits stop as soon as ``d`` passes
-        now, memoising that instant in ``_next_due``.
-        """
-        t = self.sim._now
-        ends = self._client_ends
-        if ends and ends[0][0] <= t:
-            self._drain_completions()
-        if self.black_hole:
-            # arrivals inside a hole fail instantly, never occupying cores
-            self._drain_hole(t)
-            return
-        if t < self._next_due or not self.dispatch_enabled:
-            return
-        self._commit_block(t)
-
-    def _commit_block(self, t: float) -> None:
-        """Block-resolved commits: fused decay/argmin over plain locals.
+        ``t``, memoising that instant in ``_next_due``.
 
         Background-only runs are resolved without a single method call
         or attribute write — the decay ladder multiplies the usage
@@ -900,146 +840,6 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 floor = self._dispatch_floor
                 last = fs._last
                 refill = self._mut != self._heads_mut
-
-    # -- the wake ----------------------------------------------------------
-
-    def _defer_wake(self) -> None:
-        """Bound the wake early instead of predicting per queue change.
-
-        A queue mutation can move the earliest client start, but never
-        before ``max(now, next core release, dispatch floor)`` — so the
-        wake is (re-)aimed there when it sits later, and the full replay
-        prediction is deferred to the wake instant itself.  An early
-        wake is always safe: it commits whatever is ready and re-aims
-        with a real prediction.  Bursts of enqueues and sibling cancels
-        therefore coalesce into one prediction per release instant
-        instead of one replay per job — the difference that keeps
-        fair-share grids affordable under 10⁵-task populations.
-        """
-        if not self.dispatch_enabled:
-            return  # re-armed by end_outage
-        w = self._wake
-        if self._live_clients <= 0:
-            if w is not None:
-                w.cancel()
-                self._wake = None
-            return
-        e = self._core_free[0]
-        if self._dispatch_floor > e:
-            e = self._dispatch_floor
-        now = self.sim._now
-        if now > e:
-            e = now
-        if w is not None:
-            if not w.cancelled and w.time <= e:
-                return
-            w.cancel()
-        self._wake = self.sim.schedule_at(e, self._on_wake)
-
-    def _ensure_wake(self) -> None:
-        if not self.dispatch_enabled:
-            return  # re-armed by end_outage
-        s = self._predict_next_client_start()
-        w = self._wake
-        if s is None:
-            if w is not None:
-                w.cancel()
-                self._wake = None
-            return
-        if w is not None:
-            if not w.cancelled and w.time == s:
-                return
-            w.cancel()
-        self._wake = self.sim.schedule_at(s, self._on_wake)
-
-    def _predict_next_client_start(self) -> float | None:
-        """Earliest client start, by replaying the commit recurrence.
-
-        Runs the exact block-resolver arithmetic — heap, decay ladder,
-        ``usage/share`` argmin — on private copies (local cursor list,
-        copied heap, the reusable scratch fork of the fair-share
-        state), stopping the moment a client head wins a core.  Client
-        heads never pop during a replay (the first one to win *is* the
-        answer), so one live head per VO suffices.  Nothing is ever
-        committed: the live usage vector and decay timestamp are
-        untouched.  ``None`` when no client is queued.
-        """
-        if self._live_clients <= 0:
-            return None
-        QUEUED = JobState.QUEUED
-        fs = self.fairshare
-        scratch = self._pred_scratch
-        if scratch is None:
-            scratch = self._pred_scratch = fs.fork()
-        else:
-            scratch.reset_from(fs)
-        usage = scratch._usage
-        shares = scratch.shares
-        halflife = scratch.halflife
-        last = scratch._last
-        h = self._core_free.copy()
-        floor = self._dispatch_floor
-        bga, bgr = self._bga, self._bgr
-        cc = list(self._bgc)
-        nvo = len(cc)
-        rng = range(nvo)
-        INF = _INF
-        cheads = [INF] * nvo
-        for v in rng:
-            for job in self._clq[v]:
-                if job.state is QUEUED:
-                    cheads[v] = job.queue_time
-                    break
-        bheads = [0.0] * nvo
-        heads = [0.0] * nvo
-        for v in rng:
-            a = bga[v]
-            c = cc[v]
-            b = a[c] if c < len(a) else INF
-            bheads[v] = b
-            j = cheads[v]
-            heads[v] = b if b <= j else j
-        while True:
-            d = h[0]
-            if floor > d:
-                d = floor
-            a0 = heads[0]
-            for v in rng:
-                hv = heads[v]
-                if hv < a0:
-                    a0 = hv
-            if a0 > d:
-                if a0 == INF:  # pragma: no cover - a queued client remains
-                    return None
-                d = a0
-            if d > last:
-                f = 0.5 ** ((d - last) / halflife)
-                for k in rng:
-                    usage[k] *= f
-                last = d
-            best = -1
-            br = 0.0
-            for v in rng:
-                if heads[v] <= d:
-                    r = usage[v] / shares[v]
-                    if best < 0 or r < br:
-                        best = v
-                        br = r
-            v = best
-            b = bheads[v]
-            if b > cheads[v]:
-                return d  # the client head wins this core
-            c = cc[v]
-            r = bgr[v][c]
-            heapreplace(h, d + r)
-            usage[v] += r
-            c += 1
-            cc[v] = c
-            a = bga[v]
-            nb = a[c] if c < len(a) else INF
-            bheads[v] = nb
-            j = cheads[v]
-            heads[v] = nb if nb <= j else j
 
     # -- telemetry ---------------------------------------------------------
 

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 __all__ = ["Job", "JobState"]
-
-_job_ids = itertools.count()
 
 
 class JobState(enum.Enum):
@@ -46,7 +43,10 @@ class Job:
     Jobs compare (and hash) by identity: two jobs are never "the same
     job" because they carry equal timestamps, and identity semantics
     keep containment/removal checks O(1) per element instead of a
-    nine-field value comparison.
+    nine-field value comparison.  Jobs carry no id: a site keys its
+    running jobs by the job itself, and a trace numbers the jobs it
+    records (:class:`~repro.gridsim.tracing.TraceRecorder`), so no
+    number depends on how many jobs the process made before.
 
     Attributes
     ----------
@@ -71,7 +71,6 @@ class Job:
     """
 
     runtime: float = 0.0
-    job_id: int = field(default_factory=_job_ids.__next__)
     state: JobState = JobState.CREATED
     submit_time: float = float("nan")
     start_time: float = float("nan")
@@ -109,4 +108,4 @@ class Job:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Job(#{self.job_id}, {self.state.value}, site={self.site or '-'})"
+        return f"Job({self.state.value}, site={self.site or '-'})"

@@ -101,9 +101,10 @@ class ComputingElement:
         #: instead of an O(n) scan of the deque)
         self._queue_husks = 0
         self.on_start = on_start
-        #: jobs currently executing, keyed by job id; each carries its
-        #: completion :class:`Event` in ``job.completion_event``
-        self.running_jobs: dict[int, Job] = {}
+        #: jobs currently executing, in start order (a dict used as an
+        #: ordered set); each carries its completion :class:`Event` in
+        #: ``job.completion_event``
+        self.running_jobs: dict[Job, None] = {}
         #: gate used by outage processes: while False, queued jobs do not
         #: start even if cores are free
         self.dispatch_enabled = True
@@ -227,7 +228,7 @@ class ComputingElement:
                 if ev is not None:
                     ev.cancel()
                     job.completion_event = None
-                self.running_jobs.pop(job.job_id, None)
+                self.running_jobs.pop(job, None)
                 job.state = JobState.CANCELLED
                 job.end_time = self.sim.now
                 self.free_cores += 1
@@ -244,7 +245,7 @@ class ComputingElement:
         # close the gate first, then kill (unscheduled outage semantics);
         # freed cores stay idle until recovery because the gate is closed
         self.dispatch_enabled = False
-        for job in list(self.running_jobs.values()):
+        for job in list(self.running_jobs):
             if rng.random() < kill_running:
                 self.cancel(job)
                 self.jobs_killed += 1
@@ -280,7 +281,7 @@ class ComputingElement:
                 on_fail(job)
         self.queue.clear()
         self._queue_husks = 0
-        for job in list(self.running_jobs.values()):
+        for job in self.running_jobs:
             ev = job.completion_event
             if ev is not None:
                 ev.cancel()
@@ -343,7 +344,7 @@ class ComputingElement:
             job.completion_event = self.sim.schedule(
                 job.runtime, partial(self._complete, job)
             )
-            self.running_jobs[job.job_id] = job
+            self.running_jobs[job] = None
             # background jobs never have start watchers; skipping the
             # notification call for them halves the per-start overhead
             # on saturated grids
@@ -352,7 +353,7 @@ class ComputingElement:
 
     def _complete(self, job: Job) -> None:
         job.completion_event = None
-        self.running_jobs.pop(job.job_id, None)
+        self.running_jobs.pop(job, None)
         if job.state is not JobState.RUNNING:
             return  # killed in the meantime
         job.state = JobState.COMPLETED
@@ -410,16 +411,18 @@ class VectorComputingElement:
     instant, completions are real events, cancellation works queued and
     mid-run.
 
-    The one scheduling device is the *wake*: while a client job waits in
-    the FIFO, everything ahead of it (arrival times and runtimes of
-    pending background work, committed free times) is already known, so
-    its start instant is fully determined.  The site schedules a single
-    event at that predicted time; any action that can move the
-    prediction earlier (a queued or running cancellation, an outage
-    recovery) re-aims it, and an outage closing the gate disarms it.
-    Prediction and commit run the identical float arithmetic over the
-    identical heap, so client traces are bit-identical to the
-    event-driven oracle wherever no same-timestamp tie is involved.
+    The one scheduling device is the *wake*, and one rule places it
+    (:meth:`_ensure_wake`, shared with the fair-share engine): while a
+    live client waits and the dispatch gate is open, the site's single
+    wake event sits at ``max(now, _next_due)``; otherwise none is armed.
+    ``_next_due`` is the next-commit instant every walk memoises, and
+    every mutation that could bring a commit forward lowers it, so it is
+    a lower bound on the waiting client's start: a wake there is never
+    late.  It fires, walks (committing whatever is due, the client
+    included once its instant comes) and re-arms at the new memo.
+    Start instants are decided by the commit recurrence alone, so client
+    traces are bit-identical to the event-driven oracle wherever no
+    same-timestamp tie is involved.
     """
 
     #: grid-weather hooks, mirrored from :class:`ComputingElement`
@@ -454,10 +457,11 @@ class VectorComputingElement:
         self._bg_done = 0
         #: client jobs in arrival order (husks skipped lazily)
         self._client_q: deque[Job] = deque()
-        self._client_husks = 0
-        #: the single predicted-start event armed for the head client job
+        #: queued (live) client jobs — the wake rule's "a client waits"
+        self._live_clients = 0
+        #: the site's single wake event (see :meth:`_ensure_wake`)
         self._wake: Event | None = None
-        #: min-heap of ``(end, job_id, job)`` for running client jobs —
+        #: min-heap of ``(end, start no., job)`` for running client jobs —
         #: completions are pure bookkeeping (the core release is already
         #: encoded in the free-time heap at commit), so instead of one
         #: kernel event per client job they drain lazily: at the top of
@@ -466,7 +470,8 @@ class VectorComputingElement:
         #: stay as husks and are skipped on drain.
         self._client_ends: list[tuple[float, int, Job]] = []
         sim.add_reconciler(self._drain_completions)
-        self.running_jobs: dict[int, Job] = {}
+        #: running client jobs in start order (a dict used as an ordered set)
+        self.running_jobs: dict[Job, None] = {}
         self.dispatch_enabled = True
         #: no start may be committed before this instant — raised to the
         #: recovery time when an outage gate reopens, because work that
@@ -480,19 +485,12 @@ class VectorComputingElement:
         #: jobs failed on arrival (or drained) by a black hole
         self.jobs_failed_bh = 0
         #: earliest instant the next commit can happen — ``_advance``
-        #: returns immediately while ``now`` is before it.  Computed at
-        #: the end of every walk; any mutation that could create an
-        #: *earlier* start (client arrival, core release, gate reopen,
-        #: new background chunk) resets it to 0 to force a walk.
+        #: returns immediately while ``now`` is before it, and the wake
+        #: sits on it.  Computed at the end of every walk; any mutation
+        #: that could create an *earlier* start (client arrival, core
+        #: release, gate reopen, new background chunk) lowers it, or
+        #: resets it to 0 to force a walk.
         self._next_due = 0.0
-        #: bumped whenever the inputs of a head-start prediction change
-        #: (core release, dispatch-floor move) — commits alone never do,
-        #: because prediction and commit run the identical recurrence.
-        #: ``_ensure_wake`` skips the predictor while the armed wake was
-        #: computed for the same head job at the same epoch.
-        self._lane_epoch = 0
-        self._wake_head: Job | None = None
-        self._wake_epoch = -1
 
     # -- background lane ---------------------------------------------------
 
@@ -518,11 +516,13 @@ class VectorComputingElement:
             self._bg_i = 0
         self._bg_t.extend(times)
         self._bg_r.extend(runtimes)
-        if times and times[0] < self._next_due:
+        if times and times[0] < self._next_due and not self._live_clients:
             # a new arrival can never start before it arrives, so the
             # memo only needs *lowering* to the chunk head — feeds are
             # all-future, so the walk stays deferred instead of being
-            # forced on the next reconciliation point
+            # forced on the next reconciliation point.  Behind a waiting
+            # client the memo is already a bound no later arrival can
+            # beat (FIFO order), so it, and the wake on it, stay put
             self._next_due = times[0]
 
     def background_delivered(self) -> int:
@@ -543,7 +543,7 @@ class VectorComputingElement:
         job.site = self.name
         job.queue_time = self.sim._now
         cq = self._client_q
-        if self._client_husks == len(cq):
+        if not self._live_clients:
             # no live client ahead: the new arrival may start as soon as
             # a core frees past the floor, so *lower* the memo to that
             # bound (behind a live head, FIFO order keeps the next
@@ -557,6 +557,7 @@ class VectorComputingElement:
             if e < self._next_due:
                 self._next_due = e
         cq.append(job)
+        self._live_clients += 1
         self._advance()  # background ahead of it commits; may start it now
         if job.state is JobState.QUEUED:
             self._ensure_wake()
@@ -567,7 +568,7 @@ class VectorComputingElement:
         All jobs are appended to the FIFO first (same ``queue_time``,
         FIFO order = batch order, exactly as a loop over
         :meth:`enqueue` would produce), then one reconciliation pass
-        commits whatever can start and one wake re-aim covers the whole
+        commits whatever can start and one wake check covers the whole
         batch — instead of an ``_advance`` + ``_ensure_wake`` per job.
         Jobs cancelled by a start callback fired mid-batch die as queue
         husks, the same outcome the per-job path reaches: there the grid
@@ -578,7 +579,7 @@ class VectorComputingElement:
             return self._fail_batch(jobs)
         now = self.sim._now
         cq = self._client_q
-        if self._client_husks == len(cq):
+        if not self._live_clients:
             # no live client ahead: the batch head may start once a core
             # frees past the floor (same memo lowering as ``enqueue``)
             e = self._core_free[0]
@@ -596,6 +597,7 @@ class VectorComputingElement:
             cq.append(job)
             n += 1
         if n:
+            self._live_clients += n
             self._advance()
             self._ensure_wake()
         return n
@@ -614,7 +616,7 @@ class VectorComputingElement:
 
         Same two-phase semantics as the event engine's
         :meth:`ComputingElement.cancel_many` — queued husks first, then
-        running kills, then a **single** reconciliation + wake re-aim
+        running kills, then a **single** reconciliation + wake check
         for the whole batch instead of one per cancelled job.
         """
         n = 0
@@ -626,7 +628,7 @@ class VectorComputingElement:
         for job in jobs:
             if job.state is JobState.QUEUED and job.site == self.name:
                 job.state = JobState.CANCELLED
-                self._client_husks += 1
+                self._live_clients -= 1
                 n += 1
         for job in jobs:
             if job.state is JobState.RUNNING:
@@ -634,7 +636,7 @@ class VectorComputingElement:
                 if ev is not None:
                     ev.cancel()
                     job.completion_event = None
-                self.running_jobs.pop(job.job_id, None)
+                self.running_jobs.pop(job, None)
                 job.state = JobState.CANCELLED
                 job.end_time = now
                 self._release_core(job.start_time + job.runtime, now)
@@ -644,7 +646,6 @@ class VectorComputingElement:
         if n:
             if freed:
                 self._next_due = 0.0  # freed cores may start earlier work
-                self._lane_epoch += 1
                 self._advance()
             self._ensure_wake()
         return n
@@ -661,17 +662,13 @@ class VectorComputingElement:
         self._advance()
         killed0 = self._killed
         self.dispatch_enabled = False
-        if self._wake is not None:
-            self._wake.cancel()
-            self._wake = None
-        for job in list(self.running_jobs.values()):
+        self._ensure_wake()  # the closed gate disarms it
+        for job in list(self.running_jobs):
             if rng.random() < kill_running:
                 self.cancel(job)
         now = self.sim._now
         # surviving client ends, to tell client cores from background cores
-        client_ends = sorted(
-            j.start_time + j.runtime for j in self.running_jobs.values()
-        )
+        client_ends = sorted(j.start_time + j.runtime for j in self.running_jobs)
         cf = self._core_free
         changed = False
         for k, v in enumerate(cf):
@@ -694,9 +691,7 @@ class VectorComputingElement:
         self.dispatch_enabled = True
         self._dispatch_floor = self.sim._now
         self._next_due = 0.0  # downtime arrivals start the moment we reopen
-        self._lane_epoch += 1
-        self._advance()
-        self._ensure_wake()
+        self._advance()  # the walk re-arms the wake
 
     # -- black-hole hooks --------------------------------------------------
 
@@ -712,9 +707,9 @@ class VectorComputingElement:
             return
         self._advance()
         self.black_hole = True
-        if self._wake is not None:
-            self._wake.cancel()
-            self._wake = None
+        # every waiting client fails below: no client waits, no wake
+        self._live_clients = 0
+        self._ensure_wake()
         now = self.sim._now
         on_fail = self.on_fail
         for job in self._client_q:
@@ -726,12 +721,9 @@ class VectorComputingElement:
             if on_fail is not None and job.tag != "background":
                 on_fail(job)
         self._client_q.clear()
-        self._client_husks = 0
         # background arrivals waiting in the lane fail without starting
-        j = bisect_right(self._bg_t, now, self._bg_i)
-        self.jobs_failed_bh += j - self._bg_i
-        self._bg_i = j
-        for job in list(self.running_jobs.values()):
+        self._drain_hole(now)
+        for job in self.running_jobs:
             ev = job.completion_event
             if ev is not None:
                 ev.cancel()
@@ -758,16 +750,10 @@ class VectorComputingElement:
         """Resume normal operation; arrivals during the hole stay failed."""
         if not self.black_hole:
             return
-        # drain (as failures) anything that arrived inside the hole
-        j = bisect_right(self._bg_t, self.sim._now, self._bg_i)
-        self.jobs_failed_bh += j - self._bg_i
-        self._bg_i = j
+        self._drain_hole(self.sim._now)  # arrivals inside the hole failed
         self.black_hole = False
         self._next_due = 0.0
-        self._lane_epoch += 1
-        if self.dispatch_enabled:
-            self._advance()
-            self._ensure_wake()
+        self._advance()
 
     def _fail_now(self, job: Job) -> None:
         """Instantly fail an arriving client job (black-hole intercept)."""
@@ -795,19 +781,12 @@ class VectorComputingElement:
     def _advance(self) -> None:
         """Commit every start with start time <= now (reconciliation point).
 
-        Walks the merged FIFO (pending background arrivals + client
-        deque) in arrival order, applying the Lindley recurrence.  Client
-        commits fire ``on_start`` synchronously, exactly like the
-        oracle's ``_try_start``; since callbacks may re-enter (cancel a
-        sibling at this very site), all loop state lives on ``self`` and
-        locals are refreshed after every callback.
-
         The next commit instant is fully determined at the end of each
-        walk (the head item's start over the settled free-time heap), so
-        it is memoised in ``_next_due``: reconciliation points that fall
-        before it — the overwhelming majority of telemetry reads and
-        client interactions on a busy grid — return after one comparison
-        instead of re-binding the whole walk state.
+        walk, so it is memoised in ``_next_due``: reconciliation points
+        that fall before it — the overwhelming majority of telemetry
+        reads and client interactions on a busy grid — return after one
+        comparison.  A walk moves the memo, so it ends by holding the
+        wake rule.
         """
         t = self.sim._now
         ends = self._client_ends
@@ -815,13 +794,32 @@ class VectorComputingElement:
             self._drain_completions()
         if self.black_hole:
             # arrivals inside a hole fail instantly, never occupying cores
-            j = bisect_right(self._bg_t, t, self._bg_i)
-            if j > self._bg_i:
-                self.jobs_failed_bh += j - self._bg_i
-                self._bg_i = j
+            self._drain_hole(t)
             return
         if t < self._next_due or not self.dispatch_enabled:
             return
+        self._commit_block(t)
+        if self._live_clients or self._wake is not None:
+            self._ensure_wake()
+
+    def _drain_hole(self, t: float) -> None:
+        """Consume background arrivals <= ``t`` as black-hole failures."""
+        j = bisect_right(self._bg_t, t, self._bg_i)
+        if j > self._bg_i:
+            self.jobs_failed_bh += j - self._bg_i
+            self._bg_i = j
+
+    def _commit_block(self, t: float) -> None:
+        """The walk: commit every start at or before ``t``, FIFO order.
+
+        Walks the merged FIFO (pending background arrivals + client
+        deque) in arrival order, applying the Lindley recurrence, and
+        leaves the next commit instant in ``_next_due``.  Client commits
+        fire ``on_start`` synchronously, exactly like the oracle's
+        ``_try_start``; since callbacks may re-enter (cancel a sibling
+        at this very site), all loop state lives on ``self`` and locals
+        are refreshed after every callback.
+        """
         floor = self._dispatch_floor
         cf = self._core_free
         bg_t, bg_r = self._bg_t, self._bg_r
@@ -831,7 +829,6 @@ class VectorComputingElement:
         while True:
             while cq and cq[0].state is not QUEUED:
                 cq.popleft()
-                self._client_husks -= 1
             head = cq[0] if cq else None
             ct = head.queue_time if head is not None else 0.0
             i = self._bg_i
@@ -874,6 +871,7 @@ class VectorComputingElement:
                     self._next_due = s
                     return
                 cq.popleft()
+                self._live_clients -= 1
                 heapreplace(cf, s + head.runtime)
                 self._started += 1
                 self._start_client(head, s)
@@ -894,9 +892,10 @@ class VectorComputingElement:
         # completion is pure bookkeeping (the core release is already in
         # the free-time heap), so no kernel event: the end instant rides
         # the lazy heap, computed with arithmetic identical to the
-        # heap entry, and drains at the next reconciliation point
-        heappush(self._client_ends, (start + job.runtime, job.job_id, job))
-        self.running_jobs[job.job_id] = job
+        # heap entry, and drains at the next reconciliation point; the
+        # start count (callers bump it first) breaks end-time ties
+        heappush(self._client_ends, (start + job.runtime, self._started, job))
+        self.running_jobs[job] = None
         if self.on_start is not None and job.tag != "background":
             self.on_start(job)
 
@@ -921,7 +920,7 @@ class VectorComputingElement:
             end, _, job = heappop(ends)
             if job.state is not RUNNING:
                 continue  # killed in the meantime — a stale husk
-            pop_running(job.job_id, None)
+            pop_running(job, None)
             job.state = COMPLETED
             job.end_time = end
 
@@ -949,68 +948,29 @@ class VectorComputingElement:
     # -- the wake ----------------------------------------------------------
 
     def _ensure_wake(self) -> None:
-        """(Re-)aim the single start event at the head client's start time."""
-        if not self.dispatch_enabled:
-            return  # re-armed by end_outage
-        head = None
-        for job in self._client_q:
-            if job.state is JobState.QUEUED:
-                head = job
-                break
-        w = self._wake
-        if head is None:
-            if w is not None:
-                w.cancel()
-                self._wake = None
-            return
-        if (
-            w is not None
-            and not w.cancelled
-            and head is self._wake_head
-            and self._wake_epoch == self._lane_epoch
-        ):
-            return  # same head, same prediction inputs: the wake holds
-        s = self._predict_start(head)
-        self._wake_head = head
-        self._wake_epoch = self._lane_epoch
-        if w is not None:
-            if not w.cancelled and w.time == s:
-                return
-            w.cancel()
-        self._wake = self.sim.schedule_at(s, self._on_wake)
+        """Hold the wake rule: one wake at ``max(now, _next_due)`` while a
+        live client waits behind an open gate, and none otherwise.
 
-    def _predict_start(self, head: Job) -> float:
-        """The head client's start instant, given everything ahead of it.
-
-        Runs the same recurrence as :meth:`_advance` on a copy of the
-        free-time heap, without committing — commitments beyond the
-        current time would be invalidated by cancellations or outages,
-        predictions are simply re-made.
+        Called by every walk and by each mutation that changes the memo,
+        the live-client count or the gate without walking.  The memo is
+        a lower bound on the next commit, so the wake is never late, and
+        a wake always finds its memo due: it walks, commits whatever is
+        due (the client once its instant comes) and the walk re-arms it.
+        Each call arms a fresh event, so among wakes due at one instant
+        the site checked last fires last.
         """
-        h = self._core_free.copy()
-        floor = self._dispatch_floor
-        ct = head.queue_time
-        bg_t, bg_r = self._bg_t, self._bg_r
-        i, n = self._bg_i, len(bg_t)
-        while i < n:
-            bt = bg_t[i]
-            if bt > ct:
-                break
-            m = h[0]
-            if floor > m:
-                m = floor
-            s = bt if bt > m else m
-            heapreplace(h, s + bg_r[i])
-            i += 1
-        m = h[0]
-        if floor > m:
-            m = floor
-        return ct if ct > m else m
+        w = self._wake
+        if w is not None:
+            w.cancel()
+            self._wake = None
+        if self._live_clients and self.dispatch_enabled:
+            t = self._next_due
+            now = self.sim._now
+            self._wake = self.sim.schedule_at(t if t > now else now, self._on_wake)
 
     def _on_wake(self) -> None:
         self._wake = None
         self._advance()
-        self._ensure_wake()
 
     # -- telemetry ---------------------------------------------------------
 
@@ -1019,7 +979,7 @@ class VectorComputingElement:
         """Jobs waiting (arrived, not started), both lanes."""
         self._advance()
         n_bg = bisect_right(self._bg_t, self.sim._now, self._bg_i) - self._bg_i
-        return n_bg + len(self._client_q) - self._client_husks
+        return n_bg + self._live_clients
 
     @property
     def busy_cores(self) -> int:

@@ -8,7 +8,8 @@ and untracked jobs are filtered at the door) and turns the stream into
 latency decompositions and exportable traces.
 
 Events are plain tuples ``(kind, t, task_id, job_id, aux)`` with
-virtual timestamps:
+virtual timestamps; ``job_id`` numbers the recorded jobs in the order
+the recorder first maps them (``-1`` on task-level events):
 
 ========== =============================================================
 kind        meaning (``aux``)
@@ -48,6 +49,7 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
+from repro.traces.gwf import gwf_record
 from repro.util.tables import Table, format_seconds
 
 __all__ = [
@@ -78,19 +80,25 @@ LATENCY_EDGES = (
 class TraceRecorder:
     """Append-only event log for client-task lifecycles.
 
-    Jobs are mapped to tasks at submission (``submit`` / ``adopt``);
-    every other hook drops jobs it has never seen, which is how
-    background load and raw test submissions stay out of the trace
-    without the hot paths asking "is this a client job?".
+    Jobs are mapped to tasks at submission (``submit`` / ``adopt``),
+    which also numbers them ``0, 1, 2, ...`` in mapping order — a
+    trace's job ids depend on the recorded campaign alone.  Every other
+    hook drops jobs it has never seen, which is how background load and
+    raw test submissions stay out of the trace without the hot paths
+    asking "is this a client job?".
     """
 
-    __slots__ = ("sim", "events", "_task_of", "_next_task", "_latency_hist")
+    __slots__ = (
+        "sim", "events", "_task_of", "_next_task", "_next_job", "_latency_hist"
+    )
 
     def __init__(self, sim, metrics=None) -> None:
         self.sim = sim
         self.events: list[tuple] = []
-        self._task_of: dict[int, int] = {}
+        #: recorded job -> (task id, job number)
+        self._task_of: dict[object, tuple[int, int]] = {}
         self._next_task = 0
+        self._next_job = 0
         self._latency_hist = (
             metrics.histogram("trace.task_latency", LATENCY_EDGES)
             if metrics is not None
@@ -110,7 +118,8 @@ class TraceRecorder:
 
     def complete(self, task, winner) -> None:
         now = self.sim._now
-        jid = winner.job_id if winner is not None else -1
+        ids = self._task_of.get(winner)
+        jid = ids[1] if ids is not None else -1
         self.events.append(("complete", now, task.task_id, jid, None))
         h = self._latency_hist
         if h is not None:
@@ -126,70 +135,82 @@ class TraceRecorder:
 
     def adopt(self, task, job) -> None:
         """Map a job minted outside ``submit`` (lost-ack ghost sibling)."""
-        self._task_of[job.job_id] = task.task_id
+        self._task_of[job] = (task.task_id, self._next_job)
+        self._next_job += 1
 
     def submit(self, task, job) -> None:
         tid = task.task_id
-        self._task_of[job.job_id] = tid
-        self.events.append(("submit", self.sim._now, tid, job.job_id, None))
+        ids = self._task_of.get(job)
+        if ids is None:  # a fresh copy (an adopted retry keeps its number)
+            ids = self._task_of[job] = (tid, self._next_job)
+            self._next_job += 1
+        self.events.append(("submit", self.sim._now, tid, ids[1], None))
 
     def hop(self, job, broker) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
+        tid, jid = ids
         self.events.append(
             (
                 "hop",
                 self.sim._now,
                 tid,
-                job.job_id,
+                jid,
                 (broker.name, broker.snapshot_staleness()),
             )
         )
 
     def enqueue(self, job) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("enqueue", self.sim._now, tid, job.job_id, job.site))
+        tid, jid = ids
+        self.events.append(("enqueue", self.sim._now, tid, jid, job.site))
 
     def start(self, job) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("start", self.sim._now, tid, job.job_id, job.site))
+        tid, jid = ids
+        self.events.append(("start", self.sim._now, tid, jid, job.site))
 
     def cancel(self, job) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("cancel", self.sim._now, tid, job.job_id, None))
+        tid, jid = ids
+        self.events.append(("cancel", self.sim._now, tid, jid, None))
 
     def fail(self, job, reason: str) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("fail", self.sim._now, tid, job.job_id, reason))
+        tid, jid = ids
+        self.events.append(("fail", self.sim._now, tid, jid, reason))
 
     def retry(self, job, attempt: int, delay: float) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
+        tid, jid = ids
         self.events.append(
-            ("retry", self.sim._now, tid, job.job_id, (attempt, delay))
+            ("retry", self.sim._now, tid, jid, (attempt, delay))
         )
 
     def dup(self, job) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("dup", self.sim._now, tid, job.job_id, None))
+        tid, jid = ids
+        self.events.append(("dup", self.sim._now, tid, jid, None))
 
     def dup_reconciled(self, job) -> None:
-        tid = self._task_of.get(job.job_id)
-        if tid is None:
+        ids = self._task_of.get(job)
+        if ids is None:
             return
-        self.events.append(("dup-reconciled", self.sim._now, tid, job.job_id, None))
+        tid, jid = ids
+        self.events.append(("dup-reconciled", self.sim._now, tid, jid, None))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -399,9 +420,6 @@ def breakdown_tables(records: Sequence[TaskBreakdown]) -> tuple[Table, Table]:
 
 # -- GWF export -------------------------------------------------------------
 
-_GWF_N_FIELDS = 29
-_GWF_STATUS_COMPLETED = "1"
-
 
 def export_gwf(
     events: Sequence[tuple], target: str | Path | IO[str]
@@ -427,21 +445,16 @@ def export_gwf(
             "Status(10) ... VOID(27)\n"
         )
         for r in records:
-            row = (
-                [
+            fh.write(
+                gwf_record(
                     str(r.task_id),
                     f"{r.t_launch:.3f}",
                     f"{r.makespan:.3f}",
                     f"{r.runtime:.3f}",
                     "1",
-                ]
-                + ["-1"] * 5
-                + [_GWF_STATUS_COMPLETED]
-                + ["-1"] * 16
-                + [r.vo if r.vo else "-1", "-1"]
+                    r.vo if r.vo else "-1",
+                )
             )
-            assert len(row) == _GWF_N_FIELDS
-            fh.write(" ".join(row) + "\n")
         return len(records)
 
     if hasattr(target, "write"):

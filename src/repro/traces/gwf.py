@@ -21,7 +21,7 @@ from repro.traces._workload import parse_workload_arrays
 from repro.traces.dataset import TraceSet
 from repro.traces.records import PROBE_TIMEOUT
 
-__all__ = ["GWF_FIELDS", "read_gwf", "read_gwf_workload", "write_gwf"]
+__all__ = ["GWF_FIELDS", "gwf_record", "read_gwf", "read_gwf_workload", "write_gwf"]
 
 #: the 29 GWF fields, in file order
 GWF_FIELDS: tuple[str, ...] = (
@@ -58,6 +58,28 @@ GWF_FIELDS: tuple[str, ...] = (
 
 #: GWF status code for a successfully completed job
 _STATUS_COMPLETED = 1
+
+_STATUS = GWF_FIELDS.index("Status")
+_VOID = GWF_FIELDS.index("VOID")
+
+
+def gwf_record(
+    job_id: str, submit: str, wait: str, runtime: str, status: str, vo: str = "-1"
+) -> str:
+    """One GWF line: the fields repro writes, ``-1`` (missing) elsewhere.
+
+    The arguments are the rendered JobID, SubmitTime, WaitTime, RunTime,
+    Status and VOID fields; NProcs is always 1.
+    """
+    row = ["-1"] * len(GWF_FIELDS)
+    row[0] = job_id
+    row[1] = submit
+    row[2] = wait
+    row[3] = runtime
+    row[4] = "1"
+    row[_STATUS] = status
+    row[_VOID] = vo
+    return " ".join(row) + "\n"
 
 
 def _open_for_read(path_or_file: str | Path | TextIO) -> tuple[TextIO, bool]:
@@ -164,16 +186,16 @@ def write_gwf(trace: TraceSet, target: str | Path | TextIO) -> None:
         fh.write("# Fields: " + " ".join(GWF_FIELDS) + "\n")
         for i in range(len(trace)):
             ok = trace.status_codes[i] == 0
-            wait = f"{trace.latencies[i]:.3f}" if ok else "-1"
-            status = str(_STATUS_COMPLETED) if ok else "0"
-            row = [
-                str(i),  # JobID
-                f"{trace.submit_times[i]:.3f}",  # SubmitTime
-                wait,  # WaitTime
-                "0",  # RunTime: probes are ~null /bin/hostname runs
-                "1",  # NProcs
-            ] + ["-1"] * 5 + [status] + ["-1"] * 18
-            fh.write(" ".join(row) + "\n")
+            # RunTime 0: probes are ~null /bin/hostname runs
+            fh.write(
+                gwf_record(
+                    str(i),
+                    f"{trace.submit_times[i]:.3f}",
+                    f"{trace.latencies[i]:.3f}" if ok else "-1",
+                    "0",
+                    str(_STATUS_COMPLETED) if ok else "0",
+                )
+            )
     finally:
         if should_close:
             fh.close()

@@ -132,7 +132,7 @@ class ScalarFairShareCE(FairShareVectorComputingElement):
         elif e < self._next_due:
             self._next_due = e  # no start before the next core release
         if job.state is JobState.QUEUED:
-            self._defer_wake()
+            self._ensure_wake()
 
     def _commit_block(self, t: float) -> None:
         fs = self.fairshare

@@ -90,7 +90,7 @@ def _run_stream(impl, seed, *, diurnal=None, duration=150_000.0, n_cores=16):
     bg.start()
     sim.run_until(duration)
     runtimes = np.array(
-        [j.runtime for j in site.running_jobs.values()]
+        [j.runtime for j in site.running_jobs]
         + [j.runtime for j in site.queue]
     )
     return {

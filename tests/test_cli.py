@@ -1,15 +1,15 @@
 """Tests for the command-line interface."""
 
 import io
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import list_experiments
+
+
+GOLDEN_TRACE = Path(__file__).parent / "data" / "storm-broker-site-20.jsonl"
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -261,22 +261,27 @@ class TestTraceReport:
 
     def test_trace_matches_the_committed_golden_trace(self, tmp_path):
         # every event of the recorded storm campaign — kind, virtual
-        # time, ids, broker hop labels and staleness — byte for byte.
-        # A fresh interpreter, as the command runs: job ids count from
-        # the process's first job
-        root = Path(__file__).resolve().parents[1]
+        # time, ids, broker hop labels and staleness — byte for byte,
+        # in this process, whatever ran in it before
         trace = tmp_path / "trace.jsonl"
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "chaos", "--schedule",
-             "storm-broker-site", "--trace", str(trace), "--tasks", "20"],
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True,
-            text=True,
-            timeout=300,
+        code, text = run_cli(
+            "chaos", "--schedule", "storm-broker-site",
+            "--trace", str(trace), "--tasks", "20",
         )
-        assert out.returncode == 0, out.stderr
-        golden = root / "tests" / "data" / "storm-broker-site-20.jsonl"
-        assert trace.read_bytes() == golden.read_bytes()
+        assert code == 0, text
+        assert trace.read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_recording_twice_in_one_process_gives_identical_bytes(self, tmp_path):
+        # job ids are numbered by the recorder, not by a process-wide
+        # counter, so a second recording repeats the first exactly
+        traces = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for trace in traces:
+            code, text = run_cli(
+                "chaos", "--schedule", "storm-broker-site",
+                "--trace", str(trace), "--tasks", "20",
+            )
+            assert code == 0, text
+        assert traces[0].read_bytes() == traces[1].read_bytes()
 
     def test_trace_requires_schedule(self, tmp_path):
         code, text = run_cli("chaos", "--trace", str(tmp_path / "t.jsonl"))

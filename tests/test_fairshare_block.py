@@ -10,8 +10,8 @@ float it commits — decayed usage, charge, decision instant, winner — is
 RNG streams align.  This suite drives identical operation scripts
 through both commit paths (hand-built boundary scenarios plus seeded
 random interleavings), runs grid-level probe traces over the full
-engine × WMS matrix, and pins the wake predictor's purity and its
-scratch-fork reuse.
+engine × WMS matrix, and holds both vector engines to their one wake
+rule.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.gridsim import (
     ProbeExperiment,
     SiteConfig,
     Simulator,
+    VectorComputingElement,
 )
 from oracles import ScalarFairShareCE, make_grid, use_scalar_commits
 
@@ -75,7 +76,9 @@ def job_trace(jobs: list[Job]) -> list[tuple]:
     return [(j.state.value, j.start_time, j.end_time) for j in jobs]
 
 
-def apply_script(sim: Simulator, site, script) -> tuple[list[Job], list]:
+def apply_script(
+    sim: Simulator, site, script, after_op=None, at_start=None
+) -> tuple[list[Job], list]:
     """Replay one operation script; returns its jobs and settle log.
 
     Jobs are numbered in creation order.  ``("settle", idxs)`` makes the
@@ -83,7 +86,8 @@ def apply_script(sim: Simulator, site, script) -> tuple[list[Job], list]:
     others — a queued or running copy at the site, a copy not yet
     enqueued in place (the WMS's ``cancel_matching``).  The log records
     the state each start callback found every sibling in, which is what
-    the grid routes (and traces) a cancel by.
+    the grid routes (and traces) a cancel by.  ``after_op(jobs)`` runs
+    after every op, ``at_start(job)`` at the top of every start callback.
     """
     jobs: list[Job] = []
     number: dict[int, int] = {}
@@ -91,6 +95,8 @@ def apply_script(sim: Simulator, site, script) -> tuple[list[Job], list]:
     seen: list[tuple[int, str]] = []
 
     def settle(job: Job) -> None:
+        if at_start is not None:
+            at_start(job)
         group = groups.get(number[id(job)], ())
         for k in group:
             groups.pop(k, None)
@@ -144,23 +150,30 @@ def apply_script(sim: Simulator, site, script) -> tuple[list[Job], list]:
             else:
                 site.end_black_hole()
         elif kind == "outage":
-            _, t, flag = op
+            _, t, flag, *kill = op
             sim.run_until(t)
             if flag:
-                site.begin_outage(np.random.default_rng(0), 0.0)
+                site.begin_outage(np.random.default_rng(0), *(kill or [0.0]))
             else:
                 site.end_outage()
+        elif kind == "read":
+            # a telemetry read: a reconciliation point outside the ops
+            sim.run_until(op[1])
+            site.queue_length
         elif kind == "floor":
             # a recovery instant still ahead of the clock: public hooks
-            # only ever set the floor to now, so it is written directly
-            # (with the walk and wake invalidation ``end_outage`` does)
+            # only ever set the floor to now, so it is written directly,
+            # with the walk invalidation ``end_outage`` does; the memo
+            # moved, so the wake rule is re-applied
             _, t, floor = op
             sim.run_until(t)
             site._dispatch_floor = floor
             site._next_due = 0.0
-            site._lane_epoch += 1
+            site._ensure_wake()
         else:  # pragma: no cover - script typo guard
             raise AssertionError(kind)
+        if after_op is not None:
+            after_op(jobs)
     return jobs, seen
 
 
@@ -193,7 +206,7 @@ def run_both(script, halflife: float, n_cores: int = 2, lazy: bool = False):
     for block in (True, False):
         sim, site = make_site(halflife, n_cores=n_cores, block=block)
         if lazy:
-            site._defer_wake = lambda: None
+            site._ensure_wake = lambda: None
         jobs, seen = apply_script(sim, site, script)
         outs.append(
             (site_state(sim, site), job_trace(jobs) + seen, queue_state(site))
@@ -266,7 +279,7 @@ class TestBlockVsScalarScripts:
         skipped at pop time (it must never *start*).
         """
         sim, site = make_site(86_400.0, n_cores=1, block=block)
-        site._defer_wake = lambda: None  # force fully lazy commits
+        site._ensure_wake = lambda: None  # force fully lazy commits
         j0 = Job(runtime=50.0, vo="biomed")
         site.enqueue(j0)  # takes the only core, 0 -> 50
         j1 = Job(runtime=30.0, vo="biomed")
@@ -664,69 +677,113 @@ class TestGridLevelEquivalence:
         assert grid_fingerprint(a) == grid_fingerprint(b)
 
 
-class TestWakePredictor:
-    """Purity and scratch reuse of `_predict_next_client_start`."""
+def wake_rule_script(seed: int) -> list:
+    """A seeded script touching every op that moves the memo, the
+    live-client count or the gate: feeds, clients, bursts of sibling
+    copies, cancels, outages (with kills), black holes, floor moves and
+    telemetry reads, at non-decreasing instants."""
+    rng = np.random.default_rng(seed)
+    script, t, n_jobs = [], 0.0, 0
+    outage = hole = False
+    for _ in range(40):
+        t += float(rng.uniform(0.0, 25.0))
+        kind = ("feed", "client", "burst", "cancel", "outage", "hole",
+                "floor", "read", "run")[int(rng.integers(0, 9))]
+        if kind == "feed":
+            k = int(rng.integers(1, 6))
+            times = np.sort(t + rng.uniform(0.0, 60.0, k)).tolist()
+            script.append(("feed", times, rng.uniform(5.0, 90.0, k).tolist(),
+                           rng.integers(0, 3, k).tolist()))
+        elif kind == "client":
+            script.append(("client", t, VOS[int(rng.integers(0, 3))],
+                           float(rng.uniform(5.0, 60.0))))
+            n_jobs += 1
+        elif kind == "burst":
+            k = int(rng.integers(1, 4))
+            if k > 1:
+                script.append(("settle", list(range(n_jobs, n_jobs + k))))
+            script.append(("burst", t, [
+                (VOS[int(rng.integers(0, 3))], float(rng.uniform(5.0, 60.0)))
+                for _ in range(k)
+            ]))
+            n_jobs += k
+        elif kind == "cancel" and n_jobs:
+            script.append(("cancel", t, int(rng.integers(0, n_jobs))))
+        elif kind == "outage":
+            outage = not outage
+            script.append(("outage", t, outage, 0.5))
+        elif kind == "hole":
+            hole = not hole
+            script.append(("hole", t, hole))
+        elif kind == "floor":
+            script.append(("floor", t, t + float(rng.uniform(0.0, 40.0))))
+        else:
+            script.append((kind if kind != "cancel" else "run", t))
+    # reopen the site, then let it drain
+    if outage:
+        script.append(("outage", t, False))
+    if hole:
+        script.append(("hole", t, False))
+    script.append(("client", t, "atlas", 10.0))
+    script.append(("run", t + 600.0))
+    return script
 
-    def scenario(self):
-        sim, site = make_site(86_400.0, n_cores=1)
-        site.feed_background([0.5, 1.0, 2.0], [30.0, 25.0, 40.0], [0, 1, 2])
-        sim.run_until(3.0)
-        job = Job(runtime=10.0, vo="atlas")
-        site.enqueue(job)
-        return sim, site, job
 
-    def test_prediction_is_pure(self):
-        sim, site, job = self.scenario()
-        fs = site.fairshare
-        usage_before = list(fs._usage)
-        last_before = fs._last
-        bgc_before = list(site._bgc)
-        predicted = site._predict_next_client_start()
-        assert list(fs._usage) == usage_before
-        assert fs._last == last_before
-        assert list(site._bgc) == bgc_before
-        # and the prediction is exact: the client starts at that instant
-        sim.run_until(500.0)
-        assert job.start_time == predicted
+#: clients queue behind busy cores, the last one is cancelled while
+#: queued (its wake must go), then a floor move, an outage that kills,
+#: and a hole pass while another client waits
+_WAKE_HAND_SCRIPT = [
+    ("feed", [0.5, 1.0, 1.5, 2.0], [100.0] * 4, [0, 1, 2, 0]),
+    ("client", 3.0, "biomed", 10.0),
+    ("client", 4.0, "atlas", 10.0),
+    ("cancel", 5.0, 0),
+    ("cancel", 6.0, 1),
+    ("client", 7.0, "cms", 10.0),
+    ("read", 8.0),
+    ("floor", 9.0, 150.0),
+    ("outage", 20.0, True, 0.5),
+    ("client", 25.0, "biomed", 5.0),
+    ("outage", 30.0, False),
+    ("hole", 40.0, True),
+    ("hole", 50.0, False),
+    ("client", 60.0, "atlas", 5.0),
+    ("run", 400.0),
+]
 
-    def test_prediction_matches_across_commit_paths(self):
-        preds = []
-        for block in (True, False):
-            sim, site = make_site(3600.0, n_cores=1, block=block)
-            site.feed_background([0.5, 1.0], [30.0, 25.0], [0, 1])
-            sim.run_until(2.0)
-            site.enqueue(Job(runtime=5.0, vo="cms"))
-            preds.append(site._predict_next_client_start())
-        assert preds[0] == preds[1]
 
-    def test_scratch_fork_is_reused(self):
-        sim, site, job = self.scenario()
-        assert site._pred_scratch is None or isinstance(
-            site._pred_scratch, type(site.fairshare)
-        )
-        p1 = site._predict_next_client_start()
-        scratch = site._pred_scratch
-        assert scratch is not None
-        p2 = site._predict_next_client_start()
-        assert site._pred_scratch is scratch  # reset in place, not reallocated
-        assert p1 == p2
+class TestWakeRule:
+    """The one wake rule of both vector engines, held after every op."""
 
-    def test_scratch_survives_population_of_predictions(self):
-        sim, site = make_site(86_400.0, n_cores=2)
-        site.feed_background(
-            list(np.sort(np.random.default_rng(7).uniform(0, 50, 20))),
-            [20.0] * 20,
-            list(np.random.default_rng(8).integers(0, 3, 20)),
-        )
-        scratch = None
-        for k in range(5):
-            sim.run_until(10.0 * k + 5.0)
-            site.enqueue(Job(runtime=5.0, vo="biomed"))
-            site._predict_next_client_start()
-            if scratch is None:
-                scratch = site._pred_scratch
+    @pytest.mark.parametrize("seed", [None, *range(8)])
+    @pytest.mark.parametrize("engine", ["fifo", "fairshare"])
+    def test_wake_sits_on_the_memo_while_a_client_waits(self, engine, seed):
+        """A wake at ``max(now, _next_due)`` exactly when a live client
+        waits behind an open gate, none otherwise; and no client start
+        fires after its start instant (the wake is never late)."""
+        if engine == "fifo":
+            sim = Simulator()
+            site = VectorComputingElement("fifo", 2, sim)
+        else:
+            sim, site = make_site(3600.0)
+
+        def after_op(jobs: list[Job]) -> None:
+            waiting = sum(
+                j.state is JobState.QUEUED and j.site == site.name for j in jobs
+            )
+            assert site._live_clients == waiting
+            w = site._wake
+            if waiting and site.dispatch_enabled:
+                assert w is not None and not w.cancelled
+                assert w.time == max(sim.now, site._next_due)
             else:
-                assert site._pred_scratch is scratch
+                assert w is None
+
+        def at_start(job: Job) -> None:
+            assert job.start_time == sim.now
+
+        script = _WAKE_HAND_SCRIPT if seed is None else wake_rule_script(seed)
+        jobs, _ = apply_script(sim, site, script, after_op, at_start)
+        assert any(j.state is JobState.COMPLETED for j in jobs)
 
 
 class TestPopulationParity:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,15 @@ class TestRoundTrips:
         assert arrivals[0] == 0.0  # rebased
         assert np.all(np.diff(arrivals) >= 0)
         assert np.all(runtimes > 0)
+
+    def test_gwf_export_of_the_golden_trace_is_pinned(self, tmp_path):
+        # every byte of the 29-field rows (-1 fillers, Status at index
+        # 10, VOID at index 27) for the committed storm campaign
+        data = Path(__file__).parent / "data"
+        path = tmp_path / "golden.gwf"
+        events = read_trace(data / "storm-broker-site-20.jsonl")
+        assert export_gwf(events, path) == 20
+        assert path.read_bytes() == (data / "storm-broker-site-20.gwf").read_bytes()
 
     def test_breakdown_tables_render(self, storm_result):
         by_strategy, by_vo = breakdown_tables(decompose(storm_result.events))
