@@ -46,7 +46,6 @@ from repro.distributions import (
     LatencyDistribution,
     LogLogistic,
     LogNormal,
-    MixtureDistribution,
     Pareto,
     ShiftedDistribution,
     TruncatedDistribution,
@@ -57,7 +56,6 @@ from repro.distributions import (
 from repro.traces import (
     PAPER_TABLE1,
     TraceSet,
-    characterize,
     read_gwf,
     read_swf,
     synthesize_all,
@@ -96,7 +94,6 @@ __all__ = [
     "LogLogistic",
     "ShiftedDistribution",
     "TruncatedDistribution",
-    "MixtureDistribution",
     "EmpiricalDistribution",
     "fit_distribution",
     "select_model",
@@ -105,7 +102,6 @@ __all__ = [
     "PAPER_TABLE1",
     "synthesize_all",
     "synthesize_week",
-    "characterize",
     "read_gwf",
     "write_gwf",
     "read_swf",

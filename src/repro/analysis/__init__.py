@@ -8,13 +8,10 @@
   (Table 6), the "estimate parameters from last week" workflow.
 """
 
-from repro.analysis.bootstrap import BootstrapResult, bootstrap_single_optimum
 from repro.analysis.stability import StabilityReport, stability_analysis
 from repro.analysis.transfer import TransferCell, transfer_matrix
 
 __all__ = [
-    "BootstrapResult",
-    "bootstrap_single_optimum",
     "StabilityReport",
     "stability_analysis",
     "TransferCell",

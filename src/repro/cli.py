@@ -22,6 +22,7 @@ from repro._version import __version__
 from repro.experiments import list_experiments
 from repro.experiments.runner import iter_many
 from repro.traces.paper import PAPER_TABLE1, synthesize_week
+from repro.util.validation import check_int_at_least, check_positive
 
 __all__ = ["main", "build_parser"]
 
@@ -278,6 +279,11 @@ def _cmd_run(args, out) -> int:
         return 2
     if args.jobs < 1:
         out.write(f"error: --jobs must be >= 1, got {args.jobs}\n")
+        return 2
+    try:
+        check_positive("--dt", args.dt)
+    except ValueError as exc:
+        out.write(f"error: {exc}\n")
         return 2
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -579,6 +585,7 @@ def _cmd_chaos(args, out) -> int:
         out.write("error: --trace is incompatible with --matrix\n")
         return 2
     try:
+        check_int_at_least("--schedules", args.schedules, 0)
         base = chaos_grid_config(seed=args.seed)
         schedules = standard_schedules(base)
         if args.schedule is not None:

@@ -21,10 +21,6 @@ Public surface:
 """
 
 from repro.core.model import GriddedLatencyModel, LatencyModel
-from repro.core.burst_selection import (
-    smallest_b_for_deadline,
-    smallest_b_for_expectation,
-)
 from repro.core.cost import delta_cost, cost_curve_multiple, cost_curve_delayed
 from repro.core.diagnostics import (
     TimeoutDiagnosis,
@@ -71,8 +67,6 @@ __all__ = [
     "multiple_survival",
     "strategy_quantile",
     "survival_to_quantile",
-    "smallest_b_for_expectation",
-    "smallest_b_for_deadline",
     "SingleOptimum",
     "DelayedOptimum",
     "optimize_single",

@@ -8,8 +8,8 @@ observed through traces.  This package provides:
   strategy models need;
 * the parametric families commonly fitted to grid latencies (log-normal,
   Weibull, Pareto, gamma, exponential, log-logistic);
-* combinators — location shift, upper truncation, finite mixtures — used
-  to build realistic latency laws (e.g. a shifted log-normal body for the
+* combinators — location shift and upper truncation — used to build
+  realistic latency laws (e.g. a shifted log-normal body for the
   middleware floor, truncated at the probe timeout);
 * the empirical distribution (ECDF) used when working directly from
   traces, as the paper does;
@@ -25,7 +25,6 @@ from repro.distributions.fitting import (
     fit_distribution,
     select_model,
 )
-from repro.distributions.mixture import MixtureDistribution
 from repro.distributions.moments import truncated_mean_std, truncated_moment
 from repro.distributions.parametric import (
     Exponential,
@@ -44,7 +43,6 @@ __all__ = [
     "FitResult",
     "fit_distribution",
     "select_model",
-    "MixtureDistribution",
     "truncated_mean_std",
     "truncated_moment",
     "Exponential",

@@ -4,7 +4,7 @@ Strategy computations in :mod:`repro.core` only require vectorised
 ``cdf``/``pdf`` evaluation on a time grid plus sampling for Monte-Carlo
 validation, so the protocol is intentionally small.  Concrete families are
 thin wrappers over frozen :mod:`scipy.stats` distributions; combinators
-(shift, truncation, mixtures) compose any implementations of the protocol.
+(shift, truncation) compose any implementations of the protocol.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Parallel experiment runner.
 
-``run_many`` renders a batch of experiments, optionally fanning out over
+``iter_many`` renders a batch of experiments, optionally fanning out over
 a :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker process
 renders whole experiments with its own process-wide context cache
 (:func:`~repro.experiments.context.get_context` is ``lru_cache``-d per
@@ -8,8 +8,7 @@ process), so parallel output is **byte-identical** to the sequential
 path: every experiment is deterministic given ``(seed, dt)``, and
 context/model caches only affect speed, never values.
 
-The CLI's ``repro run all --jobs N`` goes through here; libraries can
-call :func:`run_many` directly for campaign-style sweeps.
+The CLI's ``repro run all --jobs N`` goes through here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.experiments.context import get_context
 from repro.experiments.registry import CONTEXT_FREE, EXPERIMENTS, run_experiment
 
-__all__ = ["iter_many", "render_experiment", "run_many"]
+__all__ = ["iter_many", "render_experiment"]
 
 
 def render_experiment(experiment_id: str, *, seed: int = 2009, dt: float = 1.0) -> str:
@@ -78,13 +77,3 @@ def iter_many(
         # pool.map yields in submission order as results arrive
         yield from zip(ids, pool.map(_render_task, tasks))
 
-
-def run_many(
-    experiment_ids: Sequence[str] | Iterable[str],
-    *,
-    seed: int = 2009,
-    dt: float = 1.0,
-    jobs: int = 1,
-) -> dict[str, str]:
-    """Render many experiments, ``jobs`` at a time; id -> report text."""
-    return dict(iter_many(experiment_ids, seed=seed, dt=dt, jobs=jobs))

@@ -76,7 +76,6 @@ from repro.gridsim.health import (
     SiteHealth,
 )
 from repro.gridsim.jobs import Job, JobState
-from repro.gridsim.metrics import GridMonitor, GridSample
 from repro.gridsim.middleware import (
     CircuitBreaker,
     MiddlewareDomain,
@@ -86,7 +85,6 @@ from repro.gridsim.outages import OutageProcess
 from repro.gridsim.weather import (
     BlackHoleConfig,
     BrokerOutageConfig,
-    OutageConfig,
     ResubmissionAgent,
     ResubmitConfig,
     StormConfig,
@@ -137,10 +135,7 @@ __all__ = [
     "warmed_snapshot",
     "Job",
     "JobState",
-    "GridMonitor",
-    "GridSample",
     "OutageProcess",
-    "OutageConfig",
     "StormConfig",
     "StormProcess",
     "BlackHoleConfig",

@@ -155,7 +155,6 @@ def fault_schedule(
         )
     prev = base.weather
     weather = WeatherConfig(
-        site_outages=prev.site_outages if prev is not None else None,
         storm=prev.storm if prev is not None else None,
         black_holes=prev.black_holes if prev is not None else (),
         broker_outages=tuple(outages),

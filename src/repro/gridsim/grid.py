@@ -30,7 +30,6 @@ from repro.gridsim.federation import BrokerConfig
 from repro.gridsim.health import HealthConfig, HealthService
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.middleware import MiddlewareDomain, RetryPolicy
-from repro.gridsim.outages import OutageProcess
 from repro.gridsim.registry import MetricsRegistry
 from repro.gridsim.site import VectorComputingElement
 from repro.gridsim.tracing import TraceRecorder
@@ -453,12 +452,9 @@ class GridSimulator:
         # (broker-free, calm, fault-free) configs keep every RNG stream
         # byte-identical to the original layout
         n_extra_brokers = max(0, len(config.brokers) - 1)
-        n_weather = 0
-        if config.weather is not None:
-            if config.weather.site_outages is not None:
-                n_weather += len(config.sites)
-            if config.weather.storm is not None:
-                n_weather += 1
+        n_weather = int(
+            config.weather is not None and config.weather.storm is not None
+        )
         n_mw = (config.submit_faults is not None) + (config.retry is not None)
         rngs = spawn_rngs(
             as_rng(seed),
@@ -539,29 +535,13 @@ class GridSimulator:
         #: name -> site, so cancel() resolves job.site in O(1)
         self._site_by_name = {s.name: s for s in self.sites}
         # -- grid weather / health / self-healing (all optional) ---------
-        self.outage_processes: list[OutageProcess] = []
         self.storm: StormProcess | None = None
         if config.weather is not None:
-            w_rngs = rngs[2 + len(config.sites) + n_extra_brokers :]
-            oc = config.weather.site_outages
-            if oc is not None:
-                for site, rng in zip(self.sites, w_rngs):
-                    proc = OutageProcess(
-                        site,
-                        self.sim,
-                        rng,
-                        mean_uptime=oc.mean_uptime,
-                        mean_downtime=oc.mean_downtime,
-                        kill_running=oc.kill_running,
-                    )
-                    proc.start()
-                    self.outage_processes.append(proc)
-                w_rngs = w_rngs[len(self.sites) :]
             if config.weather.storm is not None:
                 self.storm = StormProcess(
                     self.sites,
                     self.sim,
-                    w_rngs[0],
+                    rngs[2 + len(config.sites) + n_extra_brokers],
                     config.weather.storm,
                     brokers=self.brokers if config.brokers else None,
                 )
@@ -669,7 +649,7 @@ class GridSimulator:
         ):
             m.register_gauge(f"grid.{attr}", self, attr)
         m.register_gauge("grid.jobs_completed", self._jobs_completed_total)
-        m.register_gauge("weather.outages_started", self._outages_started_total)
+        m.register_gauge("weather.outages_started", self._storm_outages_total)
         m.register_gauge("weather.storms_started", self._storms_started_total)
         for site in self.sites:
             m.register_gauge(f"site.{site.name}.jobs_killed", site, "jobs_killed")
@@ -695,12 +675,8 @@ class GridSimulator:
         if self._mw is not None:
             m.register_gauge("mw.duplicates", self._mw, "duplicates")
 
-    def _outages_started_total(self) -> int:
-        """Scheduled + storm-driven site outages begun so far."""
-        total = sum(p.outages_started for p in self.outage_processes)
-        if self.storm is not None:
-            total += self.storm.outages_started
-        return total
+    def _storm_outages_total(self) -> int:
+        return self.storm.outages_started if self.storm is not None else 0
 
     def _storms_started_total(self) -> int:
         return self.storm.storms_started if self.storm is not None else 0

@@ -429,7 +429,7 @@ class MiddlewareDomain:
     # -- telemetry -------------------------------------------------------
 
     def totals(self) -> dict:
-        """Cross-broker counter totals (cheap; the monitor samples this).
+        """Cross-broker counter totals (cheap).
 
         Plain-int view over the registry counters the submission path
         increments in place.

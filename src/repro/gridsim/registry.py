@@ -2,8 +2,7 @@
 
 Before this module each layer kept its own telemetry: the middleware
 domain a list of per-broker stat dicts, the weather report hand-summed
-outage counters, :class:`~repro.gridsim.metrics.GridMonitor` re-derived
-both.  The registry replaces those parallel books with one namespace of
+outage counters.  The registry replaces those parallel books with one namespace of
 named instruments:
 
 ``Counter``

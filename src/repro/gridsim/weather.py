@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gridsim.events import Simulator
 
 __all__ = [
-    "OutageConfig",
     "StormConfig",
     "BlackHoleConfig",
     "BrokerOutageConfig",
@@ -57,28 +56,6 @@ __all__ = [
 
 #: how a downed broker treats submissions (see ``WorkloadManager.begin_outage``)
 _BROKER_MODES = ("reject", "black-hole")
-
-
-@dataclass(frozen=True)
-class OutageConfig:
-    """Independent per-site renewal outages, applied to every site.
-
-    The declarative form of wiring one
-    :class:`~repro.gridsim.outages.OutageProcess` per site by hand —
-    each site gets its own RNG stream and its own up/down renewal.
-    """
-
-    #: mean up period between outages (s, exponential)
-    mean_uptime: float = 86_400.0
-    #: mean outage duration (s, exponential)
-    mean_downtime: float = 3_600.0
-    #: probability each running job is killed when the site goes down
-    kill_running: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_positive("mean_uptime", self.mean_uptime)
-        check_positive("mean_downtime", self.mean_downtime)
-        check_probability("kill_running", self.kill_running)
 
 
 @dataclass(frozen=True)
@@ -180,10 +157,8 @@ class BrokerOutageConfig:
 
 @dataclass(frozen=True)
 class WeatherConfig:
-    """The grid's weather regime: any mix of the four processes."""
+    """The grid's weather regime: any mix of the three processes."""
 
-    #: independent per-site renewal outages (None = calm)
-    site_outages: OutageConfig | None = None
     #: correlated storm process (None = no storms)
     storm: StormConfig | None = None
     #: scheduled black-hole windows
@@ -192,13 +167,6 @@ class WeatherConfig:
     broker_outages: tuple[BrokerOutageConfig, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.site_outages is not None and not isinstance(
-            self.site_outages, OutageConfig
-        ):
-            raise TypeError(
-                "site_outages must be an OutageConfig, "
-                f"got {type(self.site_outages).__name__}"
-            )
         if self.storm is not None and not isinstance(self.storm, StormConfig):
             raise TypeError(
                 f"storm must be a StormConfig, got {type(self.storm).__name__}"

@@ -15,8 +15,7 @@ not publicly bundled, so this package provides:
   (diurnal load, bursts) following the paper's constant-probe protocol;
 * :mod:`repro.traces.gwf` / :mod:`repro.traces.swf` — Grid Workloads
   Archive (GWF) and Standard Workload Format (SWF) readers/writers so the
-  pipeline runs on real public traces;
-* :mod:`repro.traces.io` — CSV / JSON-lines round-trip of trace sets.
+  pipeline runs on real public traces.
 """
 
 from repro.traces.records import JobStatus, ProbeRecord
@@ -32,14 +31,7 @@ from repro.traces.paper import (
 )
 from repro.traces.generator import DiurnalProfile, generate_probe_trace
 from repro.traces.gwf import read_gwf, write_gwf
-from repro.traces.report import TraceReport, characterize
 from repro.traces.swf import read_swf, write_swf
-from repro.traces.io import (
-    read_trace_csv,
-    read_trace_jsonl,
-    write_trace_csv,
-    write_trace_jsonl,
-)
 
 __all__ = [
     "JobStatus",
@@ -55,14 +47,8 @@ __all__ = [
     "synthesize_week",
     "DiurnalProfile",
     "generate_probe_trace",
-    "TraceReport",
-    "characterize",
     "read_gwf",
     "write_gwf",
     "read_swf",
     "write_swf",
-    "read_trace_csv",
-    "write_trace_csv",
-    "read_trace_jsonl",
-    "write_trace_jsonl",
 ]

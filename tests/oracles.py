@@ -19,11 +19,14 @@ here, as references the equivalence suites compare production against:
   group-by over the ledger, one ``(task, [jobs])`` group per task;
 * :func:`decompose_reference` — the latency decomposition with one
   ``jid -> t`` map per stamped kind behind a kind lookup, and a
-  keyword-built record per completed task.
+  keyword-built record per completed task;
+* :func:`lifo_ties` — the event kernel with same-instant events popped
+  last-in first-out instead of first-in first-out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from heapq import heapreplace
@@ -33,11 +36,17 @@ import numpy as np
 
 from repro.gridsim import chaos
 from repro.gridsim.chaos import _IN_FLIGHT, _STARTED, ConservationReport
+from repro.gridsim.events import Simulator
 from repro.gridsim.fairshare import (
     FairShareComputingElement,
     FairShareVectorComputingElement,
 )
-from repro.gridsim.grid import GridConfig, GridSimulator, GridSnapshot
+from repro.gridsim.grid import (
+    _WARM_CACHE,
+    GridConfig,
+    GridSimulator,
+    GridSnapshot,
+)
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.site import ComputingElement
 from repro.gridsim.tracing import TaskBreakdown
@@ -254,6 +263,30 @@ def rechaining_launches():
     with mock.patch.object(
         soa, "chain_launches", chain_launches_rechaining
     ), mock.patch.object(driver, "chain_launches", chain_launches_rechaining):
+        yield
+
+
+@contextmanager
+def lifo_ties():
+    """Run every new :class:`Simulator` with a last-in first-out tie-break.
+
+    No model rule orders events that share an instant; the kernel pops
+    them in scheduling order only because its sequence numbers count up.
+    Inside this context they count down, so same-instant events pop in
+    the reverse order.  A result that holds under both orders does not
+    hinge on that implementation choice.  The warmed-snapshot cache is
+    emptied for the duration (and restored after), so warm-ups run under
+    the flipped order too rather than forking a first-in first-out one.
+    """
+    init = Simulator.__init__
+
+    def lifo_init(self) -> None:
+        init(self)
+        self._seq = itertools.count(0, -1)
+
+    with mock.patch.object(Simulator, "__init__", lifo_init), mock.patch.dict(
+        _WARM_CACHE, clear=True
+    ):
         yield
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import list_experiments
+from repro.traces import synthesize_week
 
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "storm-broker-site-20.jsonl"
@@ -49,6 +50,21 @@ class TestRun:
         assert "unknown experiment" in text
         assert "fig1" in text  # lists the available ids
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_bad_arguments(self, dt, tmp_path):
+        # rejected before any experiment runs or any file is written
+        out = tmp_path / "out"
+        code, text = run_cli("run", "fig1", "--dt", dt, "--out", str(out))
+        assert code == 2
+        assert text.startswith("error: --dt must be")
+        assert not out.exists()
+
+    def test_non_numeric_dt_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "fig1", "--dt", "fast")
+        assert exc.value.code == 2
+        assert "--dt" in capsys.readouterr().err
+
     def test_seed_changes_output(self):
         _, a = run_cli("run", "fig1", "--dt", "4.0", "--seed", "1")
         _, b = run_cli("run", "fig1", "--dt", "4.0", "--seed", "2")
@@ -61,6 +77,14 @@ class TestDescribe:
         assert code == 0
         assert "570" in text  # the paper's mean
         assert "synthesized" in text
+
+    def test_describe_prints_the_trace_set_summary(self):
+        _, a = run_cli("describe", "2007-36")
+        _, b = run_cli("describe", "2007-36", "--seed", "5")
+        for text, seed in ((a, 2009), (b, 5)):
+            summary = synthesize_week("2007-36", seed=seed).describe()
+            assert text.splitlines()[1] == f"synthesized: {summary}"
+        assert a.splitlines()[0] == b.splitlines()[0]  # paper row is fixed
 
     def test_describe_aggregate(self):
         code, text = run_cli("describe", "2007/08")
@@ -225,6 +249,15 @@ class TestChaos:
     def test_bad_arguments(self):
         code, text = run_cli("chaos", "--tasks", "0")
         assert code == 2 and "n_tasks" in text
+        code, text = run_cli("chaos", "--matrix", "--schedules", "-1")
+        assert code == 2
+        assert text == "error: --schedules must be >= 0, got -1\n"
+
+    def test_non_integer_schedules_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("chaos", "--matrix", "--schedules", "1.5")
+        assert exc.value.code == 2
+        assert "--schedules" in capsys.readouterr().err
 
 
 class TestTraceReport:

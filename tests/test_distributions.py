@@ -10,7 +10,6 @@ from repro.distributions import (
     Gamma,
     LogLogistic,
     LogNormal,
-    MixtureDistribution,
     Pareto,
     ShiftedDistribution,
     TruncatedDistribution,
@@ -237,56 +236,6 @@ class TestTruncated:
         lam, u = 0.01, 200.0
         expected = 1 / lam - u * np.exp(-lam * u) / (1 - np.exp(-lam * u))
         assert self.base().mean() == pytest.approx(expected, rel=1e-4)
-
-
-class TestMixture:
-    def make(self):
-        return MixtureDistribution(
-            [Exponential(rate=0.01), Exponential(rate=0.001)], weights=[0.7, 0.3]
-        )
-
-    def test_weight_normalisation(self):
-        m = MixtureDistribution(
-            [Exponential(1.0), Exponential(2.0)], weights=[2.0, 2.0]
-        )
-        np.testing.assert_allclose(m.weights, [0.5, 0.5])
-
-    def test_mean_is_weighted(self):
-        assert self.make().mean() == pytest.approx(0.7 * 100 + 0.3 * 1000)
-
-    def test_cdf_is_weighted(self):
-        m = self.make()
-        t = 150.0
-        expected = 0.7 * (1 - np.exp(-0.01 * t)) + 0.3 * (1 - np.exp(-0.001 * t))
-        assert float(m.cdf(t)) == pytest.approx(expected, rel=1e-9)
-
-    def test_ppf_inverts_cdf(self):
-        m = self.make()
-        for q in (0.05, 0.5, 0.95):
-            assert float(m.cdf(m.ppf(q))) == pytest.approx(q, abs=1e-7)
-
-    def test_rvs_mean(self):
-        m = self.make()
-        s = m.rvs(200_000, rng=9)
-        assert s.mean() == pytest.approx(m.mean(), rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            MixtureDistribution([], [])
-        with pytest.raises(ValueError, match="weights"):
-            MixtureDistribution([Exponential(1.0)], [1.0, 2.0])
-        with pytest.raises(ValueError, match="non-negative"):
-            MixtureDistribution([Exponential(1.0), Exponential(2.0)], [1.0, -1.0])
-        with pytest.raises(ValueError, match="zero"):
-            MixtureDistribution([Exponential(1.0)], [0.0])
-        with pytest.raises(TypeError):
-            MixtureDistribution(["x"], [1.0])
-
-    def test_infinite_component_mean_propagates(self):
-        m = MixtureDistribution(
-            [Exponential(1.0), Pareto(alpha=0.5, scale=10.0)], weights=[0.5, 0.5]
-        )
-        assert m.mean() == np.inf
 
 
 class TestEmpirical:

@@ -1,4 +1,4 @@
-"""Tests for grid telemetry, outages, and their interplay."""
+"""Tests for site outages and their interplay with grid latency."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.gridsim import FaultModel, GridConfig, GridSimulator, SiteConfig
 from repro.gridsim.events import Simulator
 from repro.gridsim.jobs import Job, JobState
-from repro.gridsim.metrics import GridMonitor
 from repro.gridsim.outages import OutageProcess
 from repro.gridsim.site import ComputingElement
 
@@ -22,73 +21,6 @@ def tiny_config(**kw) -> GridConfig:
     )
     defaults.update(kw)
     return GridConfig(**defaults)
-
-
-class TestGridMonitor:
-    def test_samples_at_cadence(self):
-        grid = GridSimulator(tiny_config(), seed=1)
-        mon = GridMonitor(grid, period=600.0)
-        mon.start()
-        grid.run_until(6000.0)
-        # t=0 sample plus one per period
-        assert len(mon) == 11
-        np.testing.assert_allclose(np.diff(mon.times()), 600.0)
-
-    def test_series_and_bundle(self):
-        grid = GridSimulator(tiny_config(), seed=2)
-        mon = GridMonitor(grid, period=300.0)
-        mon.start()
-        grid.run_until(3000.0)
-        bundle = mon.bundle()
-        assert bundle.get("queued jobs").x.size == len(mon)
-        assert (bundle.get("utilization").y <= 1.0).all()
-
-    def test_stop(self):
-        grid = GridSimulator(tiny_config(), seed=3)
-        mon = GridMonitor(grid, period=100.0)
-        mon.start()
-        grid.run_until(500.0)
-        mon.stop()
-        n = len(mon)
-        grid.run_until(2000.0)
-        assert len(mon) == n
-
-    def test_double_start_rejected(self):
-        grid = GridSimulator(tiny_config(), seed=4)
-        mon = GridMonitor(grid, period=100.0)
-        mon.start()
-        with pytest.raises(RuntimeError, match="already"):
-            mon.start()
-
-    def test_max_samples_cap(self):
-        grid = GridSimulator(tiny_config(), seed=5)
-        mon = GridMonitor(grid, period=10.0, max_samples=5)
-        mon.start()
-        grid.run_until(1000.0)
-        assert len(mon) == 5
-
-    def test_aggregates(self):
-        grid = GridSimulator(tiny_config(), seed=6)
-        mon = GridMonitor(grid, period=500.0)
-        mon.start()
-        grid.run_until(5000.0)
-        assert mon.peak_queue() >= 0
-        assert 0.0 <= mon.mean_utilization() <= 1.0
-
-    def test_aggregates_require_samples(self):
-        grid = GridSimulator(tiny_config(), seed=7)
-        mon = GridMonitor(grid, period=100.0)
-        with pytest.raises(ValueError):
-            mon.peak_queue()
-        with pytest.raises(ValueError):
-            mon.mean_utilization()
-
-    def test_validation(self):
-        grid = GridSimulator(tiny_config(), seed=8)
-        with pytest.raises(ValueError):
-            GridMonitor(grid, period=0.0)
-        with pytest.raises(ValueError):
-            GridMonitor(grid, period=10.0, max_samples=0)
 
 
 class TestOutageProcess:
@@ -158,6 +90,61 @@ class TestOutageProcess:
             OutageProcess(site, sim, rng, mean_downtime=-1.0)
         with pytest.raises(ValueError):
             OutageProcess(site, sim, rng, kill_running=1.5)
+
+    def sample_is_down(self, seed, *, step, t_end, **kw):
+        sim, site = self.make_site()
+        proc = OutageProcess(site, sim, np.random.default_rng(seed), **kw)
+        proc.start()
+        states = []
+
+        def sample():
+            states.append(proc.is_down)
+            sim.schedule(step, sample)
+
+        sim.schedule(step, sample)
+        sim.run_until(t_end)
+        return proc, states
+
+    def test_first_outage_waits_one_up_period(self):
+        sim, site = self.make_site()
+        proc = OutageProcess(site, sim, np.random.default_rng(0),
+                             mean_uptime=100.0, mean_downtime=50.0)
+        proc.start()
+        assert sim.pending == 1  # only the first go-down is armed
+        up = np.random.default_rng(0).exponential(100.0)  # the same first draw
+        sim.run_until(up * (1 - 1e-9))
+        assert not proc.is_down and proc.outages_started == 0
+        sim.run_until(up * (1 + 1e-9))
+        assert proc.is_down and proc.outages_started == 1
+
+    def test_jobs_killed_counts_its_kills(self):
+        sim, site = self.make_site()
+        for _ in range(3):
+            site.enqueue(Job(runtime=1e8))
+        proc = OutageProcess(site, sim, np.random.default_rng(2),
+                             mean_uptime=10.0, mean_downtime=1e9,
+                             kill_running=1.0)
+        proc.start()
+        sim.run_until(10_000.0)
+        assert proc.outages_started == 1
+        assert proc.jobs_killed == 3 == site.jobs_killed
+
+    def test_deterministic_given_seed(self):
+        kw = dict(step=5.0, t_end=5000.0, mean_uptime=100.0, mean_downtime=50.0)
+        a_proc, a = self.sample_is_down(5, **kw)
+        b_proc, b = self.sample_is_down(5, **kw)
+        _, c = self.sample_is_down(6, **kw)
+        assert a == b and a_proc.outages_started == b_proc.outages_started
+        assert a != c
+
+    def test_long_run_down_fraction(self):
+        # alternating renewal process: the site is down a share
+        # mean_downtime / (mean_uptime + mean_downtime) of the time
+        proc, states = self.sample_is_down(
+            11, step=1.0, t_end=20_000.0, mean_uptime=10.0, mean_downtime=30.0
+        )
+        assert np.mean(states) == pytest.approx(0.75, abs=0.05)
+        assert proc.outages_started == pytest.approx(20_000.0 / 40.0, rel=0.15)
 
     def test_outages_create_latency_outliers(self):
         # probes submitted into a grid with outage-prone sites should see

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.burst_selection import smallest_b_for_expectation
 from repro.gridsim import (
-    GridMonitor,
     GridSimulator,
     OutageProcess,
     ProbeExperiment,
@@ -53,10 +51,8 @@ class TestTraceStatisticsConsistency:
         # F saturates at 1 - rho on the grid
         assert gm.F[-1] == pytest.approx(1.0 - model.rho, abs=0.01)
 
-    def test_report_and_plan_agree_on_heavy_tail(self):
+    def test_plan_favours_bursts_on_heavy_tail(self):
         trace = repro.synthesize_week("2006-IX", seed=21)
-        report = repro.characterize(trace, fit_families=("lognormal",))
-        assert report.is_heavy_tailed
         gm = trace.to_latency_model().on_grid(TimeGrid(t_max=10_000.0, dt=2.0))
         # heavy tail => resubmission can cut E_J well below infinite patience
         plan = repro.plan_submissions(
@@ -69,33 +65,9 @@ class TestTraceStatisticsConsistency:
 
 
 class TestSimulatedGridPipeline:
-    """DES grid -> probes -> model -> burst sizing -> verification."""
+    """DES grid -> probes -> model -> plan."""
 
-    @pytest.fixture(scope="class")
-    def probe_model(self):
-        grid = GridSimulator(default_grid_config(n_sites=6, seed=2), seed=31)
-        grid.warm_up(6 * 3600.0)
-        trace = ProbeExperiment(grid, n_slots=10, timeout=5000.0).run(86_400.0)
-        return trace, trace.to_latency_model().on_grid(
-            TimeGrid(t_max=5000.0, dt=1.0)
-        )
-
-    def test_probe_trace_is_characterizable(self, probe_model):
-        trace, _ = probe_model
-        report = repro.characterize(trace, fit_families=("lognormal", "gamma"))
-        assert report.n_jobs == len(trace)
-        assert report.percentiles[95.0] > report.percentiles[50.0]
-
-    def test_burst_sizing_on_simulated_grid(self, probe_model):
-        _, gm = probe_model
-        from repro.core.optimize import optimize_single
-
-        single = optimize_single(gm)
-        b, e_j = smallest_b_for_expectation(gm, 0.7 * single.e_j, b_max=16)
-        assert e_j <= 0.7 * single.e_j
-        assert 2 <= b <= 16
-
-    def test_monitored_campaign_with_outages(self):
+    def test_probe_campaign_with_outages(self):
         grid = GridSimulator(default_grid_config(n_sites=4, seed=5), seed=41)
         rng = np.random.default_rng(6)
         for site in grid.sites:
@@ -103,13 +75,9 @@ class TestSimulatedGridPipeline:
                 site, grid.sim, rng,
                 mean_uptime=40_000.0, mean_downtime=8_000.0,
             ).start()
-        monitor = GridMonitor(grid, period=1800.0)
-        monitor.start()
         grid.warm_up(3600.0)
         trace = ProbeExperiment(grid, n_slots=8, timeout=5000.0).run(86_400.0)
         assert len(trace) > 20
-        assert len(monitor) > 10
-        assert monitor.peak_queue() >= 0
         # the trace still feeds the analytic pipeline
         gm = trace.to_latency_model().on_grid(TimeGrid(t_max=5000.0, dt=2.0))
         plan = repro.plan_submissions(

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import iter_many, render_experiment, run_many
+from repro.experiments.runner import iter_many, render_experiment
 
 #: cheap experiments covering both the context-free and context paths
 FAST_IDS = ["fig1", "table1"]
@@ -19,29 +19,29 @@ class TestRunMany:
         # val-des and abl-adopt fork one warmed snapshot per strategy run;
         # the cross-experiment pool is their only multi-core path
         ids = FAST_IDS + ["val-des", "abl-adopt"]
-        seq = run_many(ids, seed=2009, dt=DT, jobs=1)
-        par = run_many(ids, seed=2009, dt=DT, jobs=2)
+        seq = list(iter_many(ids, seed=2009, dt=DT, jobs=1))
+        par = list(iter_many(ids, seed=2009, dt=DT, jobs=2))
         assert seq == par  # byte-identical, not merely similar
 
     def test_result_order_follows_request_order(self):
-        out = run_many(list(reversed(FAST_IDS)), seed=2009, dt=DT, jobs=2)
-        assert list(out) == list(reversed(FAST_IDS))
+        out = iter_many(list(reversed(FAST_IDS)), seed=2009, dt=DT, jobs=2)
+        assert [i for i, _ in out] == list(reversed(FAST_IDS))
 
     def test_single_id_runs_in_process(self):
-        out = run_many(["fig1"], seed=2009, dt=DT, jobs=8)
+        out = dict(iter_many(["fig1"], seed=2009, dt=DT, jobs=8))
         assert out["fig1"] == render_experiment("fig1", seed=2009, dt=DT)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            run_many(["fig1", "nope"], jobs=2)
+            list(iter_many(["fig1", "nope"], jobs=2))
 
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_many(FAST_IDS, jobs=0)
+            list(iter_many(FAST_IDS, jobs=0))
 
     def test_seed_threads_through(self):
-        a = run_many(["fig1"], seed=1, dt=DT)["fig1"]
-        b = run_many(["fig1"], seed=2, dt=DT)["fig1"]
+        a = dict(iter_many(["fig1"], seed=1, dt=DT))["fig1"]
+        b = dict(iter_many(["fig1"], seed=2, dt=DT))["fig1"]
         assert a != b
 
     def test_iter_many_streams_in_request_order(self):

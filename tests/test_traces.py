@@ -142,6 +142,50 @@ class TestTraceSet:
     def test_describe(self):
         assert "t:" in self.make().describe()
 
+    def test_describe_reports_count_rho_mean_and_std(self):
+        t = self.make()
+        std = np.std([100.0, 200.0, 400.0])
+        assert t.describe() == (
+            f"t: 4 probes, rho=0.250, mean=233s, std={std:.0f}s"
+        )
+
+    def test_validation_rejects_nan_latency(self):
+        with pytest.raises(ValueError, match="NaN"):
+            TraceSet("t", np.zeros(1), np.array([np.nan]),
+                     np.array([0], dtype=np.int8))
+
+    def test_faults_and_timeouts_both_count_as_outliers(self):
+        t = TraceSet("t", np.zeros(3), np.array([5.0, np.inf, np.inf]),
+                     np.array([0, 1, 2], dtype=np.int8))
+        assert t.n_outliers == 2
+        assert [r.status for r in t] == [
+            JobStatus.COMPLETED, JobStatus.TIMEOUT, JobStatus.FAULT,
+        ]
+
+    def test_merge_keeps_part_order(self):
+        t = self.make()
+        other = TraceSet("o", np.array([99.0]), np.array([7.0]),
+                         np.array([0], dtype=np.int8))
+        merged = TraceSet.merge("m", [t, other])
+        assert merged.name == "m"
+        np.testing.assert_array_equal(merged.submit_times, [0.0, 10.0, 20.0, 30.0, 99.0])
+        assert merged.latencies[-1] == 7.0
+
+    def test_time_window_default_name_and_timeout(self):
+        t = TraceSet("t", np.array([0.0, 10.0]), np.array([5.0, 6.0]),
+                     np.array([0, 0], dtype=np.int8), timeout=50.0)
+        w = t.time_window(0.0, 10.0)
+        assert w.name == "t[0,10)"
+        assert w.timeout == 50.0
+        assert w.time_window(0.0, 1.0, name="head").name == "head"
+
+    def test_from_records_carries_the_timeout(self):
+        records = [ProbeRecord(0, 0.0, 40.0, JobStatus.COMPLETED)]
+        t = TraceSet.from_records("r", records, timeout=50.0)
+        assert t.timeout == 50.0
+        with pytest.raises(ValueError, match="timeout"):
+            TraceSet.from_records("r", records, timeout=30.0)
+
 
 class TestCalibration:
     def test_matches_targets(self):

@@ -27,7 +27,6 @@ from repro.core.strategies import SingleResubmission
 from repro.gridsim import (
     Counter,
     GridConfig,
-    GridMonitor,
     GridSimulator,
     Histogram,
     MetricsRegistry,
@@ -341,16 +340,3 @@ class TestZeroCost:
         hist = grid.metrics.value("trace.task_latency")
         assert hist["total"] == len(results) == 3
         assert hist["sum"] == pytest.approx(sum(r[0] for r in results))
-
-
-# -- monitor regression (zero samples) --------------------------------------
-
-
-class TestMonitorZeroSamples:
-    def test_len_and_times_on_fresh_monitor(self):
-        grid = GridSimulator(GridConfig(sites=(SiteConfig("a", 4),)), seed=1)
-        mon = GridMonitor(grid)
-        assert len(mon) == 0
-        times = mon.times()
-        assert isinstance(times, np.ndarray)
-        assert times.size == 0

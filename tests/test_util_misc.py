@@ -9,6 +9,7 @@ from repro.util.tables import Table, format_float, format_percent, format_second
 from repro.util.validation import (
     check_finite,
     check_in_range,
+    check_int_at_least,
     check_nonnegative,
     check_positive,
     check_probability,
@@ -56,6 +57,27 @@ class TestValidation:
     def test_error_messages_name_the_argument(self):
         with pytest.raises(ValueError, match="timeout"):
             check_positive("timeout", -1)
+
+
+class TestCheckIntAtLeast:
+    @pytest.mark.parametrize("value", [0, 3, 3.0, np.int64(5)])
+    def test_accepts_integral_values(self, value):
+        got = check_int_at_least("n", value, 0)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, 2.5, float("nan"), float("inf"), "3", None]
+    )
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            check_int_at_least("n", value, 0)
+
+    def test_rejects_values_below_the_minimum(self):
+        assert check_int_at_least("n", 1, 1) == 1
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            check_int_at_least("n", 0, 1)
+        with pytest.raises(ValueError, match=">= -2"):
+            check_int_at_least("n", -3, -2)
 
 
 class TestRng:

@@ -24,13 +24,11 @@ from repro.gridsim import (
     BrokerConfig,
     FaultModel,
     GridConfig,
-    GridMonitor,
     GridSimulator,
     HealthConfig,
     HealthState,
     Job,
     JobState,
-    OutageConfig,
     ProbeExperiment,
     ResubmissionAgent,
     ResubmitConfig,
@@ -79,14 +77,6 @@ def site_fingerprint(grid: GridSimulator) -> tuple:
 class TestWeatherValidation:
     """Bad weather configs die at construction with a named parameter."""
 
-    def test_outage_config(self):
-        with pytest.raises(ValueError, match="mean_uptime"):
-            OutageConfig(mean_uptime=0.0)
-        with pytest.raises(ValueError, match="mean_downtime"):
-            OutageConfig(mean_downtime=-1.0)
-        with pytest.raises(ValueError, match="kill_running"):
-            OutageConfig(kill_running=1.5)
-
     def test_storm_config(self):
         with pytest.raises(ValueError, match="mean_interval"):
             StormConfig(mean_interval=0.0)
@@ -106,8 +96,6 @@ class TestWeatherValidation:
         assert math.isinf(BlackHoleConfig(site="a").duration)
 
     def test_weather_config_types(self):
-        with pytest.raises(TypeError, match="OutageConfig"):
-            WeatherConfig(site_outages=3)
         with pytest.raises(TypeError, match="StormConfig"):
             WeatherConfig(storm=3)
         with pytest.raises(TypeError, match="BlackHoleConfig"):
@@ -526,23 +514,6 @@ class TestWeatherTelemetry:
         assert set(report["black_hole_failures"].values()) == {0}
         assert "health" not in report
         assert "resubmit" not in report
-
-    def test_monitor_samples_cumulative_outages(self):
-        cfg = config(
-            weather=WeatherConfig(
-                site_outages=OutageConfig(
-                    mean_uptime=3000.0, mean_downtime=1000.0, kill_running=0.0
-                )
-            )
-        )
-        grid = GridSimulator(cfg, seed=3)
-        monitor = GridMonitor(grid, period=2000.0)
-        monitor.start()
-        grid.run_until(40_000.0)
-        counts = [s.outages_started for s in monitor.samples]
-        assert counts == sorted(counts)
-        assert counts[-1] > 0
-        assert counts[-1] == grid.weather_report()["outages_started"]
 
     def test_population_result_carries_weather(self):
         cfg = config(
