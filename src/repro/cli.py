@@ -584,6 +584,9 @@ def _cmd_chaos(args, out) -> int:
     if args.trace is not None and args.matrix:
         out.write("error: --trace is incompatible with --matrix\n")
         return 2
+    if args.schedule is not None and args.schedules > 0:
+        out.write("error: --schedules is incompatible with --schedule\n")
+        return 2
     try:
         check_int_at_least("--schedules", args.schedules, 0)
         base = chaos_grid_config(seed=args.seed)
@@ -599,11 +602,10 @@ def _cmd_chaos(args, out) -> int:
             schedules = [
                 (name, cfg) for name, cfg in schedules if name == args.schedule
             ]
-        else:
-            schedules += [
-                (f"generated#{k}", fault_schedule(base, args.seed + k))
-                for k in range(1, args.schedules + 1)
-            ]
+        schedules += [
+            (f"generated#{k}", fault_schedule(base, args.seed + k))
+            for k in range(1, args.schedules + 1)
+        ]
         if args.trace is not None:
             schedules = [
                 (name, dataclasses.replace(cfg, tracing=True))

@@ -43,7 +43,7 @@ __all__ = ["BackgroundLoad", "DEFAULT_CHUNK"]
 
 #: arrivals pre-drawn per refill; large enough to amortise the numpy
 #: calls, small enough that a warmed grid's pending stream stays cheap
-#: to snapshot/clone
+#: to snapshot
 DEFAULT_CHUNK = 256
 
 

@@ -934,22 +934,10 @@ class GridSimulator:
     def _check_pristine(self) -> None:
         if self.jobs_submitted:
             raise RuntimeError(
-                "can only snapshot/clone a pristine grid (no client "
+                "can only snapshot a pristine grid (no client "
                 "submissions); capture after warm_up(), before probing "
                 "or running strategies"
             )
-
-    def clone(self) -> "GridSimulator":
-        """Fork a bit-identical copy of this grid.
-
-        The copy shares nothing with the original: RNG states, the event
-        heap, site queues, running jobs and every counter are duplicated,
-        so both grids continue *identically* to how the original would
-        have continued alone.  Only pristine grids can be cloned — once
-        client jobs are submitted, the heap may hold strategy/probe
-        closures whose copies would still reference the original grid.
-        """
-        return self.snapshot().restore()
 
     def snapshot(self) -> "GridSnapshot":
         """Capture the current state as a restorable :class:`GridSnapshot`."""

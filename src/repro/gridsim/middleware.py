@@ -428,17 +428,6 @@ class MiddlewareDomain:
 
     # -- telemetry -------------------------------------------------------
 
-    def totals(self) -> dict:
-        """Cross-broker counter totals (cheap).
-
-        Plain-int view over the registry counters the submission path
-        increments in place.
-        """
-        out = {k: sum(c.value for c in cs) for k, cs in self.counters.items()}
-        out["breaker_trips"] = sum(b.trips for b in self.breakers)
-        out["duplicates"] = self.duplicates
-        return out
-
     def report(self) -> dict:
         """Per-broker telemetry keyed by broker name."""
         grid = self.grid

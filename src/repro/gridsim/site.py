@@ -340,7 +340,7 @@ class ComputingElement:
             job.start_time = self.sim._now
             self.jobs_started += 1
             # partial (not a lambda): completion events must survive the
-            # snapshot/clone deep copy, and closures copy as shared refs
+            # snapshot deep copy, and closures copy as shared refs
             job.completion_event = self.sim.schedule(
                 job.runtime, partial(self._complete, job)
             )

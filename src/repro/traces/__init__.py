@@ -7,10 +7,10 @@ not publicly bundled, so this package provides:
 * :class:`ProbeRecord` / :class:`TraceSet` — the trace data model
   (submission date, final status, latency — exactly the fields the paper
   logs per probe in §3.2);
-* :mod:`repro.traces.paper` — the paper's per-week Table 1 statistics as
-  calibration targets, and synthesis of statistically matched trace sets;
-* :mod:`repro.traces.calibration` — truncated-moment solvers that find
-  distribution parameters reproducing a target (mean, std, ρ) triple;
+* :mod:`repro.traces.paper` — the paper's per-week Table 1 statistics, their
+  committed log-normal bodies, and synthesis of matched trace sets;
+* :mod:`repro.traces.calibration` — the truncated-moment solver that
+  derived those bodies from the (mean, std) targets;
 * :mod:`repro.traces.generator` — nonstationary probe-stream generation
   (diurnal load, bursts) following the paper's constant-probe protocol;
 * :mod:`repro.traces.gwf` / :mod:`repro.traces.swf` — Grid Workloads

@@ -1,10 +1,10 @@
 """Calibration of parametric latency laws against trace statistics.
 
-Used to synthesize the paper's trace sets: given a target (mean, std) of
-latencies *truncated at the probe timeout* — the quantities Table 1
-reports — solve for log-normal parameters whose truncated moments match.
-The solver inverts :func:`repro.distributions.moments.truncated_mean_std`
-with :func:`scipy.optimize.least_squares`.
+Derives :data:`repro.traces.paper.LOGNORMAL_BODY`: given a target (mean,
+std) of latencies *truncated at the probe timeout* — Table 1's columns —
+solve for log-normal parameters whose truncated moments match.  The solver
+inverts :func:`repro.distributions.moments.truncated_mean_std` with
+:func:`scipy.optimize.least_squares`.
 """
 
 from __future__ import annotations

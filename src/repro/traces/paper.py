@@ -11,8 +11,8 @@ for it in Table 1:
   The recovered values are strikingly round (0.05, 0.17, 0.24, 0.33 …),
   which supports the reconstruction.
 * the non-outlier latency body is a truncated shifted log-normal whose
-  truncated mean/std are solved to match ``mean < 10^5`` and ``σ_R``
-  (:mod:`repro.traces.calibration`).
+  truncated mean/std match ``mean < 10^5`` and ``σ_R``, with parameters
+  :data:`LOGNORMAL_BODY` solved once by :mod:`repro.traces.calibration`.
 
 Sampling uses randomized quantile stratification so that even the ~800
 probes of a weekly trace reproduce the target moments closely; plain
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.distributions.parametric import LogNormal
+from repro.distributions.shifted import ShiftedDistribution
 from repro.distributions.truncated import TruncatedDistribution
-from repro.traces.calibration import calibrate_lognormal
 from repro.traces.dataset import TraceSet
 from repro.traces.records import PROBE_TIMEOUT
 from repro.util.rng import RngLike, as_rng
@@ -34,6 +35,7 @@ from repro.util.rng import RngLike, as_rng
 __all__ = [
     "PaperWeekStats",
     "PAPER_TABLE1",
+    "LOGNORMAL_BODY",
     "WEEKS",
     "WEEKLY_SETS",
     "AGGREGATE",
@@ -118,6 +120,24 @@ _CAMPAIGN_SECONDS = 7 * 24 * 3600.0
 #: essentially no mass below ~150 s.
 _LATENCY_SHIFT = 150.0
 
+#: log-normal body ``(mu, sigma)`` of each week ``w`` in :data:`WEEKS`, the
+#: ``repr`` of ``calibrate_lognormal(s.mean_less, s.sigma_r, shift=_LATENCY_SHIFT)``
+#: for ``s = PAPER_TABLE1[w]`` (scipy 1.17.1); ``TestCalibration`` pins it.
+LOGNORMAL_BODY: dict[str, tuple[float, float]] = {
+    "2006-IX": (4.853921703131827, 1.6491451486176694),
+    "2007-36": (4.2414675928017855, 1.8145547663734478),
+    "2007-37": (4.4634545337771385, 1.8171940557827866),
+    "2007-38": (4.485525111899409, 1.6189316812176358),
+    "2007-39": (4.665748324497874, 1.5939207640400384),
+    "2007-50": (5.001087924615897, 1.741483262781341),
+    "2007-51": (5.136412265237896, 1.153645934594878),
+    "2007-52": (4.742295346737216, 1.3958833319215398),
+    "2007-53": (4.516727266080163, 1.59965561139995),
+    "2008-01": (5.242425849392129, 0.9019899729605814),
+    "2008-02": (4.632102946823482, 1.408913294283577),
+    "2008-03": (3.1783833859837585, 3.3574557477961724),
+}
+
 
 def _stratified_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
     """Randomized stratified U(0,1): one jittered point per 1/n stratum."""
@@ -163,10 +183,10 @@ def synthesize_week(
     if n < 2:
         raise ValueError(f"n_jobs must be >= 2, got {n}")
 
-    calib = calibrate_lognormal(
-        stats.mean_less, stats.sigma_r, timeout=PROBE_TIMEOUT, shift=_LATENCY_SHIFT
+    mu, sigma = LOGNORMAL_BODY[week]
+    truncated = TruncatedDistribution(
+        ShiftedDistribution(LogNormal(mu, sigma), _LATENCY_SHIFT), PROBE_TIMEOUT
     )
-    truncated = TruncatedDistribution(calib.distribution, PROBE_TIMEOUT)
 
     n_outliers = int(round(stats.rho * n))
     n_success = n - n_outliers

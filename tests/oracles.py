@@ -21,7 +21,9 @@ here, as references the equivalence suites compare production against:
   ``jid -> t`` map per stamped kind behind a kind lookup, and a
   keyword-built record per completed task;
 * :func:`lifo_ties` — the event kernel with same-instant events popped
-  last-in first-out instead of first-in first-out.
+  last-in first-out instead of first-in first-out;
+* :func:`mw_totals` — the middleware's cross-broker counter totals, a
+  readout only tests take.
 """
 
 from __future__ import annotations
@@ -288,6 +290,19 @@ def lifo_ties():
         _WARM_CACHE, clear=True
     ):
         yield
+
+
+def mw_totals(grid: GridSimulator) -> dict:
+    """Cross-broker middleware counter totals of ``grid``.
+
+    Plain ints summed over the per-broker registry counters, plus the
+    breaker trips and the duplicate count.
+    """
+    mw = grid._mw
+    out = {k: sum(c.value for c in cs) for k, cs in mw.counters.items()}
+    out["breaker_trips"] = sum(b.trips for b in mw.breakers)
+    out["duplicates"] = mw.duplicates
+    return out
 
 
 def audit_conservation_reference(grid: GridSimulator) -> ConservationReport:

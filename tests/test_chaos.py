@@ -46,7 +46,7 @@ from repro.gridsim import (
     standard_schedules,
 )
 from repro.gridsim.client import launch_task
-from oracles import chaos_on
+from oracles import chaos_on, mw_totals
 
 
 def fed_config(**kw) -> GridConfig:
@@ -203,7 +203,7 @@ class TestBrokerOutages:
         job = Job(runtime=600.0)
         grid.submit(job, via="wms-a")
         assert job.state is JobState.LOST
-        assert grid._mw.totals()["rejects"] == 1
+        assert mw_totals(grid)["rejects"] == 1
 
     def test_black_hole_without_retry_loses_the_copy(self):
         grid = self.outage_grid("black-hole")
@@ -211,7 +211,7 @@ class TestBrokerOutages:
         job = Job(runtime=600.0)
         grid.submit(job, via="wms-a")
         assert job.state is JobState.LOST
-        assert grid._mw.totals()["black_holed"] == 1
+        assert mw_totals(grid)["black_holed"] == 1
 
     def test_retry_fails_over_to_surviving_broker(self):
         retry = RetryPolicy(
@@ -227,7 +227,7 @@ class TestBrokerOutages:
             grid, SingleResubmission(t_inf=3_000.0), 600.0, results, via="wms-a"
         )
         grid.run_until(3_700.0 + 4_000.0)
-        totals = grid._mw.totals()
+        totals = mw_totals(grid)
         assert results, "task should finish via the surviving broker"
         assert totals["failovers"] >= 1
         assert totals["breaker_trips"] >= 1

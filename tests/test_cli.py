@@ -252,6 +252,11 @@ class TestChaos:
         code, text = run_cli("chaos", "--matrix", "--schedules", "-1")
         assert code == 2
         assert text == "error: --schedules must be >= 0, got -1\n"
+        code, text = run_cli(
+            "chaos", "--schedule", "storm-broker-site", "--schedules", "2"
+        )
+        assert code == 2
+        assert text == "error: --schedules is incompatible with --schedule\n"
 
     def test_non_integer_schedules_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -254,7 +254,7 @@ class TestSnapshotForkEquivalence:
         cfg = config()
         master = GridSimulator(cfg, seed=43)
         master.warm_up(7200.0)
-        fork = master.clone()
+        fork = master.snapshot().restore()
         independent = GridSimulator(cfg, seed=43)
         independent.warm_up(7200.0)
         for g in (fork, independent):
@@ -266,7 +266,7 @@ class TestSnapshotForkEquivalence:
         traces = []
         for g in engine_pair(config(), seed=47):
             g.warm_up(7200.0)
-            fork = g.clone()
+            fork = g.snapshot().restore()
             traces.append(
                 ProbeExperiment(fork, n_slots=6, timeout=4000.0).run(30_000.0)
             )

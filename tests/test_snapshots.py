@@ -76,14 +76,14 @@ def state_fingerprint(grid) -> tuple:
 class TestCloneEquivalence:
     def test_clone_matches_fresh_warmup_immediately(self):
         cfg = config()
-        clone = fresh_warmed(cfg, 11, 7200.0).clone()
+        clone = fresh_warmed(cfg, 11, 7200.0).snapshot().restore()
         independent = fresh_warmed(cfg, 11, 7200.0)
         assert state_fingerprint(clone) == state_fingerprint(independent)
 
     def test_clone_replays_identically_to_fresh_warmup(self):
         """The crux: continuations beyond the fork are bit-identical."""
         cfg = config()
-        clone = fresh_warmed(cfg, 13, 7200.0).clone()
+        clone = fresh_warmed(cfg, 13, 7200.0).snapshot().restore()
         independent = fresh_warmed(cfg, 13, 7200.0)
         for g in (clone, independent):
             g.run_until(g.now + 50_000.0)
@@ -91,7 +91,7 @@ class TestCloneEquivalence:
 
     def test_probe_traces_identical_after_fork(self):
         cfg = default_grid_config(n_sites=6, seed=3)
-        clone = fresh_warmed(cfg, 17, 3600.0).clone()
+        clone = fresh_warmed(cfg, 17, 3600.0).snapshot().restore()
         independent = fresh_warmed(cfg, 17, 3600.0)
         ta = ProbeExperiment(clone, n_slots=8, timeout=4000.0).run(30_000.0)
         tb = ProbeExperiment(independent, n_slots=8, timeout=4000.0).run(30_000.0)
@@ -101,7 +101,7 @@ class TestCloneEquivalence:
 
     def test_strategy_outcomes_identical_after_fork(self):
         cfg = config()
-        clone = fresh_warmed(cfg, 19, 3600.0).clone()
+        clone = fresh_warmed(cfg, 19, 3600.0).snapshot().restore()
         independent = fresh_warmed(cfg, 19, 3600.0)
         strat = MultipleSubmission(b=3, t_inf=2000.0)
         oa = run_strategy_on_grid(clone, strat, 25, task_interval=200.0, runtime=60.0)
@@ -140,8 +140,6 @@ class TestSnapshotGuards:
     def test_cannot_snapshot_after_client_submission(self):
         grid = fresh_warmed(config(), 31, 1800.0)
         grid.submit(Job(runtime=10.0))
-        with pytest.raises(RuntimeError, match="pristine"):
-            grid.clone()
         with pytest.raises(RuntimeError, match="pristine"):
             grid.snapshot()
 

@@ -1,8 +1,13 @@
 """Tests for probe records, trace sets, calibration and synthesis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.distributions.moments import truncated_mean_std
+from repro.distributions.parametric import LogNormal
+from repro.distributions.shifted import ShiftedDistribution
 from repro.traces import (
     PAPER_TABLE1,
     TraceSet,
@@ -12,7 +17,8 @@ from repro.traces import (
     synthesize_all,
     synthesize_week,
 )
-from repro.traces.paper import AGGREGATE
+from repro.traces import calibration, paper
+from repro.traces.paper import AGGREGATE, LOGNORMAL_BODY
 from repro.traces.records import PROBE_TIMEOUT, JobStatus, ProbeRecord
 
 
@@ -207,12 +213,20 @@ class TestCalibration:
             calibrate_lognormal(-5.0, 100.0)
 
     def test_every_paper_week_is_calibratable(self):
-        # the solver must handle all 13 Table-1 rows (CV from 0.7 to 2.2)
-        for name, stats in PAPER_TABLE1.items():
-            if name == AGGREGATE:
-                continue
+        # the solver handles every synthesizable Table-1 row (CV 0.7 to
+        # 2.2), and its output is the committed body synthesis reads
+        assert set(LOGNORMAL_BODY) == set(WEEKS)
+        for name in WEEKS:
+            stats = PAPER_TABLE1[name]
             res = calibrate_lognormal(stats.mean_less, stats.sigma_r, shift=150.0)
             assert res.relative_error < 1e-3, name
+            mu, sigma = LOGNORMAL_BODY[name]
+            assert res.mu == pytest.approx(mu, rel=1e-9), name
+            assert res.sigma == pytest.approx(sigma, rel=1e-9), name
+            body = ShiftedDistribution(LogNormal(mu, sigma), 150.0)
+            mean, std = truncated_mean_std(body, PROBE_TIMEOUT, n_points=8001)
+            assert mean == pytest.approx(stats.mean_less, rel=1e-3), name
+            assert std == pytest.approx(stats.sigma_r, rel=1e-3), name
 
 
 class TestPaperSynthesis:
@@ -256,6 +270,23 @@ class TestPaperSynthesis:
     def test_aggregate_must_use_synthesize_all(self):
         with pytest.raises(ValueError, match="union"):
             synthesize_week(AGGREGATE, seed=0)
+
+    def test_synthesis_runs_no_solver_and_keeps_its_bytes(self, monkeypatch):
+        # sha256 of synthesize_all(seed=2009) as the solver-backed
+        # synthesis produced it, before the bodies were committed
+        def solver(*args, **kwargs):
+            raise AssertionError("synthesis called calibrate_lognormal")
+
+        monkeypatch.setattr(calibration, "calibrate_lognormal", solver)
+        monkeypatch.setattr(paper, "calibrate_lognormal", solver, raising=False)
+        h = hashlib.sha256()
+        for name, t in synthesize_all(seed=2009).items():
+            h.update(name.encode())
+            for col in (t.submit_times, t.latencies, t.status_codes):
+                h.update(col.tobytes())
+        assert h.hexdigest() == (
+            "f3c18565a988fe25ce5350eaaac4a5f7112b5d58889f1d44bd8f3ef31d72796e"
+        )
 
     def test_synthesize_all_structure(self):
         traces = synthesize_all(seed=5)

@@ -43,7 +43,7 @@ from repro.gridsim import (
 from repro.gridsim.middleware import RetryPolicy
 from repro.gridsim.site import ComputingElement
 from repro.population import FleetSpec, PopulationSpec, run_population
-from oracles import engine_pair
+from oracles import engine_pair, mw_totals
 
 
 def config(util: float = 0.85, **kw) -> GridConfig:
@@ -676,7 +676,7 @@ class TestAgentWithClientRetries:
         # middleware-retried or agent-rescued — is still accounted for
         # exactly once
         assert grid.weather_report()["resubmit"]["resubmissions"] > 0
-        assert grid._mw.totals()["submits"] > len(tasks)
+        assert mw_totals(grid)["submits"] > len(tasks)
         audit_conservation(grid).verify()
         # the two rescue channels keep disjoint books: the agent's per-task
         # budget holds, and every grid submission traces back to a client
