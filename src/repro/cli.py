@@ -27,6 +27,22 @@ from repro.util.validation import check_int_at_least, check_positive
 __all__ = ["main", "build_parser"]
 
 
+class _Seed(argparse.Action):
+    """A ``--seed``-style flag: an int, refused below 0 with the flag named.
+
+    numpy's seeding rejects negative seeds deep inside a run; checking
+    at parse time names the flag and exits with the usage status 2.
+    """
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, type=int, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values < 0:
+            parser.error(f"{option_string} must be >= 0, got {values}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -44,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment (or 'all')")
     run_p.add_argument("experiment", help="experiment id from 'list', or 'all'")
     run_p.add_argument(
-        "--seed", type=int, default=2009, help="trace-synthesis seed"
+        "--seed", action=_Seed, default=2009, help="trace-synthesis seed"
     )
     run_p.add_argument(
         "--dt",
@@ -111,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=900.0,
         help="federated staleness towards non-owned sites (s)",
     )
-    fed_p.add_argument("--seed", type=int, default=29)
+    fed_p.add_argument("--seed", action=_Seed, default=29)
 
     pop_p = sub.add_parser(
         "population",
@@ -133,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cores", type=int, default=256, help="cores per site"
     )
     pop_p.add_argument(
-        "--seed", type=int, default=41, help="launch-schedule seed"
+        "--seed", action=_Seed, default=41, help="launch-schedule seed"
     )
     pop_p.add_argument(
-        "--grid-seed", type=int, default=41, help="grid warm-up seed"
+        "--grid-seed", action=_Seed, default=41, help="grid warm-up seed"
     )
 
     weather_p = sub.add_parser(
@@ -175,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     weather_p.add_argument(
         "--t-inf", type=float, default=4000.0, help="resubmission timeout (s)"
     )
-    weather_p.add_argument("--seed", type=int, default=43)
+    weather_p.add_argument("--seed", action=_Seed, default=43)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -208,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8 * 3600.0,
         help="campaign horizon after warm-up (s)",
     )
-    chaos_p.add_argument("--seed", type=int, default=11)
+    chaos_p.add_argument("--seed", action=_Seed, default=11)
     chaos_p.add_argument(
         "--schedule",
         metavar="NAME",
@@ -257,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     desc_p = sub.add_parser("describe", help="describe a paper trace set")
     desc_p.add_argument("week", help="trace-set name, e.g. 2006-IX")
-    desc_p.add_argument("--seed", type=int, default=2009)
+    desc_p.add_argument("--seed", action=_Seed, default=2009)
 
     return parser
 
@@ -421,6 +437,7 @@ def _cmd_population(args, out) -> int:
         fleet_population_spec,
         fleet_sites_for,
     )
+    from repro.util.memory import bytes_per_task, peak_rss_bytes, rss_bytes
     from repro.util.tables import Table, format_float, format_seconds
 
     if args.scale < 0:
@@ -433,6 +450,7 @@ def _cmd_population(args, out) -> int:
         t0 = time.perf_counter()
         grid = warmed_grid(config, args.grid_seed)
         warm = time.perf_counter() - t0
+        rss_before = rss_bytes()
         result = run_population(grid, spec, seed=args.seed)
         wall = time.perf_counter() - t0
     except ValueError as exc:
@@ -462,9 +480,11 @@ def _cmd_population(args, out) -> int:
     phases = ", ".join(
         f"{k} {v:.2f}s" for k, v in {"warm": warm, **result.phases}.items()
     )
+    per_task = bytes_per_task(rss_before, spec.total_tasks)
     out.write(
         f"\nfinished {result.total_finished}/{spec.total_tasks} tasks in "
-        f"{wall:.1f}s wall ({rate:.0f} tasks/s), "
+        f"{wall:.1f}s wall ({rate:.0f} tasks/s, peak RSS "
+        f"{peak_rss_bytes() / 2**20:.0f} MB, {per_task:.0f} bytes/task), "
         f"virtual span {result.duration:.0f}s\n"
         f"wall by phase: {phases}\n"
         f"broker dispatches: "

@@ -22,13 +22,7 @@ Public surface:
 
 from repro.core.model import GriddedLatencyModel, LatencyModel
 from repro.core.cost import delta_cost, cost_curve_multiple, cost_curve_delayed
-from repro.core.diagnostics import (
-    TimeoutDiagnosis,
-    diagnose_timeout,
-    hazard_rate,
-    mean_residual_latency,
-    timeout_stationarity_gap,
-)
+from repro.core.diagnostics import TimeoutDiagnosis, diagnose_timeout, hazard_rate
 from repro.core.distribution_of_j import (
     multiple_survival,
     single_survival,
@@ -61,8 +55,6 @@ __all__ = [
     "TimeoutDiagnosis",
     "diagnose_timeout",
     "hazard_rate",
-    "mean_residual_latency",
-    "timeout_stationarity_gap",
     "single_survival",
     "multiple_survival",
     "strategy_quantile",

@@ -1,5 +1,5 @@
-"""Latency-model diagnostics: hazard rate, mean residual latency, and the
-first-order optimality condition for the single-resubmission timeout.
+"""Latency-model diagnostics: the hazard rate and the first-order
+optimality condition for the single-resubmission timeout.
 
 Background (Glatard, Montagnat & Pennec, CCGrid'07 — the paper's ref [8]):
 differentiating Eq. (1) shows that a timeout ``t∞`` is stationary iff ::
@@ -25,8 +25,6 @@ from repro.core.strategies.single import single_expectation_sweep
 
 __all__ = [
     "hazard_rate",
-    "mean_residual_latency",
-    "timeout_stationarity_gap",
     "TimeoutDiagnosis",
     "diagnose_timeout",
 ]
@@ -62,39 +60,6 @@ def hazard_rate(
     with np.errstate(divide="ignore", invalid="ignore"):
         h = dens / model.S
     return np.where(model.S > 1e-12, h, 0.0)
-
-
-def mean_residual_latency(model: GriddedLatencyModel) -> np.ndarray:
-    """``E[R - t | R > t]`` including the outlier mass (``inf`` if ρ > 0).
-
-    With outliers the conditional expectation is infinite for every ``t``
-    (the job may never start); the *defective* version restricted to jobs
-    that do start is returned instead:
-    ``E[(R - t)·1(R > t, R finite)] / P(R > t)``, which stays finite and
-    still shows the increasing-with-age pathology of heavy tails.
-    """
-    n = model.grid.n
-    # ∫_t^{t_max} (1-F̃(u)) du - (t_max - t)·S(t_max) approximates the
-    # finite-R part of the tail integral on the grid span
-    tail = model.A[-1] - model.A - (model.times[-1] - model.times) * model.S[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mrl = tail / model.S
-    return np.where(model.S > 1e-12, mrl, 0.0)
-
-
-def timeout_stationarity_gap(model: GriddedLatencyModel) -> np.ndarray:
-    """Signed gap ``E_J(t) - (1-F̃(t))/f̃(t)`` on the grid.
-
-    Zero crossings of this gap are the stationary points of Eq. (1); the
-    optimiser's argmin must sit at (or between) them.  Returns ``nan``
-    where the hazard vanishes.
-    """
-    e_j = single_expectation_sweep(model)
-    h = hazard_rate(model)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_h = np.where(h > 1e-15, 1.0 / h, np.nan)
-        gap = e_j - inv_h
-    return gap
 
 
 @dataclass(frozen=True)

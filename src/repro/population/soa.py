@@ -3,9 +3,10 @@
 The legacy population driver allocates one :class:`~repro.gridsim.client.TaskCore`
 per task — at 10⁵ tasks that is 10⁵ slotted objects, 10⁵ bound-method
 watchers, and a few 10⁵ pooled timers armed and cancelled one at a time.
-:class:`TaskPool` replaces all of it with one numpy record pool: task
-state, launch/finish instants, completion order and jobs-used live in
-flat columns, fleets are contiguous index ranges, the per-task start
+:class:`TaskPool` replaces all of it with one record pool: task state,
+finish instants, completion order and jobs-used live in flat columns
+(launch instants are the launch schedule itself, read back at readout),
+fleets are contiguous index ranges, the per-task start
 watcher is one reusable ``partial``, and timeout expiry is batched
 through a pool-owned wheel that arms **one** kernel timer per bucket
 boundary and walks its due index block at fire time (dead entries are
@@ -28,6 +29,7 @@ remotely via :meth:`TaskPool.settle`.
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 
 import numpy as np
@@ -69,21 +71,28 @@ def chain_launches(sim, launch_times, start: float, launch) -> None:
     """
     cat = np.concatenate(launch_times)
     order = np.argsort(cat, kind="stable")
-    sorted_t = (cat[order] + start).tolist()
-    sorted_i = order.tolist()
+    # typed buffers, not lists: 8 B an entry instead of ~40 for a
+    # boxed float or int, and every read still yields a plain scalar
+    sorted_t = array("d", (cat[order] + start).tobytes())
+    sorted_i = array("q", order.astype(np.int64, copy=False).tobytes())
     n = len(sorted_t)
     cursor = 0
 
     def fire() -> None:
         nonlocal cursor
         i = cursor
+        t = sorted_t[i]
         while True:
-            t = sorted_t[i]
-            while i < n and sorted_t[i] == t:
-                launch(sorted_i[i])
-                i += 1
-            if i == n or not sim.claim(sorted_t[i]):
+            launch(sorted_i[i])
+            i += 1
+            if i == n:
                 break
+            # one read per instant: each array read boxes a fresh float
+            next_t = sorted_t[i]
+            if next_t != t:
+                if not sim.claim(next_t):
+                    break
+                t = next_t
         cursor = i
         if i < n:
             sim.schedule_at(sorted_t[i], fire)
@@ -118,7 +127,7 @@ def pool_supported(grid, fleets) -> bool:
 
 
 class TaskPool:
-    """One numpy record pool running every task of a population.
+    """One record pool running every task of a population.
 
     Parameters
     ----------
@@ -130,7 +139,10 @@ class TaskPool:
     launch_times:
         Per-fleet launch instants relative to ``start`` (the arrays
         :meth:`PopulationSpec.launch_times` synthesises), walked by
-        :func:`chain_launches` like the legacy driver's.
+        :func:`chain_launches` like the legacy driver's.  The pool keeps
+        them, unchanged and uncopied, as its launch column: task ``i``
+        launches at exactly ``start + launch_times[f][i - offsets[f]]``,
+        the instant the walker sets the clock to.
     start:
         Absolute instant the window opens (``grid.now`` at call time).
     on_all_done:
@@ -146,7 +158,8 @@ class TaskPool:
 
     __slots__ = (
         "grid", "_sim", "fleets", "offsets", "n", "fid",
-        "state", "t_start", "done_t", "done_seq", "jobs_used",
+        "state", "_launch_times", "_t_open", "done_t", "done_seq",
+        "jobs_used",
         "_live", "_cb", "_seq", "pending", "on_all_done",
         "_kind", "_t_inf", "_t0", "_b", "_runtime", "_vo",
         "_fleet_broker", "_rr_broker", "_via",
@@ -207,17 +220,23 @@ class TaskPool:
             self._via.append(f.broker)
 
         # -- SoA columns --------------------------------------------------
-        # Hot columns are plain Python containers, not numpy arrays: the
+        # Hot columns are Python containers, not numpy arrays: the
         # launch/settle path does ~10 scalar element accesses per task,
-        # and a numpy scalar read/write costs ~10x a list index (boxing
-        # a fresh np.float64 each time).  fleet_results converts to
-        # arrays once, at readout.
+        # and a numpy element access costs several list indexes (it
+        # boxes a fresh np.float64 each time).  Per-task numbers sit in
+        # array.array buffers: 8 B a task where a list slot plus its
+        # boxed float or large int costs ~32-40 B, and a read still
+        # yields a plain Python scalar.  jobs_used and fid stay lists:
+        # their values are cached small ints, so a slot costs 8 B either
+        # way and a list index reads faster.  The launch instant needs no
+        # column: it is start + launch_times, recomputed at readout.
         self.state = bytearray(n)
-        self.t_start = [0.0] * n
-        self.done_t = [0.0] * n
+        self._launch_times = list(launch_times)
+        self._t_open = start
+        self.done_t = array("d", [0.0]) * n
         #: global completion counter per task — per-fleet results are
         #: read back in completion order, like the legacy sink appends
-        self.done_seq = [0] * n
+        self.done_seq = array("q", [0]) * n
         self.jobs_used = [0] * n
         self.fid = np.repeat(
             np.arange(len(sizes), dtype=np.intp), sizes
@@ -269,7 +288,6 @@ class TaskPool:
     def _launch(self, i: int) -> None:
         f = self.fid[i]
         self.state[i] = _ACTIVE
-        self.t_start[i] = self._sim._now
         cb = partial(self._start, i)
         self._cb[i] = cb
         k = self._kind[f]
@@ -482,11 +500,13 @@ class TaskPool:
         sl = slice(int(self.offsets[f]), int(self.offsets[f + 1]))
         state = np.frombuffer(self.state, dtype=np.uint8)[sl]
         done = np.nonzero(state == _DONE)[0]
-        seq = np.asarray(self.done_seq[sl], dtype=np.int64)
+        seq = np.frombuffer(self.done_seq, dtype=np.int64)[sl]
         done = done[np.argsort(seq[done], kind="stable")]
+        # fancy indexing copies, so the results share no memory with the
+        # pool's columns (a later settle cannot rewrite them)
         j = (
-            np.asarray(self.done_t[sl], dtype=np.float64)[done]
-            - np.asarray(self.t_start[sl], dtype=np.float64)[done]
+            np.frombuffer(self.done_t, dtype=np.float64)[sl][done]
+            - (self._launch_times[f][done] + self._t_open)
         )
         jobs = np.asarray(self.jobs_used[sl], dtype=np.int64)[done]
         return j, jobs

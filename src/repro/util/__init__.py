@@ -13,6 +13,8 @@ the library:
   experiment harness to print paper-style tables.
 * :mod:`repro.util.series` — labelled (x, y) series containers used as the
   data form of every reproduced figure.
+* :mod:`repro.util.memory` — process RSS readings behind the population
+  day's ``bytes/task`` figure.
 """
 
 from repro.util.grids import TimeGrid, cumulative_trapezoid, trapezoid

@@ -103,6 +103,10 @@ class TestPopulation:
         outs = [run_cli(*args) for _ in range(2)]
         assert [code for code, _ in outs] == [0, 0]
         assert "wall by phase: warm " in outs[0][1]
+        (wall,) = [
+            line for line in outs[0][1].splitlines() if " wall (" in line
+        ]
+        assert " MB, " in wall and " bytes/task), " in wall
         # timings sit only on lines the `grep -v wall` determinism diff drops
         a, b = (
             [line for line in text.splitlines() if "wall" not in line]
@@ -453,6 +457,33 @@ class TestParser:
             build_parser().parse_args(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "fig1", "--seed", "-1"),
+            ("federation", "--seed", "-1"),
+            ("population", "--seed", "-1"),
+            ("population", "--grid-seed", "-1"),
+            ("weather", "--seed", "-1"),
+            ("chaos", "--seed", "-1"),
+            ("describe", "2007-36", "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_is_a_usage_error_naming_the_flag(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"error: {flag} must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_zero_seed_is_accepted(self):
+        args = build_parser().parse_args(
+            ["population", "--seed", "0", "--grid-seed", "0"]
+        )
+        assert (args.seed, args.grid_seed) == (0, 0)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

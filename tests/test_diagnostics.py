@@ -1,14 +1,9 @@
-"""Tests for hazard/mean-residual diagnostics and the stationarity check."""
+"""Tests for the hazard-rate diagnostic and the stationarity check."""
 
 import numpy as np
 import pytest
 
-from repro.core.diagnostics import (
-    diagnose_timeout,
-    hazard_rate,
-    mean_residual_latency,
-    timeout_stationarity_gap,
-)
+from repro.core.diagnostics import diagnose_timeout, hazard_rate
 from repro.core.model import LatencyModel
 from repro.core.optimize import optimize_single
 from repro.distributions import Exponential
@@ -43,22 +38,6 @@ class TestHazardRate:
         assert (hazard_rate(gridded) >= 0.0).all()
 
 
-class TestMeanResidual:
-    def test_nonnegative_and_finite(self, gridded):
-        mrl = mean_residual_latency(gridded)
-        assert (mrl >= -1e-9).all()
-        assert np.isfinite(mrl).all()
-
-    def test_exponential_memoryless(self):
-        gm = LatencyModel(Exponential(rate=0.01), rho=0.0).on_grid(
-            TimeGrid(t_max=4000.0, dt=1.0)
-        )
-        mrl = mean_residual_latency(gm)
-        # memoryless: E[R - t | R > t] = 100 for all t well inside the grid
-        assert mrl[100] == pytest.approx(100.0, rel=0.1)
-        assert mrl[1000] == pytest.approx(100.0, rel=0.15)
-
-
 class TestSmoothedHazard:
     def test_window_validation(self, gridded):
         with pytest.raises(ValueError):
@@ -79,15 +58,6 @@ class TestSmoothedHazard:
 
 
 class TestStationarity:
-    def test_gap_crosses_zero_near_optimum(self, gridded):
-        opt = optimize_single(gridded)
-        gap = timeout_stationarity_gap(gridded)
-        k = gridded.index_of(opt.t_inf)
-        # within a small window of the optimum, the gap changes sign
-        window = gap[max(1, k - 40): k + 40]
-        finite = window[np.isfinite(window)]
-        assert finite.min() < 0 < finite.max()
-
     def test_diagnose_at_optimum_is_stationary(self, gridded):
         opt = optimize_single(gridded)
         diag = diagnose_timeout(gridded, opt.t_inf)

@@ -19,6 +19,7 @@ Three laws are pinned here:
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.population import driver
 from repro.population.shard import run_population_sharded
 from repro.population.soa import TaskPool, pool_supported
 from repro.traces.generator import DiurnalProfile
+from repro.util.rng import as_rng, spawn_rngs
 from oracles import (
     CORNERS,
     rechaining_launches,
@@ -276,6 +278,65 @@ class TestPoolConservation:
         monkeypatch.setattr(TaskPool, "_submit1", stray)
         with pytest.raises(RuntimeError, match="job conservation"):
             self.run_day()
+
+
+def walker_schedule(sim) -> dict:
+    """The closure variables of the one launch walker queued on ``sim``."""
+    walkers = []
+    for _, _, ev in sim._heap:
+        code = getattr(ev.callback, "__code__", None)
+        if code is not None and "sorted_t" in code.co_freevars:
+            walkers.append(ev.callback)
+    (walker,) = walkers
+    cells = (cell.cell_contents for cell in walker.__closure__)
+    return dict(zip(walker.__code__.co_freevars, cells))
+
+
+class TestPoolLayout:
+    """Per-task numbers live in typed buffers; readouts are copies."""
+
+    def test_typed_columns_and_detached_results(self):
+        snap = warmed_snapshot(corner_config(), seed=17, duration=2 * 3600.0)
+        grid = snap.restore()
+        spec = mixed_spec(60)
+        rngs = spawn_rngs(as_rng(9), len(spec.fleets))
+        times = [spec.launch_times(f, r) for f, r in zip(spec.fleets, rngs)]
+        start = grid.now
+        pool = TaskPool(
+            grid, spec.fleets, times, start=start, on_all_done=grid.sim.stop
+        )
+        schedule = walker_schedule(grid.sim)
+        for column, code in (
+            (pool.done_t, "d"),
+            (pool.done_seq, "q"),
+            (schedule["sorted_t"], "d"),
+            (schedule["sorted_i"], "q"),
+        ):
+            assert isinstance(column, array)
+            assert column.typecode == code
+        assert not hasattr(pool, "t_start")  # launch instants are `times`
+
+        grid.sim.run_until(start + spec.window + 86_400.0)
+        assert pool.pending == 0
+        results = [pool.fleet_results(f) for f in range(len(spec.fleets))]
+        kept = [(j.copy(), jobs.copy()) for j, jobs in results]
+        buffers = [
+            np.frombuffer(pool.done_t, dtype=np.float64),
+            np.frombuffer(pool.done_seq, dtype=np.int64),
+            *times,
+        ]
+        for j, jobs in results:
+            assert j.size > 0
+            for buf in buffers:
+                assert not np.shares_memory(j, buf)
+                assert not np.shares_memory(jobs, buf)
+        # a later write to the pool cannot rewrite a returned result
+        for k in range(pool.n):
+            pool.done_t[k] = -1.0
+            pool.jobs_used[k] = -1
+        for (j, jobs), (j0, jobs0) in zip(results, kept):
+            np.testing.assert_array_equal(j, j0)
+            np.testing.assert_array_equal(jobs, jobs0)
 
 
 class TestEmptyPopulations:

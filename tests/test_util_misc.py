@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.util.memory import bytes_per_task, peak_rss_bytes, rss_bytes
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.series import Series, SeriesBundle
 from repro.util.tables import Table, format_float, format_percent, format_seconds
@@ -217,3 +218,22 @@ class TestSeries:
         b.add(Series("a", np.arange(30.0), np.arange(30.0)))
         text = b.render(points=5)
         assert "timeout" in text and "EJ" in text and "fig" in text
+
+
+class TestMemory:
+    def test_readings_are_in_bytes(self):
+        # an interpreter with numpy loaded is well past 10 MB resident;
+        # a reading in KiB or pages would fall below it
+        assert rss_bytes() > 10 * 2**20
+        assert peak_rss_bytes() > 10 * 2**20
+
+    def test_bytes_per_task_measures_growth_past_the_baseline(self):
+        before = rss_bytes()
+        block = bytearray(64 * 2**20)  # 64 MiB touched past any peak
+        block[::4096] = b"x" * len(block[::4096])
+        per_task = bytes_per_task(before, 2**20)
+        del block
+        assert per_task >= 32  # >= half the block, per task
+
+    def test_zero_tasks_give_nan(self):
+        assert np.isnan(bytes_per_task(rss_bytes(), 0))
