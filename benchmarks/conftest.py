@@ -15,6 +15,7 @@ timed rounds so tracemalloc's ~2x slowdown never contaminates timings.
 from __future__ import annotations
 
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,10 @@ from repro.experiments import ExperimentResult
 from repro.experiments.context import ReproContext
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# the test-side references (tests/oracles.py) read artifact tables and
+# drive site outages for the benches too
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 TRACK_MEM = os.environ.get("REPRO_BENCH_MEM", "") not in ("", "0")
 

@@ -2,6 +2,8 @@
 
 from repro.experiments import run_experiment
 
+from oracles import table_rows
+
 
 def test_bench_rho_sensitivity(benchmark, ctx_fast, save_result):
     result = benchmark.pedantic(
@@ -12,7 +14,7 @@ def test_bench_rho_sensitivity(benchmark, ctx_fast, save_result):
     )
     save_result(result)
     (table,) = result.tables
-    e_j = [float(r["single E_J"].rstrip("s")) for r in table.as_dicts()]
+    e_j = [float(r["single E_J"].rstrip("s")) for r in table_rows(table)]
     assert all(a <= b for a, b in zip(e_j, e_j[1:]))  # monotone in rho
 
 

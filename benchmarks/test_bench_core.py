@@ -11,7 +11,7 @@ import numpy as np
 from repro.core.model import LatencyModel
 from repro.core.optimize import optimize_delayed, optimize_multiple, optimize_single
 from repro.core.strategies import (
-    delayed_expectation_for_t0,
+    delayed_expectation_bands,
     multiple_expectation_sweep,
     single_expectation_sweep,
 )
@@ -49,11 +49,20 @@ def test_bench_multiple_sweep_b5(benchmark):
 
 
 def test_bench_delayed_t0_slice(benchmark):
+    """One ``t0`` row of the delayed surface through the production kernel."""
     gm = fresh_gridded()
     _ = gm.A
     k0 = gm.index_of(400.0)
-    sweep = benchmark(lambda: delayed_expectation_for_t0(gm, k0))
-    assert np.isfinite(sweep[k0:2 * k0]).any()
+
+    def row():
+        # empty the per-model row cache so every round computes the row
+        gm._delayed_band_cache.clear()
+        gm._delayed_band_cache_floats = 0
+        return delayed_expectation_bands(gm, [k0])
+
+    rect, widths = benchmark(row)
+    assert widths[0] == k0 + 1
+    assert np.isfinite(rect[0]).any()
 
 
 def test_bench_optimizers_end_to_end(benchmark):

@@ -2,6 +2,8 @@
 
 from repro.experiments import run_experiment
 
+from oracles import series_named
+
 
 def test_bench_fig8(benchmark, ctx_fast, save_result):
     result = benchmark.pedantic(
@@ -12,4 +14,4 @@ def test_bench_fig8(benchmark, ctx_fast, save_result):
     )
     save_result(result)
     (bundle,) = result.figures
-    assert bundle.get("delayed (cost frontier)").y.min() < 1.0
+    assert series_named(bundle, "delayed (cost frontier)").y.min() < 1.0

@@ -2,6 +2,8 @@
 
 from repro.experiments import run_experiment
 
+from oracles import table_rows
+
 
 def test_bench_table3(benchmark, ctx, save_result):
     result = benchmark.pedantic(
@@ -14,5 +16,5 @@ def test_bench_table3(benchmark, ctx, save_result):
     (table,) = result.tables
     assert len(table.rows) == 10
     assert all(
-        row["delta vs single"].startswith("-") for row in table.as_dicts()
+        row["delta vs single"].startswith("-") for row in table_rows(table)
     )

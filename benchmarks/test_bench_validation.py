@@ -2,6 +2,8 @@
 
 from repro.experiments import run_experiment
 
+from oracles import table_rows
+
 
 def test_bench_val_mc(benchmark, ctx_fast, save_result):
     result = benchmark.pedantic(
@@ -12,7 +14,7 @@ def test_bench_val_mc(benchmark, ctx_fast, save_result):
     )
     save_result(result)
     (table,) = result.tables
-    zs = [float(r["z"]) for r in table.as_dicts()]
+    zs = [float(r["z"]) for r in table_rows(table)]
     assert max(zs) < 4.5
 
 

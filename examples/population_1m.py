@@ -18,8 +18,9 @@ Two properties worth seeing live:
   per wall-second, so the 10⁶-task day completes in minutes;
 * determinism: a fixed seed reproduces the exact same outcome tables,
   run after run;
-* memory: the ``wall`` line prints the day's ``bytes/task``, its peak
-  RSS above the warmed grid's, divided by the tasks (~105 at 10⁶).
+* memory: the ``wall`` line prints the peak RSS and, for a day of 10⁵
+  tasks or more, its ``bytes/task``: the peak RSS above the warmed
+  grid's, divided by the tasks (~105 at 10⁶).
 """
 
 import argparse
@@ -32,7 +33,7 @@ from repro.population.presets import (
     fleet_population_spec,
     fleet_sites_for,
 )
-from repro.util.memory import bytes_per_task, peak_rss_bytes, rss_bytes
+from repro.util.memory import memory_summary, rss_bytes
 
 
 def main() -> None:
@@ -56,8 +57,7 @@ def main() -> None:
     rss_before = rss_bytes()
     result = run_population(grid, spec, seed=args.seed)
     wall = time.perf_counter() - t0
-    peak_mb = peak_rss_bytes() / 2**20
-    per_task = bytes_per_task(rss_before, spec.total_tasks)
+    memory = memory_summary(rss_before, spec.total_tasks)
 
     for f in result.fleets:
         print(
@@ -68,7 +68,7 @@ def main() -> None:
     print(
         f"finished {result.total_finished}/{spec.total_tasks} in "
         f"{wall:.1f}s wall ({spec.total_tasks / wall:,.0f} tasks/s, "
-        f"peak RSS {peak_mb:.0f} MB, {per_task:.0f} bytes/task), "
+        f"{memory}), "
         f"virtual span {result.duration / 3600.0:.1f}h"
     )
 

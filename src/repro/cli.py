@@ -278,6 +278,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_error(flag: str, path: Path, *, directory: bool = False) -> str | None:
+    """Why ``path`` cannot take a command's output, or ``None`` if it can.
+
+    A file output needs an existing parent directory and must not be a
+    directory itself; a directory output (created with its parents) must
+    not run into an existing non-directory.  Commands check every output
+    path this way before any work runs.
+    """
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            return f"{flag}: {existing} exists and is not a directory"
+        return None
+    if path.is_dir():
+        return f"{flag}: {path} is a directory"
+    if not path.parent.is_dir():
+        return f"{flag}: directory {path.parent} does not exist"
+    return None
+
+
 def _cmd_list(out) -> int:
     for exp_id in list_experiments():
         out.write(exp_id + "\n")
@@ -302,6 +322,10 @@ def _cmd_run(args, out) -> int:
         out.write(f"error: {exc}\n")
         return 2
     if args.out is not None:
+        problem = _output_error("--out", args.out, directory=True)
+        if problem is not None:
+            out.write(f"error: {problem}\n")
+            return 2
         args.out.mkdir(parents=True, exist_ok=True)
     # consume lazily: each experiment is written/printed the moment it
     # finishes, so an interrupt or failure keeps the completed ones
@@ -437,7 +461,7 @@ def _cmd_population(args, out) -> int:
         fleet_population_spec,
         fleet_sites_for,
     )
-    from repro.util.memory import bytes_per_task, peak_rss_bytes, rss_bytes
+    from repro.util.memory import memory_summary, rss_bytes
     from repro.util.tables import Table, format_float, format_seconds
 
     if args.scale < 0:
@@ -480,11 +504,10 @@ def _cmd_population(args, out) -> int:
     phases = ", ".join(
         f"{k} {v:.2f}s" for k, v in {"warm": warm, **result.phases}.items()
     )
-    per_task = bytes_per_task(rss_before, spec.total_tasks)
+    memory = memory_summary(rss_before, spec.total_tasks)
     out.write(
         f"\nfinished {result.total_finished}/{spec.total_tasks} tasks in "
-        f"{wall:.1f}s wall ({rate:.0f} tasks/s, peak RSS "
-        f"{peak_rss_bytes() / 2**20:.0f} MB, {per_task:.0f} bytes/task), "
+        f"{wall:.1f}s wall ({rate:.0f} tasks/s, {memory}), "
         f"virtual span {result.duration:.0f}s\n"
         f"wall by phase: {phases}\n"
         f"broker dispatches: "
@@ -607,6 +630,11 @@ def _cmd_chaos(args, out) -> int:
     if args.schedule is not None and args.schedules > 0:
         out.write("error: --schedules is incompatible with --schedule\n")
         return 2
+    if args.trace is not None:
+        problem = _output_error("--trace", args.trace)
+        if problem is not None:
+            out.write(f"error: {problem}\n")
+            return 2
     try:
         check_int_at_least("--schedules", args.schedules, 0)
         base = chaos_grid_config(seed=args.seed)
@@ -710,6 +738,11 @@ def _cmd_report(args, out) -> int:
         read_trace,
     )
 
+    for flag, path in (("--out", args.out), ("--gwf", args.gwf)):
+        problem = None if path is None else _output_error(flag, path)
+        if problem is not None:
+            out.write(f"error: {problem}\n")
+            return 2
     try:
         events = read_trace(args.trace)
     except (OSError, ValueError, KeyError) as exc:

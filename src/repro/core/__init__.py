@@ -16,8 +16,8 @@ Public surface:
   (:func:`optimize_single`, :func:`optimize_multiple`,
   :func:`optimize_delayed`, :func:`optimize_delayed_ratio`,
   :func:`optimize_delayed_cost`).
-* :mod:`repro.core.paper_equations` — literal transcriptions of the
-  printed equations, kept for cross-validation (see DESIGN.md errata).
+* :mod:`repro.core.paper_equations` — the printed Eq. (5)'s union
+  decomposition, whose gap to the exact form ``abl-eq5`` measures.
 """
 
 from repro.core.model import GriddedLatencyModel, LatencyModel

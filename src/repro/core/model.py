@@ -62,17 +62,9 @@ class LatencyModel:
 
     # -- sub-distribution ------------------------------------------------
 
-    def f_tilde(self, t):
-        """Sub-density ``f̃_R(t) = (1-ρ)·f_R(t)``."""
-        return (1.0 - self.rho) * np.asarray(self.distribution.pdf(t))
-
     def F_tilde(self, t):
         """Sub-cdf ``F̃_R(t) = (1-ρ)·F_R(t) = P(R < t)``."""
         return (1.0 - self.rho) * np.asarray(self.distribution.cdf(t))
-
-    def survival(self, t):
-        """``P(R > t) = 1 - F̃_R(t)`` (includes the outlier mass ρ)."""
-        return 1.0 - self.F_tilde(t)
 
     # -- sampling ----------------------------------------------------------
 
@@ -232,24 +224,6 @@ class GriddedLatencyModel:
         """Outlier ratio of the underlying model."""
         return self.model.rho
 
-    @property
-    def name(self) -> str:
-        """Label of the underlying model."""
-        return self.model.name
-
     def index_of(self, t: float) -> int:
         """Grid index nearest to time ``t``."""
         return self.grid.index_of(t)
-
-    def F_at(self, t: float) -> float:
-        """``F̃(t)`` at the grid point nearest ``t``."""
-        return float(self.F[self.index_of(t)])
-
-    def valid_timeout_indices(self, *, min_success: float = 1e-9) -> np.ndarray:
-        """Indices of timeouts with ``F̃(t∞) > min_success``.
-
-        A timeout below the first latency observation gives zero success
-        probability per attempt and infinite expected total latency; these
-        indices are excluded from optimisation sweeps.
-        """
-        return np.nonzero(self.F > min_success)[0]

@@ -1,20 +1,17 @@
-"""Literal transcriptions of the paper's printed equations.
+"""The paper's printed Eq. (5), for a quantification of its union-bound slip.
 
-These serve as independent cross-checks of the vectorised implementations
-in :mod:`repro.core.strategies` — and, for Eq. (5), as a quantification of
-the union-bound slip in the printed derivation (DESIGN.md errata):
+:func:`eq5_union_expectation` rebuilds ``F_J`` window by window using
+the paper's union decomposition ``P(A∪B) = P(A)+P(B)−P(A)·P(B)`` with
+``A = {R_n ∈ (t0, v]}`` and ``B = {R_{n+1} <= u}``.  The correct
+decomposition restricts ``B`` to paths where job *n* survived ``t0``
+(``B' = {R_n > t0} ∩ B``); the difference adds a spurious
+``F̃(t0)·F̃(u)`` term per window.  The printed I1-window base term is
+resolved by continuity (as the authors' own smooth surfaces imply).
+:mod:`repro.experiments.eq5_discrepancy` measures the resulting gap
+(see DESIGN.md errata).
 
-* Eqs. (1)–(4) are transcribed exactly as printed and must agree with the
-  geometric-sum implementations to numerical tolerance (property-tested).
-* Eq. (5) is represented by :func:`eq5_union_expectation`, which rebuilds
-  ``F_J`` window by window using the paper's union decomposition
-  ``P(A∪B) = P(A)+P(B)−P(A)·P(B)`` with ``A = {R_n ∈ (t0, v]}`` and
-  ``B = {R_{n+1} <= u}``.  The correct decomposition restricts ``B`` to
-  paths where job *n* survived ``t0`` (``B' = {R_n > t0} ∩ B``); the
-  difference adds a spurious ``F̃(t0)·F̃(u)`` term per window.  The printed
-  I1-window base term is resolved by continuity (as the authors' own
-  smooth surfaces imply).  :mod:`repro.experiments.eq5_discrepancy`
-  measures the resulting gap.
+Eqs. (1)–(4) as printed are the test references for the geometric-sum
+moments of :mod:`repro.core.strategies` (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,70 +21,9 @@ import numpy as np
 from repro.core.model import GriddedLatencyModel
 
 __all__ = [
-    "eq1_expectation",
-    "eq2_std",
-    "eq3_expectation",
-    "eq4_std",
     "eq5_union_expectation",
     "union_cdf_of_j",
 ]
-
-
-def eq1_expectation(model: GriddedLatencyModel, t_inf: float) -> float:
-    """Eq. (1): ``E_J = (1/F̃(t∞)) ∫₀^{t∞} (1-F̃(u)) du``."""
-    k = model.index_of(t_inf)
-    p = float(model.F[k])
-    if p <= 0.0:
-        return float("inf")
-    return float(model.A[k] / p)
-
-
-def eq2_std(model: GriddedLatencyModel, t_inf: float) -> float:
-    """Eq. (2) exactly as printed (three-term variance expression)."""
-    k = model.index_of(t_inf)
-    p = float(model.F[k])
-    if p <= 0.0:
-        return float("inf")
-    t = float(model.times[k])
-    s = model.S
-    a = float(model.A[k])  # ∫ (1-F̃)
-    u_int = float(model.grid.cumint(model.times * s)[k])  # ∫ u(1-F̃)
-    var = (
-        -(1.0 / p**2) * a**2
-        + (2.0 / p) * u_int
-        + (2.0 * t * (1.0 - p) / p**2) * a
-    )
-    return float(np.sqrt(max(0.0, var)))
-
-
-def eq3_expectation(model: GriddedLatencyModel, b: int, t_inf: float) -> float:
-    """Eq. (3): Eq. (1) with ``F̃ → 1-(1-F̃)^b``."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    k = model.index_of(t_inf)
-    surv_b = model.S**b
-    p = float(1.0 - surv_b[k])
-    if p <= 0.0:
-        return float("inf")
-    a_b = float(model.grid.cumint(surv_b)[k])
-    return a_b / p
-
-
-def eq4_std(model: GriddedLatencyModel, b: int, t_inf: float) -> float:
-    """Eq. (4) exactly as printed."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    k = model.index_of(t_inf)
-    surv_b = model.S**b
-    p = float(1.0 - surv_b[k])
-    if p <= 0.0:
-        return float("inf")
-    t = float(model.times[k])
-    q = 1.0 - p  # (1-F̃(t∞))^b
-    a_b = float(model.grid.cumint(surv_b)[k])
-    u_int = float(model.grid.cumint(model.times * surv_b)[k])
-    var = (2.0 / p) * u_int + (2.0 * t * q / p**2) * a_b - (1.0 / p**2) * a_b**2
-    return float(np.sqrt(max(0.0, var)))
 
 
 def union_cdf_of_j(

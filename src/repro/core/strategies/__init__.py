@@ -16,19 +16,16 @@ from repro.core.strategies.single import (
     SingleResubmission,
     single_expectation_sweep,
     single_moments,
-    single_std_sweep,
 )
 from repro.core.strategies.multiple import (
     MultipleSubmission,
     multiple_expectation_sweep,
     multiple_moments,
-    multiple_std_sweep,
 )
 from repro.core.strategies.delayed import (
     DelayedResubmission,
     delayed_cost_bands,
     delayed_expectation_bands,
-    delayed_expectation_for_t0,
     delayed_expectation_surface,
     delayed_moments,
     delayed_survival,
@@ -40,16 +37,13 @@ __all__ = [
     "StrategyMoments",
     "SingleResubmission",
     "single_expectation_sweep",
-    "single_std_sweep",
     "single_moments",
     "MultipleSubmission",
     "multiple_expectation_sweep",
-    "multiple_std_sweep",
     "multiple_moments",
     "DelayedResubmission",
     "delayed_cost_bands",
     "delayed_expectation_bands",
-    "delayed_expectation_for_t0",
     "delayed_expectation_surface",
     "delayed_moments",
     "delayed_survival",

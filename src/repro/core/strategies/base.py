@@ -5,8 +5,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.core.model import GriddedLatencyModel, LatencyModel
-from repro.util.grids import TimeGrid
+from repro.core.model import GriddedLatencyModel
 
 __all__ = ["Strategy", "StrategyMoments"]
 
@@ -32,24 +31,16 @@ class Strategy(abc.ABC):
 
     Concrete strategies are immutable parameter holders; all computation
     is delegated to the vectorised sweep functions so that optimisers and
-    single-point evaluations share one code path.
+    single-point evaluations share one code path.  Each one defines
+    ``moments(model)`` (``E_J`` and ``σ_J`` as :class:`StrategyMoments`)
+    and ``mean_parallel_jobs(model)``, the average number of identical
+    jobs in the system (``N_//``): 1 for single resubmission, ``b`` for
+    multiple submission, and the §6.1 piecewise value at ``l = E_J`` for
+    the delayed strategy.
     """
 
     #: short machine name, e.g. ``"single"``
     name: str = "strategy"
-
-    @abc.abstractmethod
-    def moments(self, model: GriddedLatencyModel) -> StrategyMoments:
-        """``E_J`` and ``σ_J`` under this strategy for the given model."""
-
-    @abc.abstractmethod
-    def mean_parallel_jobs(self, model: GriddedLatencyModel) -> float:
-        """Average number of identical jobs in the system (``N_//``).
-
-        Per the paper: 1 for single resubmission, ``b`` for multiple
-        submission, and the §6.1 piecewise value at ``l = E_J`` for the
-        delayed strategy.
-        """
 
     def expectation(self, model: GriddedLatencyModel) -> float:
         """``E_J`` only (convenience)."""
@@ -77,14 +68,6 @@ class Strategy(abc.ABC):
             * self.expectation(model)
             / single_reference
         )
-
-    def gridded(
-        self, model: LatencyModel | GriddedLatencyModel, grid: TimeGrid | None = None
-    ) -> GriddedLatencyModel:
-        """Coerce a model to its gridded form."""
-        if isinstance(model, GriddedLatencyModel):
-            return model
-        return model.on_grid(grid)
 
     @abc.abstractmethod
     def describe(self) -> str:

@@ -47,7 +47,6 @@ __all__ = [
     "DelayedResubmission",
     "delayed_band_blocks",
     "delayed_cost_bands",
-    "delayed_expectation_for_t0",
     "delayed_expectation_bands",
     "delayed_expectation_surface",
     "delayed_moments",
@@ -78,59 +77,19 @@ def _validate_indices(model: GriddedLatencyModel, k0: int) -> None:
         raise ValueError(f"t0 index {k0} outside grid (1..{n - 1})")
 
 
-def delayed_expectation_for_t0(
-    model: GriddedLatencyModel, k0: int
-) -> np.ndarray:
-    """``E_J`` for fixed ``t0`` (grid index ``k0``) at every valid ``t∞``.
-
-    Returns a full-grid array; entries outside the feasible window
-    ``t0 <= t∞ <= min(2·t0, t_max)`` or with ``F̃(t∞) = 0`` are ``+inf``.
-    The computation is one shifted product and one cumulative sum — O(n)
-    for the whole ``t∞`` sweep.
-
-    This is the unbatched reference kernel (and the property-test oracle);
-    sweeps over many ``t0`` values should go through
-    :func:`delayed_expectation_surface`, which evaluates blocks of rows in
-    shared 2-D passes and caches them on the model.
-    """
-    _validate_indices(model, k0)
-    n = model.grid.n
-    S = model.S
-    out = np.full(n, np.inf)
-
-    hi = min(2 * k0, n - 1)
-    ks = np.arange(k0, hi + 1)
-
-    # G0(v) = S(v)·S(v - t0) on v >= t0 ; ∫_{t0}^{t_k} G0 = c[k] - c[k0]
-    g0 = np.zeros(n)
-    g0[k0:] = S[k0:] * S[: n - k0]
-    c = model.grid.cumint(g0)
-
-    a = model.A
-    term0 = a[k0]
-    d = a[k0] - a[ks - k0]  # ∫_{t∞-t0}^{t0} S(u) du
-    p = model.F[ks]
-    q = S[ks]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = term0 + ((c[ks] - c[k0]) + q * d) / p
-    vals = np.where(p > 0.0, vals, np.inf)
-    out[ks] = vals
-    return out
-
-
 def _compute_band_block(
     model: GriddedLatencyModel, k0v: np.ndarray
 ) -> list[np.ndarray]:
     """Feasible-band ``E_J`` rows for a block of ``t0`` indices, batched.
 
     This is the vectorised core of :func:`delayed_expectation_surface`: it
-    evaluates, in a few 2-D passes shared by the whole block, exactly what
-    :func:`delayed_expectation_for_t0` computes one row at a time — the
+    evaluates, in a few 2-D passes shared by the whole block, what a
+    per-``t0`` kernel computes one row at a time — the
     shifted survival product ``G0(v) = S(v)·S(v-t0)``, its cumulative
     trapezoid integral, and the closed-form combination with the cached
     ``A``/``F``/``S`` tabulations.  Each arithmetic step mirrors the 1-D
     kernel operation for operation, so rows agree bit-for-bit with the
-    per-``t0`` reference.
+    per-``t0`` reference (``tests/oracles.delayed_expectation_for_t0``).
 
     Returns one band array per ``k0``, aligned with the feasible ``t∞``
     indices ``k0 .. min(2·k0, n-1)`` (``+inf`` where ``F̃(t∞) = 0``).
@@ -334,7 +293,7 @@ def delayed_expectation_surface(
 ) -> np.ndarray:
     """``E_J`` rows of the delayed surface for a block of ``t0`` indices.
 
-    Row ``i`` equals ``delayed_expectation_for_t0(model, k0s[i])`` — a
+    Row ``i`` is ``E_J`` at ``t0 = k0s[i]`` over the whole grid — a
     full-grid array whose entries outside the feasible window
     ``t0 <= t∞ <= min(2·t0, t_max)`` are ``+inf`` — but the whole block is
     evaluated in a few shared 2-D vectorised passes and the per-``t0`` rows
@@ -569,14 +528,6 @@ class DelayedResubmission(Strategy):
         if not np.isfinite(e_j):
             return float("nan")
         return float(n_parallel_for_latency(e_j, self.t0, self.t_inf))
-
-    def mean_parallel_jobs_exact(self, model: GriddedLatencyModel) -> float:
-        """Exact ``E[N_//(J)]`` (extension, see :func:`mean_parallel_exact`)."""
-        return mean_parallel_exact(model, self.t0, self.t_inf)
-
-    def survival(self, model: GriddedLatencyModel) -> np.ndarray:
-        """``P(J > t)`` on the model grid."""
-        return delayed_survival(model, self.t0, self.t_inf)
 
     def describe(self) -> str:
         return (

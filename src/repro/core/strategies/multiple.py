@@ -25,7 +25,6 @@ from repro.util.validation import check_positive
 __all__ = [
     "MultipleSubmission",
     "multiple_expectation_sweep",
-    "multiple_std_sweep",
     "multiple_moments",
 ]
 
@@ -58,21 +57,6 @@ def multiple_expectation_sweep(model: GriddedLatencyModel, b: int) -> np.ndarray
     e = np.where(p > 0.0, e, np.inf)
     e[0] = np.inf
     return e
-
-
-def multiple_std_sweep(model: GriddedLatencyModel, b: int) -> np.ndarray:
-    """``σ_J(t∞)`` for burst size ``b`` at every grid timeout (Eq. 4)."""
-    surv_b, _a_b, m1, m2 = _batch_arrays(model, b)
-    t = model.times
-    p = 1.0 - surv_b
-    q = surv_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_j = (t * q + m1) / p
-        e_j2 = (t**2) * q * (1.0 + q) / p**2 + 2.0 * t * q * m1 / p**2 + m2 / p
-        var = e_j2 - e_j**2
-    var = np.where(p > 0.0, np.maximum(var, 0.0), np.inf)
-    var[0] = np.inf
-    return np.sqrt(var)
 
 
 def multiple_moments(

@@ -26,7 +26,6 @@ from repro.util.validation import check_positive
 __all__ = [
     "SingleResubmission",
     "single_expectation_sweep",
-    "single_std_sweep",
     "single_moments",
 ]
 
@@ -42,27 +41,6 @@ def single_expectation_sweep(model: GriddedLatencyModel) -> np.ndarray:
     e = np.where(model.F > 0.0, e, np.inf)
     e[0] = np.inf  # t∞ = 0 is not a usable timeout
     return e
-
-
-def single_std_sweep(model: GriddedLatencyModel) -> np.ndarray:
-    """``σ_J(t∞)`` for every grid timeout (Eq. 2), vectorised.
-
-    Derived from the geometric-sum decomposition of ``J`` (see module
-    docstring); algebraically identical to the paper's printed Eq. (2) —
-    the identity is covered by a property test.
-    """
-    t = model.times
-    p = model.F
-    q = model.S
-    m1 = model.M1
-    m2 = model.M2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_j = (t * q + m1) / p
-        e_j2 = (t**2) * q * (1.0 + q) / p**2 + 2.0 * t * q * m1 / p**2 + m2 / p
-        var = e_j2 - e_j**2
-    var = np.where(p > 0.0, np.maximum(var, 0.0), np.inf)
-    var[0] = np.inf
-    return np.sqrt(var)
 
 
 def single_moments(model: GriddedLatencyModel, t_inf: float) -> StrategyMoments:

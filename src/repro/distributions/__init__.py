@@ -4,8 +4,7 @@ The paper models grid latency as a heavy-tailed random variable ``R``
 observed through traces.  This package provides:
 
 * a small distribution protocol (:class:`LatencyDistribution`) exposing the
-  pdf / cdf / survival / quantile / moment / sampling interface the
-  strategy models need;
+  cdf / quantile / sampling interface the strategy models need;
 * the parametric families commonly fitted to grid latencies (log-normal,
   Weibull, Pareto, gamma, exponential, log-logistic);
 * combinators — location shift and upper truncation — used to build
@@ -14,8 +13,7 @@ observed through traces.  This package provides:
 * the empirical distribution (ECDF) used when working directly from
   traces, as the paper does;
 * maximum-likelihood fitting with AIC/BIC/Kolmogorov-Smirnov model
-  selection, and truncated-moment solvers used to calibrate synthetic
-  datasets against the paper's Table 1.
+  selection, and the truncated moments the Table 1 calibration inverts.
 """
 
 from repro.distributions.base import LatencyDistribution
@@ -25,7 +23,7 @@ from repro.distributions.fitting import (
     fit_distribution,
     select_model,
 )
-from repro.distributions.moments import truncated_mean_std, truncated_moment
+from repro.distributions.moments import truncated_mean_std
 from repro.distributions.parametric import (
     Exponential,
     Gamma,
@@ -44,7 +42,6 @@ __all__ = [
     "fit_distribution",
     "select_model",
     "truncated_mean_std",
-    "truncated_moment",
     "Exponential",
     "Gamma",
     "LogLogistic",

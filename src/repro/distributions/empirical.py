@@ -8,12 +8,9 @@ optional piecewise-linear smoothing used for quantiles and sampling.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.distributions.base import LatencyDistribution
-from repro.util.rng import RngLike, as_rng
 
 __all__ = ["EmpiricalDistribution"]
 
@@ -52,13 +49,6 @@ class EmpiricalDistribution(LatencyDistribution):
         """Number of samples backing the ECDF."""
         return int(self._x.size)
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Sorted sample array (read-only view)."""
-        v = self._x.view()
-        v.flags.writeable = False
-        return v
-
     # -- protocol --------------------------------------------------------
 
     def cdf(self, t):
@@ -76,22 +66,6 @@ class EmpiricalDistribution(LatencyDistribution):
             out = np.searchsorted(self._x, t, side="right") / self._x.size
             out = np.where(t < 0, 0.0, out)
         out = np.asarray(out, dtype=np.float64)
-        return out if out.ndim else float(out)
-
-    def pdf(self, t):
-        """Density of the smoothed ECDF (finite-difference slope).
-
-        For ``smooth=False`` the ECDF has no density; a histogram-based
-        approximation over ``sqrt(n)`` bins is returned instead, which is
-        sufficient for visual diagnostics (the analytic machinery never
-        differentiates a step ECDF).
-        """
-        t = np.asarray(t, dtype=np.float64)
-        eps = max(1e-6, float(self._x[-1]) * 1e-9)
-        hi = np.asarray(self.cdf(t + eps))
-        lo = np.asarray(self.cdf(np.maximum(t - eps, 0.0)))
-        width = (t + eps) - np.maximum(t - eps, 0.0)
-        out = np.where(width > 0, (hi - lo) / width, 0.0)
         return out if out.ndim else float(out)
 
     def ppf(self, q):
@@ -112,31 +86,13 @@ class EmpiricalDistribution(LatencyDistribution):
         out = np.asarray(out, dtype=np.float64)
         return out if out.ndim else float(out)
 
-    def rvs(self, size: int, rng: RngLike = None) -> np.ndarray:
-        gen = as_rng(rng)
-        if self.smooth:
-            return np.asarray(self.ppf(gen.random(size)), dtype=np.float64)
-        return gen.choice(self._x, size=size, replace=True)
-
     # -- moments (exact from samples) ------------------------------------
 
     def mean(self) -> float:
         return float(self._x.mean())
 
-    def var(self) -> float:
-        return float(self._x.var())
-
     def std(self) -> float:
         return float(self._x.std())
-
-    def median(self) -> float:
-        return float(np.median(self._x))
-
-    def _moment(self, k: int) -> float:
-        return float(np.mean(self._x**k))
-
-    def params(self) -> dict[str, Any]:
-        return {"n": self.n_samples, "smooth": self.smooth}
 
     def describe(self) -> str:
         return (

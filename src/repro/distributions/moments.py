@@ -4,8 +4,9 @@ The paper reports, per trace set, the mean and standard deviation of
 latencies *below the 10,000 s probe timeout* (Table 1, columns
 ``mean < 10^5`` and ``σ_R``).  Calibrating synthetic datasets against those
 columns requires evaluating — and inverting — the truncated moments
-``E[R^k | R <= T]`` of a parametric family.  This module provides the
-forward evaluation; :mod:`repro.traces.calibration` performs the inversion.
+``E[R^k | R <= T]`` of a (shifted) parametric family.  This module
+provides the forward evaluation; :mod:`repro.traces.calibration`
+performs the inversion.
 """
 
 from __future__ import annotations
@@ -15,33 +16,7 @@ import numpy as np
 from repro.distributions.base import LatencyDistribution
 from repro.util.validation import check_int_at_least
 
-__all__ = ["truncated_moment", "truncated_mean_std"]
-
-
-def truncated_moment(
-    dist: LatencyDistribution,
-    k: int,
-    upper: float,
-    *,
-    n_points: int = 20001,
-) -> float:
-    """``E[R^k | R <= upper]`` by trapezoid integration of ``t^k f(t)``.
-
-    Parameters
-    ----------
-    dist:
-        The base (untruncated) distribution.
-    k:
-        Moment order (k >= 1).
-    upper:
-        Truncation point (seconds); must have positive mass below it.
-    n_points:
-        Grid resolution for the integration (>= 2).
-    """
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    (m,) = _truncated_moments(dist, (k,), upper, n_points)
-    return m
+__all__ = ["truncated_mean_std"]
 
 
 def truncated_mean_std(
@@ -53,7 +28,8 @@ def truncated_mean_std(
     """Mean and standard deviation of ``R | R <= upper``.
 
     Both moments share one evaluation of ``cdf(upper)``, the grid and the
-    density, and equal the two :func:`truncated_moment` calls exactly.
+    density (``t^k f(t)`` integrated by the trapezoid rule).  ``dist``
+    must provide ``pdf``.
     """
     m1, m2 = _truncated_moments(dist, (1, 2), upper, n_points)
     var = max(0.0, m2 - m1 * m1)

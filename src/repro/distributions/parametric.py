@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.distributions.base import LatencyDistribution
-from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:
@@ -56,32 +55,6 @@ class _ScipyBacked(LatencyDistribution):
     def ppf(self, q):
         out = np.asarray(self._dist.ppf(q, **self._kwds), dtype=np.float64)
         return out if out.ndim else float(out)
-
-    def sf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._dist.sf(np.maximum(t, 0.0), **self._kwds), 1.0)
-        return out if out.ndim else float(out)
-
-    def rvs(self, size: int, rng: RngLike = None) -> np.ndarray:
-        return np.asarray(
-            self._dist.rvs(size=size, random_state=as_rng(rng), **self._kwds),
-            dtype=np.float64,
-        )
-
-    def _moment(self, k: int) -> float:
-        m = self._dist.moment(k, **self._kwds)
-        return float(m) if np.isfinite(m) else float("inf")
-
-    def mean(self) -> float:
-        m = self._dist.mean(**self._kwds)
-        return float(m) if np.isfinite(m) else float("inf")
-
-    def var(self) -> float:
-        v = self._dist.var(**self._kwds)
-        return float(v) if np.isfinite(v) else float("inf")
-
-    def median(self) -> float:
-        return float(self._dist.median(**self._kwds))
 
 
 class LogNormal(_ScipyBacked):

@@ -8,12 +8,9 @@ positive shift under a log-normal or Weibull body models that floor.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.distributions.base import LatencyDistribution
-from repro.util.rng import RngLike
 from repro.util.validation import check_nonnegative
 
 __all__ = ["ShiftedDistribution"]
@@ -42,43 +39,6 @@ class ShiftedDistribution(LatencyDistribution):
         out = np.where(t >= self.shift, self.base.cdf(np.maximum(t - self.shift, 0.0)), 0.0)
         return out if out.ndim else float(out)
 
-    def sf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= self.shift, self.base.sf(np.maximum(t - self.shift, 0.0)), 1.0)
-        return out if out.ndim else float(out)
-
     def ppf(self, q):
         out = np.asarray(self.base.ppf(q), dtype=np.float64) + self.shift
         return out if out.ndim else float(out)
-
-    def rvs(self, size: int, rng: RngLike = None) -> np.ndarray:
-        return self.base.rvs(size, rng) + self.shift
-
-    def mean(self) -> float:
-        base_mean = self.base.mean()
-        return base_mean + self.shift if np.isfinite(base_mean) else float("inf")
-
-    def var(self) -> float:
-        return self.base.var()
-
-    def median(self) -> float:
-        return self.base.median() + self.shift
-
-    def _moment(self, k: int) -> float:
-        if k == 1:
-            return self.mean()
-        if k == 2:
-            m1 = self.base.mean()
-            if not np.isfinite(m1):
-                return float("inf")
-            m2 = self.base._moment(2)
-            if not np.isfinite(m2):
-                return float("inf")
-            return m2 + 2.0 * self.shift * m1 + self.shift**2
-        return super()._moment(k)
-
-    def params(self) -> dict[str, Any]:
-        return {"shift": self.shift, **{f"base_{k}": v for k, v in self.base.params().items()}}
-
-    def describe(self) -> str:
-        return f"{self.shift:.6g} + {self.base.describe()}"

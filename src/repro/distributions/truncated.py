@@ -8,12 +8,9 @@ Synthetic trace calibration fits the truncated moments against Table 1's
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.distributions.base import LatencyDistribution
-from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive
 
 __all__ = ["TruncatedDistribution"]
@@ -38,12 +35,6 @@ class TruncatedDistribution(LatencyDistribution):
                 f"(cdf({upper}) = {self._mass})"
             )
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        inside = (t >= 0) & (t <= self.upper)
-        out = np.where(inside, np.asarray(self.base.pdf(t)) / self._mass, 0.0)
-        return out if out.ndim else float(out)
-
     def cdf(self, t):
         t = np.asarray(t, dtype=np.float64)
         clipped = np.clip(t, 0.0, self.upper)
@@ -56,24 +47,3 @@ class TruncatedDistribution(LatencyDistribution):
         out = np.asarray(self.base.ppf(q * self._mass), dtype=np.float64)
         out = np.clip(out, 0.0, self.upper)
         return out if out.ndim else float(out)
-
-    def rvs(self, size: int, rng: RngLike = None) -> np.ndarray:
-        gen = as_rng(rng)
-        return np.asarray(self.ppf(gen.random(size)), dtype=np.float64)
-
-    def _moment(self, k: int) -> float:
-        # integrate t^k pdf(t) over [0, upper] on a dense grid; the support
-        # is compact so plain trapezoid integration is accurate and cheap.
-        n = 20001
-        t = np.linspace(0.0, self.upper, n)
-        y = (t**k) * np.asarray(self.pdf(t))
-        return float(np.trapezoid(y, t))
-
-    def params(self) -> dict[str, Any]:
-        return {
-            "upper": self.upper,
-            **{f"base_{k}": v for k, v in self.base.params().items()},
-        }
-
-    def describe(self) -> str:
-        return f"{self.base.describe()} | R <= {self.upper:.6g}"

@@ -81,7 +81,6 @@ from repro.gridsim.middleware import (
     MiddlewareDomain,
     RetryPolicy,
 )
-from repro.gridsim.outages import OutageProcess
 from repro.gridsim.weather import (
     BlackHoleConfig,
     BrokerOutageConfig,
@@ -135,7 +134,6 @@ __all__ = [
     "warmed_snapshot",
     "Job",
     "JobState",
-    "OutageProcess",
     "StormConfig",
     "StormProcess",
     "BlackHoleConfig",

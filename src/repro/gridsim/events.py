@@ -36,7 +36,7 @@ Components that keep *lazy* state (e.g. the vectorised site engines,
 which materialise client-job completions on demand instead of holding
 one heap event per running job) register a reconciler via
 :meth:`Simulator.add_reconciler`; the loop invokes every reconciler just
-before :meth:`run_until` / :meth:`run_until_idle` returns, so code that
+before :meth:`run_until` returns, so code that
 inspects model state *between* runs sees the same picture the event
 oracle would show.
 """
@@ -181,16 +181,6 @@ class Simulator:
         return self._processed
 
     @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled husks)."""
-        return len(self._heap)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled husks still sitting in the heap (diagnostics)."""
-        return self._cancelled
-
-    @property
     def compactions(self) -> int:
         """Number of heap compaction passes performed (diagnostics)."""
         return self._compactions
@@ -308,8 +298,8 @@ class Simulator:
         """Drop cancelled husks and re-heapify, in place.
 
         The heap list is mutated via slice assignment so that the local
-        ``heap`` references held by a running :meth:`run_until` /
-        :meth:`run_until_idle` loop keep seeing the compacted queue.
+        ``heap`` reference held by a running :meth:`run_until` loop keeps
+        seeing the compacted queue.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
@@ -339,10 +329,10 @@ class Simulator:
         """Ask the running loop to return after the current callback.
 
         Called from inside an event callback; the surrounding
-        :meth:`run_until` / :meth:`run_until_idle` returns with the
-        clock at the current instant (not advanced to ``t_end``), so a
-        campaign can end the moment its completion condition is met
-        instead of polling.  A no-op outside a run.
+        :meth:`run_until` returns with the clock at the current instant
+        (not advanced to ``t_end``), so a campaign can end the moment its
+        completion condition is met instead of polling.  A no-op outside
+        a run.
         """
         self._stop_requested = True
 
@@ -397,32 +387,4 @@ class Simulator:
                 self._now = t_end
         finally:
             self._horizon = -math.inf
-        self._reconcile()
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Process every pending event (bounded by ``max_events``).
-
-        Honours :meth:`stop` like :meth:`run_until`.
-        """
-        count = 0
-        self._stop_requested = False
-        heap = self._heap
-        while heap:
-            time, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                self._cancelled -= 1
-                continue
-            count += 1
-            if count > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events — runaway model?"
-                )
-            self._now = time
-            self._processed += 1
-            ev.sim = None
-            ev.callback()
-            if self._stop_requested:
-                self._stop_requested = False
-                self._reconcile()
-                return
         self._reconcile()

@@ -209,13 +209,6 @@ class _VoTelemetry:
 
     fairshare: FairShareState
 
-    def _vo_queue_pairs(self) -> list[tuple[str, int]]:  # pragma: no cover
-        raise NotImplementedError
-
-    def vo_queue_lengths(self) -> dict[str, int]:
-        """Waiting jobs per VO (husks discounted)."""
-        return dict(self._vo_queue_pairs())
-
     def usage_shares(self) -> dict[str, float]:
         """Each VO's fraction of the decayed usage window (0 when idle)."""
         advance = getattr(self, "_advance", None)
@@ -354,14 +347,6 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
     @property
     def queue_length(self) -> int:
         return sum(map(len, self._vo_queues)) - sum(self._vo_husks)
-
-    def _vo_queue_pairs(self) -> list[tuple[str, int]]:
-        return [
-            (n, len(q) - h)
-            for n, q, h in zip(
-                self.fairshare.names, self._vo_queues, self._vo_husks
-            )
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -852,18 +837,6 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         for v in range(len(bgc)):
             n += bisect_right(bga[v], now, bgc[v]) - bgc[v]
         return n
-
-    def _vo_queue_pairs(self) -> list[tuple[str, int]]:
-        self._advance()
-        now = self.sim._now
-        out = []
-        for v, name in enumerate(self.fairshare.names):
-            c = self._bgc[v]
-            n_bg = bisect_right(self._bga[v], now, c) - c
-            out.append(
-                (name, n_bg + len(self._clq[v]) - self._vo_husks[v])
-            )
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

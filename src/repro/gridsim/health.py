@@ -258,10 +258,6 @@ class HealthService:
 
     # -- telemetry -----------------------------------------------------------
 
-    def state_of(self, site_name: str) -> HealthState:
-        """Current operational state of a site."""
-        return self._records[site_name].state
-
     def report(self) -> dict:
         """Snapshot of states and cumulative transition counters."""
         return {

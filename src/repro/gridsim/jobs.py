@@ -90,22 +90,5 @@ class Job:
     #: pay a watcher-registry lookup per job
     on_start: object | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def latency(self) -> float:
-        """Seconds from submission to execution start (inf if never ran)."""
-        if self.state in (JobState.RUNNING, JobState.COMPLETED):
-            return self.start_time - self.submit_time
-        return float("inf")
-
-    @property
-    def is_outlier(self) -> bool:
-        """True if the job never started (lost, stuck, cancelled, failed)."""
-        return self.state in (
-            JobState.LOST,
-            JobState.STUCK,
-            JobState.CANCELLED,
-            JobState.FAILED,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Job({self.state.value}, site={self.site or '-'})"

@@ -167,11 +167,6 @@ class CircuitBreaker:
             self.opened_at = now
             self.trips += 1
 
-    def record_success(self) -> None:
-        """An accepted submit: reset the failure run, close the breaker."""
-        self.failures = 0
-        self.opened_at = None
-
 
 #: per-broker telemetry counters (order = report order)
 _STAT_KEYS = ("submits", "rejects", "black_holed", "failovers")
@@ -314,7 +309,7 @@ class MiddlewareDomain:
             return
         # clean accept: the historical fault channels + dispatch
         if breakers:
-            # CircuitBreaker.record_success, inline
+            # an accepted submit resets the failure run and closes the breaker
             breaker = breakers[idx]
             breaker.failures = 0
             breaker.opened_at = None

@@ -20,8 +20,7 @@ import numpy as np
 from repro.gridsim.client import TaskCore
 from repro.gridsim.grid import GridSimulator
 from repro.gridsim.jobs import Job
-from repro.traces.dataset import TraceSet
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 from repro.util.validation import check_int_at_least, check_positive
 
 __all__ = ["ProbeExperiment"]

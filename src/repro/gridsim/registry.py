@@ -41,9 +41,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
@@ -79,14 +76,6 @@ class Histogram:
         self.total += 1
         self.sum += x
 
-    def observe_many(self, xs: Sequence[float]) -> None:
-        for x in xs:
-            self.observe(x)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
     def as_dict(self) -> dict:
         return {
             "edges": list(self.edges),
@@ -96,7 +85,7 @@ class Histogram:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name}, n={self.total}, mean={self.mean:.1f})"
+        return f"Histogram({self.name}, n={self.total}, sum={self.sum:.1f})"
 
 
 class MetricsRegistry:
@@ -158,9 +147,6 @@ class MetricsRegistry:
             return h.as_dict()
         raise KeyError(f"no metric named {name!r}")
 
-    def names(self) -> list[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
-
     def snapshot(self) -> dict:
         """Every instrument's current value as plain data."""
         out: dict = {name: c.value for name, c in self._counters.items()}
@@ -169,13 +155,6 @@ class MetricsRegistry:
         for name, h in self._histograms.items():
             out[name] = h.as_dict()
         return dict(sorted(out.items()))
-
-    def __contains__(self, name: str) -> bool:
-        return (
-            name in self._counters
-            or name in self._gauges
-            or name in self._histograms
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -158,11 +158,6 @@ class TraceReplayLoad:
         reached = self.sim.now - self._base
         return int(np.searchsorted(self._arr[: self._cursor], reached, side="right"))
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every trace job has been handed to the site."""
-        return self._cursor >= self._arr.size
-
     def start(self) -> None:
         """Begin the replay (call once); arrivals are rebased to now."""
         if self._started:

@@ -24,7 +24,7 @@ included: load generators hand over chunks of arrivals through
 Both engines support in-queue cancellation (strategy timeouts) and
 mid-run kills (burst copies whose sibling started first), plus the
 outage hooks :meth:`begin_outage` / :meth:`end_outage` used by
-:class:`~repro.gridsim.outages.OutageProcess` and the *black-hole*
+the storm process of :mod:`repro.gridsim.weather` and the *black-hole*
 hooks :meth:`begin_black_hole` / :meth:`end_black_hole` used by
 :mod:`repro.gridsim.weather`: a black-holed CE keeps accepting jobs
 and instantly "completes" them as failures (``JobState.FAILED``), so
@@ -987,11 +987,6 @@ class VectorComputingElement:
         self._advance()
         now = self.sim._now
         return sum(1 for v in self._core_free if v > now)
-
-    @property
-    def free_cores(self) -> int:
-        """Cores currently idle."""
-        return self.n_cores - self.busy_cores
 
     @property
     def jobs_started(self) -> int:

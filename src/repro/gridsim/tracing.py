@@ -212,9 +212,6 @@ class TraceRecorder:
         tid, jid = ids
         self.events.append(("dup-reconciled", self.sim._now, tid, jid, None))
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 # -- JSONL serialisation ----------------------------------------------------
 
@@ -305,15 +302,6 @@ class TaskBreakdown(NamedTuple):
     queue_wait: float
     #: launch → winner start: the paper's latency J
     makespan: float
-
-    @property
-    def execution(self) -> float:
-        return self.runtime
-
-    @property
-    def turnaround(self) -> float:
-        """Launch → payload completion (J + runtime)."""
-        return self.makespan + self.runtime
 
 
 def decompose(events: Sequence[tuple]) -> list[TaskBreakdown]:

@@ -174,10 +174,6 @@ class WorkloadManager:
             f"{len(self.sites)} sites, lag={self.info_lag:g}s)"
         )
 
-    def owned_sites(self) -> list[str]:
-        """Names of the sites this broker owns."""
-        return [self.sites[i].name for i in self._owned_idx]
-
     # -- information system -------------------------------------------------
 
     def _measure_loads(self) -> np.ndarray:
@@ -434,16 +430,6 @@ class BatchedWorkloadManager(WorkloadManager):
         #: dispatch quantum: jobs whose match-making delay lands in the
         #: same quantum resolve together at its upper boundary
         self.dispatch_quantum = self.info_refresh / self.SUBWINDOWS
-
-    @property
-    def pending_dispatches(self) -> int:
-        """Jobs sitting in unresolved dispatch buckets (diagnostics)."""
-        return sum(
-            1
-            for bucket in self._buckets.values()
-            for _, job in bucket
-            if job.state is JobState.MATCHING
-        )
 
     def submit(self, job: Job) -> None:
         """Accept a job: pool it in its match-making window's bucket."""

@@ -28,15 +28,6 @@ class McSummary:
     stderr: float
     n: int
 
-    def ci(self, z: float = 3.0) -> tuple[float, float]:
-        """``z``-sigma confidence interval for the mean."""
-        return (self.mean - z * self.stderr, self.mean + z * self.stderr)
-
-    def contains(self, value: float, z: float = 3.0) -> bool:
-        """Whether ``value`` lies inside the ``z``-sigma interval."""
-        lo, hi = self.ci(z)
-        return lo <= value <= hi
-
 
 def mc_summary(samples: np.ndarray) -> McSummary:
     """Summarise a 1-D Monte-Carlo sample."""

@@ -174,19 +174,9 @@ class McRun:
         return float(self.j.std())
 
     @property
-    def stderr_j(self) -> float:
-        """Standard error of :attr:`mean_j`."""
-        return float(self.j.std(ddof=1) / np.sqrt(self.j.size))
-
-    @property
     def mean_parallel(self) -> float:
         """Sample mean of ``N_//``."""
         return float(self.n_parallel.mean())
-
-    @property
-    def mean_jobs(self) -> float:
-        """Sample mean of the number of submitted jobs per task."""
-        return float(self.jobs_submitted.mean())
 
 
 def simulate_single(

@@ -4,9 +4,10 @@ The paper's reference data is a set of probe-job traces from the EGEE
 biomed VO (12 sets, 10,893 probes, 10,000 s timeout).  Those traces are
 not publicly bundled, so this package provides:
 
-* :class:`ProbeRecord` / :class:`TraceSet` — the trace data model
-  (submission date, final status, latency — exactly the fields the paper
-  logs per probe in §3.2);
+* :class:`TraceSet` — the trace data model: one array each of submission
+  dates, final statuses and latencies, exactly the fields the paper logs
+  per probe in §3.2, with :data:`PROBE_TIMEOUT` the paper's 10,000 s
+  probe timeout;
 * :mod:`repro.traces.paper` — the paper's per-week Table 1 statistics, their
   committed log-normal bodies, and synthesis of matched trace sets;
 * :mod:`repro.traces.calibration` — the truncated-moment solver that
@@ -18,8 +19,7 @@ not publicly bundled, so this package provides:
   pipeline runs on real public traces.
 """
 
-from repro.traces.records import JobStatus, ProbeRecord
-from repro.traces.dataset import TraceSet
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 from repro.traces.calibration import CalibrationResult, calibrate_lognormal
 from repro.traces.paper import (
     PAPER_TABLE1,
@@ -34,8 +34,7 @@ from repro.traces.gwf import read_gwf, write_gwf
 from repro.traces.swf import read_swf, write_swf
 
 __all__ = [
-    "JobStatus",
-    "ProbeRecord",
+    "PROBE_TIMEOUT",
     "TraceSet",
     "CalibrationResult",
     "calibrate_lognormal",

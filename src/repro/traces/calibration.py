@@ -17,7 +17,7 @@ from repro.distributions.base import LatencyDistribution
 from repro.distributions.moments import truncated_mean_std
 from repro.distributions.parametric import LogNormal
 from repro.distributions.shifted import ShiftedDistribution
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["CalibrationResult", "calibrate_lognormal"]

@@ -9,22 +9,29 @@ for fast statistics, exposes the Table-1 style summary quantities
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.model import LatencyModel
-from repro.traces.records import PROBE_TIMEOUT, JobStatus, ProbeRecord
 
-__all__ = ["TraceSet"]
+__all__ = ["PROBE_TIMEOUT", "TraceSet"]
 
-_STATUS_CODES = {JobStatus.COMPLETED: 0, JobStatus.TIMEOUT: 1, JobStatus.FAULT: 2}
-_CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
+#: the paper's probe timeout: latencies beyond this are outliers (§3.2)
+PROBE_TIMEOUT: float = 10_000.0
 
 
 @dataclass
 class TraceSet:
     """A named set of probe observations (one of the paper's trace sets).
+
+    Paper §3.2: *"For each probe job, the job submission date, the job
+    final status and the total duration were logged."*  The three arrays
+    are exactly those columns, one entry per probe.  The status codes are
+    0 (completed: the probe started), 1 (timeout: it exceeded the probe
+    timeout and was cancelled) and 2 (fault: middleware error, aborted or
+    lost).  Codes 1 and 2 are the outliers counted into ``ρ``; their
+    latency is ``inf``.
 
     Parameters
     ----------
@@ -74,24 +81,6 @@ class TraceSet:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_records(
-        cls,
-        name: str,
-        records: Iterable[ProbeRecord],
-        *,
-        timeout: float = PROBE_TIMEOUT,
-    ) -> "TraceSet":
-        """Build from an iterable of :class:`ProbeRecord`."""
-        recs = list(records)
-        return cls(
-            name=name,
-            submit_times=np.array([r.submit_time for r in recs]),
-            latencies=np.array([r.latency for r in recs]),
-            status_codes=np.array([_STATUS_CODES[r.status] for r in recs]),
-            timeout=timeout,
-        )
-
-    @classmethod
     def merge(cls, name: str, parts: Iterable["TraceSet"]) -> "TraceSet":
         """Concatenate several trace sets (e.g. the 2007/08 aggregate)."""
         parts = list(parts)
@@ -108,19 +97,8 @@ class TraceSet:
             timeout=timeout,
         )
 
-    # -- iteration ------------------------------------------------------
-
     def __len__(self) -> int:
         return int(self.submit_times.size)
-
-    def __iter__(self) -> Iterator[ProbeRecord]:
-        for i in range(len(self)):
-            yield ProbeRecord(
-                job_id=i,
-                submit_time=float(self.submit_times[i]),
-                latency=float(self.latencies[i]),
-                status=_CODE_STATUS[int(self.status_codes[i])],
-            )
 
     # -- summary statistics (Table 1 machinery) --------------------------
 
@@ -155,34 +133,6 @@ class TraceSet:
     def std_latency(self) -> float:
         """Table 1 column ``σ_R``: std of non-outlier latencies."""
         return float(self.successful_latencies.std())
-
-    def summary(self) -> dict[str, float]:
-        """All Table-1 style statistics for this trace set."""
-        return {
-            "n_jobs": float(len(self)),
-            "n_outliers": float(self.n_outliers),
-            "rho": self.outlier_ratio,
-            "mean_latency": self.mean_latency(),
-            "bounded_mean_latency": self.bounded_mean_latency(),
-            "std_latency": self.std_latency(),
-        }
-
-    # -- windows ----------------------------------------------------------
-
-    def time_window(self, t_lo: float, t_hi: float, name: str | None = None) -> "TraceSet":
-        """Probes submitted within ``[t_lo, t_hi)``."""
-        if t_hi <= t_lo:
-            raise ValueError(f"empty window [{t_lo}, {t_hi})")
-        mask = (self.submit_times >= t_lo) & (self.submit_times < t_hi)
-        if not mask.any():
-            raise ValueError(f"no probes submitted in [{t_lo}, {t_hi})")
-        return TraceSet(
-            name=name or f"{self.name}[{t_lo:g},{t_hi:g})",
-            submit_times=self.submit_times[mask],
-            latencies=self.latencies[mask],
-            status_codes=self.status_codes[mask],
-            timeout=self.timeout,
-        )
 
     # -- modeling ---------------------------------------------------------
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import LatencyModel
-from repro.traces.dataset import TraceSet
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_finite, check_in_range, check_positive
 

@@ -11,15 +11,13 @@ round-trip through this format: ``WaitTime`` carries the latency,
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
 from repro.traces._workload import parse_workload_arrays
-from repro.traces.dataset import TraceSet
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 
 __all__ = ["GWF_FIELDS", "gwf_record", "read_gwf", "read_gwf_workload", "write_gwf"]
 
@@ -199,10 +197,3 @@ def write_gwf(trace: TraceSet, target: str | Path | TextIO) -> None:
     finally:
         if should_close:
             fh.close()
-
-
-def gwf_roundtrip_string(trace: TraceSet) -> str:
-    """Serialise to a GWF string (convenience for tests/examples)."""
-    buf = io.StringIO()
-    write_gwf(trace, buf)
-    return buf.getvalue()

@@ -28,8 +28,7 @@ import numpy as np
 from repro.distributions.parametric import LogNormal
 from repro.distributions.shifted import ShiftedDistribution
 from repro.distributions.truncated import TruncatedDistribution
-from repro.traces.dataset import TraceSet
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 from repro.util.rng import RngLike, as_rng
 
 __all__ = [

@@ -15,8 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from repro.traces._workload import parse_workload_arrays
-from repro.traces.dataset import TraceSet
-from repro.traces.records import PROBE_TIMEOUT
+from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 
 __all__ = ["SWF_FIELDS", "read_swf", "read_swf_workload", "write_swf"]
 

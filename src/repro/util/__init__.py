@@ -17,7 +17,7 @@ the library:
   day's ``bytes/task`` figure.
 """
 
-from repro.util.grids import TimeGrid, cumulative_trapezoid, trapezoid
+from repro.util.grids import TimeGrid, cumulative_trapezoid
 from repro.util.rng import spawn_rngs, as_rng
 from repro.util.series import Series, SeriesBundle
 from repro.util.tables import Table, format_float, format_seconds
@@ -31,7 +31,6 @@ from repro.util.validation import (
 __all__ = [
     "TimeGrid",
     "cumulative_trapezoid",
-    "trapezoid",
     "spawn_rngs",
     "as_rng",
     "Series",

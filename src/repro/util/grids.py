@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["TimeGrid", "cumulative_trapezoid", "trapezoid"]
+__all__ = ["TimeGrid", "cumulative_trapezoid"]
 
 
 def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
@@ -44,14 +44,6 @@ def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
         out[..., 0] = 0.0
         np.cumsum((y[..., 1:] + y[..., :-1]) * (0.5 * dx), axis=-1, out=out[..., 1:])
     return out
-
-
-def trapezoid(y: np.ndarray, dx: float) -> float:
-    """Plain trapezoid integral of ``y`` over its full support."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size < 2:
-        return 0.0
-    return float((y[1:] + y[:-1]).sum() * 0.5 * dx)
 
 
 @dataclass(frozen=True)
@@ -113,14 +105,6 @@ class TimeGrid:
             raise ValueError(f"index {index} outside grid of size {self.n}")
         return index * self.dt
 
-    def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """Indices of grid points with ``t_lo <= t <= t_hi``."""
-        lo = max(0, int(np.ceil(t_lo / self.dt - 1e-9)))
-        hi = min(self.n - 1, int(np.floor(t_hi / self.dt + 1e-9)))
-        if hi < lo:
-            return np.empty(0, dtype=np.intp)
-        return np.arange(lo, hi + 1, dtype=np.intp)
-
     def cumint(self, y: np.ndarray) -> np.ndarray:
         """Cumulative trapezoid integral of ``y`` tabulated on this grid."""
         y = np.asarray(y, dtype=np.float64)
@@ -129,15 +113,6 @@ class TimeGrid:
                 f"integrand has {y.shape[-1]} samples, grid has {self.n} points"
             )
         return cumulative_trapezoid(y, self.dt)
-
-    def integrate(self, y: np.ndarray) -> float:
-        """Trapezoid integral of ``y`` over the whole grid."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1] != self.n:
-            raise ValueError(
-                f"integrand has {y.shape[-1]} samples, grid has {self.n} points"
-            )
-        return trapezoid(y, self.dt)
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
         """Central-difference derivative of ``y`` on this grid.
@@ -151,7 +126,3 @@ class TimeGrid:
                 f"array has {y.shape[-1]} samples, grid has {self.n} points"
             )
         return np.gradient(y, self.dt, axis=-1)
-
-    def with_resolution(self, dt: float) -> "TimeGrid":
-        """A new grid over the same span with different spacing."""
-        return TimeGrid(t_max=self.t_max, dt=dt)

@@ -1,15 +1,13 @@
 """Labelled (x, y) series — the data form of every reproduced figure.
 
 A paper figure is reproduced as a :class:`SeriesBundle`: named curves
-sharing axis labels.  Bundles can be rendered as aligned text columns (for
-terminal inspection or ``EXPERIMENTS.md``) and exported to plain dicts for
-downstream plotting by users who have a plotting stack installed.
+sharing axis labels.  Bundles render as aligned text columns, which is
+the form the committed figure artifacts take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -46,18 +44,6 @@ class Series:
     def __len__(self) -> int:
         return int(self.x.size)
 
-    @property
-    def y_min(self) -> float:
-        """Minimum y value (NaN-aware)."""
-        return float(np.nanmin(self.y)) if len(self) else float("nan")
-
-    @property
-    def argmin_x(self) -> float:
-        """x at the minimum y (first occurrence, NaN-aware)."""
-        if not len(self):
-            return float("nan")
-        return float(self.x[int(np.nanargmin(self.y))])
-
     def sample(self, n: int) -> "Series":
         """Evenly subsample to at most ``n`` points (keeps endpoints)."""
         if n <= 0:
@@ -66,10 +52,6 @@ class Series:
             return self
         idx = np.unique(np.linspace(0, len(self) - 1, n).round().astype(int))
         return Series(self.label, self.x[idx], self.y[idx])
-
-    def to_dict(self) -> dict:
-        """Plain-python export (for JSON serialisation)."""
-        return {"label": self.label, "x": self.x.tolist(), "y": self.y.tolist()}
 
 
 @dataclass
@@ -85,23 +67,8 @@ class SeriesBundle:
         """Append a curve."""
         self.series.append(series)
 
-    def __iter__(self) -> Iterator[Series]:
-        return iter(self.series)
-
     def __len__(self) -> int:
         return len(self.series)
-
-    def get(self, label: str) -> Series:
-        """The curve with the given label."""
-        for s in self.series:
-            if s.label == label:
-                return s
-        raise KeyError(f"no series labelled {label!r} in {self.title!r}")
-
-    @property
-    def labels(self) -> list[str]:
-        """Labels of all curves, in insertion order."""
-        return [s.label for s in self.series]
 
     def render(self, points: int = 12) -> str:
         """Render all curves as aligned text columns (subsampled)."""
@@ -111,15 +78,3 @@ class SeriesBundle:
             pairs = ", ".join(f"({xi:g}, {yi:g})" for xi, yi in zip(sub.x, sub.y))
             lines.append(f"  {s.label}: {pairs}")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """Plain-python export (for JSON serialisation)."""
-        return {
-            "title": self.title,
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "series": [s.to_dict() for s in self.series],
-        }
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

@@ -9,7 +9,7 @@ plotting library is assumed; tables are the primary human-readable output
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = ["Table", "format_float", "format_seconds", "format_percent"]
 
@@ -71,23 +71,6 @@ class Table:
             )
         self.rows.append(list(values))
 
-    def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many rows."""
-        for row in rows:
-            self.add_row(*row)
-
-    def column(self, name: str) -> list[Any]:
-        """Values of the named column, in row order."""
-        try:
-            idx = list(self.columns).index(name)
-        except ValueError as exc:
-            raise KeyError(f"no column named {name!r}") from exc
-        return [row[idx] for row in self.rows]
-
-    def as_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def render(self, max_width: int | None = None) -> str:
         """Render the table as monospace text."""
         headers = [str(c) for c in self.columns]
@@ -107,9 +90,6 @@ class Table:
         if max_width is not None:
             text = "\n".join(line[:max_width] for line in text.splitlines())
         return text
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 def _stringify(value: Any) -> str:

@@ -22,20 +22,35 @@ here, as references the equivalence suites compare production against:
   keyword-built record per completed task;
 * :func:`lifo_ties` — the event kernel with same-instant events popped
   last-in first-out instead of first-in first-out;
-* :func:`mw_totals` — the middleware's cross-broker counter totals, a
-  readout only tests take.
+* :func:`mw_totals`, :func:`pending_dispatches`,
+  :func:`vo_queue_lengths` — the middleware's cross-broker counter
+  totals, a batched broker's unresolved dispatches and a fair-share
+  site's per-VO queues, readouts only tests take;
+* :func:`eq1_expectation` … :func:`eq4_std` — the paper's Eqs. (1)–(4)
+  transcribed as printed, the references for the geometric-sum moments
+  of :mod:`repro.core.strategies`;
+* :func:`delayed_expectation_for_t0` — one row of the delayed ``E_J``
+  surface from a single 1-D pass, the reference for the batched band
+  kernel;
+* :func:`integrate`, :func:`table_rows`, :func:`series_named` — the
+  whole-grid quadrature, table-row and curve readouts the tests compare
+  experiment outputs with;
+* :class:`OutageProcess` — an up/down renewal process that drives a
+  site's outage hooks by hand.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from heapq import heapreplace
 from unittest import mock
 
 import numpy as np
 
+from repro.core.model import GriddedLatencyModel
 from repro.gridsim import chaos
 from repro.gridsim.chaos import _IN_FLIGHT, _STARTED, ConservationReport
 from repro.gridsim.events import Simulator
@@ -54,7 +69,11 @@ from repro.gridsim.site import ComputingElement
 from repro.gridsim.tracing import TaskBreakdown
 from repro.population import driver, soa
 from repro.population.spec import PopulationSpec
+from repro.util.grids import TimeGrid
 from repro.util.rng import RngLike
+from repro.util.series import Series, SeriesBundle
+from repro.util.tables import Table
+from repro.util.validation import check_positive, check_probability
 
 #: every (site engine, WMS engine) corner a grid can be built on
 CORNERS = [
@@ -292,6 +311,43 @@ def lifo_ties():
         yield
 
 
+def pending_dispatches(wms) -> int:
+    """Jobs a batched broker holds in unresolved dispatch buckets.
+
+    Cancelled husks still sit in their bucket until its boundary; only
+    jobs still matching count.
+    """
+    return sum(
+        1
+        for bucket in wms._buckets.values()
+        for _, job in bucket
+        if job.state is JobState.MATCHING
+    )
+
+
+def vo_queue_lengths(site) -> dict[str, int]:
+    """Waiting jobs per VO on a fair-share site, husks discounted.
+
+    Reads the event engine's per-VO queues directly; on the vector engine
+    it first reconciles the background lane to now and counts the
+    background arrivals due but not yet started.
+    """
+    names = site.fairshare.names
+    if isinstance(site, FairShareComputingElement):
+        return {
+            n: len(q) - h
+            for n, q, h in zip(names, site._vo_queues, site._vo_husks)
+        }
+    site._advance()
+    now = site.sim._now
+    out = {}
+    for v, name in enumerate(names):
+        c = site._bgc[v]
+        n_bg = bisect_right(site._bga[v], now, c) - c
+        out[name] = n_bg + len(site._clq[v]) - site._vo_husks[v]
+    return out
+
+
 def mw_totals(grid: GridSimulator) -> dict:
     """Cross-broker middleware counter totals of ``grid``.
 
@@ -439,3 +495,183 @@ def decompose_reference(events) -> list[TaskBreakdown]:
             )
         )
     return out
+
+
+# -- references for the analytic layer ------------------------------------
+
+
+def integrate(grid: TimeGrid, y) -> float:
+    """Trapezoid integral of ``y`` over the whole of ``grid``.
+
+    The quadrature the survival-curve tests compare closed forms against,
+    e.g. ``E[J] = ∫ P(J > t) dt``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1] != grid.n:
+        raise ValueError(
+            f"integrand has {y.shape[-1]} samples, grid has {grid.n} points"
+        )
+    if y.size < 2:
+        return 0.0
+    return float((y[1:] + y[:-1]).sum() * 0.5 * grid.dt)
+
+
+def eq1_expectation(model: GriddedLatencyModel, t_inf: float) -> float:
+    """Eq. (1) as printed: ``E_J = (1/F̃(t∞)) ∫₀^{t∞} (1-F̃(u)) du``."""
+    k = model.index_of(t_inf)
+    p = float(model.F[k])
+    if p <= 0.0:
+        return float("inf")
+    return float(model.A[k] / p)
+
+
+def eq2_std(model: GriddedLatencyModel, t_inf: float) -> float:
+    """Eq. (2) exactly as printed (three-term variance expression)."""
+    k = model.index_of(t_inf)
+    p = float(model.F[k])
+    if p <= 0.0:
+        return float("inf")
+    t = float(model.times[k])
+    s = model.S
+    a = float(model.A[k])  # ∫ (1-F̃)
+    u_int = float(model.grid.cumint(model.times * s)[k])  # ∫ u(1-F̃)
+    var = (
+        -(1.0 / p**2) * a**2
+        + (2.0 / p) * u_int
+        + (2.0 * t * (1.0 - p) / p**2) * a
+    )
+    return float(np.sqrt(max(0.0, var)))
+
+
+def eq3_expectation(model: GriddedLatencyModel, b: int, t_inf: float) -> float:
+    """Eq. (3) as printed: Eq. (1) with ``F̃ → 1-(1-F̃)^b``."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    k = model.index_of(t_inf)
+    surv_b = model.S**b
+    p = float(1.0 - surv_b[k])
+    if p <= 0.0:
+        return float("inf")
+    a_b = float(model.grid.cumint(surv_b)[k])
+    return a_b / p
+
+
+def eq4_std(model: GriddedLatencyModel, b: int, t_inf: float) -> float:
+    """Eq. (4) exactly as printed."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    k = model.index_of(t_inf)
+    surv_b = model.S**b
+    p = float(1.0 - surv_b[k])
+    if p <= 0.0:
+        return float("inf")
+    t = float(model.times[k])
+    q = 1.0 - p  # (1-F̃(t∞))^b
+    a_b = float(model.grid.cumint(surv_b)[k])
+    u_int = float(model.grid.cumint(model.times * surv_b)[k])
+    var = (2.0 / p) * u_int + (2.0 * t * q / p**2) * a_b - (1.0 / p**2) * a_b**2
+    return float(np.sqrt(max(0.0, var)))
+
+
+def delayed_expectation_for_t0(model: GriddedLatencyModel, k0: int) -> np.ndarray:
+    """Reference for one row of :func:`~repro.core.strategies.delayed.delayed_expectation_bands`.
+
+    ``E_J`` for fixed ``t0`` (grid index ``k0``) at every ``t∞`` of the
+    grid: one shifted product and one cumulative sum per row.  Entries
+    outside ``t0 <= t∞ <= min(2·t0, t_max)`` or with ``F̃(t∞) = 0`` are
+    ``+inf``.  The production kernel evaluates blocks of rows in shared
+    2-D passes and caches them on the model.
+    """
+    n = model.grid.n
+    if not 1 <= k0 < n:
+        raise ValueError(f"t0 index {k0} outside grid (1..{n - 1})")
+    S = model.S
+    out = np.full(n, np.inf)
+    hi = min(2 * k0, n - 1)
+    ks = np.arange(k0, hi + 1)
+    # G0(v) = S(v)·S(v - t0) on v >= t0 ; ∫_{t0}^{t_k} G0 = c[k] - c[k0]
+    g0 = np.zeros(n)
+    g0[k0:] = S[k0:] * S[: n - k0]
+    c = model.grid.cumint(g0)
+    a = model.A
+    d = a[k0] - a[ks - k0]  # ∫_{t∞-t0}^{t0} S(u) du
+    p = model.F[ks]
+    q = S[ks]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = a[k0] + ((c[ks] - c[k0]) + q * d) / p
+    out[ks] = np.where(p > 0.0, vals, np.inf)
+    return out
+
+
+def table_rows(table: Table) -> list[dict]:
+    """Rows of a rendered experiment table as dicts keyed by column name."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def series_named(bundle: SeriesBundle, label: str) -> Series:
+    """The curve of ``bundle`` with the given label."""
+    for s in bundle.series:
+        if s.label == label:
+            return s
+    raise KeyError(f"no series labelled {label!r} in {bundle.title!r}")
+
+
+class OutageProcess:
+    """Alternating up/down renewal process attached to one site.
+
+    Up durations are exponential with mean ``mean_uptime``; outage
+    durations exponential with mean ``mean_downtime``.  An outage closes
+    the site's dispatch gate (queued jobs stall) and kills each running
+    job with probability ``kill_running``; recovery reopens the gate.
+    Product runs take site outages from the storm process of
+    :mod:`repro.gridsim.weather`; this process drives the same
+    ``begin_outage``/``end_outage`` hooks by hand, so the engine
+    equivalence suites can place outages on a quiet grid.
+    """
+
+    def __init__(
+        self,
+        site,
+        sim: Simulator,
+        rng: np.random.Generator,
+        *,
+        mean_uptime: float = 5 * 86_400.0,
+        mean_downtime: float = 4 * 3600.0,
+        kill_running: float = 0.5,
+    ) -> None:
+        check_positive("mean_uptime", mean_uptime)
+        check_positive("mean_downtime", mean_downtime)
+        check_probability("kill_running", kill_running)
+        self.site = site
+        self.sim = sim
+        self.rng = rng
+        self.mean_uptime = mean_uptime
+        self.mean_downtime = mean_downtime
+        self.kill_running = kill_running
+        self.is_down = False
+        self.outages_started = 0
+        #: jobs this process's outages killed mid-run (both lanes)
+        self.jobs_killed = 0
+
+    def start(self) -> None:
+        """Arm the process (first outage after one up period)."""
+        self.sim.schedule(
+            float(self.rng.exponential(self.mean_uptime)), self._go_down
+        )
+
+    def _go_down(self) -> None:
+        self.is_down = True
+        self.outages_started += 1
+        before = self.site.jobs_killed
+        self.site.begin_outage(self.rng, self.kill_running)
+        self.jobs_killed += self.site.jobs_killed - before
+        self.sim.schedule(
+            float(self.rng.exponential(self.mean_downtime)), self._come_up
+        )
+
+    def _come_up(self) -> None:
+        self.is_down = False
+        self.site.end_outage()
+        self.sim.schedule(
+            float(self.rng.exponential(self.mean_uptime)), self._go_down
+        )

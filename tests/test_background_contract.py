@@ -27,6 +27,7 @@ from repro.gridsim.fairshare import (
 )
 from repro.gridsim.replay import TraceReplayLoad
 from repro.gridsim.site import ComputingElement, VectorComputingElement
+from oracles import vo_queue_lengths
 
 SHARES = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
 ENGINES = {
@@ -148,7 +149,7 @@ def test_event_fairshare_queues_arrivals_under_their_vo(kind):
         n: [job.runtime for job in q] for n, q in zip(names, site._vo_queues)
     }
     assert queued == expected
-    assert site.vo_queue_lengths() == {n: len(r) for n, r in expected.items()}
+    assert vo_queue_lengths(site) == {n: len(r) for n, r in expected.items()}
     for n, q in zip(names, site._vo_queues):
         assert all(job.vo == n and job.tag == "background" for job in q)
     fed_vos = {n for n, rs in expected.items() if rs}

@@ -143,7 +143,7 @@ class TestConfigValidation:
 class TestCircuitBreaker:
     """closed → open → half-open trial → closed (or back open)."""
 
-    def test_trips_after_threshold_and_recloses_on_success(self):
+    def test_trips_after_threshold_and_half_opens(self):
         br = CircuitBreaker(threshold=2, reset_timeout=100.0)
         assert br.state == "closed" and br.allow(0.0)
         br.record_failure(0.0)
@@ -153,8 +153,6 @@ class TestCircuitBreaker:
         assert not br.allow(50.0)  # cooling down
         assert br.allow(101.0)  # half-open: one trial
         assert not br.allow(150.0)  # trial window re-armed
-        br.record_success()
-        assert br.state == "closed" and br.allow(151.0)
 
     def test_failed_trial_reopens(self):
         br = CircuitBreaker(threshold=1, reset_timeout=100.0)
@@ -233,6 +231,28 @@ class TestBrokerOutages:
         assert totals["breaker_trips"] >= 1
         assert grid._mw.breakers[0].trips >= 1
 
+    def test_clean_accept_recloses_the_breaker(self):
+        retry = RetryPolicy(
+            max_attempts=3,
+            backoff_base=60.0,
+            breaker_threshold=1,
+            breaker_reset=7_200.0,
+        )
+        grid = self.outage_grid("reject", retry=retry)
+        grid.run_until(3_700.0)
+        launch_task(
+            grid, SingleResubmission(t_inf=3_000.0), 600.0, [], via="wms-a"
+        )
+        grid.run_until(3_800.0)
+        breaker = grid._mw.breakers[0]
+        assert breaker.state == "open"
+        # past the outage and the reset timeout: the half-open trial lands
+        grid.run_until(3_700.0 + 7_300.0)
+        launch_task(
+            grid, SingleResubmission(t_inf=3_000.0), 600.0, [], via="wms-a"
+        )
+        assert breaker.state == "closed" and breaker.failures == 0
+
     def test_storm_can_down_a_broker(self):
         weather = WeatherConfig(
             storm=StormConfig(
@@ -284,7 +304,7 @@ class TestDuplicates:
         assert mw.duplicates == grid.duplicates_reconciled + sum(
             1 for _, j in grid.task_ledger if j.duplicate
         )
-        audit_conservation(grid).verify()
+        assert audit_conservation(grid).violations == ()
 
     def test_without_retry_landed_failure_is_a_clean_accept(self):
         cfg = fed_config(
@@ -363,7 +383,7 @@ class TestConservation:
         assert a == b  # same seed, same schedule
         assert a != fault_schedule(base, seed=22, start=2 * 3_600.0)
         out = run_chaos(a, n_tasks=12, warm=2 * 3_600.0, horizon=6 * 3_600.0)
-        out.report.verify()
+        assert out.report.violations == ()
 
     def test_matrix_rows_cover_all_corners(self):
         base = chaos_grid_config(n_sites=2, n_brokers=2)
@@ -384,7 +404,7 @@ class TestConservation:
         out = run_chaos(cfg, seed=4, n_tasks=30, horizon=8 * 3_600.0)
         assert out.report.duplicates > out.report.duplicates_reconciled
         assert sum(out.weather["jobs_killed"].values()) > 0
-        out.report.verify()
+        assert out.report.violations == ()
 
     def test_audit_requires_ledger(self):
         grid = GridSimulator(fed_config(), seed=1)
@@ -400,14 +420,12 @@ class TestConservation:
         grid.run_until(6_000.0)
         if not task.done:
             task.expire()
-        audit_conservation(grid).verify()
+        assert audit_conservation(grid).violations == ()
         # an off-the-books copy breaks the jobs_used invariant
         grid.task_ledger.append((task, Job(runtime=600.0)))
         report = audit_conservation(grid)
         assert not report.ok
         assert any("off the books" in v for v in report.violations)
-        with pytest.raises(AssertionError, match="conservation violated"):
-            report.verify()
 
     def test_unsettled_task_is_a_violation(self):
         grid = GridSimulator(fed_config(retry=RetryPolicy()), seed=5)
@@ -458,7 +476,7 @@ class TestTelemetry:
             m = grid.metrics
             return sum(
                 m.value(n)
-                for n in m.names()
+                for n in m.snapshot()
                 if n.startswith("mw.") and n.endswith(f".{key}")
             )
 

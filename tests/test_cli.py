@@ -59,6 +59,15 @@ class TestRun:
         assert text.startswith("error: --dt must be")
         assert not out.exists()
 
+    def test_out_onto_an_existing_file_is_a_usage_error(self, tmp_path):
+        # refused before any experiment runs, and the file is left alone
+        target = tmp_path / "taken"
+        target.write_text("keep\n", encoding="utf-8")
+        code, text = run_cli("run", "fig1", "--dt", "4.0", "--out", str(target))
+        assert code == 2
+        assert text == f"error: --out: {target} exists and is not a directory\n"
+        assert target.read_text(encoding="utf-8") == "keep\n"
+
     def test_non_numeric_dt_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "fig1", "--dt", "fast")
@@ -106,13 +115,20 @@ class TestPopulation:
         (wall,) = [
             line for line in outs[0][1].splitlines() if " wall (" in line
         ]
-        assert " MB, " in wall and " bytes/task), " in wall
+        assert " MB)" in wall and "bytes/task" not in wall
         # timings sit only on lines the `grep -v wall` determinism diff drops
         a, b = (
             [line for line in text.splitlines() if "wall" not in line]
             for _, text in outs
         )
         assert a == b
+
+    def test_small_day_prints_no_bytes_per_task(self):
+        # below 10^5 tasks page-granular RSS noise would dominate the figure
+        code, text = run_cli("population", "--scale", "3000", "--sites", "2")
+        assert code == 0
+        (wall,) = [line for line in text.splitlines() if " wall (" in line]
+        assert "peak RSS " in wall and "bytes/task" not in wall
 
     def test_fleet_table_is_run_population_on_a_warmed_grid(self):
         from repro.gridsim.grid import warmed_grid
@@ -362,6 +378,28 @@ class TestTraceReport:
             "error: trace is incomplete: task 8 completes but its "
             "'task' event is missing\n"
         )
+
+    def test_trace_into_a_missing_directory_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "t.jsonl"
+        code, text = run_cli(
+            "chaos", "--schedule", "storm-broker-site", "--trace", str(target)
+        )
+        assert code == 2
+        assert text == (
+            f"error: --trace: directory {target.parent} does not exist\n"
+        )
+
+    def test_report_out_onto_a_directory_is_a_usage_error(self, tmp_path):
+        code, text = run_cli("report", str(GOLDEN_TRACE), "--out", str(tmp_path))
+        assert code == 2
+        assert text == f"error: --out: {tmp_path} is a directory\n"
+
+    def test_report_gwf_into_a_missing_directory_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.gwf"
+        code, text = run_cli("report", str(GOLDEN_TRACE), "--gwf", str(target))
+        assert code == 2
+        assert text == f"error: --gwf: directory {target.parent} does not exist\n"
+        assert not target.parent.exists()
 
     def test_report_on_empty_trace_still_succeeds(self, tmp_path):
         trace = tmp_path / "empty.jsonl"

@@ -17,6 +17,8 @@ from repro.experiments.context import ReproContext
 from repro.experiments.table5_weekly_cost import TABLE5_WEEKS
 from repro.traces.paper import PAPER_TABLE1
 
+from oracles import series_named, table_rows
+
 #: the committed artifacts (written by the pytest benchmarks)
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
@@ -59,8 +61,8 @@ class TestFig1(object):
         res = run_experiment("fig1", ctx=ctx)
         assert isinstance(res, ExperimentResult)
         (bundle,) = res.figures
-        f_r = bundle.get("F_R")
-        f_t = bundle.get("F~_R = (1-rho) F_R")
+        f_r = series_named(bundle, "F_R")
+        f_t = series_named(bundle, "F~_R = (1-rho) F_R")
         # F~ = (1-rho) F pointwise; F~ saturates strictly below F
         rho = ctx.model("2006-IX").rho
         np.testing.assert_allclose(f_t.y, (1 - rho) * f_r.y, rtol=1e-9)
@@ -73,7 +75,7 @@ class TestTable1:
         (table,) = res.tables
         assert len(table.rows) == 13
         # qualitative: E_J of the same order as mean<1e4, far below bounded
-        for row in table.as_dicts():
+        for row in table_rows(table):
             e_j = float(row["E_J"].rstrip("s"))
             mean_less = float(row["mean <10^5"].rstrip("s"))
             mean_with = float(row["mean with 10^5"].rstrip("s"))
@@ -84,7 +86,7 @@ class TestTable1:
         res = run_experiment("table1", ctx=ctx)
         (table,) = res.tables
         reductions = [
-            row["d_sigma"].startswith("-") for row in table.as_dicts()
+            row["d_sigma"].startswith("-") for row in table_rows(table)
         ]
         assert sum(reductions) >= 10  # paper: 12 of 13 negative
 
@@ -93,9 +95,9 @@ class TestFig2:
     def test_profiles_ordered_by_b(self, ctx):
         res = run_experiment("fig2", ctx=ctx, b_max=5)
         (bundle,) = res.figures
-        assert bundle.labels == [f"b={b}" for b in range(1, 6)]
+        assert [s.label for s in bundle.series] == [f"b={b}" for b in range(1, 6)]
         # larger b gives lower minimal E_J
-        minima = [s.y_min for s in bundle.series]
+        minima = [float(np.nanmin(s.y)) for s in bundle.series]
         assert all(a > b for a, b in zip(minima, minima[1:]))
 
     def test_b_validation(self, ctx):
@@ -109,7 +111,7 @@ class TestTable2:
         (table,) = res.tables
         assert len(table.rows) == 8
         marginal = [
-            float(r["dE_J/(b-1)"].rstrip("%")) for r in table.as_dicts()[1:]
+            float(r["dE_J/(b-1)"].rstrip("%")) for r in table_rows(table)[1:]
         ]
         # improvements are negative and shrink in magnitude
         assert all(m < 0 for m in marginal)
@@ -121,9 +123,9 @@ class TestFig3:
         res = run_experiment("fig3", ctx=ctx, b_max=5)
         ej_bundle, sj_bundle = res.figures
         assert len(ej_bundle) == 13
-        for series in ej_bundle:
+        for series in ej_bundle.series:
             assert (np.diff(series.y) <= 1e-9).all()
-        for series in sj_bundle:
+        for series in sj_bundle.series:
             assert series.y[-1] <= series.y[0]
 
 
@@ -133,7 +135,7 @@ class TestFig5:
         (bundle,) = res.figures
         assert len(bundle) == 4
         single = ctx.single_optimum("2006-IX")
-        best = min(s.y_min for s in bundle.series)
+        best = min(float(np.nanmin(s.y)) for s in bundle.series)
         assert best < single.e_j
 
 
@@ -142,7 +144,7 @@ class TestTable3:
         res = run_experiment("table3", ctx=ctx)
         (table,) = res.tables
         assert len(table.rows) == 10
-        for row in table.as_dicts():
+        for row in table_rows(table):
             assert row["delta vs single"].startswith("-")
             n_par = float(row["N_//"])
             assert 1.0 <= n_par <= 2.0
@@ -152,8 +154,8 @@ class TestFig6:
     def test_frontier_shapes(self, ctx):
         res = run_experiment("fig6", ctx=ctx, b_max=4)
         (bundle,) = res.figures
-        delayed = bundle.get("delayed submission strategy")
-        multi = bundle.get("multiple submissions strategy")
+        delayed = series_named(bundle, "delayed submission strategy")
+        multi = series_named(bundle, "multiple submissions strategy")
         # delayed occupies N < 2; multiple starts at b=1 == single E_J
         assert delayed.x.max() < 2.0
         assert multi.x.min() == 1.0
@@ -167,8 +169,8 @@ class TestFig8:
     def test_cost_structure(self, ctx):
         res = run_experiment("fig8", ctx=ctx, b_max=4)
         (bundle,) = res.figures
-        multi = bundle.get("multiple submissions strategy")
-        frontier = bundle.get("delayed (cost frontier)")
+        multi = series_named(bundle, "multiple submissions strategy")
+        frontier = series_named(bundle, "delayed (cost frontier)")
         assert multi.y[0] == pytest.approx(1.0, rel=1e-6)  # b=1 == reference
         assert (np.diff(multi.y) > 0).all()  # cost increases with b
         assert frontier.y.min() < 1.0  # the win-win dip exists
@@ -180,7 +182,7 @@ class TestTable4:
         delayed_table, multi_table = res.tables
         assert len(delayed_table.rows) == 10
         assert len(multi_table.rows) == 14
-        costs = [float(r["delta_cost"]) for r in multi_table.as_dicts()]
+        costs = [float(r["delta_cost"]) for r in table_rows(multi_table)]
         assert all(a < b for a, b in zip(costs, costs[1:]))
         assert costs[-1] > 10  # b=100 is expensive (paper: 32)
 
@@ -190,7 +192,7 @@ class TestTable5:
         res = run_experiment("table5", ctx=ctx, radius=2)
         (table,) = res.tables
         assert len(table.rows) == 12
-        for row in table.as_dicts():
+        for row in table_rows(table):
             cost = float(row["opt cost"])
             assert cost <= 1.01
             if row["max cost (r=5)"]:
@@ -243,7 +245,7 @@ class TestTable6:
         assert len(summary.rows) == 7
         # own parameters are optimal within each target's column
         by_target = {}
-        for row in matrix.as_dicts():
+        for row in table_rows(matrix):
             by_target.setdefault(row["target week"], []).append(row)
         for target, rows in by_target.items():
             own = [r for r in rows if r["params from"] == target]
@@ -257,27 +259,27 @@ class TestValidations:
     def test_val_mc_zscores_small(self, ctx):
         res = run_experiment("val-mc", ctx=ctx, n_tasks=5000)
         (table,) = res.tables
-        zs = [float(r["z"]) for r in table.as_dicts()]
+        zs = [float(r["z"]) for r in table_rows(table)]
         assert max(zs) < 4.5
 
     def test_val_des_ratios_near_one(self):
         res = run_experiment("val-des", n_tasks=60, probe_days=0.6)
         (table,) = res.tables
-        ratios = [float(r["ratio"]) for r in table.as_dicts()]
+        ratios = [float(r["ratio"]) for r in table_rows(table)]
         assert all(0.5 < r < 2.0 for r in ratios)
 
     def test_eq5_discrepancy_grows_with_ratio(self, ctx):
         res = run_experiment("abl-eq5", ctx=ctx, t0_values=(300.0,),
                              ratios=(1.0, 1.5, 2.0))
         (table,) = res.tables
-        errs = [abs(float(r["rel err"].rstrip("%"))) for r in table.as_dicts()]
+        errs = [abs(float(r["rel err"].rstrip("%"))) for r in table_rows(table)]
         assert errs[0] < 0.1          # exact at ratio 1
         assert errs[2] > errs[0]      # grows with overlap
 
     def test_adoption_erosion(self):
         res = run_experiment("abl-adopt", fleet_sizes=(20, 300))
         (table,) = res.tables
-        rows = table.as_dicts()
+        rows = table_rows(table)
         burst_rows = [r for r in rows if "multiple" in r["strategy"]]
         j_small = float(burst_rows[0]["mean J"].rstrip("s"))
         j_large = float(burst_rows[-1]["mean J"].rstrip("s"))
@@ -287,13 +289,13 @@ class TestValidations:
         # without a context there is no analytic model to calibrate from
         res = run_experiment("abl-adopt", fleet_sizes=(10, 20), window=3600.0)
         (table,) = res.tables
-        assert not any("delayed" in r["strategy"] for r in table.as_dicts())
+        assert not any("delayed" in r["strategy"] for r in table_rows(table))
         # with one, the surface-calibrated delayed fleet rides along
         res = run_experiment(
             "abl-adopt", ctx=ctx, fleet_sizes=(10, 20), window=3600.0
         )
         (table,) = res.tables
-        delayed = [r for r in table.as_dicts() if "delayed" in r["strategy"]]
+        delayed = [r for r in table_rows(table) if "delayed" in r["strategy"]]
         assert len(delayed) == 1
         assert float(delayed[0]["jobs/task"]) < 3.0  # lighter than the burst
 
@@ -302,8 +304,8 @@ class TestAblations:
     def test_rho_sensitivity_monotone(self, ctx):
         res = run_experiment("abl-rho", ctx=ctx, rho_values=(0.0, 0.1, 0.3))
         (table,) = res.tables
-        singles = [float(r["single E_J"].rstrip("s")) for r in table.as_dicts()]
-        bursts = [float(r["burst3 E_J"].rstrip("s")) for r in table.as_dicts()]
+        singles = [float(r["single E_J"].rstrip("s")) for r in table_rows(table)]
+        bursts = [float(r["burst3 E_J"].rstrip("s")) for r in table_rows(table)]
         assert singles == sorted(singles)
         assert bursts == sorted(bursts)
 
@@ -318,7 +320,7 @@ class TestAblations:
         (table,) = res.tables
         gaps = {
             r["model"]: float(r["E_J vs ECDF"])
-            for r in table.as_dicts()
+            for r in table_rows(table)
             if r["E_J vs ECDF"] != ""
         }
         assert gaps["loglogistic"] < gaps["gamma"]
@@ -327,7 +329,7 @@ class TestAblations:
     def test_resolution_convergence(self, ctx):
         res = run_experiment("abl-grid", ctx=ctx, dt_values=(8.0, 2.0, 1.0))
         (table,) = res.tables
-        e_j = [float(r["single E_J"].rstrip("s")) for r in table.as_dicts()]
+        e_j = [float(r["single E_J"].rstrip("s")) for r in table_rows(table)]
         ref = e_j[-1]
         assert all(abs(e - ref) / ref < 0.02 for e in e_j)
 
@@ -339,7 +341,7 @@ class TestMultiVo:
         )
         sweep, shares = res.tables
         assert len(sweep.rows) == 3
-        rows = sweep.as_dicts()
+        rows = table_rows(sweep)
         # no adopters at 0%, no baseline column at 100%
         assert rows[0]["mean J adopters"] == ""
         assert rows[-1]["mean J biomed rest"] == ""
@@ -350,7 +352,7 @@ class TestMultiVo:
         baseline = float(rows[1]["mean J biomed rest"].rstrip("s"))
         assert adopters < baseline
         # fair-share usage tracks the 50/30/20 allocation per site
-        for row in shares.as_dicts():
+        for row in table_rows(shares):
             assert float(row["biomed"].strip("+%")) == pytest.approx(50, abs=8)
         assert len(res.notes) == 4
 
@@ -371,12 +373,12 @@ class TestGridWeather:
         frontier, telemetry = res.tables
         assert len(frontier.rows) == 6  # 3 regimes x healing on/off
         assert len(telemetry.rows) == 6
-        rows = frontier.as_dicts()
+        rows = table_rows(frontier)
         regimes = {r["regime"] for r in rows}
         assert regimes == {"calm", "storms", "black hole"}
         for row in rows:
             assert row["best U"]  # every cell elects a winner
-        tel = telemetry.as_dicts()
+        tel = table_rows(telemetry)
         by_cell = {(r["regime"], r["self-healing"]): r for r in tel}
         # calm weather reports no structural damage
         assert by_cell[("calm", "off")]["outages"] == 0

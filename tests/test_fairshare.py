@@ -34,7 +34,7 @@ from repro.gridsim import (
 )
 from repro.gridsim.fairshare import FairShareComputingElement
 from repro.gridsim.site import ComputingElement
-from oracles import make_grid
+from oracles import make_grid, vo_queue_lengths
 
 SHARES3 = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
 
@@ -249,7 +249,7 @@ class TestEngineEquivalence:
         assert site_fingerprint(grids[0]) == site_fingerprint(grids[1])
         for sv, se in zip(grids[0].sites, grids[1].sites):
             assert sv.usage_shares() == se.usage_shares()
-            assert sv.vo_queue_lengths() == se.vo_queue_lengths()
+            assert vo_queue_lengths(sv) == vo_queue_lengths(se)
 
     def test_probe_traces_bit_identical(self):
         traces = []

@@ -36,7 +36,6 @@ from repro.core.strategies.delayed import (
     delayed_band_blocks,
     delayed_cost_bands,
     delayed_expectation_bands,
-    delayed_expectation_for_t0,
     delayed_expectation_surface,
 )
 from repro.experiments.context import T0_WINDOW
@@ -44,6 +43,8 @@ from repro.experiments.fig8_cost_curves import delayed_cost_frontier
 from repro.distributions import LogNormal, ShiftedDistribution, Weibull
 from repro.montecarlo import simulate_multiple, simulate_single
 from repro.util.grids import TimeGrid
+
+from oracles import delayed_expectation_for_t0
 
 SETTINGS = settings(
     max_examples=25,
@@ -576,7 +577,7 @@ class TestClosedFormMcLaw:
         )
         assert abs(j_ref.mean() - run.mean_j) < 5.0 * se
         assert run.std_j == pytest.approx(j_ref.std(), rel=0.05)
-        assert run.mean_jobs == pytest.approx(jobs_ref.mean(), rel=0.05)
+        assert run.jobs_submitted.mean() == pytest.approx(jobs_ref.mean(), rel=0.05)
 
     def test_single_matches_loop_replay(self, model):
         j_ref, jobs_ref = _loop_simulate_single(model, 600.0, self.N, rng=11)

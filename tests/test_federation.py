@@ -115,7 +115,7 @@ class TestOneBrokerGrid:
         assert type(broker) is cls
         assert broker is g.wms
         assert broker.name == "0"
-        assert broker.owned_sites() == ["a", "b"]
+        assert [broker.sites[i].name for i in broker._owned_idx] == ["a", "b"]
         assert broker.info_lag == 0.0
         g.run_until(5000.0)
         broker.current_snapshot()
@@ -180,7 +180,7 @@ class TestStaleViews:
 
     def test_owned_sites_listing_and_validation(self):
         sim, sites, broker = self.make_broker()
-        assert broker.owned_sites() == ["own"]
+        assert [broker.sites[i].name for i in broker._owned_idx] == ["own"]
         with pytest.raises(ValueError, match="unknown site"):
             WorkloadManager(
                 sim,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from repro.distributions import (
     Exponential,
@@ -9,7 +10,6 @@ from repro.distributions import (
     fit_distribution,
     select_model,
     truncated_mean_std,
-    truncated_moment,
 )
 from repro.distributions.fitting import SUPPORTED_FAMILIES
 
@@ -98,44 +98,47 @@ class TestTruncatedMoments:
         lam, u = 0.01, 300.0
         d = Exponential(rate=lam)
         expected = 1 / lam - u * np.exp(-lam * u) / (1 - np.exp(-lam * u))
-        assert truncated_moment(d, 1, u) == pytest.approx(expected, rel=1e-5)
+        mean, _ = truncated_mean_std(d, u)
+        assert mean == pytest.approx(expected, rel=1e-5)
 
     def test_truncation_reduces_mean(self):
         d = LogNormal(mu=6.0, sigma=1.0)
         m_narrow, _ = truncated_mean_std(d, 500.0)
         m_wide, _ = truncated_mean_std(d, 50_000.0)
-        assert m_narrow < m_wide <= d.mean() + 1.0
+        assert m_narrow < m_wide <= np.exp(6.0 + 0.5) + 1.0
 
     def test_wide_truncation_approaches_full_moments(self):
         d = LogNormal(mu=5.0, sigma=0.5)
         mean, std = truncated_mean_std(d, 1e5, n_points=400_001)
-        assert mean == pytest.approx(d.mean(), rel=1e-3)
-        assert std == pytest.approx(d.std(), rel=1e-2)
+        full_mean = np.exp(5.0 + 0.5**2 / 2)
+        assert mean == pytest.approx(full_mean, rel=1e-3)
+        assert std == pytest.approx(full_mean * np.sqrt(np.expm1(0.5**2)), rel=1e-2)
 
     def test_validation(self):
         d = Exponential(rate=1.0)
-        with pytest.raises(ValueError, match="order"):
-            truncated_moment(d, 0, 10.0)
         with pytest.raises(ValueError, match="upper"):
-            truncated_moment(d, 1, -1.0)
-
-    @pytest.mark.parametrize("n_points", [1, 0, -3])
-    def test_fewer_than_two_points_rejected(self, n_points):
-        d = Exponential(rate=0.01)
-        with pytest.raises(ValueError, match="n_points"):
-            truncated_mean_std(d, 300.0, n_points=n_points)
-        with pytest.raises(ValueError, match="n_points"):
-            truncated_moment(d, 1, 300.0, n_points=n_points)
+            truncated_mean_std(d, -1.0)
 
     @pytest.mark.parametrize(
         "dist",
         [LogNormal(mu=6.0, sigma=1.0), Exponential(rate=0.004)],
         ids=lambda d: d.family,
     )
-    @pytest.mark.parametrize("n_points", [2, 8001, 20001])
-    def test_mean_std_equals_the_two_moment_calls(self, dist, n_points):
-        m1 = truncated_moment(dist, 1, 10_000.0, n_points=n_points)
-        m2 = truncated_moment(dist, 2, 10_000.0, n_points=n_points)
-        mean, std = truncated_mean_std(dist, 10_000.0, n_points=n_points)
-        assert mean == m1
-        assert std == float(np.sqrt(max(0.0, m2 - m1 * m1)))
+    @pytest.mark.parametrize("n_points", [8001, 20001])
+    def test_mean_std_match_quadrature(self, dist, n_points):
+        # E[R^k | R <= u] by adaptive quadrature, independent of the grid
+        u = 10_000.0
+        mass = float(dist.cdf(u))
+        m1, m2 = (
+            quad(lambda t: t**k * float(dist.pdf(t)), 0.0, u, limit=200)[0] / mass
+            for k in (1, 2)
+        )
+        mean, std = truncated_mean_std(dist, u, n_points=n_points)
+        assert mean == pytest.approx(m1, rel=1e-5)
+        assert std == pytest.approx(np.sqrt(m2 - m1 * m1), rel=1e-4)
+
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_fewer_than_two_points_rejected(self, n_points):
+        d = Exponential(rate=0.01)
+        with pytest.raises(ValueError, match="n_points"):
+            truncated_mean_std(d, 300.0, n_points=n_points)

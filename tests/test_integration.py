@@ -8,12 +8,13 @@ import pytest
 import repro
 from repro.gridsim import (
     GridSimulator,
-    OutageProcess,
     ProbeExperiment,
     default_grid_config,
 )
-from repro.traces.gwf import gwf_roundtrip_string, read_gwf
+from repro.traces.gwf import read_gwf, write_gwf
 from repro.util.grids import TimeGrid
+
+from oracles import OutageProcess
 
 
 class TestArchiveToPlan:
@@ -21,8 +22,10 @@ class TestArchiveToPlan:
 
     def test_gwf_to_recommendation(self):
         trace = repro.synthesize_week("2007-52", seed=3)
-        gwf_text = gwf_roundtrip_string(trace)
-        restored = read_gwf(io.StringIO(gwf_text), name="from-archive")
+        buf = io.StringIO()
+        write_gwf(trace, buf)
+        buf.seek(0)
+        restored = read_gwf(buf, name="from-archive")
         plan = repro.plan_submissions(
             restored, max_parallel=2.5, t0_window=(100.0, 1500.0)
         )

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.paper_equations import (
-    eq1_expectation,
-    eq2_std,
-    eq3_expectation,
-    eq4_std,
-    eq5_union_expectation,
-    union_cdf_of_j,
-)
+from oracles import eq1_expectation, eq2_std, eq3_expectation, eq4_std
+from repro.core.paper_equations import eq5_union_expectation, union_cdf_of_j
 from repro.core.strategies import (
     delayed_moments,
     multiple_moments,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import eq1_expectation, eq2_std, integrate
 from repro.core.model import LatencyModel
-from repro.core.paper_equations import eq1_expectation, eq2_std
 from repro.core.strategies import (
     delayed_moments,
     delayed_survival,
@@ -19,8 +19,8 @@ from repro.distributions import (
     Exponential,
     LogNormal,
     ShiftedDistribution,
-    TruncatedDistribution,
     Weibull,
+    truncated_mean_std,
 )
 from repro.util.grids import TimeGrid
 
@@ -155,7 +155,7 @@ class TestDelayedInvariants:
         if s[-1] > 1e-9:
             return  # tail escapes the grid; identity not checkable
         assert mom.expectation == pytest.approx(
-            gm.grid.integrate(s), rel=1e-6
+            integrate(gm.grid, s), rel=1e-6
         )
 
     @SETTINGS
@@ -223,8 +223,8 @@ class TestDistributionRoundtrips:
         upper=st.floats(min_value=10.0, max_value=10_000.0),
     )
     def test_truncated_mean_below_upper(self, rate, upper):
-        d = TruncatedDistribution(Exponential(rate=rate), upper=upper)
-        assert 0.0 < d.mean() < upper
+        mean, _ = truncated_mean_std(Exponential(rate=rate), upper)
+        assert 0.0 < mean < upper
 
     @SETTINGS
     @given(
@@ -234,7 +234,7 @@ class TestDistributionRoundtrips:
     def test_weibull_median_formula(self, shape, scale):
         d = Weibull(shape=shape, scale=scale)
         expected = scale * np.log(2.0) ** (1.0 / shape)
-        assert d.median() == pytest.approx(expected, rel=1e-9)
+        assert float(d.ppf(0.5)) == pytest.approx(expected, rel=1e-9)
 
     @SETTINGS
     @given(
@@ -264,7 +264,7 @@ class TestMcAgreementProperty:
         gm = make_gridded(params)
         t_inf = gm.grid.time_of(gm.index_of(t_inf))
         mom = single_moments(gm, t_inf)
-        if not np.isfinite(mom.expectation) or gm.F_at(t_inf) < 0.05:
+        if not np.isfinite(mom.expectation) or gm.F[gm.index_of(t_inf)] < 0.05:
             return
         run = simulate_single(gm.model, t_inf, 4000, rng=17)
         # grid discretisation adds a small bias on top of MC noise

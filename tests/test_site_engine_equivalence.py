@@ -28,14 +28,13 @@ from repro.gridsim import (
     GridSimulator,
     Job,
     JobState,
-    OutageProcess,
     ProbeExperiment,
     SiteConfig,
     Simulator,
     VectorComputingElement,
     run_strategy_on_grid,
 )
-from oracles import engine_pair
+from oracles import OutageProcess, engine_pair
 
 
 def config(util: float = 0.85, **kw) -> GridConfig:

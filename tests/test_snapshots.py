@@ -64,7 +64,7 @@ def state_fingerprint(grid) -> tuple:
     return (
         grid.now,
         grid.sim.events_processed,
-        grid.sim.pending,
+        len(grid.sim._heap),
         tuple(s.queue_length for s in grid.sites),
         tuple(s.busy_cores for s in grid.sites),
         tuple(s.jobs_started for s in grid.sites),

@@ -7,25 +7,25 @@ from repro.core.strategies import (
     DelayedResubmission,
     MultipleSubmission,
     SingleResubmission,
-    delayed_expectation_for_t0,
     delayed_moments,
     delayed_survival,
     multiple_expectation_sweep,
     multiple_moments,
-    multiple_std_sweep,
     n_parallel_for_latency,
     single_expectation_sweep,
     single_moments,
-    single_std_sweep,
 )
 from repro.core.strategies.delayed import mean_parallel_exact
+
+from oracles import delayed_expectation_for_t0, integrate
 
 
 class TestSingleResubmission:
     def test_expectation_without_timeout_pressure(self, gridded_faultless):
         # with a huge timeout and no faults, E_J -> E[R]
         mom = single_moments(gridded_faultless, 8000.0)
-        true_mean = gridded_faultless.model.distribution.mean()
+        # the model is 100 s + LogNormal(5.5, 1.0)
+        true_mean = 100.0 + np.exp(5.5 + 0.5)
         assert mom.expectation == pytest.approx(true_mean, rel=0.02)
 
     def test_expectation_sweep_matches_pointwise(self, gridded):
@@ -35,12 +35,6 @@ class TestSingleResubmission:
             assert sweep[k] == pytest.approx(
                 single_moments(gridded, t).expectation, rel=1e-9
             )
-
-    def test_std_sweep_matches_pointwise(self, gridded):
-        sweep = single_std_sweep(gridded)
-        for t in (300.0, 600.0, 1200.0):
-            k = gridded.index_of(t)
-            assert sweep[k] == pytest.approx(single_moments(gridded, t).std, rel=1e-9)
 
     def test_infinite_below_support(self, gridded):
         # the model has a 100 s floor: timeouts below it never succeed
@@ -84,10 +78,10 @@ class TestMultipleSubmission:
         e1 = multiple_expectation_sweep(gridded, 1)
         es = single_expectation_sweep(gridded)
         np.testing.assert_allclose(e1[1:], es[1:], rtol=1e-9)
-        s1 = multiple_std_sweep(gridded, 1)
-        ss = single_std_sweep(gridded)
-        mask = np.isfinite(ss)
-        np.testing.assert_allclose(s1[mask], ss[mask], rtol=1e-9)
+        for t in (300.0, 600.0, 1200.0):
+            assert multiple_moments(gridded, 1, t).std == pytest.approx(
+                single_moments(gridded, t).std, rel=1e-9
+            )
 
     def test_expectation_decreases_with_b(self, gridded):
         t = 800.0
@@ -182,7 +176,7 @@ class TestDelayedResubmission:
         # E[J] = ∫ P(J>t) dt — ties the closed form to the piecewise survival
         t0, t_inf = 400.0, 600.0
         s = delayed_survival(gridded, t0, t_inf)
-        e_direct = gridded.grid.integrate(s)
+        e_direct = integrate(gridded.grid, s)
         e_closed = delayed_moments(gridded, t0, t_inf).expectation
         assert e_closed == pytest.approx(e_direct, rel=1e-6)
 
@@ -190,7 +184,7 @@ class TestDelayedResubmission:
         # E[J^2] = ∫ 2 t P(J>t) dt
         t0, t_inf = 400.0, 600.0
         s = delayed_survival(gridded, t0, t_inf)
-        e_j2_direct = gridded.grid.integrate(2.0 * gridded.times * s)
+        e_j2_direct = integrate(gridded.grid, 2.0 * gridded.times * s)
         mom = delayed_moments(gridded, t0, t_inf)
         e_j2_closed = mom.std**2 + mom.expectation**2
         assert e_j2_closed == pytest.approx(e_j2_direct, rel=1e-6)
@@ -283,9 +277,3 @@ class TestNParallel:
         plugin = n_parallel_for_latency(e_j, t0, t_inf)
         assert exact == pytest.approx(plugin, abs=0.12)
         assert 1.0 <= exact <= 2.0
-
-    def test_exact_mean_parallel_strategy_method(self, gridded):
-        d = DelayedResubmission(t0=400.0, t_inf=600.0)
-        assert d.mean_parallel_jobs_exact(gridded) == pytest.approx(
-            mean_parallel_exact(gridded, 400.0, 600.0)
-        )

@@ -13,7 +13,7 @@ from repro.traces import (
     write_gwf,
     write_swf,
 )
-from repro.traces.gwf import GWF_FIELDS, gwf_record, gwf_roundtrip_string
+from repro.traces.gwf import GWF_FIELDS, gwf_record
 from repro.traces.swf import SWF_FIELDS
 
 
@@ -27,7 +27,9 @@ class TestGwf:
         assert len(GWF_FIELDS) == 29
 
     def test_roundtrip_preserves_statistics(self, trace):
-        buf = io.StringIO(gwf_roundtrip_string(trace))
+        buf = io.StringIO()
+        write_gwf(trace, buf)
+        buf.seek(0)
         back = read_gwf(buf, name=trace.name)
         assert len(back) == len(trace)
         assert back.n_outliers == trace.n_outliers

@@ -26,10 +26,12 @@ import pytest
 from repro.core.strategies import SingleResubmission
 from repro.gridsim import (
     Counter,
+    FaultModel,
     GridConfig,
     GridSimulator,
     Histogram,
     MetricsRegistry,
+    ResubmitConfig,
     SiteConfig,
     TraceRecorder,
     breakdown_tables,
@@ -77,17 +79,17 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         c = reg.counter("a.b")
         assert reg.counter("a.b") is c
-        c.inc()
-        c.inc(3)
+        c.value += 4
         assert reg.value("a.b") == 4
-        assert "a.b" in reg
+        assert "a.b" in reg.snapshot()
 
-    def test_histogram_buckets_and_mean(self):
+    def test_histogram_buckets_and_sum(self):
         h = Histogram("lat", (10.0, 100.0))
-        h.observe_many([5.0, 50.0, 500.0, 7.0])
+        for x in (5.0, 50.0, 500.0, 7.0):
+            h.observe(x)
         assert h.counts == [2, 1, 1]
         assert h.total == 4
-        assert h.mean == pytest.approx(140.5)
+        assert h.sum == pytest.approx(562.0)
         d = h.as_dict()
         assert d["edges"] == [10.0, 100.0] and d["counts"] == [2, 1, 1]
 
@@ -119,16 +121,13 @@ class TestMetricsRegistry:
             assert h.counts.index(1) == scan(edges, x), x
         assert scan(edges, math.nan) == len(edges)  # NaN: overflow
 
-    def test_empty_histogram_mean_is_zero(self):
-        assert Histogram("x", (1.0,)).mean == 0.0
-
     def test_gauges_attr_and_callable(self):
         reg = MetricsRegistry()
         c = Counter("raw")
         reg.register_gauge("g.attr", c, "value")
         h = Histogram("h", (1.0,))
         reg.register_gauge("g.bound", h.as_dict)
-        c.inc(2)
+        c.value += 2
         assert reg.value("g.attr") == 2
         assert reg.value("g.bound")["total"] == 0
 
@@ -141,12 +140,11 @@ class TestMetricsRegistry:
         with pytest.raises(KeyError, match="nope"):
             MetricsRegistry().value("nope")
 
-    def test_snapshot_and_names_are_sorted(self):
+    def test_snapshot_is_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("z").inc()
-        reg.counter("a").inc(2)
+        reg.counter("z").value += 1
+        reg.counter("a").value += 2
         reg.histogram("m", (1.0,)).observe(0.5)
-        assert reg.names() == ["a", "m", "z"]
         snap = reg.snapshot()
         assert list(snap) == ["a", "m", "z"]
         assert snap["a"] == 2 and snap["m"]["total"] == 1
@@ -208,7 +206,6 @@ class TestSpanCompleteness:
                     rel_tol=1e-12,
                     abs_tol=1e-9,
                 ), f"{name}: task {r.task_id} decomposition does not sum"
-                assert r.turnaround == pytest.approx(r.makespan + r.runtime)
             if records:
                 mean_j = sum(r.makespan for r in records) / len(records)
                 assert mean_j == pytest.approx(res.mean_latency), name
@@ -239,7 +236,7 @@ class TestHopEvents:
         assert hops, "no hop events in a traced run"
         labels = {aux[0] for _, _, _, _, aux in hops}
         assert labels == {"0"}
-        names = grid.metrics.names()
+        names = grid.metrics.snapshot()
         for label in labels:
             assert f"broker.{label}.dispatches" in names
 
@@ -340,3 +337,36 @@ class TestZeroCost:
         hist = grid.metrics.value("trace.task_latency")
         assert hist["total"] == len(results) == 3
         assert hist["sum"] == pytest.approx(sum(r[0] for r in results))
+
+
+class TestTaskEndEvents:
+    """The recorder's hooks for tasks that end without a client start."""
+
+    def test_expired_task_records_an_expire_event(self):
+        cfg = GridConfig(
+            sites=(SiteConfig("a", 2, utilization=0.95),), tracing=True
+        )
+        grid = GridSimulator(cfg, seed=5)
+        grid.warm_up(600.0)
+        task = launch_task(grid, SingleResubmission(t_inf=3000.0), 60.0, [])
+        grid.run_until(grid.now + 1.0)
+        task.expire()
+        expires = [ev for ev in grid.trace.events if ev[0] == "expire"]
+        assert expires == [("expire", grid.now, task.task_id, -1, None)]
+
+    def test_agent_rescue_records_a_rescue_event(self):
+        cfg = GridConfig(
+            sites=(SiteConfig("a", 8, utilization=0.3),),
+            faults=FaultModel(p_lost=0.5),
+            resubmit=ResubmitConfig(period=120.0, backoff_base=30.0),
+            tracing=True,
+        )
+        grid = GridSimulator(cfg, seed=9)
+        grid.warm_up(600.0)
+        results: list = []
+        for _ in range(6):
+            launch_task(grid, SingleResubmission(t_inf=6000.0), 60.0, results)
+        grid.run_until(grid.now + 4 * 3600.0)
+        rescues = [ev for ev in grid.trace.events if ev[0] == "rescue"]
+        assert rescues
+        assert len(rescues) == grid._agent.resubmissions

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.util.memory import bytes_per_task, peak_rss_bytes, rss_bytes
+from repro.util.memory import (
+    MIN_TASKS_FOR_BYTES,
+    bytes_per_task,
+    memory_summary,
+    peak_rss_bytes,
+    rss_bytes,
+)
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.series import Series, SeriesBundle
 from repro.util.tables import Table, format_float, format_percent, format_seconds
@@ -145,16 +151,6 @@ class TestTable:
         with pytest.raises(ValueError, match="columns"):
             t.add_row("x", 1.0)
 
-    def test_column_access(self):
-        t = self.make()
-        assert t.column("week") == ["2006-IX", "2007-36"]
-        with pytest.raises(KeyError):
-            t.column("nope")
-
-    def test_as_dicts(self):
-        t = self.make()
-        assert t.as_dicts()[0] == {"week": "2006-IX", "EJ": 471.0, "cost": 1.0}
-
     def test_render_contains_everything(self):
         text = self.make().render()
         assert "demo" in text
@@ -168,11 +164,6 @@ class TestTable:
         header, sep, row1 = lines[1], lines[2], lines[3]
         assert len(header) == len(sep) == len(row1)
 
-    def test_extend(self):
-        t = Table(title="x", columns=["a"])
-        t.extend([[1], [2]])
-        assert len(t.rows) == 2
-
     def test_max_width(self):
         text = self.make().render(max_width=10)
         assert all(len(line) <= 10 for line in text.splitlines())
@@ -182,11 +173,6 @@ class TestSeries:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="equal-length"):
             Series("s", np.arange(3), np.arange(4))
-
-    def test_min_helpers(self):
-        s = Series("s", np.array([1.0, 2.0, 3.0]), np.array([5.0, 1.0, 9.0]))
-        assert s.y_min == 1.0
-        assert s.argmin_x == 2.0
 
     def test_sample_keeps_endpoints(self):
         s = Series("s", np.arange(100.0), np.arange(100.0) ** 2)
@@ -199,18 +185,11 @@ class TestSeries:
         s = Series("s", np.arange(3.0), np.arange(3.0))
         assert s.sample(10) is s
 
-    def test_to_dict(self):
-        s = Series("s", np.array([1.0]), np.array([2.0]))
-        assert s.to_dict() == {"label": "s", "x": [1.0], "y": [2.0]}
-
-    def test_bundle_get_and_labels(self):
+    def test_bundle_add_and_len(self):
         b = SeriesBundle(title="t", x_label="x", y_label="y")
         b.add(Series("a", np.arange(2.0), np.arange(2.0)))
         b.add(Series("b", np.arange(2.0), np.arange(2.0)))
-        assert b.labels == ["a", "b"]
-        assert b.get("b").label == "b"
-        with pytest.raises(KeyError):
-            b.get("c")
+        assert [s.label for s in b.series] == ["a", "b"]
         assert len(b) == 2
 
     def test_bundle_render_mentions_axes(self):
@@ -234,6 +213,27 @@ class TestMemory:
         per_task = bytes_per_task(before, 2**20)
         del block
         assert per_task >= 32  # >= half the block, per task
+
+    def test_peak_is_never_below_the_current_reading(self):
+        blocks = []
+        for _ in range(4):
+            now = rss_bytes()
+            assert peak_rss_bytes() >= now
+            blocks.append(bytearray(4 * 2**20))
+            blocks[-1][::4096] = b"x" * len(blocks[-1][::4096])
+        assert peak_rss_bytes() >= rss_bytes()
+
+    def test_without_proc_the_rusage_peak_stands_in(self, monkeypatch):
+        from repro.util import memory
+
+        monkeypatch.setattr(memory, "_status_bytes", lambda field: None)
+        assert memory.rss_bytes() == memory.peak_rss_bytes() > 10 * 2**20
+
+    def test_summary_prints_bytes_per_task_only_for_large_days(self):
+        before = rss_bytes()
+        assert "bytes/task" not in memory_summary(before, 3_000)
+        assert memory_summary(before, MIN_TASKS_FOR_BYTES).endswith(" bytes/task")
+        assert memory_summary(before, 0).startswith("peak RSS ")
 
     def test_zero_tasks_give_nan(self):
         assert np.isnan(bytes_per_task(rss_bytes(), 0))

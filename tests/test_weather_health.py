@@ -175,7 +175,7 @@ class TestHealthMachine:
         health = grid._health
         health.observe_failure("a")
         health.observe_failure("a")
-        assert health.state_of("a") is HealthState.OK
+        assert health._records["a"].state is HealthState.OK
 
     def test_degrade_then_ban_publishes_penalties(self):
         grid = self.make_grid()
@@ -185,11 +185,11 @@ class TestHealthMachine:
         # alpha=0.2 it crosses degrade=0.5 at n=4 and ban=0.8 at n=8
         for _ in range(4):
             health.observe_failure("a")
-        assert health.state_of("a") is HealthState.DEGRADED
+        assert health._records["a"].state is HealthState.DEGRADED
         assert site.health_penalty == HealthConfig().degraded_penalty
         for _ in range(10):
             health.observe_failure("a")
-        assert health.state_of("a") is HealthState.BANNED
+        assert health._records["a"].state is HealthState.BANNED
         assert math.isinf(site.health_penalty)
         assert health.transitions == {"ok->degraded": 1, "degraded->banned": 1}
 
@@ -198,10 +198,10 @@ class TestHealthMachine:
         health = grid._health
         for _ in range(4):
             health.observe_failure("b")
-        assert health.state_of("b") is HealthState.DEGRADED
+        assert health._records["b"].state is HealthState.DEGRADED
         for _ in range(10):
             health.observe_success("b")
-        assert health.state_of("b") is HealthState.OK
+        assert health._records["b"].state is HealthState.OK
         assert grid._site_by_name["b"].health_penalty == 1.0
 
     def test_probe_readmission_on_healthy_site(self):
@@ -209,10 +209,10 @@ class TestHealthMachine:
         health = grid._health
         for _ in range(10):
             health.observe_failure("a")
-        assert health.state_of("a") is HealthState.BANNED
+        assert health._records["a"].state is HealthState.BANNED
         # ride out the cooldown; probes start promptly on the idle site
         grid.run_until(grid.now + 2000.0)
-        assert health.state_of("a") is HealthState.OK
+        assert health._records["a"].state is HealthState.OK
         assert grid._site_by_name["a"].health_penalty == 1.0
         assert health.probes_sent == HealthConfig().n_probes
         assert health.transitions["banned->probing"] == 1
@@ -226,7 +226,7 @@ class TestHealthMachine:
             health.observe_failure("a")
         # two full cooldown+probe cycles: the hole fails every probe
         grid.run_until(grid.now + 2500.0)
-        assert health.state_of("a") in (HealthState.BANNED, HealthState.PROBING)
+        assert health._records["a"].state in (HealthState.BANNED, HealthState.PROBING)
         assert health.transitions["probing->banned"] >= 1
         assert "probing->ok" not in health.transitions
         assert math.isinf(grid._site_by_name["a"].health_penalty)
@@ -677,7 +677,7 @@ class TestAgentWithClientRetries:
         # exactly once
         assert grid.weather_report()["resubmit"]["resubmissions"] > 0
         assert mw_totals(grid)["submits"] > len(tasks)
-        audit_conservation(grid).verify()
+        assert audit_conservation(grid).violations == ()
         # the two rescue channels keep disjoint books: the agent's per-task
         # budget holds, and every grid submission traces back to a client
         # attempt (a minted-but-settled duplicate sibling consumes a ledger
