@@ -1,10 +1,10 @@
 """Which functions under ``src/`` no product entry point reaches: a gate.
 
-Runs every product entry point in its own subprocess under
-:mod:`cProfile`: each ``repro`` CLI command (``run all`` included), the
-examples and the four perfbench workloads.  It then matches the
-profiled ``(file, first line)`` pairs against every ``def`` under
-``src/``, found by AST.  A ``def`` no profile saw is unreached; a
+Reads and hashes every file under ``src/`` first, then runs every
+product entry point in its own subprocess under :mod:`cProfile`: each
+``repro`` CLI command (``run all`` included), the examples and the four
+perfbench workloads.  It then matches the profiled ``(file, first
+line)`` pairs against every ``def`` of that first read, found by AST.  A ``def`` no profile saw is unreached; a
 ``def`` nested inside an unreached one is not counted again.  Code that
 runs only in forked worker processes is invisible to the parent's
 profile, so it counts as unreached.
@@ -42,13 +42,17 @@ It takes about 100 s on a 2-vCPU box, most of it in ``repro run all``
 and the four perfbench workloads.  Profiles and outputs go to a
 temporary directory, so nothing is written into the tree.  It exits 1
 when an unreached ``def`` is not on the allow-list, when an entry names
-a ``def`` that is now reached or gone, or when an entry point fails
-(the figures would then undercount what is reached).
+a ``def`` that is now reached or gone, when an entry point fails (the
+figures would then undercount what is reached), or when a file under
+``src/`` was added, removed or edited while the entry points ran (their
+line numbers may then not be those of the first read); it names every
+such file.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import os
 import pstats
 import subprocess
@@ -119,12 +123,6 @@ ALLOWED = (
      "item 3: the per-start scalar commit the event-driven engine uses"),
     ("gridsim/fairshare.py", "FairShareComputingElement.",
      "item 3: the event-driven site engine, which only the tests build"),
-    ("gridsim/fairshare.py", "FairShareVectorComputingElement.begin_black_hole",
-     "path: a weather black hole on a fair-share site; reached by "
-     "tests/test_fairshare_block.py::TestBlockVsScalarScripts::test_black_hole_burst"),
-    ("gridsim/fairshare.py", "FairShareVectorComputingElement._drain_hole",
-     "path: a weather black hole on a fair-share site; reached by "
-     "tests/test_fairshare_block.py::TestBlockVsScalarScripts::test_black_hole_burst"),
     ("gridsim/fairshare.py", "FairShareVectorComputingElement.__repr__",
      "repr: debugging aid"),
     ("gridsim/health.py", "HealthService._probe_started",
@@ -136,14 +134,11 @@ ALLOWED = (
     ("gridsim/registry.py", "MetricsRegistry.__repr__", "repr: debugging aid"),
     ("gridsim/site.py", "ComputingElement.",
      "item 3: the event-driven site engine, which only the tests build"),
-    ("gridsim/site.py", "VectorComputingElement.background_delivered",
-     "path: the jobs_generated readout of a single-VO site's background "
-     "load; reached by "
-     "tests/test_background_contract.py::TestFeedContract::test_generated_equals_delivered"),
+    ("gridsim/site.py", "VectorComputingElement.feed_background",
+     "stub: the intake contract the vector engine implements"),
     ("gridsim/site.py", "VectorComputingElement.end_black_hole",
      "path: the end of a weather black-hole window; reached by "
      "tests/test_fairshare_block.py::TestBlockVsScalarScripts::test_black_hole_burst"),
-    ("gridsim/site.py", "VectorComputingElement.__repr__", "repr: debugging aid"),
     ("gridsim/tracing.py", "TraceRecorder.expire",
      "path: a traced task that gives up; reached by "
      "tests/test_tracing.py::TestTaskEndEvents::test_expired_task_records_an_expire_event"),
@@ -261,7 +256,23 @@ def profile_all(tmp: Path) -> tuple[set[tuple[str, int]], list[str]]:
     return reached, failed
 
 
-def defs_in(path: Path):
+def read_tree(src: Path = SRC) -> dict[Path, tuple[str, str]]:
+    """``path -> (sha256, text)`` for every ``.py`` file under ``src``."""
+    tree = {}
+    for path in sorted(src.rglob("*.py")):
+        data = path.read_bytes()
+        tree[path] = (hashlib.sha256(data).hexdigest(), data.decode("utf-8"))
+    return tree
+
+
+def changed_since(tree: dict[Path, tuple[str, str]], src: Path = SRC) -> list[Path]:
+    """Files under ``src`` added, removed or edited since ``tree`` was read."""
+    now = {path: digest for path, (digest, _) in read_tree(src).items()}
+    then = {path: digest for path, (digest, _) in tree.items()}
+    return sorted(p for p in now.keys() | then.keys() if now.get(p) != then.get(p))
+
+
+def defs_in(text: str):
     """``(qualname, first line, last line, nesting parent)`` per ``def``.
 
     The first line is the first decorator's, as in the code object's
@@ -283,7 +294,7 @@ def defs_in(path: Path):
             else:
                 walk(child, prefix, parent)
 
-    walk(ast.parse(path.read_text(encoding="utf-8")), "", None)
+    walk(ast.parse(text), "", None)
     return out
 
 
@@ -322,16 +333,20 @@ def check_allowed(
 
 
 def main() -> int:
+    # parse before profiling: the profiles' line numbers are those of
+    # the files as the entry points imported them
+    tree = read_tree()
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         reached, failed = profile_all(Path(tmp))
+    changed = changed_since(tree)
 
     n_defs = n_lines = n_unreached = n_unreached_lines = 0
     unreached_names: dict[str, list[str]] = {}
     reached_names: dict[str, list[str]] = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path, (_, text) in tree.items():
         real = os.path.realpath(path)
         rel = path.relative_to(SRC / "repro").as_posix()
-        defs = defs_in(path)
+        defs = defs_in(text)
         missed = set()
         rows = []
         for rec in defs:
@@ -371,7 +386,12 @@ def main() -> int:
             f"{len(failed)} entry point(s) failed, so these figures "
             f"undercount what is reached: {', '.join(failed)}"
         )
-    return 1 if failed or missing or stale else 0
+    for path in changed:
+        print(
+            f"changed during the run: {path.relative_to(ROOT)} "
+            "(its profiled lines may not match the parse)"
+        )
+    return 1 if failed or missing or stale or changed else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ batch queue → worker node, §3.1).  This package provides a mechanistic
 substitute: an event-driven simulator with
 
 * heterogeneous sites (core counts, service policies) fronted by
-  FIFO batch queues (:mod:`repro.gridsim.site`);
+  batch queues (:mod:`repro.gridsim.site`);
 * a WMS performing match-making with stochastic delay and ranking sites
   on *stale* load information (:mod:`repro.gridsim.wms`) — the partial
   information problem of §1;
@@ -102,7 +102,6 @@ from repro.gridsim.tracing import (
     read_trace,
     write_trace,
 )
-from repro.gridsim.site import VectorComputingElement
 from repro.gridsim.wms import BatchedWorkloadManager, WorkloadManager
 from repro.gridsim.client import (
     StrategyOutcome,
@@ -122,7 +121,6 @@ __all__ = [
     "BrokerConfig",
     "BatchedWorkloadManager",
     "WorkloadManager",
-    "VectorComputingElement",
     "FairShareState",
     "FairShareVectorComputingElement",
     "TraceReplayLoad",

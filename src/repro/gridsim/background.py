@@ -12,10 +12,10 @@ log-normal runtimes with numpy, hands the accepted arrivals to the site
 as arrays (``site.feed_background``, one call per refill), and leaves a
 single refill event at the last drawn arrival time.  Every site engine
 takes background load that way: the production
-:class:`~repro.gridsim.site.VectorComputingElement` resolves the chunk
-lazily with zero events and zero :class:`~repro.gridsim.jobs.Job`
-objects per background job, while the event-driven test oracle
-schedules one arrival event per job.
+:class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`
+resolves the chunk lazily with zero events and zero
+:class:`~repro.gridsim.jobs.Job` objects per background job, while the
+event-driven test oracle schedules one arrival event per job.
 
 Gaps stay i.i.d. exponential at the peak rate, thinning compares a
 uniform against ``rate(t)/peak`` at the arrival time, runtimes stay

@@ -11,22 +11,28 @@ engines without touching them:
   ratio wins the next free core).  Decay is *lazy and closed-form*
   (``usage · 2^{-Δt/halflife}``), so no per-interval decay events exist
   and the two engines apply bit-identical arithmetic.
+* :class:`FairShareVectorComputingElement` — the one production site
+  engine: the Lindley commit loop resolves fair-share priority at every
+  start while still creating **zero events and zero Job objects** for
+  background work.
 * :class:`FairShareComputingElement` — the event oracle the tests run
-  grids on: per-VO FIFO queues in front of the same core pool; every
-  free core is handed to the head job of the most underserved VO.
-* :class:`FairShareVectorComputingElement` — the production engine: the
-  Lindley commit loop resolves fair-share priority at every start while
-  still creating **zero events and zero Job objects** for background
-  work.
+  multi-VO grids on: per-VO FIFO queues in front of the same core pool;
+  every free core is handed to the head job of the most underserved VO.
 
 Both take a VO label per background arrival (``feed_background``'s
 third array, site VO indices).
 
-With a single configured VO both schedulers degrade to plain FIFO over
-one queue and charge/decay arithmetic that never influences a decision,
-so their client traces and telemetry are *exactly* those of the plain
-engines (pinned by ``tests/test_fairshare.py``); grids whose sites
-declare fewer than two VOs are wired with the plain engines anyway.
+Grids build every site on the vector engine.  A site that declares
+fewer than two VOs runs it with one VO (:data:`SINGLE_VO` when it
+declares none), and no VO label is drawn for its background, so its RNG
+streams are those of a plain FIFO.  With one VO the scheduler degrades
+to plain FIFO over one queue: a decision has one candidate, so usage
+never decides anything, and the commit loop runs that VO's background
+in an inline FIFO run with no decay or charge.  Its client traces and
+telemetry are *exactly* those of the plain event FIFO
+:class:`~repro.gridsim.site.ComputingElement` (pinned by
+``tests/test_fairshare.py``).  Only sites declaring two or more VOs
+publish a usage split (:func:`multi_vo`).
 
 Scheduling equivalence caveat (inherited from the base engines): traces
 are bit-identical wherever no same-timestamp tie interposes a completion
@@ -65,6 +71,20 @@ _QUEUED = JobState.QUEUED
 _CANCELLED = JobState.CANCELLED
 _FAILED = JobState.FAILED
 _ENQUEUABLE = (JobState.MATCHING, JobState.CREATED)
+
+#: the one VO of a site that declares none
+SINGLE_VO = (("default", 1.0),)
+
+
+def multi_vo(site) -> bool:
+    """Whether ``site`` declares two or more VOs.
+
+    The usage-readout rule: only such a site publishes its decayed
+    usage split (the registry gauge, ``PopulationResult``'s
+    ``site_usage_shares``).  A one-VO site's split is trivially all one
+    VO, and its engine does not keep that VO's usage up to date.
+    """
+    return len(site.vo_names) >= 2
 
 
 def normalize_vo_shares(
@@ -178,14 +198,15 @@ class FairShareState:
 class _PerJobBatchOps:
     """Per-job batch entry points for the fair-share engines.
 
-    The plain engines implement :meth:`enqueue_many` /
-    :meth:`cancel_many` as genuinely batched passes; the fair-share
-    flavours keep per-VO bookkeeping inside ``enqueue``/``cancel`` (the
-    vector one also its closed-form admission), so their batch entry
-    points are loops over them in batch order.  Each member therefore
-    sees the site as its predecessors' start callbacks left it — a
-    member those callbacks cancelled is skipped — and the pair's client
-    traces stay comparable.
+    Both fair-share engines keep per-VO bookkeeping inside
+    ``enqueue``/``cancel`` (the vector one also its closed-form
+    admission), so their batch entry points are loops over them in
+    batch order.  Each member therefore sees the site as its
+    predecessors' start callbacks left it — a member those callbacks
+    cancelled is skipped — and the pair's client traces stay
+    comparable.  The plain event FIFO
+    (:class:`~repro.gridsim.site.ComputingElement`) batches for real:
+    its queued members become husks before any running one is killed.
     """
 
     def enqueue_many(self, jobs: Sequence[Job]) -> int:
@@ -242,7 +263,7 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
     ) -> None:
         super().__init__(name, n_cores, sim, on_start=on_start)
         self.fairshare = FairShareState(vo_shares, fairshare_halflife)
-        self._vo_names = self.fairshare.names
+        self.vo_names = self.fairshare.names
         self._vo_queues: list[deque[Job]] = [
             deque() for _ in self.fairshare.names
         ]
@@ -356,7 +377,12 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
 
 
 class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorComputingElement):
-    """Two-lane engine with VO-labelled background and fair-share commits.
+    """The production site engine: VO-labelled background, fair-share commits.
+
+    Grids build every site on it; a site declaring fewer than two VOs
+    runs it with one VO.  The VO-independent machinery — core heap,
+    running client jobs, outage gate, the wake rule, core telemetry —
+    lives in the base :class:`~repro.gridsim.site.VectorComputingElement`.
 
     The background lane is sharded per VO at feed time
     (:meth:`feed_background` demuxes each chunk into per-VO
@@ -397,6 +423,11 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
     ``max(now, _next_due)``.  With a client waiting, every walk leaves
     the memo at the next core release (or dispatch floor), so the wake
     fires once per release until a client wins a core.
+
+    A one-VO site makes no decision at all, so once its background head
+    wins a core the commit loop runs that VO's background inline, plain
+    FIFO, until the client head, ``t`` or the lane's end, with no decay
+    ladder and no charge (see :meth:`_commit_block`).
     """
 
     def __init__(
@@ -405,13 +436,15 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         n_cores: int,
         sim: Simulator,
         *,
-        vo_shares: Iterable[tuple[str, float]],
+        vo_shares: Iterable[tuple[str, float]] = SINGLE_VO,
         fairshare_halflife: float = DEFAULT_HALFLIFE,
         on_start: Callable[[Job], None] | None = None,
     ) -> None:
         super().__init__(name, n_cores, sim, on_start=on_start)
         self.fairshare = FairShareState(vo_shares, fairshare_halflife)
-        nvo = len(self.fairshare.names)
+        #: VO names by site VO index (see :func:`multi_vo`)
+        self.vo_names = self.fairshare.names
+        nvo = len(self.vo_names)
         #: per-VO pending background arrivals (sorted) and runtimes;
         #: entries before the per-VO cursor ``_bgc[v]`` are committed
         self._bga: list[list[float]] = [[] for _ in range(nvo)]
@@ -678,6 +711,15 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         re-enter this site) and at every exit.  The float sequence is
         exactly the one a per-start ``FairShareState.select`` /
         ``charge`` loop commits.
+
+        On a one-VO site a background head that wins starts a *run*: the
+        plain FIFO recurrence ``start = max(arrival, min core-free,
+        floor)`` commits that VO's background entries inline until one
+        arrives after the client head (background wins ties), a start
+        passes ``t`` or the lane ends.  The run skips the decay ladder
+        and the charge: with one VO every decision has one candidate,
+        so its usage never decides anything (and :func:`multi_vo` keeps
+        it unpublished).  Sites with two or more VOs never enter it.
         """
         fs = self.fairshare
         usage = fs._usage
@@ -688,6 +730,7 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         clq = self._clq
         husks = self._vo_husks
         nvo = len(bgc)
+        one = nvo == 1
         rng = range(nvo)
         rng1 = range(1, nvo)
         cf = self._core_free
@@ -751,6 +794,35 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 v = -1 if tie else w
             else:
                 v = -1
+            if one and bheads[0] <= cheads[0]:
+                # the one-VO run: commit the background run ahead of the
+                # client head on locals, no decay ladder, no charge
+                a = bga[0]
+                rt = bgr[0]
+                c = bgc[0]
+                n = len(a)
+                j = cheads[0]
+                while True:
+                    heapreplace(cf, d + rt[c])
+                    c += 1
+                    started += 1
+                    if c == n:
+                        b = INF
+                        break
+                    b = a[c]
+                    if b > j:
+                        break
+                    d = cf[0]
+                    if floor > d:
+                        d = floor
+                    if b > d:
+                        d = b
+                    if d > t:
+                        break
+                bgc[0] = c
+                bheads[0] = b
+                heads[0] = b if b <= j else j
+                continue
             # the exact decay ladder the per-start loop commits
             if d > last:
                 f = 0.5 ** ((d - last) / halflife)

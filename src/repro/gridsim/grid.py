@@ -22,7 +22,9 @@ import numpy as np
 from repro.gridsim.background import BackgroundLoad
 from repro.gridsim.events import Simulator
 from repro.gridsim.fairshare import (
+    SINGLE_VO,
     FairShareVectorComputingElement,
+    multi_vo,
     normalize_vo_shares,
 )
 from repro.gridsim.faults import FaultModel, SubmitFaultConfig
@@ -31,7 +33,6 @@ from repro.gridsim.health import HealthConfig, HealthService
 from repro.gridsim.jobs import Job, JobState
 from repro.gridsim.middleware import MiddlewareDomain, RetryPolicy
 from repro.gridsim.registry import MetricsRegistry
-from repro.gridsim.site import VectorComputingElement
 from repro.gridsim.tracing import TraceRecorder
 from repro.gridsim.weather import (
     ResubmissionAgent,
@@ -91,9 +92,10 @@ class SiteConfig:
         Log-normal parameters of background job runtimes.
     vo_shares:
         ``(vo_name, share)`` pairs declaring the site's fair-share
-        allocation.  Empty or a single entry keeps the site on the plain
-        FIFO engines (exactly today's behaviour); two or more switch it
-        to the fair-share engines with per-VO queues.
+        allocation.  Every site runs the fair-share engine: empty or a
+        single entry gives it one VO, a plain FIFO with no VO label
+        drawn for its background; two or more give it per-VO queues
+        with usage-ordered dispatch, and a published usage split.
     vo_traffic:
         Optional ``(vo_name, weight)`` pairs for the *background traffic*
         mix (defaults to ``vo_shares`` — production demand proportional
@@ -431,10 +433,6 @@ def federated_grid_config(
 class GridSimulator:
     """Executable grid built from a :class:`GridConfig`."""
 
-    #: site engine of plain FIFO sites and of fair-share sites (>= 2 VOs)
-    _site_cls = VectorComputingElement
-    _fairshare_cls = FairShareVectorComputingElement
-
     def __init__(self, config: GridConfig, seed: RngLike = None) -> None:
         self.config = config
         self.sim = Simulator()
@@ -466,21 +464,7 @@ class GridSimulator:
             if config.diurnal_amplitude > 0.0
             else None
         )
-        self.sites = [
-            self._fairshare_cls(
-                sc.name,
-                sc.n_cores,
-                self.sim,
-                vo_shares=sc.vo_shares,
-                fairshare_halflife=config.fairshare_halflife,
-                on_start=self._notify_start,
-            )
-            if len(sc.vo_shares) >= 2
-            else self._site_cls(
-                sc.name, sc.n_cores, self.sim, on_start=self._notify_start
-            )
-            for sc in config.sites
-        ]
+        self.sites = [self._build_site(sc) for sc in config.sites]
         #: client timeout timers ride the pooled wheel on the batched lane
         self._pooled_timers = config.wms_engine == "batched"
         # a broker-free grid is a one-broker federation: broker "0" owns
@@ -522,9 +506,7 @@ class GridSimulator:
                 runtime_median=sc.runtime_median,
                 runtime_sigma=sc.runtime_sigma,
                 diurnal=diurnal,
-                vo_mix=(sc.vo_traffic or sc.vo_shares)
-                if len(sc.vo_shares) >= 2
-                else None,
+                vo_mix=(sc.vo_traffic or sc.vo_shares) if multi_vo(site) else None,
             )
             for site, sc, rng in zip(
                 self.sites, config.sites, rngs[2 : 2 + len(config.sites)]
@@ -634,6 +616,18 @@ class GridSimulator:
                     site.on_fail = self._notify_fail
         self._register_metrics()
 
+    def _build_site(self, sc: SiteConfig) -> FairShareVectorComputingElement:
+        """The site engine for ``sc``: the fair-share engine, one VO when
+        ``sc`` declares none."""
+        return FairShareVectorComputingElement(
+            sc.name,
+            sc.n_cores,
+            self.sim,
+            vo_shares=sc.vo_shares or SINGLE_VO,
+            fairshare_halflife=self.config.fairshare_halflife,
+            on_start=self._notify_start,
+        )
+
     def _register_metrics(self) -> None:
         """Publish every subsystem's gauges into :attr:`metrics`.
 
@@ -656,8 +650,7 @@ class GridSimulator:
             m.register_gauge(
                 f"site.{site.name}.black_hole_failures", site, "jobs_failed_bh"
             )
-            if hasattr(site, "usage_shares"):
-                # fair-share engines publish their decayed usage split
+            if multi_vo(site):
                 m.register_gauge(f"site.{site.name}.usage_shares", site.usage_shares)
         for broker in self.brokers:
             name = broker.name

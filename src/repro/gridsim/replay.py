@@ -6,8 +6,9 @@ instead *replays* a recorded production workload — the Parallel
 Workloads Archive (SWF) or Grid Workloads Archive (GWF) traces the
 paper's related work mines — through the very same site intake: each
 refill hands one chunk of replayed arrivals to ``site.feed_background``.
-A :class:`~repro.gridsim.site.VectorComputingElement` (or its fair-share
-flavour) resolves the chunk with zero events and zero Job objects per
+The production
+:class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`
+resolves the chunk with zero events and zero Job objects per
 replayed job; the event-driven test oracle turns each arrival into a
 background :class:`~repro.gridsim.jobs.Job`, so the replay is
 engine-equivalent and testable against the Lindley lane.

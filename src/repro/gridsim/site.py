@@ -1,46 +1,48 @@
 """Computing elements: batch queue + worker cores of one grid site.
 
-Two engines implement the same site contract, background intake
-included: load generators hand over chunks of arrivals through
-``feed_background(times, runtimes, vos=None)``.
+Every site engine takes background load the same way: load generators
+hand over chunks of arrivals through ``feed_background(times, runtimes,
+vos=None)``.
 
-* :class:`ComputingElement` — the original event-driven FIFO.  Every job
-  (client *and* background) is a :class:`Job` whose start and completion
-  are heap events; ``feed_background`` schedules one arrival event per
-  background job, which builds that job when it fires.  It is kept as
-  the law oracle, outside production grids: the equivalence suite
-  (``tests/test_site_engine_equivalence.py``) builds grids on it and
-  replays identical workloads through both engines to compare traces.
-* :class:`VectorComputingElement` — the production two-lane engine.
-  Client-visible jobs (probes, strategy copies, cancellations) keep the
-  exact event-kernel semantics, while anonymous background jobs flow
-  through a vectorised lane: arrival/runtime chunks are fed as arrays and
-  a Lindley-style recurrence over the per-core free-time heap
-  (``start = max(arrival, min free)``, ``free ← start + runtime``)
-  commits whole blocks of start/completion times with no per-job events,
-  advanced lazily to the current sim time and reconciled at every client
-  interaction point.
+* :class:`VectorComputingElement` — the VO-independent base of the one
+  production engine,
+  :class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`,
+  which grids build for every site (with one VO where the site declares
+  fewer than two).  Client-visible jobs (probes, strategy copies,
+  cancellations) keep the exact event-kernel semantics, while anonymous
+  background jobs never become events: a Lindley-style recurrence over
+  the per-core free-time heap (``start = max(arrival, min free)``,
+  ``free <- start + runtime``) commits them in blocks, advanced lazily
+  to the current sim time and reconciled at every client interaction
+  point.
+* :class:`ComputingElement` — the original event-driven FIFO, kept as
+  the law oracle outside production grids.  Every job (client *and*
+  background) is a :class:`Job` whose start and completion are heap
+  events; ``feed_background`` schedules one arrival event per background
+  job, which builds that job when it fires.  The equivalence suites
+  (``tests/test_site_engine_equivalence.py``) build grids on it and
+  replay identical workloads through both engines to compare traces.
 
-Both engines support in-queue cancellation (strategy timeouts) and
-mid-run kills (burst copies whose sibling started first), plus the
-outage hooks :meth:`begin_outage` / :meth:`end_outage` used by
-the storm process of :mod:`repro.gridsim.weather` and the *black-hole*
-hooks :meth:`begin_black_hole` / :meth:`end_black_hole` used by
-:mod:`repro.gridsim.weather`: a black-holed CE keeps accepting jobs
-and instantly "completes" them as failures (``JobState.FAILED``), so
-its queue-length estimate stays at zero and the information system
-keeps ranking it best — the classic traffic-eating attractor.  On the
-vectorised engine the state flip reconciles the background lane first
-(same pattern as ``begin_outage``) and then consumes arrivals without
+Both support in-queue cancellation (strategy timeouts) and mid-run kills
+(burst copies whose sibling started first), plus the outage hooks
+:meth:`begin_outage` / :meth:`end_outage` used by the storm process of
+:mod:`repro.gridsim.weather` and the *black-hole* hooks
+:meth:`begin_black_hole` / :meth:`end_black_hole` used by
+:mod:`repro.gridsim.weather`: a black-holed CE keeps accepting jobs and
+instantly "completes" them as failures (``JobState.FAILED``), so its
+queue-length estimate stays at zero and the information system keeps
+ranking it best — the classic traffic-eating attractor.  On the vector
+engine the state flip reconciles the background lane first (same
+pattern as ``begin_outage``) and then consumes arrivals without
 occupying cores for as long as the hole is active.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from functools import partial
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Callable
 
@@ -62,9 +64,9 @@ class ComputingElement:
     sibling started first).
 
     This is the fully event-driven engine — every job pays heap events
-    for arrival, start and completion.  Grids run
-    :class:`VectorComputingElement`; this class remains the oracle the
-    vectorised lane is verified against.
+    for arrival, start and completion.  Grids run the vector engine
+    (:class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`);
+    this class remains the oracle its one-VO lane is verified against.
     """
 
     #: while True the CE accepts and instantly "completes" every job as
@@ -79,7 +81,7 @@ class ComputingElement:
     health_penalty = 1.0
     #: VO names by site VO index, the labels ``feed_background`` takes;
     #: the plain FIFO has one unnamed VO
-    _vo_names: tuple[str, ...] = ("",)
+    vo_names: tuple[str, ...] = ("",)
 
     def __init__(
         self,
@@ -145,7 +147,7 @@ class ComputingElement:
         """Build and enqueue one background arrival of a fed chunk."""
         job = Job(runtime=runtimes.popleft(), tag="background")
         if vos is not None:
-            job.vo = self._vo_names[vos.popleft()]
+            job.vo = self.vo_names[vos.popleft()]
         job.submit_time = self.sim._now
         self.enqueue(job)
         self._bg_delivered += 1
@@ -391,37 +393,41 @@ class ComputingElement:
 
 
 class VectorComputingElement:
-    """Two-lane computing element: event-kernel clients, vectorised background.
+    """VO-independent base of the production vector site engine.
 
-    The background production workload — the overwhelming majority of a
-    grid's traffic — never touches the event heap here.  Its arrivals
-    come in pre-drawn chunks (:meth:`feed_background`), and the site
-    resolves their start/completion times with a Lindley-style recurrence
-    over the per-core free-time min-heap::
+    Grids build every site as
+    :class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`; a
+    site declaring fewer than two VOs runs it with one VO.  This base
+    holds the part of that engine no VO touches:
 
-        start_i = max(arrival_i, min(core_free))
-        core_free.replace_min(start_i + runtime_i)
+    * the per-core free-time min-heap the commit recurrence writes
+      (``start = max(arrival, min free, dispatch floor)``, then
+      ``free <- start + runtime``), committed **lazily** up to the
+      current sim time at the reconciliation points — client
+      enqueue/cancel, outage toggles, telemetry reads and chunk refills;
+    * running client jobs: ``on_start`` at the exact start instant,
+      event-free completions, mid-run kills and the core release a kill
+      needs;
+    * the outage gate with its dispatch floor, and the black-hole kill
+      of everything running;
+    * the one wake rule and the core-count telemetry.
 
-    processed in arrival order (exactly FIFO) and **lazily**: commits
-    only happen up to the current sim time, at the reconciliation points
-    — client enqueue/cancel, outage toggles, telemetry reads
-    (``queue_length`` / ``busy_cores`` / ``estimated_wait``) and chunk
-    refills.  Client-visible jobs keep the event-kernel contract of
-    :class:`ComputingElement`: ``on_start`` fires at the exact start
-    instant, completions are real events, cancellation works queued and
-    mid-run.
+    The subclass owns the queues: it takes background chunks through
+    :meth:`feed_background` and client jobs through ``enqueue`` /
+    ``enqueue_many``, and supplies the walk ``_commit_block(t)``, the
+    black-hole drain ``_drain_hole(t)`` and ``queue_length``.
 
     The one scheduling device is the *wake*, and one rule places it
-    (:meth:`_ensure_wake`, shared with the fair-share engine): while a
-    live client waits and the dispatch gate is open, the site's single
-    wake event sits at ``max(now, _next_due)``; otherwise none is armed.
-    ``_next_due`` is the next-commit instant every walk memoises, and
-    every mutation that could bring a commit forward lowers it, so it is
-    a lower bound on the waiting client's start: a wake there is never
-    late.  It fires, walks (committing whatever is due, the client
-    included once its instant comes) and re-arms at the new memo.
-    Start instants are decided by the commit recurrence alone, so client
-    traces are bit-identical to the event-driven oracle wherever no
+    (:meth:`_ensure_wake`): while a live client waits and the dispatch
+    gate is open, the site's single wake event sits at ``max(now,
+    _next_due)``; otherwise none is armed.  ``_next_due`` is the
+    next-commit instant every walk memoises, and every mutation that
+    could bring a commit forward lowers it, so it is a lower bound on
+    the waiting client's start: a wake there is never late.  It fires,
+    walks (committing whatever is due, the client included once its
+    instant comes) and re-arms at the new memo.  Start instants are
+    decided by the commit recurrence alone, so client traces are
+    bit-identical to the event-driven oracle wherever no
     same-timestamp tie is involved.
     """
 
@@ -447,16 +453,6 @@ class VectorComputingElement:
         #: min-heap of absolute times at which each core finishes its
         #: committed work; values <= now mean the core is idle
         self._core_free: list[float] = [0.0] * int(n_cores)
-        #: pending background arrivals (sorted times + matching runtimes);
-        #: entries before ``_bg_i`` are committed (started), entries at or
-        #: after it are queued or not yet arrived
-        self._bg_t: list[float] = []
-        self._bg_r: list[float] = []
-        self._bg_i = 0
-        #: committed background entries trimmed off the front of the arrays
-        self._bg_done = 0
-        #: client jobs in arrival order (husks skipped lazily)
-        self._client_q: deque[Job] = deque()
         #: queued (live) client jobs — the wake rule's "a client waits"
         self._live_clients = 0
         #: the site's single wake event (see :meth:`_ensure_wake`)
@@ -492,7 +488,15 @@ class VectorComputingElement:
         #: resets it to 0 to force a walk.
         self._next_due = 0.0
 
-    # -- background lane ---------------------------------------------------
+    def __setstate__(self, state: dict) -> None:
+        # one setattr per attribute, not pickle's default update of
+        # ``__dict__``: that materialises the instance dict, and on
+        # CPython 3.11 a site restored from a warmed snapshot then read
+        # its attributes at about half the speed of a fresh one
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    # -- intake contract ---------------------------------------------------
 
     def feed_background(
         self,
@@ -500,155 +504,43 @@ class VectorComputingElement:
         runtimes: list[float],
         vos: list[int] | None = None,
     ) -> None:
-        """Append a chunk of background arrivals (sorted, all in the future).
+        """Take a chunk of background arrivals; the intake of every load.
 
-        Called by the load generators once per refill; the
-        reconciliation here also trims committed entries so pending
-        arrays stay chunk-sized on healthy sites.  The plain FIFO has one
-        VO, so ``vos`` (site VO indices) carries no information here.
+        ``times`` are sorted and all in the future, ``runtimes`` match
+        them one for one and ``vos`` labels each arrival with a site VO
+        index (``None``: all VO 0).  Load generators call this once per
+        refill; the engine commits the chunk lazily, with no event and
+        no :class:`Job` per arrival.  Implemented by the engine that
+        owns the queues.
         """
-        self._advance()
-        i = self._bg_i
-        if i:
-            del self._bg_t[:i]
-            del self._bg_r[:i]
-            self._bg_done += i
-            self._bg_i = 0
-        self._bg_t.extend(times)
-        self._bg_r.extend(runtimes)
-        if times and times[0] < self._next_due and not self._live_clients:
-            # a new arrival can never start before it arrives, so the
-            # memo only needs *lowering* to the chunk head — feeds are
-            # all-future, so the walk stays deferred instead of being
-            # forced on the next reconciliation point.  Behind a waiting
-            # client the memo is already a bound no later arrival can
-            # beat (FIFO order), so it, and the wake on it, stay put
-            self._next_due = times[0]
+        raise NotImplementedError
 
-    def background_delivered(self) -> int:
-        """Background arrivals whose arrival time has passed (lazy count)."""
-        self._advance()
-        return self._bg_done + bisect_right(self._bg_t, self.sim._now)
-
-    # -- queue operations ------------------------------------------------
-
-    def enqueue(self, job: Job) -> None:
-        """Accept a dispatched client job into the FIFO."""
-        if job.state not in (JobState.MATCHING, JobState.CREATED):
-            raise ValueError(f"cannot enqueue job in state {job.state}")
-        if self.black_hole:
-            self._fail_now(job)
-            return
-        job.state = JobState.QUEUED
-        job.site = self.name
-        job.queue_time = self.sim._now
-        cq = self._client_q
-        if not self._live_clients:
-            # no live client ahead: the new arrival may start as soon as
-            # a core frees past the floor, so *lower* the memo to that
-            # bound (behind a live head, FIFO order keeps the next
-            # commit as-is).  Work ahead of it — background arrivals at
-            # or before its queue time — starts no earlier than the same
-            # bound, so the memo stays a valid next-commit lower bound
-            # and the walk is skipped entirely while all cores stay busy
-            e = self._core_free[0]
-            if self._dispatch_floor > e:
-                e = self._dispatch_floor
-            if e < self._next_due:
-                self._next_due = e
-        cq.append(job)
-        self._live_clients += 1
-        self._advance()  # background ahead of it commits; may start it now
-        if job.state is JobState.QUEUED:
-            self._ensure_wake()
-
-    def enqueue_many(self, jobs: list[Job]) -> int:
-        """Accept a batch of dispatched jobs; returns how many enqueued.
-
-        All jobs are appended to the FIFO first (same ``queue_time``,
-        FIFO order = batch order, exactly as a loop over
-        :meth:`enqueue` would produce), then one reconciliation pass
-        commits whatever can start and one wake check covers the whole
-        batch — instead of an ``_advance`` + ``_ensure_wake`` per job.
-        Jobs cancelled by a start callback fired mid-batch die as queue
-        husks, the same outcome the per-job path reaches: there the grid
-        cancels a copy still in match-making by a state flip, and its
-        dispatch skips it.
-        """
-        if self.black_hole:
-            return self._fail_batch(jobs)
-        now = self.sim._now
-        cq = self._client_q
-        if not self._live_clients:
-            # no live client ahead: the batch head may start once a core
-            # frees past the floor (same memo lowering as ``enqueue``)
-            e = self._core_free[0]
-            if self._dispatch_floor > e:
-                e = self._dispatch_floor
-            if e < self._next_due:
-                self._next_due = e
-        n = 0
-        for job in jobs:
-            if job.state not in (JobState.MATCHING, JobState.CREATED):
-                continue
-            job.state = JobState.QUEUED
-            job.site = self.name
-            job.queue_time = now
-            cq.append(job)
-            n += 1
-        if n:
-            self._live_clients += n
-            self._advance()
-            self._ensure_wake()
-        return n
+    # -- running client jobs -----------------------------------------------
 
     def cancel(self, job: Job) -> bool:
-        """Cancel a queued or running client job; returns ``True`` if it acted.
+        """Kill a running client job; returns ``True`` if it acted.
 
-        A one-item batch of *this* class's :meth:`cancel_many`, named
-        explicitly: the fair-share subclass loops ``cancel`` in its own
-        ``cancel_many`` and ends its ``cancel`` here.
+        EGEE's ``glite-wms-job-cancel`` on a started job: the job ends
+        ``CANCELLED`` now and its core is free for earlier work.  Queued
+        jobs belong to the subclass, whose ``cancel`` husks them and
+        hands every other job on to this one.  A completion due by now
+        settles first, so a job that has already finished is left alone.
         """
-        return VectorComputingElement.cancel_many(self, [job]) > 0
-
-    def cancel_many(self, jobs: list[Job]) -> int:
-        """Cancel a batch of sibling jobs at this site; returns the count.
-
-        Same two-phase semantics as the event engine's
-        :meth:`ComputingElement.cancel_many` — queued husks first, then
-        running kills, then a **single** reconciliation + wake check
-        for the whole batch instead of one per cancelled job.
-        """
-        n = 0
-        freed = False
         now = self.sim._now
         ends = self._client_ends
         if ends and ends[0][0] <= now:
-            self._drain_completions()  # due completions beat the cancels
-        for job in jobs:
-            if job.state is JobState.QUEUED and job.site == self.name:
-                job.state = JobState.CANCELLED
-                self._live_clients -= 1
-                n += 1
-        for job in jobs:
-            if job.state is JobState.RUNNING:
-                ev = job.completion_event
-                if ev is not None:
-                    ev.cancel()
-                    job.completion_event = None
-                self.running_jobs.pop(job, None)
-                job.state = JobState.CANCELLED
-                job.end_time = now
-                self._release_core(job.start_time + job.runtime, now)
-                self._killed += 1
-                freed = True
-                n += 1
-        if n:
-            if freed:
-                self._next_due = 0.0  # freed cores may start earlier work
-                self._advance()
-            self._ensure_wake()
-        return n
+            self._drain_completions()  # due completions beat the cancel
+        if job.state is not JobState.RUNNING:
+            return False
+        self.running_jobs.pop(job, None)
+        job.state = JobState.CANCELLED
+        job.end_time = now
+        self._release_core(job.start_time + job.runtime, now)
+        self._killed += 1
+        self._next_due = 0.0  # the freed core may start earlier work
+        self._advance()
+        self._ensure_wake()
+        return True
 
     # -- outage hooks ------------------------------------------------------
 
@@ -698,36 +590,23 @@ class VectorComputingElement:
     def begin_black_hole(self) -> None:
         """Flip into the attractor state (see the oracle's docstring).
 
-        Reconciles the background lane first, then fails every waiting
-        job (client FIFO and arrived-but-unstarted background entries)
-        and kills everything running, freeing all cores to *now* — so
-        the published wait estimate collapses to zero.  Idempotent.
+        The subclass fails its queued clients first and ends here, which
+        reconciles the lanes, consumes arrived-but-unstarted background
+        entries as failures (``_drain_hole``) and kills everything
+        running, freeing all cores to *now* — so the published wait
+        estimate collapses to zero.  Idempotent.
         """
         if self.black_hole:
             return
         self._advance()
         self.black_hole = True
-        # every waiting client fails below: no client waits, no wake
+        # every waiting client has failed: no client waits, no wake
         self._live_clients = 0
         self._ensure_wake()
         now = self.sim._now
-        on_fail = self.on_fail
-        for job in self._client_q:
-            if job.state is not JobState.QUEUED:
-                continue
-            job.state = JobState.FAILED
-            job.end_time = now
-            self.jobs_failed_bh += 1
-            if on_fail is not None and job.tag != "background":
-                on_fail(job)
-        self._client_q.clear()
         # background arrivals waiting in the lane fail without starting
         self._drain_hole(now)
         for job in self.running_jobs:
-            ev = job.completion_event
-            if ev is not None:
-                ev.cancel()
-                job.completion_event = None
             job.state = JobState.FAILED
             job.end_time = now
             self._release_core(job.start_time + job.runtime, now)
@@ -766,17 +645,7 @@ class VectorComputingElement:
         if self.on_fail is not None and job.tag != "background":
             self.on_fail(job)
 
-    def _fail_batch(self, jobs: list[Job]) -> int:
-        """Black-hole path of ``enqueue_many``: every job fails on arrival."""
-        n = 0
-        for job in jobs:
-            if job.state not in (JobState.MATCHING, JobState.CREATED):
-                continue
-            self._fail_now(job)
-            n += 1
-        return n
-
-    # -- the vector lane ---------------------------------------------------
+    # -- reconciliation ----------------------------------------------------
 
     def _advance(self) -> None:
         """Commit every start with start time <= now (reconciliation point).
@@ -801,90 +670,6 @@ class VectorComputingElement:
         self._commit_block(t)
         if self._live_clients or self._wake is not None:
             self._ensure_wake()
-
-    def _drain_hole(self, t: float) -> None:
-        """Consume background arrivals <= ``t`` as black-hole failures."""
-        j = bisect_right(self._bg_t, t, self._bg_i)
-        if j > self._bg_i:
-            self.jobs_failed_bh += j - self._bg_i
-            self._bg_i = j
-
-    def _commit_block(self, t: float) -> None:
-        """The walk: commit every start at or before ``t``, FIFO order.
-
-        Walks the merged FIFO (pending background arrivals + client
-        deque) in arrival order, applying the Lindley recurrence, and
-        leaves the next commit instant in ``_next_due``.  Client commits
-        fire ``on_start`` synchronously, exactly like the oracle's
-        ``_try_start``; since callbacks may re-enter (cancel a sibling
-        at this very site), all loop state lives on ``self`` and locals
-        are refreshed after every callback.
-        """
-        floor = self._dispatch_floor
-        cf = self._core_free
-        bg_t, bg_r = self._bg_t, self._bg_r
-        n_bg = len(bg_t)
-        cq = self._client_q
-        QUEUED = JobState.QUEUED
-        while True:
-            while cq and cq[0].state is not QUEUED:
-                cq.popleft()
-            head = cq[0] if cq else None
-            ct = head.queue_time if head is not None else 0.0
-            i = self._bg_i
-            if i < n_bg and (head is None or bg_t[i] <= ct):
-                # bulk-commit the background run ahead of the head client
-                # on pure locals — background starts never call out, so
-                # no re-entrancy can bite, and the per-commit attribute
-                # traffic of the one-at-a-time loop disappears
-                bt = bg_t[i]
-                started = 0
-                while True:
-                    m = cf[0]
-                    if floor > m:
-                        m = floor
-                    s = bt if bt > m else m
-                    if s > t:
-                        self._bg_i = i
-                        self._started += started
-                        self._next_due = s
-                        return
-                    heapreplace(cf, s + bg_r[i])
-                    i += 1
-                    started += 1
-                    if i >= n_bg:
-                        break
-                    bt = bg_t[i]
-                    if head is not None and bt > ct:
-                        break
-                self._bg_i = i
-                self._started += started
-                continue  # the head client may be startable now
-            if head is not None:
-                s = ct
-                m = cf[0]
-                if floor > m:
-                    m = floor
-                if m > s:
-                    s = m
-                if s > t:
-                    self._next_due = s
-                    return
-                cq.popleft()
-                self._live_clients -= 1
-                heapreplace(cf, s + head.runtime)
-                self._started += 1
-                self._start_client(head, s)
-                # the callback may have cancelled jobs, advanced the lane
-                # re-entrantly, or closed the gate — refresh everything
-                if not self.dispatch_enabled:
-                    return
-                cf = self._core_free
-                bg_t, bg_r = self._bg_t, self._bg_r
-                n_bg = len(bg_t)
-            else:
-                self._next_due = float("inf")
-                return
 
     def _start_client(self, job: Job, start: float) -> None:
         job.state = JobState.RUNNING
@@ -975,13 +760,6 @@ class VectorComputingElement:
     # -- telemetry ---------------------------------------------------------
 
     @property
-    def queue_length(self) -> int:
-        """Jobs waiting (arrived, not started), both lanes."""
-        self._advance()
-        n_bg = bisect_right(self._bg_t, self.sim._now, self._bg_i) - self._bg_i
-        return n_bg + self._live_clients
-
-    @property
     def busy_cores(self) -> int:
         """Cores currently executing jobs."""
         self._advance()
@@ -1005,9 +783,3 @@ class VectorComputingElement:
     def estimated_wait(self, mean_runtime_guess: float) -> float:
         """Crude queue-wait estimate the information system publishes."""
         return self.queue_length * mean_runtime_guess / self.n_cores
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VectorCE({self.name}, cores={self.busy_cores}/{self.n_cores}, "
-            f"queued={self.queue_length})"
-        )

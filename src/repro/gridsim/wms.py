@@ -24,7 +24,7 @@ Two dispatch engines implement the same submission contract (selected by
   bucket is resolved by a **single** simulator event at its boundary —
   site selection vectorised over the whole bucket (one numpy ``argmin``
   over ``(est + mm) · noise`` rows) and jobs handed to each chosen site
-  in one :meth:`VectorComputingElement.enqueue_many` call.  Jobs therefore
+  in one ``enqueue_many`` call.  Jobs therefore
   reach their queue at the quantum boundary rather than at their exact
   match-making instant — a deliberate, law-level approximation (a few
   seconds against a minutes-scale latency floor) pinned against the
@@ -52,8 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.gridsim.events import Simulator
+from repro.gridsim.fairshare import FairShareVectorComputingElement
 from repro.gridsim.jobs import Job, JobState
-from repro.gridsim.site import VectorComputingElement
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["BatchedWorkloadManager", "WorkloadManager"]
@@ -115,7 +115,7 @@ class WorkloadManager:
     def __init__(
         self,
         sim: Simulator,
-        sites: Sequence[VectorComputingElement],
+        sites: Sequence[FairShareVectorComputingElement],
         rng: np.random.Generator,
         *,
         owned: Sequence[str] | None = None,
@@ -326,7 +326,7 @@ class WorkloadManager:
             # RUNNING covers an instant synchronous start.
             tr.enqueue(job)
 
-    def select_site(self) -> VectorComputingElement:
+    def select_site(self) -> FairShareVectorComputingElement:
         """Rank sites by stale estimated wait plus multiplicative noise."""
         self.current_snapshot()
         return self.sites[self._select_index()]

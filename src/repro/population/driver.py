@@ -17,6 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.gridsim.client import launch_task
+from repro.gridsim.fairshare import multi_vo
 from repro.gridsim.grid import GridSimulator
 from repro.population.soa import TaskPool, chain_launches, pool_supported
 from repro.population.spec import FleetSpec, PopulationSpec
@@ -147,9 +148,7 @@ def _assemble_result(
     stamped after assembly, which reads usage shares and the registry.
     """
     usage = {
-        site.name: site.usage_shares()
-        for site in grid.sites
-        if hasattr(site, "usage_shares")
+        site.name: site.usage_shares() for site in grid.sites if multi_vo(site)
     }
     result = PopulationResult(
         fleets=tuple(outcomes),

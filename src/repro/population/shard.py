@@ -71,6 +71,7 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
+from repro.gridsim.fairshare import multi_vo
 from repro.gridsim.grid import GridConfig, warmed_snapshot
 from repro.gridsim.jobs import Job, JobState
 from repro.population.driver import FleetOutcome, PopulationResult
@@ -306,11 +307,7 @@ class _ShardRuntime:
             j, jobs = pool.fleet_results(f)
             n_here = int(pool.offsets[f + 1] - pool.offsets[f])
             fleets.append((j, jobs, n_here - j.size))
-        usage = {
-            s.name: s.usage_shares()
-            for s in grid.sites
-            if hasattr(s, "usage_shares")
-        }
+        usage = {s.name: s.usage_shares() for s in grid.sites if multi_vo(s)}
         return {
             "fleets": fleets,
             "jobs_lost": grid.jobs_lost - self._lost0,

@@ -4,9 +4,9 @@ Production grids run one implementation per law.  The alternatives live
 here, as references the equivalence suites compare production against:
 
 * :class:`EventSiteGrid` — a grid whose sites run on the fully
-  event-driven :class:`~repro.gridsim.site.ComputingElement` /
-  :class:`~repro.gridsim.fairshare.FairShareComputingElement` instead of
-  the two-lane vector engines;
+  event-driven :class:`~repro.gridsim.site.ComputingElement` (sites with
+  fewer than two VOs) / :class:`~repro.gridsim.fairshare.FairShareComputingElement`
+  instead of the one vector engine;
 * :class:`ScalarFairShareCE` — the vector fair-share site with its fused
   block resolver replaced by the per-start ``FairShareState`` method
   loop, and its closed-form admission replaced by append-then-walk;
@@ -87,10 +87,26 @@ _INF = float("inf")
 
 
 class EventSiteGrid(GridSimulator):
-    """A grid on the event-driven site oracles (same config, same seeds)."""
+    """A grid on the event-driven site oracles (same config, same seeds).
 
-    _site_cls = ComputingElement
-    _fairshare_cls = FairShareComputingElement
+    A site declaring fewer than two VOs runs the plain event FIFO, so the
+    production engine's one-VO lane is held to an engine that has no VO
+    machinery at all; the others run the event fair-share engine.
+    """
+
+    def _build_site(self, sc):
+        if len(sc.vo_shares) >= 2:
+            return FairShareComputingElement(
+                sc.name,
+                sc.n_cores,
+                self.sim,
+                vo_shares=sc.vo_shares,
+                fairshare_halflife=self.config.fairshare_halflife,
+                on_start=self._notify_start,
+            )
+        return ComputingElement(
+            sc.name, sc.n_cores, self.sim, on_start=self._notify_start
+        )
 
 
 _GRID_CLS = {"vector": GridSimulator, "event": EventSiteGrid}

@@ -3,8 +3,9 @@
 Load generators hand their arrivals to a site in chunks through
 ``site.feed_background(times, runtimes, vos=None)`` and read the
 delivered count back from ``site.background_delivered()``; no generator
-knows which engine it feeds.  Checked on all four engines (plain and
-fair-share, vectorised and event-driven) for both generators:
+knows which engine it feeds.  Checked for both generators on the vector
+engine with one VO and with three, and on both event-driven oracles
+(the plain FIFO and the fair-share one):
 
 * each refill makes exactly one ``feed_background`` call;
 * on a background-only site, ``jobs_generated`` equals
@@ -24,31 +25,34 @@ from repro.gridsim.events import Simulator
 from repro.gridsim.fairshare import (
     FairShareComputingElement,
     FairShareVectorComputingElement,
+    multi_vo,
 )
 from repro.gridsim.replay import TraceReplayLoad
-from repro.gridsim.site import ComputingElement, VectorComputingElement
+from repro.gridsim.site import ComputingElement
 from oracles import vo_queue_lengths
 
 SHARES = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
+#: engine -> (class, VO shares); the vector engine with no shares runs
+#: one VO, the event FIFO has no VO machinery at all
 ENGINES = {
-    "vector": VectorComputingElement,
-    "fairshare-vector": FairShareVectorComputingElement,
-    "event": ComputingElement,
-    "fairshare-event": FairShareComputingElement,
+    "vector": (FairShareVectorComputingElement, None),
+    "fairshare-vector": (FairShareVectorComputingElement, SHARES),
+    "event": (ComputingElement, None),
+    "fairshare-event": (FairShareComputingElement, SHARES),
 }
 CHUNK = 16
 HORIZON = 20_000.0
 
 
 def make_site(engine: str, sim: Simulator, n_cores: int = 4):
-    cls = ENGINES[engine]
-    if cls in (FairShareComputingElement, FairShareVectorComputingElement):
-        return cls("s", n_cores, sim, vo_shares=SHARES)
+    cls, shares = ENGINES[engine]
+    if shares is not None:
+        return cls("s", n_cores, sim, vo_shares=shares)
     return cls("s", n_cores, sim)
 
 
 def make_load(kind: str, site, sim: Simulator):
-    fairshare = hasattr(site, "fairshare")
+    fairshare = multi_vo(site)
     if kind == "background":
         return BackgroundLoad(
             site,

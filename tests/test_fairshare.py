@@ -30,9 +30,8 @@ from repro.gridsim import (
     ProbeExperiment,
     SiteConfig,
     Simulator,
-    VectorComputingElement,
 )
-from repro.gridsim.fairshare import FairShareComputingElement
+from repro.gridsim.fairshare import FairShareComputingElement, multi_vo
 from repro.gridsim.site import ComputingElement
 from oracles import make_grid, vo_queue_lengths
 
@@ -117,18 +116,18 @@ class TestFairShareState:
 
 
 class TestSingleVoDegeneracy:
-    """One VO at share 1.0 must be *exactly* the plain engine."""
+    """One VO at share 1.0 must be *exactly* the plain event FIFO."""
 
     @pytest.mark.parametrize(
         "plain_cls,fs_cls",
         [
             (ComputingElement, FairShareComputingElement),
-            (VectorComputingElement, FairShareVectorComputingElement),
+            (ComputingElement, FairShareVectorComputingElement),
         ],
         ids=["event", "vector"],
     )
     def test_deterministic_site_trace_identical(self, plain_cls, fs_cls):
-        """Hand-fed workload: starts and telemetry match the plain class."""
+        """Hand-fed workload: starts and telemetry match the plain FIFO."""
         rng = np.random.default_rng(99)
         arrivals = np.sort(rng.uniform(0.0, 500.0, size=60))
         runtimes = rng.lognormal(3.0, 1.0, size=60)
@@ -216,21 +215,53 @@ class TestSingleVoDegeneracy:
         np.testing.assert_array_equal(tp.latencies, tv.latencies)
         np.testing.assert_array_equal(tp.status_codes, tv.status_codes)
 
-    def test_single_vo_routes_to_plain_engine_classes(self):
-        cfg = GridConfig(
-            sites=(SiteConfig("a", 4, vo_shares=(("only", 1.0),)),)
-        )
-        g = GridSimulator(cfg, seed=1)
-        assert type(g.sites[0]) is VectorComputingElement
+    def test_every_site_routes_to_the_fair_share_engine(self):
+        for shares in ((), (("only", 1.0),)):
+            cfg = GridConfig(sites=(SiteConfig("a", 4, vo_shares=shares),))
+            site = GridSimulator(cfg, seed=1).sites[0]
+            assert type(site) is FairShareVectorComputingElement
+            assert len(site.fairshare.names) == 1
+            assert not multi_vo(site)
+            # the test-only oracle grid keeps the plain event FIFO
+            assert type(make_grid(cfg, 1, "event").sites[0]) is ComputingElement
         cfg2 = multi_vo_config()
         g2 = GridSimulator(cfg2, seed=1)
-        assert type(g2.sites[0]) is FairShareVectorComputingElement
-        # the test-only oracle grid swaps both site classes
-        assert type(make_grid(cfg, 1, "event").sites[0]) is ComputingElement
+        assert all(type(s) is FairShareVectorComputingElement for s in g2.sites)
+        assert all(multi_vo(s) for s in g2.sites)
         assert (
             type(make_grid(cfg2, 1, "event").sites[0])
             is FairShareComputingElement
         )
+
+
+    @pytest.mark.parametrize("engine", ["event", "vector"])
+    def test_usage_split_published_by_multi_vo_sites_only(self, engine):
+        """The readouts' one rule: a site declaring two or more VOs
+        publishes its usage split; the registry gauge and the population
+        result leave the others out."""
+        from repro.core.strategies import SingleResubmission
+        from repro.population import FleetSpec, PopulationSpec, run_population
+
+        cfg = GridConfig(
+            sites=(
+                SiteConfig("none", 4, runtime_median=600.0),
+                SiteConfig(
+                    "solo", 4, runtime_median=600.0, vo_shares=(("only", 1.0),)
+                ),
+                SiteConfig("pair", 4, runtime_median=600.0, vo_shares=SHARES3[:2]),
+            ),
+        )
+        g = make_grid(cfg, 3, engine)
+        assert [multi_vo(s) for s in g.sites] == [False, False, True]
+        spec = PopulationSpec(
+            fleets=(FleetSpec("biomed", SingleResubmission(t_inf=4000.0), 12),),
+            window=2000.0,
+        )
+        result = run_population(g, spec, seed=3)
+        gauges = [n for n in g.metrics.snapshot() if n.endswith(".usage_shares")]
+        assert gauges == ["site.pair.usage_shares"]
+        assert list(result.site_usage_shares) == ["pair"]
+        assert sum(result.site_usage_shares["pair"].values()) == pytest.approx(1.0)
 
 
 class TestEngineEquivalence:

@@ -10,7 +10,7 @@ float it commits — decayed usage, charge, decision instant, winner — is
 RNG streams align.  This suite drives identical operation scripts
 through both commit paths (hand-built boundary scenarios plus seeded
 random interleavings), runs grid-level probe traces over the full
-engine × WMS matrix, and holds both vector engines to their one wake
+engine × WMS matrix, and holds the vector engine to its one wake
 rule.
 """
 
@@ -36,7 +36,6 @@ from repro.gridsim import (
     ProbeExperiment,
     SiteConfig,
     Simulator,
-    VectorComputingElement,
 )
 from oracles import ScalarFairShareCE, make_grid, use_scalar_commits
 
@@ -751,18 +750,27 @@ _WAKE_HAND_SCRIPT = [
 ]
 
 
+def one_vo_script(script: list) -> list:
+    """``script`` for a one-VO site: every background label becomes VO 0."""
+    return [
+        ("feed", op[1], op[2], [0] * len(op[3])) if op[0] == "feed" else op
+        for op in script
+    ]
+
+
 class TestWakeRule:
-    """The one wake rule of both vector engines, held after every op."""
+    """The one wake rule of the vector engine, held after every op, on a
+    site with one VO (its inline FIFO run) and on one with three."""
 
     @pytest.mark.parametrize("seed", [None, *range(8)])
-    @pytest.mark.parametrize("engine", ["fifo", "fairshare"])
+    @pytest.mark.parametrize("engine", ["one-vo", "fairshare"])
     def test_wake_sits_on_the_memo_while_a_client_waits(self, engine, seed):
         """A wake at ``max(now, _next_due)`` exactly when a live client
         waits behind an open gate, none otherwise; and no client start
         fires after its start instant (the wake is never late)."""
-        if engine == "fifo":
+        if engine == "one-vo":
             sim = Simulator()
-            site = VectorComputingElement("fifo", 2, sim)
+            site = FairShareVectorComputingElement("one-vo", 2, sim)
         else:
             sim, site = make_site(3600.0)
 
@@ -782,6 +790,8 @@ class TestWakeRule:
             assert job.start_time == sim.now
 
         script = _WAKE_HAND_SCRIPT if seed is None else wake_rule_script(seed)
+        if engine == "one-vo":
+            script = one_vo_script(script)
         jobs, _ = apply_script(sim, site, script, after_op, at_start)
         assert any(j.state is JobState.COMPLETED for j in jobs)
 

@@ -16,15 +16,15 @@ import pytest
 from repro.gridsim import (
     BatchedWorkloadManager,
     BrokerConfig,
+    FairShareVectorComputingElement,
     FaultModel,
     GridConfig,
     GridSimulator,
     Job,
     JobState,
     ProbeExperiment,
-    SiteConfig,
     Simulator,
-    VectorComputingElement,
+    SiteConfig,
     WorkloadManager,
     federated_grid_config,
 )
@@ -136,8 +136,8 @@ class TestStaleViews:
     def make_broker(self, info_lag=1000.0, info_refresh=300.0):
         sim = Simulator()
         sites = [
-            VectorComputingElement("own", 2, sim),
-            VectorComputingElement("far", 2, sim),
+            FairShareVectorComputingElement("own", 2, sim),
+            FairShareVectorComputingElement("far", 2, sim),
         ]
         broker = WorkloadManager(
             sim,

@@ -18,13 +18,13 @@ from repro.core.strategies import (
 from repro.gridsim import (
     BatchedWorkloadManager,
     BrokerConfig,
+    FairShareVectorComputingElement,
     FaultModel,
     GridConfig,
     GridSimulator,
     ProbeExperiment,
     RetryPolicy,
     SiteConfig,
-    VectorComputingElement,
     default_grid_config,
     run_chaos,
     run_strategy_on_grid,
@@ -121,7 +121,7 @@ class TestGridSimulator:
         assert cfg.wms_engine == "batched"
         g = GridSimulator(cfg, seed=1)
         assert type(g.wms) is BatchedWorkloadManager
-        assert all(type(s) is VectorComputingElement for s in g.sites)
+        assert all(type(s) is FairShareVectorComputingElement for s in g.sites)
         # import-time budgets too; a fresh interpreter, because reloading
         # the grid module in-process would fork its class identities
         src = str(Path(repro.__file__).resolve().parents[1])

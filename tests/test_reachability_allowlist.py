@@ -1,8 +1,9 @@
 """The reachability gate's allow-list cannot go stale unnoticed.
 
 ``benchmarks/reachability.py`` profiles every entry point (~100 s) and
-fails on unreached code missing from its allow-list and on entries that
-name reached or missing code.  This checks the list itself in a fraction
+fails on unreached code missing from its allow-list, on entries that
+name reached or missing code, and on files under ``src/`` edited while
+it ran.  This checks the list itself in a fraction
 of a second: every entry resolves by AST to a ``def`` or class under
 ``src/repro``, gives a reason of a known kind, and a ``path`` reason
 names a test that exists.
@@ -100,3 +101,17 @@ def test_class_prefix_goes_stale_once_any_method_is_reached():
     assert (file, prefix) not in gate.check_allowed(unreached, {})[1]
     reached = {file: [prefix + "cancel"]}
     assert (file, prefix) in gate.check_allowed(unreached, reached)[1]
+
+
+def test_files_edited_during_the_run_are_named(tmp_path):
+    (tmp_path / "a.py").write_text("def f():\n    pass\n")
+    (tmp_path / "b.py").write_text("x = 1\n")
+    tree = gate.read_tree(tmp_path)
+    assert [rec[0] for rec in gate.defs_in(tree[tmp_path / "a.py"][1])] == ["f"]
+    assert gate.changed_since(tree, tmp_path) == []
+    (tmp_path / "a.py").write_text("\ndef f():\n    pass\n")
+    (tmp_path / "b.py").unlink()
+    (tmp_path / "c.py").write_text("")
+    assert gate.changed_since(tree, tmp_path) == [
+        tmp_path / name for name in ("a.py", "b.py", "c.py")
+    ]

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from repro.gridsim import (
+    FairShareVectorComputingElement,
     Simulator,
     TraceReplayLoad,
-    VectorComputingElement,
     replay_arrays_from_trace,
 )
-from repro.gridsim.fairshare import FairShareVectorComputingElement
 from repro.gridsim.site import ComputingElement
 from repro.traces.gwf import read_gwf_workload, write_gwf
 from repro.traces.swf import read_swf_workload
@@ -95,7 +94,7 @@ class TestReplayRoundTrip:
     def test_starts_match_lindley_reference(self):
         arrivals, runtimes = read_swf_workload(TOY)
         sim = Simulator()
-        site = VectorComputingElement("replay", 2, sim)
+        site = FairShareVectorComputingElement("replay", 2, sim)
         load = TraceReplayLoad(site, sim, arrivals, runtimes, chunk_size=4)
         load.start()
         sim.run_until(10_000.0)
@@ -114,7 +113,7 @@ class TestReplayRoundTrip:
     def test_engine_equivalence(self, n_cores):
         arrivals, runtimes = read_swf_workload(TOY)
         fingerprints = []
-        for cls in (VectorComputingElement, ComputingElement):
+        for cls in (FairShareVectorComputingElement, ComputingElement):
             sim = Simulator()
             site = cls("replay", n_cores, sim)
             load = TraceReplayLoad(site, sim, arrivals, runtimes, chunk_size=3)
@@ -143,7 +142,7 @@ class TestReplayRoundTrip:
 
     def test_scaling_and_offset(self):
         sim = Simulator()
-        site = VectorComputingElement("s", 1, sim)
+        site = FairShareVectorComputingElement("s", 1, sim)
         load = TraceReplayLoad(
             site,
             sim,
@@ -161,7 +160,7 @@ class TestReplayRoundTrip:
 
     def test_validation(self):
         sim = Simulator()
-        site = VectorComputingElement("s", 1, sim)
+        site = FairShareVectorComputingElement("s", 1, sim)
         with pytest.raises(ValueError, match="at least one arrival"):
             TraceReplayLoad(site, sim, [], [])
         with pytest.raises(ValueError, match="sorted"):

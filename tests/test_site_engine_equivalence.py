@@ -1,7 +1,9 @@
-"""The vectorised site engine against the event-driven oracle.
+"""The vector site engine against the event-driven oracle.
 
-The contract of :class:`~repro.gridsim.site.VectorComputingElement`: the
-background lane realises the *same queueing process* as the event kernel
+The contract of the one production engine,
+:class:`~repro.gridsim.fairshare.FairShareVectorComputingElement`, on
+sites that declare no VOs (it runs them with one): the background lane
+realises the *same queueing process* as the event kernel
 — identical (arrival, runtime) sequences, FIFO service over the same
 core pool — and client-visible traces are **bit-identical** wherever no
 tie-order or kill-draw-order ambiguity is interposed.  This suite runs a
@@ -13,9 +15,12 @@ fork behaviour, plus deterministic unit tests of the wake machinery.
 
 from __future__ import annotations
 
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import (
     DelayedResubmission,
@@ -23,17 +28,18 @@ from repro.core.strategies import (
     SingleResubmission,
 )
 from repro.gridsim import (
+    FairShareVectorComputingElement,
     FaultModel,
     GridConfig,
     GridSimulator,
     Job,
     JobState,
     ProbeExperiment,
-    SiteConfig,
     Simulator,
-    VectorComputingElement,
+    SiteConfig,
     run_strategy_on_grid,
 )
+from repro.gridsim.site import ComputingElement
 from oracles import OutageProcess, engine_pair
 
 
@@ -210,7 +216,7 @@ class TestOutageEquivalence:
     def test_outage_stalls_and_recovery_drains_vector_site(self):
         """Direct port of the oracle's outage unit tests to the vector lane."""
         sim = Simulator()
-        site = VectorComputingElement("ce", n_cores=4, sim=sim)
+        site = FairShareVectorComputingElement("ce", n_cores=4, sim=sim)
         rng = np.random.default_rng(0)
         proc = OutageProcess(
             site, sim, rng, mean_uptime=100.0, mean_downtime=4000.0, kill_running=0.0
@@ -229,7 +235,7 @@ class TestOutageEquivalence:
 
     def test_kill_running_on_vector_site(self):
         sim = Simulator()
-        site = VectorComputingElement("ce", n_cores=4, sim=sim)
+        site = FairShareVectorComputingElement("ce", n_cores=4, sim=sim)
         jobs = [Job(runtime=1e8) for _ in range(4)]
         for j in jobs:
             site.enqueue(j)
@@ -290,7 +296,7 @@ class TestVectorSiteKernel:
     def make(self, n_cores=1):
         sim = Simulator()
         started: list[tuple[float, Job]] = []
-        site = VectorComputingElement(
+        site = FairShareVectorComputingElement(
             "v", n_cores, sim, on_start=lambda j: started.append((sim.now, j))
         )
         return sim, site, started
@@ -400,4 +406,119 @@ class TestVectorSiteKernel:
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            VectorComputingElement("v", n_cores=0, sim=sim)
+            FairShareVectorComputingElement("v", n_cores=0, sim=sim)
+
+
+#: every exit of the one-VO run, one op each: a client arriving inside a
+#: fed chunk (the run stops at the client head), a cancel of a running
+#: client (its core frees mid-run), an outage (the run restarts at the
+#: dispatch floor), a black hole, and a refill fed once the lane has run
+#: dry (the run stops at the lane's end)
+ONE_VO_EXITS = ("client", "cancel", "outage", "hole", "feed")
+
+
+@st.composite
+def one_vo_scripts(draw):
+    """Op kinds covering every exit of the one-VO run, plus extras, in a
+    drawn order; the instants and runtimes come from a drawn seed, so
+    they are continuous and no two of them tie."""
+    extra = draw(st.lists(st.sampled_from(ONE_VO_EXITS + ("read",)), max_size=10))
+    kinds = draw(st.permutations([*ONE_VO_EXITS, "client", *extra]))
+    return kinds, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))
+
+
+def replay_one_vo(site, sim: Simulator, kinds, seed: int) -> list:
+    """Replay a drawn script on ``site``; the observations, op by op.
+
+    Each observation is the site telemetry after the op, and the run
+    ends with every client's state and start/end instants.  A cancel
+    hits the first running client (else the newest queued one), a
+    choice both engines make alike while their states agree.
+    """
+    rng = np.random.default_rng(seed)
+    starts: list[tuple[float, int]] = []
+    clients: list[Job] = []
+    site.on_start = lambda job: starts.append((sim.now, clients.index(job)))
+    t = 0.0
+    chunk: list[float] = []
+
+    def feed(at: float) -> None:
+        nonlocal chunk
+        sim.run_until(at)
+        k = int(rng.integers(3, 9))
+        chunk = np.sort(at + rng.uniform(0.5, 80.0, k)).tolist()
+        site.feed_background(chunk, rng.uniform(5.0, 60.0, k).tolist())
+
+    def observe() -> tuple:
+        return (
+            sim.now,
+            site.queue_length,
+            site.busy_cores,
+            site.jobs_started,
+            site.jobs_completed,
+            site.jobs_killed,
+            site.jobs_failed_bh,
+            tuple(starts),
+        )
+
+    feed(0.0)
+    out = [observe()]
+    for kind in kinds:
+        if kind == "feed":
+            # a refill lands once the previous chunk has all arrived
+            t = max(t, chunk[-1])
+            feed(t)
+        elif kind == "client":
+            # inside the pending chunk when one remains, so the client
+            # arrives between background arrivals of one run
+            t = float(rng.uniform(t, max(t, chunk[-1]))) if chunk else t
+            job = Job(runtime=float(rng.uniform(5.0, 60.0)))
+            clients.append(job)
+            sim.schedule_at(t, partial(site.enqueue, job))
+            sim.run_until(t)
+        elif kind == "cancel":
+            t += float(rng.uniform(0.0, 30.0))
+            sim.run_until(t)
+            running = [j for j in clients if j.state is JobState.RUNNING]
+            queued = [j for j in clients if j.state is JobState.QUEUED]
+            if running or queued:
+                site.cancel(running[0] if running else queued[-1])
+        elif kind in ("outage", "hole"):
+            t += float(rng.uniform(0.0, 30.0))
+            sim.run_until(t)
+            if kind == "outage":
+                site.begin_outage(np.random.default_rng(0), 0.0)
+            else:
+                site.begin_black_hole()
+            t += float(rng.uniform(1.0, 90.0))
+            sim.run_until(t)
+            if kind == "outage":
+                site.end_outage()
+            else:
+                site.end_black_hole()
+        else:  # a telemetry read
+            t += float(rng.uniform(0.0, 30.0))
+            sim.run_until(t)
+        out.append(observe())
+    sim.run_until(t + 5000.0)
+    out.append(observe())
+    out.append([(j.state, j.start_time, j.end_time) for j in clients])
+    return out
+
+
+class TestOneVoRunFuzz:
+    """The vector engine's one-VO lane against the plain event FIFO."""
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(script=one_vo_scripts())
+    def test_one_vo_site_equals_event_fifo(self, script):
+        kinds, seed, n_cores = script
+        outs = []
+        for cls in (FairShareVectorComputingElement, ComputingElement):
+            sim = Simulator()
+            outs.append(replay_one_vo(cls("s", n_cores, sim), sim, kinds, seed))
+        assert outs[0] == outs[1]

@@ -22,6 +22,7 @@ from repro.core.strategies import SingleResubmission
 from repro.gridsim import (
     BlackHoleConfig,
     BrokerConfig,
+    FairShareVectorComputingElement,
     FaultModel,
     GridConfig,
     GridSimulator,
@@ -32,11 +33,10 @@ from repro.gridsim import (
     ProbeExperiment,
     ResubmissionAgent,
     ResubmitConfig,
-    SiteConfig,
     Simulator,
+    SiteConfig,
     StormConfig,
     StormProcess,
-    VectorComputingElement,
     WeatherConfig,
     run_strategy_on_grid,
 )
@@ -236,7 +236,7 @@ class TestBlackHoleSites:
     """Deterministic hole semantics, unit level and across engines."""
 
     @pytest.mark.parametrize(
-        "site_cls", [ComputingElement, VectorComputingElement]
+        "site_cls", [ComputingElement, FairShareVectorComputingElement]
     )
     def test_arrivals_fail_instantly_while_open(self, site_cls):
         sim = Simulator()
@@ -252,7 +252,7 @@ class TestBlackHoleSites:
         assert site.estimated_wait(600.0) == 0.0  # the attractor
 
     @pytest.mark.parametrize(
-        "site_cls", [ComputingElement, VectorComputingElement]
+        "site_cls", [ComputingElement, FairShareVectorComputingElement]
     )
     def test_flip_fails_queued_and_kills_running(self, site_cls):
         sim = Simulator()
