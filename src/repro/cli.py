@@ -356,13 +356,33 @@ def _parse_vo_shares(raw: str) -> tuple[tuple[str, float], ...]:
     return tuple(pairs)
 
 
+def _write_fleets(out, result, title: str) -> None:
+    """Write a population run's per-fleet latency table."""
+    from repro.util.tables import Table, format_float, format_seconds
+
+    table = Table(
+        title=title,
+        columns=["fleet", "tasks", "mean J", "median J", "jobs/task", "gave up"],
+    )
+    for f in result.fleets:
+        table.add_row(
+            f.spec.label,
+            f.spec.n_tasks,
+            format_seconds(f.mean_j),
+            format_seconds(f.median_j),
+            format_float(f.mean_jobs, 2),
+            f.gave_up,
+        )
+    out.write(table.render() + "\n")
+
+
 def _cmd_federation(args, out) -> int:
     """Build a federated multi-VO grid and run one adoption population."""
     from repro.core.strategies import MultipleSubmission, SingleResubmission
     from repro.gridsim import federated_grid_config, warmed_snapshot
     from repro.population import adoption_population, run_population
     from repro.traces.generator import DiurnalProfile
-    from repro.util.tables import Table, format_float, format_percent, format_seconds
+    from repro.util.tables import Table, format_percent
 
     try:
         vo_shares = _parse_vo_shares(args.vos)
@@ -409,24 +429,13 @@ def _cmd_federation(args, out) -> int:
         out.write(f"error: {exc}\n")
         return 2
 
-    table = Table(
-        title=(
-            f"population of {spec.total_tasks} tasks on {args.sites} sites / "
-            f"{args.brokers} brokers ({format_percent(args.adoption, 0)} of "
-            f"{vo_shares[0][0]} bursting b={args.b})"
-        ),
-        columns=["fleet", "tasks", "mean J", "median J", "jobs/task", "gave up"],
+    _write_fleets(
+        out,
+        result,
+        f"population of {spec.total_tasks} tasks on {args.sites} sites / "
+        f"{args.brokers} brokers ({format_percent(args.adoption, 0)} of "
+        f"{vo_shares[0][0]} bursting b={args.b})",
     )
-    for f in result.fleets:
-        table.add_row(
-            f.spec.label,
-            f.spec.n_tasks,
-            format_seconds(f.mean_j),
-            format_seconds(f.median_j),
-            format_float(f.mean_jobs, 2),
-            f.gave_up,
-        )
-    out.write(table.render() + "\n")
     out.write(
         f"\nbroker dispatches: "
         + ", ".join(
@@ -462,7 +471,6 @@ def _cmd_population(args, out) -> int:
         fleet_sites_for,
     )
     from repro.util.memory import memory_summary, rss_bytes
-    from repro.util.tables import Table, format_float, format_seconds
 
     if args.scale < 0:
         out.write(f"error: --scale must be >= 0, got {args.scale}\n")
@@ -481,23 +489,12 @@ def _cmd_population(args, out) -> int:
         out.write(f"error: {exc}\n")
         return 2
 
-    table = Table(
-        title=(
-            f"population day: {spec.total_tasks} tasks on {n_sites} "
-            f"sites x {args.cores} cores"
-        ),
-        columns=["fleet", "tasks", "mean J", "median J", "jobs/task", "gave up"],
+    _write_fleets(
+        out,
+        result,
+        f"population day: {spec.total_tasks} tasks on {n_sites} "
+        f"sites x {args.cores} cores",
     )
-    for f in result.fleets:
-        table.add_row(
-            f.spec.label,
-            f.spec.n_tasks,
-            format_seconds(f.mean_j),
-            format_seconds(f.median_j),
-            format_float(f.mean_jobs, 2),
-            f.gave_up,
-        )
-    out.write(table.render() + "\n")
     rate = spec.total_tasks / wall if wall > 0 else 0.0
     # every timing stays on a line that says "wall": determinism checks
     # diff the output with those lines filtered out
@@ -526,7 +523,7 @@ def _cmd_weather(args, out) -> int:
         MultipleSubmission,
         SingleResubmission,
     )
-    from repro.experiments.grid_weather import _regimes, weather_grid_config
+    from repro.experiments.grid_weather import weather_grid_config, weather_regimes
     from repro.gridsim import ResubmitConfig, run_strategy_on_grid, warmed_snapshot
     from repro.util.tables import Table, format_float, format_seconds
 
@@ -540,7 +537,7 @@ def _cmd_weather(args, out) -> int:
             ),
         }[args.strategy]()
         weather = dict(
-            (name.replace(" ", "-"), w) for name, w in _regimes(warm)
+            (name.replace(" ", "-"), w) for name, w in weather_regimes(warm)
         )[args.regime]
         config = replace(
             weather_grid_config(),

@@ -104,6 +104,17 @@ def _search_indices(
     return np.arange(lo, hi + 1)
 
 
+def _optimize_timeout(model, t_min, t_max, sweep, moments) -> SingleOptimum:
+    """Argmin of ``sweep(model)`` over the search window, with its moments."""
+    idx = _search_indices(model, t_min, t_max)
+    e = sweep(model)[idx]
+    if not np.isfinite(e).any():
+        raise ValueError("E_J is infinite over the whole search window")
+    t_inf = model.grid.time_of(idx[int(np.argmin(e))])
+    mom = moments(model, t_inf=t_inf)
+    return SingleOptimum(t_inf=t_inf, e_j=mom.expectation, sigma_j=mom.std)
+
+
 def optimize_single(
     model: GriddedLatencyModel,
     *,
@@ -119,14 +130,9 @@ def optimize_single(
     t_min, t_max:
         Optional search window for ``t∞`` (defaults: whole grid).
     """
-    idx = _search_indices(model, t_min, t_max)
-    e = single_expectation_sweep(model)[idx]
-    if not np.isfinite(e).any():
-        raise ValueError("E_J is infinite over the whole search window")
-    best = idx[int(np.argmin(e))]
-    t_inf = model.grid.time_of(best)
-    mom = single_moments(model, t_inf)
-    return SingleOptimum(t_inf=t_inf, e_j=mom.expectation, sigma_j=mom.std)
+    return _optimize_timeout(
+        model, t_min, t_max, single_expectation_sweep, single_moments
+    )
 
 
 def optimize_multiple(
@@ -137,14 +143,8 @@ def optimize_multiple(
     t_max: float | None = None,
 ) -> SingleOptimum:
     """Minimise Eq. (3) over the timeout for burst size ``b`` (paper §5)."""
-    idx = _search_indices(model, t_min, t_max)
-    e = multiple_expectation_sweep(model, b)[idx]
-    if not np.isfinite(e).any():
-        raise ValueError("E_J is infinite over the whole search window")
-    best = idx[int(np.argmin(e))]
-    t_inf = model.grid.time_of(best)
-    mom = multiple_moments(model, b, t_inf)
-    return SingleOptimum(t_inf=t_inf, e_j=mom.expectation, sigma_j=mom.std)
+    sweep = partial(multiple_expectation_sweep, b=b)
+    return _optimize_timeout(model, t_min, t_max, sweep, partial(multiple_moments, b=b))
 
 
 def _delayed_t0_candidates(

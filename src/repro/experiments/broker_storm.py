@@ -9,7 +9,9 @@ a middleware storm regime — every storm downs a broker (black-hole
 mode) *together with* a site subset, on top of a flaky submission path
 — at the single / multiple / delayed frontier, and crosses it with the
 client-side answer: a retry policy with capped jittered backoff and
-per-broker circuit breakers failing over across the federation.
+per-broker circuit breakers failing over across the federation.  This
+module holds the federation, storm, retry policy and telemetry;
+:func:`~repro.experiments.frontier.cross_frontier` runs the cells.
 
 The headline question mirrors :mod:`repro.experiments.grid_weather`,
 one layer down the stack: does *client-side* resilience change which
@@ -21,27 +23,16 @@ the burst's job bill may stop paying for itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
 from repro.experiments.base import ExperimentResult
+from repro.experiments.frontier import Campaign, cross_frontier, frontier_grid_config
 from repro.gridsim import (
     BrokerConfig,
-    FaultModel,
     GridConfig,
     RetryPolicy,
-    SiteConfig,
     StormConfig,
     SubmitFaultConfig,
     WeatherConfig,
-    run_strategy_on_grid,
-    warmed_snapshot,
 )
-from repro.util.tables import Table, format_float, format_seconds
 
 __all__ = ["run", "broker_storm_grid_config"]
 
@@ -50,33 +41,17 @@ TITLE = "Extension: submission strategies under middleware storms and failover"
 
 
 def broker_storm_grid_config() -> GridConfig:
-    """A 6-site, 140-core grid federated across two brokers.
+    """The frontier fabric federated across two brokers.
 
-    Same site fabric as the grid-weather experiment, split between two
-    brokers so failover has somewhere to go; zero ranking noise for the
-    same worst-case reasons.  Weather and resilience are layered on by
-    the regime loop, not baked in here.
+    The grid-weather experiment's sites, split between two brokers so
+    failover has somewhere to go.  Weather and resilience are layered on
+    by the regimes and the remedy, not baked in here.
     """
-    cores = (8, 12, 16, 24, 32, 48)
-    sites = tuple(
-        SiteConfig(
-            f"ce{i}",
-            c,
-            utilization=0.80,
-            runtime_median=3600.0,
-            runtime_sigma=0.8,
-        )
-        for i, c in enumerate(cores)
-    )
-    return GridConfig(
-        sites=sites,
-        matchmaking_median=45.0,
-        ranking_noise=0.0,
-        faults=FaultModel(p_lost=0.03, p_stuck=0.03),
+    return frontier_grid_config(
         brokers=(
             BrokerConfig(name="wms-a", sites=("ce0", "ce1", "ce2")),
             BrokerConfig(name="wms-b", sites=("ce3", "ce4", "ce5")),
-        ),
+        )
     )
 
 
@@ -110,155 +85,61 @@ _RETRY = RetryPolicy(
 )
 
 
-def run(
-    ctx=None,
-    *,
-    seed: int = 47,
-    n_tasks: int = 400,
-    runtime: float = 600.0,
-    task_interval: float = 20.0,
-    job_cost: float = 60.0,
-    warm: float = 6 * 3600.0,
-) -> ExperimentResult:
+def _telemetry(report: dict) -> dict:
+    brokers = report.get("brokers", {}).values()
+    dups = report.get("duplicates", {})
+
+    def total(key: str) -> int:
+        return sum(b.get(key, 0) for b in brokers)
+
+    return {
+        "broker outages": total("outages"),
+        "submits": total("submits"),
+        "rejects": total("rejects"),
+        "failovers": total("failovers"),
+        "breaker trips": total("breaker_trips"),
+        "dups (reconciled)": f"{dups.get('created', 0)} ({dups.get('reconciled', 0)})",
+    }
+
+
+def run(ctx=None, *, seed: int = 47, **knobs) -> ExperimentResult:
     """Cross the strategy frontier with middleware storms and failover.
 
-    2×2 cells — (calm, broker-storm) × (retry off, retry on) — each
-    restoring its config's warmed snapshot so strategies within a cell
-    face bit-identical grids.  Note the calm×retry cell is *not* a
-    no-op on this federated grid: resilient clients take one attempt
-    per copy, so bursts spread round-robin across the brokers instead
-    of pinning to one (the exact zero-fault parity law holds on
-    single-broker grids — see ``tests/test_chaos.py``).
+    2×2 cells, (calm, broker storm) × (retry off, on); ``knobs`` are
+    :class:`~repro.experiments.frontier.Campaign`'s other fields.  The
+    calm×retry cell is *not* a no-op on this federated grid: resilient
+    clients take one attempt per copy, so bursts spread round-robin
+    across the brokers instead of pinning to one (the exact zero-fault
+    parity law holds on single-broker grids — see ``tests/test_chaos.py``).
     """
-    if n_tasks < 10:
-        raise ValueError(f"n_tasks must be >= 10, got {n_tasks}")
-    if not job_cost >= 0.0:
-        raise ValueError(f"job_cost must be >= 0, got {job_cost!r}")
-    base = broker_storm_grid_config()
-    strategies = (
-        ("single", SingleResubmission(t_inf=4000.0)),
-        ("multiple b=3", MultipleSubmission(b=3, t_inf=4000.0)),
-        ("delayed", DelayedResubmission(t0=1500.0, t_inf=3000.0)),
-    )
-
-    frontier = Table(
-        title=TITLE,
-        columns=[
-            "regime",
-            "resilience",
-            *(f"{name} J (jobs)" for name, _ in strategies),
-            "best U",
-        ],
-    )
-    telemetry = Table(
-        title="Middleware telemetry (single-submission campaign)",
-        columns=[
-            "regime",
-            "resilience",
-            "broker outages",
-            "submits",
-            "rejects",
-            "failovers",
-            "breaker trips",
-            "dups (reconciled)",
-        ],
-    )
-    regimes = (
-        ("calm", None, None),
-        ("broker storm", _STORM_WEATHER, _STORM_FAULTS),
-    )
-    best_by: dict[tuple[str, bool], str] = {}
-    for regime, weather, submit_faults in regimes:
-        for resilient in (False, True):
-            config = replace(
-                base,
-                weather=weather,
-                submit_faults=submit_faults,
-                retry=_RETRY if resilient else None,
-            )
-            snap = warmed_snapshot(config, seed=seed, duration=warm)
-            utility: dict[str, float] = {}
-            cells: list[str] = []
-            for name, strategy in strategies:
-                grid = snap.restore()
-                out = run_strategy_on_grid(
-                    grid,
-                    strategy,
-                    n_tasks,
-                    task_interval=task_interval,
-                    runtime=runtime,
-                )
-                mean_j = out.mean_j if out.j.size else float("inf")
-                utility[name] = mean_j + job_cost * out.mean_jobs
-                cells.append(
-                    f"{format_seconds(mean_j)} ({format_float(out.mean_jobs, 2)})"
-                )
-                if name == "single":
-                    report = grid.weather_report()
-            best = min(utility, key=utility.get)
-            best_by[(regime, resilient)] = best
-            frontier.add_row(
-                regime,
-                "retry+failover" if resilient else "off",
-                *cells,
-                f"{best} ({utility[best]:.0f}s)",
-            )
-            brokers = report.get("brokers", {})
-            dups = report.get("duplicates", {})
-            telemetry.add_row(
-                regime,
-                "retry+failover" if resilient else "off",
-                sum(b.get("outages", 0) for b in brokers.values()),
-                sum(b.get("submits", 0) for b in brokers.values()),
-                sum(b.get("rejects", 0) for b in brokers.values()),
-                sum(b.get("failovers", 0) for b in brokers.values()),
-                sum(b.get("breaker_trips", 0) for b in brokers.values()),
-                f"{dups.get('created', 0)} ({dups.get('reconciled', 0)})",
-            )
-
-    flips = [
-        regime
-        for regime, _, _ in regimes
-        if best_by[(regime, False)] != best_by[(regime, True)]
-    ]
-    notes = [
-        f"{n_tasks} tasks per cell, payload {runtime:.0f}s, launches every "
-        f"{task_interval:.0f}s; every cell forks its config's "
-        f"{warm / 3600.0:.0f}h-warmed snapshot, so strategies within a cell "
-        "face bit-identical grids",
-        f"U = E(J) + c*E(jobs/task) with c = {job_cost:.0f}s per-job "
-        "handling charge, as in the grid-weather frontier",
-        "broker-storm regime: storms every ~3h down 2 sites plus one "
-        "broker together (black-hole mode: submissions vanish until the "
-        "client's submit timeout) for ~30min, and 15% of submit attempts "
-        "error client-side with half of those silently landing — "
-        "duplicates on retry, reconciled by sibling-cancel",
-        "resilience: <=4 attempts per copy, 30-600s jittered backoff, "
-        "120s submit timeout, per-broker breakers (trip after 2 "
-        "failures, 15min reset) failing over to the surviving broker",
-        "calm/retry differs from calm/off by design: resilient clients "
-        "attempt each copy separately, so bursts spread round-robin "
-        "across both brokers instead of pinning to one — already a "
-        "frontier shift before any fault fires",
-    ]
-    if flips:
-        notes.append(
-            "client-side resilience changes the optimal user-side "
-            "strategy under: "
-            + "; ".join(
-                f"{regime} ({best_by[(regime, False)]} -> "
-                f"{best_by[(regime, True)]})"
-                for regime in flips
-            )
-        )
-    else:
-        notes.append(
-            "no regime flipped its optimal strategy under client-side "
-            "resilience at these settings"
-        )
-    return ExperimentResult(
+    storm = {"weather": _STORM_WEATHER, "submit_faults": _STORM_FAULTS}
+    campaign = Campaign(seed, **knobs)
+    return cross_frontier(
+        campaign,
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
-        tables=[frontier, telemetry],
-        notes=notes,
+        base=broker_storm_grid_config(),
+        regimes=(("calm", {}), ("broker storm", storm)),
+        remedy="client-side resilience",
+        remedy_column="resilience",
+        remedy_on="retry+failover",
+        remedy_fields={"retry": _RETRY},
+        telemetry_title="Middleware",
+        telemetry=_telemetry,
+        notes=(
+            f"U = E(J) + c*E(jobs/task) with c = {campaign.job_cost:.0f}s per-job "
+            "handling charge, as in the grid-weather frontier",
+            "broker-storm regime: storms every ~3h down 2 sites plus one broker "
+            "together (black-hole mode: submissions vanish until the client's "
+            "submit timeout) for ~30min, and 15% of submit attempts error "
+            "client-side with half of those silently landing — duplicates on "
+            "retry, reconciled by sibling-cancel",
+            "resilience: <=4 attempts per copy, 30-600s jittered backoff, 120s "
+            "submit timeout, per-broker breakers (trip after 2 failures, 15min "
+            "reset) failing over to the surviving broker",
+            "calm/retry differs from calm/off by design: resilient clients "
+            "attempt each copy separately, so bursts spread round-robin across "
+            "both brokers instead of pinning to one — already a frontier shift "
+            "before any fault fires",
+        ),
     )

@@ -8,7 +8,9 @@ failing everything match-making feeds them.  This experiment re-runs
 the single / multiple / delayed frontier under three weather regimes
 (calm, storms, one black hole) and crosses each with the middleware's
 answer — a service-side resubmission agent that detects
-failed-and-missing work and resubmits it under a retry budget.
+failed-and-missing work and resubmits it under a retry budget.  This
+module holds the grid, regimes, agent and telemetry;
+:func:`~repro.experiments.frontier.cross_frontier` runs the cells.
 
 Strategies are compared on the paper's two axes at once: realised
 latency ``E(J)`` *and* submission cost (grid jobs per task — the
@@ -25,29 +27,18 @@ itself, and the optimum flips.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
 from repro.experiments.base import ExperimentResult
+from repro.experiments.frontier import Campaign, cross_frontier, frontier_grid_config
 from repro.gridsim import (
     BlackHoleConfig,
-    FaultModel,
     GridConfig,
     HealthConfig,
     ResubmitConfig,
-    SiteConfig,
     StormConfig,
     WeatherConfig,
-    run_strategy_on_grid,
-    warmed_snapshot,
 )
-from repro.util.tables import Table, format_float, format_seconds
 
-__all__ = ["run", "weather_grid_config"]
+__all__ = ["run", "weather_grid_config", "weather_regimes"]
 
 EXPERIMENT_ID = "grid-weather"
 TITLE = "Extension: submission strategies under grid weather and self-healing"
@@ -57,41 +48,18 @@ BLACK_HOLE_SITE = "ce2"
 
 
 def weather_grid_config() -> GridConfig:
-    """A 6-site, 140-core grid with the health machine always on.
+    """The frontier fabric with the health machine always on.
 
-    Two deliberate deviations from the default grid.  Ranking noise is
-    zero: the information system ranks deterministically on its
-    estimates, the worst case for black-hole attraction (every dispatch
-    bucket herds into the hole's perfect-looking queue) and the regime
-    where burst copies co-locate instead of scattering — their latency
-    hedge must then come from surviving *faults*, not from sampling
-    several queues.  And the health service is part of the *grid*, not
-    the regime: every regime gets the same operator loop (EWMA bans,
-    probe re-admission, health-aware ranking), so regimes differ only in
-    the weather thrown at it.  On the calm grid the loop observes only
-    successes and never transitions — behaviourally inert.
+    The health service is part of the *grid*, not the regime: every
+    regime gets the same operator loop (EWMA bans, probe re-admission,
+    health-aware ranking), so regimes differ only in the weather thrown
+    at it.  On the calm grid the loop observes only successes and never
+    transitions — behaviourally inert.
     """
-    cores = (8, 12, 16, 24, 32, 48)
-    sites = tuple(
-        SiteConfig(
-            f"ce{i}",
-            c,
-            utilization=0.80,
-            runtime_median=3600.0,
-            runtime_sigma=0.8,
-        )
-        for i, c in enumerate(cores)
-    )
-    return GridConfig(
-        sites=sites,
-        matchmaking_median=45.0,
-        ranking_noise=0.0,
-        faults=FaultModel(p_lost=0.03, p_stuck=0.03),
-        health=HealthConfig(),
-    )
+    return frontier_grid_config(health=HealthConfig())
 
 
-def _regimes(warm: float) -> tuple[tuple[str, WeatherConfig | None], ...]:
+def weather_regimes(warm: float) -> tuple[tuple[str, WeatherConfig | None], ...]:
     """The three weather regimes, timed relative to the warm-up end."""
     storms = WeatherConfig(
         storm=StormConfig(
@@ -113,146 +81,49 @@ def _regimes(warm: float) -> tuple[tuple[str, WeatherConfig | None], ...]:
     return (("calm", None), ("storms", storms), ("black hole", black_hole))
 
 
-def run(
-    ctx=None,
-    *,
-    seed: int = 43,
-    n_tasks: int = 400,
-    runtime: float = 600.0,
-    task_interval: float = 20.0,
-    job_cost: float = 60.0,
-    warm: float = 6 * 3600.0,
-) -> ExperimentResult:
+def _telemetry(report: dict) -> dict:
+    transitions = report.get("health", {}).get("transitions", {})
+    return {
+        "outages": report["outages_started"],
+        "jobs killed": sum(report["jobs_killed"].values()),
+        "black-hole failures": sum(report["black_hole_failures"].values()),
+        "bans": sum(n for k, n in transitions.items() if k.endswith("->banned")),
+        "agent resubmits": report.get("resubmit", {}).get("resubmissions", 0),
+    }
+
+
+def run(ctx=None, *, seed: int = 43, **knobs) -> ExperimentResult:
     """Cross the strategy frontier with weather regimes and the agent.
 
-    Every cell restores the same warmed snapshot for its ``(regime,
-    agent)`` grid config (six warm-ups total, each paid once via the
-    keyed cache) and executes one strategy campaign of ``n_tasks``
-    staggered tasks, so strategies within a cell face bit-identical
-    grids and cells differ only in weather/self-healing.  ``job_cost``
-    is the per-submission handling charge ``c`` of the utility
-    ``U = E(J) + c·E(jobs/task)`` strategies are ranked by.
+    Six cells, (calm, storms, black hole) × (agent off, on); ``knobs``
+    are :class:`~repro.experiments.frontier.Campaign`'s other fields.
     """
-    if n_tasks < 10:
-        raise ValueError(f"n_tasks must be >= 10, got {n_tasks}")
-    if not job_cost >= 0.0:
-        raise ValueError(f"job_cost must be >= 0, got {job_cost!r}")
-    base = weather_grid_config()
     agent = ResubmitConfig(period=300.0, max_retries=3, backoff_base=60.0)
-    strategies = (
-        ("single", SingleResubmission(t_inf=4000.0)),
-        ("multiple b=3", MultipleSubmission(b=3, t_inf=4000.0)),
-        ("delayed", DelayedResubmission(t0=1500.0, t_inf=3000.0)),
-    )
-
-    frontier = Table(
-        title=TITLE,
-        columns=[
-            "regime",
-            "self-healing",
-            *(f"{name} J (jobs)" for name, _ in strategies),
-            "best U",
-        ],
-    )
-    telemetry = Table(
-        title="Weather and operator telemetry (single-submission campaign)",
-        columns=[
-            "regime",
-            "self-healing",
-            "outages",
-            "jobs killed",
-            "black-hole failures",
-            "bans",
-            "agent resubmits",
-        ],
-    )
-    best_by: dict[tuple[str, bool], str] = {}
-    for regime, weather in _regimes(warm):
-        for healing in (False, True):
-            config = replace(
-                base, weather=weather, resubmit=agent if healing else None
-            )
-            snap = warmed_snapshot(config, seed=seed, duration=warm)
-            utility: dict[str, float] = {}
-            cells: list[str] = []
-            for name, strategy in strategies:
-                grid = snap.restore()
-                out = run_strategy_on_grid(
-                    grid,
-                    strategy,
-                    n_tasks,
-                    task_interval=task_interval,
-                    runtime=runtime,
-                )
-                mean_j = out.mean_j if out.j.size else float("inf")
-                utility[name] = mean_j + job_cost * out.mean_jobs
-                cells.append(
-                    f"{format_seconds(mean_j)} ({format_float(out.mean_jobs, 2)})"
-                )
-                if name == "single":
-                    report = grid.weather_report()
-            best = min(utility, key=utility.get)
-            best_by[(regime, healing)] = best
-            frontier.add_row(
-                regime,
-                "on" if healing else "off",
-                *cells,
-                f"{best} ({utility[best]:.0f}s)",
-            )
-            transitions = report.get("health", {}).get("transitions", {})
-            telemetry.add_row(
-                regime,
-                "on" if healing else "off",
-                report["outages_started"],
-                sum(report["jobs_killed"].values()),
-                sum(report["black_hole_failures"].values()),
-                sum(
-                    n
-                    for key, n in transitions.items()
-                    if key.endswith("->banned")
-                ),
-                report.get("resubmit", {}).get("resubmissions", 0),
-            )
-
-    flips = [
-        regime
-        for regime, _ in _regimes(warm)
-        if best_by[(regime, False)] != best_by[(regime, True)]
-    ]
-    notes = [
-        f"{n_tasks} tasks per cell, payload {runtime:.0f}s, launches every "
-        f"{task_interval:.0f}s; every cell forks its config's "
-        f"{warm / 3600.0:.0f}h-warmed snapshot, so strategies within a cell "
-        "face bit-identical grids",
-        f"U = E(J) + c*E(jobs/task) with c = {job_cost:.0f}s per-job "
-        "handling charge — the latency/cost trade-off of the paper's "
-        "Tables 4-5 and Fig. 8 collapsed to one scalar",
-        "regimes: calm; storms (mean every 3h, 2 sites down together for "
-        "~30min, 50% of running jobs killed); one black hole "
-        f"({BLACK_HOLE_SITE} opens 30min into the window for 4h, instantly "
-        "failing everything its excellent-looking queue attracts)",
-        "self-healing agent: 300s sweeps, <=3 resubmissions per task, "
-        "60s backoff doubling per retry — composed with, and invisible "
-        "to, the user-side strategies",
-    ]
-    if flips:
-        notes.append(
-            "system-side resubmission changes the optimal user-side "
-            "strategy under: "
-            + "; ".join(
-                f"{regime} ({best_by[(regime, False)]} -> "
-                f"{best_by[(regime, True)]})"
-                for regime in flips
-            )
-        )
-    else:
-        notes.append(
-            "no regime flipped its optimal strategy under self-healing "
-            "at these settings"
-        )
-    return ExperimentResult(
+    campaign = Campaign(seed, **knobs)
+    return cross_frontier(
+        campaign,
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
-        tables=[frontier, telemetry],
-        notes=notes,
+        base=weather_grid_config(),
+        regimes=tuple(
+            (name, {"weather": w}) for name, w in weather_regimes(campaign.warm)
+        ),
+        remedy="system-side resubmission",
+        remedy_column="self-healing",
+        remedy_on="on",
+        remedy_fields={"resubmit": agent},
+        telemetry_title="Weather and operator",
+        telemetry=_telemetry,
+        notes=(
+            f"U = E(J) + c*E(jobs/task) with c = {campaign.job_cost:.0f}s per-job "
+            "handling charge — the latency/cost trade-off of the paper's Tables "
+            "4-5 and Fig. 8 collapsed to one scalar",
+            "regimes: calm; storms (mean every 3h, 2 sites down together for "
+            "~30min, 50% of running jobs killed); one black hole "
+            f"({BLACK_HOLE_SITE} opens 30min into the window for 4h, instantly "
+            "failing everything its excellent-looking queue attracts)",
+            "self-healing agent: 300s sweeps, <=3 resubmissions per task, 60s "
+            "backoff doubling per retry — composed with, and invisible to, the "
+            "user-side strategies",
+        ),
     )

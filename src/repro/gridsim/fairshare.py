@@ -187,13 +187,6 @@ class FairShareState:
         f = 0.5 ** (max(t - self._last, 0.0) / self.halflife)
         return [u * f for u in self._usage]
 
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
-
 
 class _PerJobBatchOps:
     """Per-job batch entry points for the fair-share engines.

@@ -8,7 +8,6 @@ start events, advance time.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import pickle
@@ -924,14 +923,6 @@ class GridSimulator:
 
     # -- snapshots -------------------------------------------------------
 
-    def _check_pristine(self) -> None:
-        if self.jobs_submitted:
-            raise RuntimeError(
-                "can only snapshot a pristine grid (no client "
-                "submissions); capture after warm_up(), before probing "
-                "or running strategies"
-            )
-
     def snapshot(self) -> "GridSnapshot":
         """Capture the current state as a restorable :class:`GridSnapshot`."""
         return GridSnapshot(self)
@@ -1035,32 +1026,33 @@ class GridSnapshot:
     serialise by reference through the object graph), so the grid it was
     taken from may keep running and every ``restore()`` is a cheap
     deserialisation yielding an independent simulator that continues
-    exactly as the original would have at capture time.  Grids carrying
-    un-picklable attachments fall back to a deep-copied master.
+    exactly as the original would have at capture time.  A grid carrying
+    an un-picklable attachment (a lambda on its event queue, say) cannot
+    be captured: the constructor raises :class:`pickle.PicklingError`.
     """
 
     def __init__(self, grid: GridSimulator) -> None:
-        grid._check_pristine()
+        if grid.jobs_submitted:
+            raise RuntimeError(
+                "can only snapshot a pristine grid (no client "
+                "submissions); capture after warm_up(), before probing "
+                "or running strategies"
+            )
         self.time = grid.now
-        self._payload: bytes | None
-        self._master: GridSimulator | None
         try:
             self._payload = pickle.dumps(grid, pickle.HIGHEST_PROTOCOL)
-            self._master = None
-        except Exception:
-            self._payload = None
-            self._master = copy.deepcopy(grid)
+        except (AttributeError, TypeError) as exc:
+            # local functions and C objects (locks, files) fail with these
+            raise pickle.PicklingError(f"cannot snapshot the grid: {exc}") from exc
 
     @property
     def nbytes(self) -> int:
-        """Serialised size (0 for the deep-copy fallback, which can't tell)."""
-        return len(self._payload) if self._payload is not None else 0
+        """Serialised size."""
+        return len(self._payload)
 
     def restore(self) -> GridSimulator:
         """Fork a runnable grid from the snapshot (repeatable)."""
-        if self._payload is not None:
-            return pickle.loads(self._payload)
-        return copy.deepcopy(self._master)
+        return pickle.loads(self._payload)
 
 
 #: warmed-grid snapshots keyed by (config, seed, duration); the cache

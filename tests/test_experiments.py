@@ -396,6 +396,33 @@ class TestGridWeather:
             run_experiment("grid-weather", job_cost=-1.0)
 
 
+class TestBrokerStorm:
+    def test_small_run_structure(self):
+        res = run_experiment(
+            "broker-storm", n_tasks=20, task_interval=60.0, warm=1800.0
+        )
+        frontier, telemetry = res.tables
+        assert len(frontier.rows) == 4  # 2 regimes x retry on/off
+        assert len(telemetry.rows) == 4
+        rows = table_rows(frontier)
+        assert {r["regime"] for r in rows} == {"calm", "broker storm"}
+        assert {r["resilience"] for r in rows} == {"off", "retry+failover"}
+        for row in rows:
+            assert row["best U"]  # every cell elects a winner
+        tel = table_rows(telemetry)
+        by_cell = {(r["regime"], r["resilience"]): r for r in tel}
+        # calm weather downs no broker
+        assert by_cell[("calm", "off")]["broker outages"] == 0
+        assert len(res.notes) == 6
+        assert any("U = E(J)" in n for n in res.notes)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n_tasks"):
+            run_experiment("broker-storm", n_tasks=5)
+        with pytest.raises(ValueError, match="job_cost"):
+            run_experiment("broker-storm", job_cost=-1.0)
+
+
 class TestRender:
     def test_render_includes_tables_and_notes(self, ctx):
         res = run_experiment("table3", ctx=ctx)

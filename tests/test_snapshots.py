@@ -9,6 +9,8 @@ changing a single rendered number.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,12 @@ class TestSnapshotGuards:
         grid = fresh_warmed(config(), 31, 1800.0)
         grid.submit(Job(runtime=10.0))
         with pytest.raises(RuntimeError, match="pristine"):
+            grid.snapshot()
+
+    def test_unpicklable_grid_fails_at_snapshot(self):
+        grid = GridSimulator(config(), seed=31)
+        grid.sim.schedule(1.0, lambda: None)
+        with pytest.raises(pickle.PicklingError, match="cannot snapshot"):
             grid.snapshot()
 
 
