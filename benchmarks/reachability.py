@@ -156,9 +156,6 @@ ALLOWED = (
      "item 1: the shard worker side runs in forked children"),
     ("population/shard.py", "_shard_worker",
      "item 1: the shard worker side runs in forked children"),
-    ("population/soa.py", "TaskPool._round_delayed",
-     "path: a delayed-resubmission fleet on the pool; reached by "
-     "tests/test_population.py::TestDriver::test_outcomes_accounted_per_fleet"),
     ("population/soa.py", "TaskPool._expire_one",
      "path: a fleet timeout firing on the pool; reached by "
      "tests/test_population_soa.py::TestLaunchWalkerOracle::test_claiming_walker_matches_rechaining"),

@@ -8,7 +8,8 @@
 
 Module-level ``*_sweep`` functions are the vectorised computational core
 (expectations over all candidate timeouts at once); the classes are the
-user-facing parameterised strategies.
+user-facing parameterised strategies, and :func:`round_shape` is how the
+grid executors run them.
 """
 
 from repro.core.strategies.base import Strategy, StrategyMoments
@@ -48,4 +49,25 @@ __all__ = [
     "delayed_moments",
     "delayed_survival",
     "n_parallel_for_latency",
+    "round_shape",
 ]
+
+
+def round_shape(strategy: Strategy) -> tuple[int, float, float]:
+    """The ``(b, t0, t∞)`` round the grid executors run ``strategy`` as.
+
+    A task submits ``b`` copies every ``t0``, each cancelled at age
+    ``t∞``: single ``(1, t∞, t∞)``, multiple ``(b, t∞, t∞)``, delayed
+    ``(1, t0, t∞)``.  The one place a strategy type maps to executor
+    behaviour; any other strategy raises ``TypeError``.
+    """
+    if isinstance(strategy, SingleResubmission):
+        return 1, float(strategy.t_inf), float(strategy.t_inf)
+    if isinstance(strategy, MultipleSubmission):
+        return strategy.b, float(strategy.t_inf), float(strategy.t_inf)
+    if isinstance(strategy, DelayedResubmission):
+        return 1, float(strategy.t0), float(strategy.t_inf)
+    raise TypeError(
+        f"strategy: unsupported strategy type {type(strategy).__name__} "
+        "has no round shape (single, multiple or delayed)"
+    )

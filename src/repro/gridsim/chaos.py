@@ -80,8 +80,10 @@ def chaos_grid_config(
 ) -> GridConfig:
     """A small federated grid the chaos schedules perturb.
 
-    Plain FIFO sites (no fair-share) keep runs fast; two brokers give
-    failover somewhere to go.  Deterministic given ``seed``.
+    Sites declare no VO shares, so each runs the fair-share engine with
+    one VO, whose FIFO lane skips the decay ladder and keeps runs fast;
+    two brokers give failover somewhere to go.  Deterministic given
+    ``seed``.
     """
     check_int_at_least("n_sites", n_sites, 1)
     if not 1 <= n_brokers <= n_sites:

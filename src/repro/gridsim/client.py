@@ -19,12 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-    Strategy,
-)
+from repro.core.strategies import Strategy, round_shape
 from repro.gridsim.grid import GridSimulator
 from repro.gridsim.jobs import Job
 from repro.util.validation import check_int_at_least, check_positive
@@ -82,7 +77,8 @@ class TaskCore:
 
     Subclasses implement ``finished(winner)`` (what "the task is done"
     means: record a latency, launch the next probe, …) and drive
-    :meth:`submit_copy` / :meth:`arm` according to their strategy.
+    :meth:`submit_copy` / :meth:`submit_copies` / :meth:`arm` (strategy
+    tasks per their :func:`~repro.core.strategies.round_shape`).
 
     ``vo`` labels every submitted copy (fair-share sites account them to
     that VO) and ``via`` pins the broker on federated grids; the
@@ -129,19 +125,7 @@ class TaskCore:
 
     def submit_copy(self) -> Job:
         """Submit one more copy of the task's payload."""
-        job = Job(runtime=self.runtime, tag=self.tag, vo=self.vo)
-        self.jobs_used += 1
-        self.active_jobs.append(job)
-        grid = self.grid
-        if grid.task_ledger is not None:
-            grid.task_ledger.append((self, job))
-        grid.submit(job, on_start=self._on_start, via=self.via, task=self)
-        agent = grid._agent
-        if agent is not None:
-            # lost/stuck jobs register too — spotting exactly those is
-            # the monitoring agent's purpose
-            agent.watch(self, job)
-        return job
+        return self.submit_copies(1)[0]
 
     def submit_copies(self, n: int) -> list[Job]:
         """Submit a burst of ``n`` copies through one middleware pass."""
@@ -157,6 +141,8 @@ class TaskCore:
         grid.submit_many(jobs, self._on_start, via=self.via, task=self)
         agent = grid._agent
         if agent is not None:
+            # lost/stuck jobs register too — spotting exactly those is
+            # the monitoring agent's purpose
             for job in jobs:
                 agent.watch(self, job)
         return jobs
@@ -217,11 +203,12 @@ class TaskCore:
 
 
 class _StrategyTask(TaskCore):
-    """A task that records ``(total latency, jobs used)`` when it finishes.
+    """A task running rounds of its strategy's :func:`round_shape`.
 
-    Built positionally by :func:`launch_task` (no keywords repacked down
-    the constructor chain) and started by the subclass's ``_round``,
-    which reads its parameters off ``strategy``.
+    A round submits ``b`` copies and cancels them at age ``t∞``; the
+    next starts ``t0`` later, inside that cancel when ``t0 == t∞``.
+    The first copy to start records ``(total latency, jobs used)``.
+    Built positionally by :func:`launch_task`.
     """
 
     __slots__ = ("strategy", "results", "on_done")
@@ -229,96 +216,46 @@ class _StrategyTask(TaskCore):
     def __init__(
         self, grid, strategy, runtime, results, vo="", via=None, on_done=None
     ) -> None:
-        TaskCore.__init__(self, grid, runtime, vo, via)
+        # set before TaskCore.__init__: a traced grid reads trace_label
         self.strategy = strategy
+        TaskCore.__init__(self, grid, runtime, vo, via)
         self.results = results
         self.on_done = on_done
         self._round()
+
+    @property
+    def trace_label(self) -> str:
+        """Strategy label recorded in the task's trace events."""
+        return self.strategy.name
 
     def finished(self, winner: Job) -> None:
         self.results.append((self.grid.sim._now - self.t_start, self.jobs_used))
         if self.on_done is not None:
             self.on_done()
 
-
-class _SingleTask(_StrategyTask):
-    __slots__ = ()
-
-    trace_label = "single"
-
     def _round(self) -> None:
         if self.done:
             return
-        job = self.submit_copy()
-        self.arm(self.strategy.t_inf, partial(self._timeout, job))
+        # no shape or batch is stored: a settled task's pooled timers
+        # outlive it, so the timer keeps only the round's first index
+        b, t0, t_inf = round_shape(self.strategy)
+        first = len(self.active_jobs)
+        self.submit_copies(b)
+        self.arm(t_inf, partial(self._cancel, first))
+        if t0 != t_inf:
+            self.arm(t0, self._round)
 
-    def _timeout(self, job: Job) -> None:
+    def _cancel(self, first: int) -> None:
         if self.done:
             return
-        # a timed-out job still queued at a site is the client telling
+        b, t0, t_inf = round_shape(self.strategy)
+        batch = self.active_jobs[first : first + b]
+        # a timed-out copy still queued at a site is the client telling
         # the grid that site swallowed its work (health observation)
-        self.grid.report_failed([job])
-        self.grid.cancel(job)
-        self._round()
-
-
-class _MultipleTask(_StrategyTask):
-    __slots__ = ()
-
-    trace_label = "multiple"
-
-    def _round(self) -> None:
-        if self.done:
-            return
-        strategy = self.strategy
-        batch = self.submit_copies(strategy.b)
-        self.arm(strategy.t_inf, partial(self._timeout, batch))
-
-    def _timeout(self, batch: list[Job]) -> None:
-        if self.done:
-            return
         self.grid.report_failed(batch)
         self.grid.cancel_many(batch)
-        self._round()
-
-
-class _DelayedTask(_StrategyTask):
-    __slots__ = ()
-
-    trace_label = "delayed"
-
-    def _round(self) -> None:
-        if self.done:
-            return
-        strategy = self.strategy
-        job = self.submit_copy()
-        self.arm(strategy.t_inf, partial(self._cancel_copy, job))
-        self.arm(strategy.t0, self._round)
-
-    def _cancel_copy(self, job: Job) -> None:
-        if self.done:
-            return
-        self.grid.report_failed([job])
-        self.grid.cancel(job)
-
-
-#: strategy type -> the task class executing it
-_TASK_CLASSES = {
-    SingleResubmission: _SingleTask,
-    MultipleSubmission: _MultipleTask,
-    DelayedResubmission: _DelayedTask,
-}
-
-
-def _task_class(strategy: Strategy) -> type[_StrategyTask]:
-    """The task class executing ``strategy`` (subclasses included)."""
-    cls = _TASK_CLASSES.get(type(strategy))
-    if cls is not None:
-        return cls
-    for kind, cls in _TASK_CLASSES.items():
-        if isinstance(strategy, kind):
-            return cls
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+        if t0 == t_inf:
+            self._round()
 
 
 def launch_task(
@@ -333,17 +270,18 @@ def launch_task(
 ):
     """Start one task executing ``strategy`` on the grid *now*.
 
-    The task submits copies, arms timers and resubmits per the strategy
-    until one copy starts; it then appends ``(total latency, jobs used)``
+    The task runs rounds of the strategy's
+    :func:`~repro.core.strategies.round_shape` — ``b`` copies every
+    ``t0``, each cancelled at age ``t∞`` — until one copy starts (a
+    strategy without a round shape raises ``TypeError``); it then
+    appends ``(total latency, jobs used)``
     to ``results`` and calls ``on_done`` (if given) — the hook the
     campaign runners use to stop the simulator the instant their last
     task completes.  ``vo`` labels the copies for fair-share accounting
     and ``via`` pins a broker on federated grids — this is the
     building block :mod:`repro.population` drives fleets with.
     """
-    return _task_class(strategy)(
-        grid, strategy, runtime, results, vo, via, on_done
-    )
+    return _StrategyTask(grid, strategy, runtime, results, vo, via, on_done)
 
 
 def _run_campaign(
@@ -429,7 +367,7 @@ def run_strategy_on_grid(
         Hard stop for the whole experiment (virtual s).
     """
     n_tasks = check_int_at_least("n_tasks", n_tasks, 1)
-    _task_class(strategy)  # reject an unsupported strategy before running
+    round_shape(strategy)  # reject an unsupported strategy before running
     results, tasks = _run_campaign(
         grid, (strategy,), n_tasks, task_interval, runtime, horizon
     )

@@ -189,13 +189,13 @@ class FairShareState:
 
 
 class _PerJobBatchOps:
-    """Per-job batch entry points for the fair-share engines.
+    """Per-job batch intake for the fair-share engines.
 
-    Both fair-share engines keep per-VO bookkeeping inside
-    ``enqueue``/``cancel`` (the vector one also its closed-form
-    admission), so their batch entry points are loops over them in
-    batch order.  Each member therefore sees the site as its
-    predecessors' start callbacks left it — a member those callbacks
+    Both fair-share engines keep per-VO bookkeeping inside ``enqueue``
+    (the vector one also its closed-form admission), so their batch
+    intake — and their ``cancel_many`` — are loops over the per-job
+    operation in batch order.  Each member therefore sees the site as
+    its predecessors' start callbacks left it — a member those callbacks
     cancelled is skipped — and the pair's client traces stay
     comparable.  The plain event FIFO
     (:class:`~repro.gridsim.site.ComputingElement`) batches for real:
@@ -207,13 +207,6 @@ class _PerJobBatchOps:
         for job in jobs:
             if job.state in _ENQUEUABLE:
                 self.enqueue(job)
-                n += 1
-        return n
-
-    def cancel_many(self, jobs: Sequence[Job]) -> int:
-        n = 0
-        for job in jobs:
-            if self.cancel(job):
                 n += 1
         return n
 
@@ -285,6 +278,13 @@ class FairShareComputingElement(_VoTelemetry, _PerJobBatchOps, ComputingElement)
             self._vo_husks[self.fairshare.index_of(job.vo)] += 1
             return True
         return super().cancel(job)
+
+    def cancel_many(self, jobs: Sequence[Job]) -> int:
+        n = 0
+        for job in jobs:
+            if self.cancel(job):
+                n += 1
+        return n
 
     def begin_black_hole(self) -> None:
         """Fail the per-VO queues, then flip via the base hook."""
@@ -624,7 +624,21 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
                 self._next_due = e
             self._ensure_wake()
 
-    def cancel(self, job: Job) -> bool:
+    def cancel_many(self, jobs: Sequence[Job]) -> int:
+        """Cancel per job in batch order; hold the wake rule once, after.
+
+        No event fires inside the loop, so the one wake lands where the
+        last per-job re-arm would have put it.
+        """
+        n = 0
+        for job in jobs:
+            if self._cancel(job):
+                n += 1
+        if n:
+            self._ensure_wake()
+        return n
+
+    def _cancel(self, job: Job) -> bool:
         if job.state is _QUEUED:
             if job.site != self.name:
                 return False
@@ -634,10 +648,9 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
             self._mut += 1  # the husk may be its VO's cached head
             # the memo still bounds the next commit (one competitor
             # fewer frees no core); the last waiting client takes the
-            # wake with it
-            self._ensure_wake()
+            # wake with it when the caller re-holds the wake rule
             return True
-        return super().cancel(job)
+        return super()._cancel(job)
 
     def begin_black_hole(self) -> None:
         """Fail both per-VO lanes, then flip via the base hook.

@@ -518,13 +518,21 @@ class VectorComputingElement:
     # -- running client jobs -----------------------------------------------
 
     def cancel(self, job: Job) -> bool:
-        """Kill a running client job; returns ``True`` if it acted.
+        """Cancel one client job; returns ``True`` if it acted."""
+        acted = self._cancel(job)
+        if acted:
+            self._ensure_wake()
+        return acted
+
+    def _cancel(self, job: Job) -> bool:
+        """Kill a running client job, leaving the wake to the caller.
 
         EGEE's ``glite-wms-job-cancel`` on a started job: the job ends
         ``CANCELLED`` now and its core is free for earlier work.  Queued
-        jobs belong to the subclass, whose ``cancel`` husks them and
+        jobs belong to the subclass, whose ``_cancel`` husks them and
         hands every other job on to this one.  A completion due by now
         settles first, so a job that has already finished is left alone.
+        Returns ``True`` if it acted.
         """
         now = self.sim._now
         ends = self._client_ends
@@ -539,7 +547,6 @@ class VectorComputingElement:
         self._killed += 1
         self._next_due = 0.0  # the freed core may start earlier work
         self._advance()
-        self._ensure_wake()
         return True
 
     # -- outage hooks ------------------------------------------------------

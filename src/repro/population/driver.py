@@ -242,7 +242,7 @@ def run_population(
         spec,
         seed=seed,
         horizon_slack=horizon_slack,
-        pool=pool_supported(grid, spec.fleets),
+        pool=pool_supported(grid),
     )
 
 

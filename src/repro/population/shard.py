@@ -66,11 +66,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
 from repro.gridsim.fairshare import multi_vo
 from repro.gridsim.grid import GridConfig, warmed_snapshot
 from repro.gridsim.jobs import Job, JobState
@@ -81,8 +76,6 @@ from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import check_positive
 
 __all__ = ["run_population_sharded", "shard_configs"]
-
-_SUPPORTED = (SingleResubmission, MultipleSubmission, DelayedResubmission)
 
 
 class _RemoteSite:
@@ -403,11 +396,6 @@ def _check_shardable(config: GridConfig, spec: PopulationSpec) -> None:
             raise ValueError(
                 f"fleet {f.label!r} pins a broker; sharded runs own one "
                 "broker per shard (fleet.broker must be None)"
-            )
-        if not isinstance(f.strategy, _SUPPORTED):
-            raise ValueError(
-                f"fleet {f.label!r} uses {type(f.strategy).__name__}, "
-                "which the struct-of-arrays pool does not support"
             )
 
 

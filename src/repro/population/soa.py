@@ -12,6 +12,12 @@ through a pool-owned wheel that arms **one** kernel timer per bucket
 boundary and walks its due index block at fire time (dead entries are
 skipped by a state check instead of being cancelled individually).
 
+Tasks run rounds of their strategy's
+:func:`~repro.core.strategies.round_shape` ``(b, t0, t∞)`` through two
+wheel opcodes (``_EXP_CANCEL`` at ``t∞``, ``_EXP_SUBMIT`` at ``t0``);
+shapes with ``b == 1`` and ``t0 == t∞`` take the one-copy lane (a bare
+Job, ``broker.submit``, ``_EXP_SINGLE``), which most fleet tasks use.
+
 The pool is a *law-identical* replacement for the TaskCore path on the
 grids fleet runs actually use — calm middleware (no retry/fault domain,
 no resubmission agent, no tracing, no task ledger; see
@@ -34,11 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
+from repro.core.strategies import round_shape
 from repro.gridsim.jobs import Job
 
 __all__ = ["TaskPool", "chain_launches", "pool_supported"]
@@ -46,14 +48,10 @@ __all__ = ["TaskPool", "chain_launches", "pool_supported"]
 #: task lifecycle states (the ``state`` column)
 _PENDING, _ACTIVE, _DONE = 0, 1, 2
 
-#: strategy kinds (per-fleet, fleets are homogeneous)
-_SINGLE, _MULTIPLE, _DELAYED = 0, 1, 2
-
 #: wheel entry codes — what an expired slot means for its task
-_EXP_SINGLE = 0  # single-resubmission t_inf: cancel + resubmit
-_EXP_MULTIPLE = 1  # multiple-submission t_inf: cancel batch + resubmit batch
-_EXP_DCANCEL = 2  # delayed t_inf: cancel one aged copy, task keeps going
-_EXP_DSUBMIT = 3  # delayed t0: submit the next staggered copy
+_EXP_SINGLE = 0  # one-copy lane t_inf: cancel the copy + resubmit one
+_EXP_CANCEL = 1  # a round's t_inf: cancel its copies (+ next round if t0 == t_inf)
+_EXP_SUBMIT = 2  # a round's t0 (t0 < t_inf): start the next round
 
 
 def chain_launches(sim, launch_times, start: float, launch) -> None:
@@ -100,29 +98,22 @@ def chain_launches(sim, launch_times, start: float, launch) -> None:
     sim.schedule_at(sorted_t[0], fire)
 
 
-def pool_supported(grid, fleets) -> bool:
-    """Whether the SoA pool reproduces the legacy path on this run.
+def pool_supported(grid) -> bool:
+    """Whether the SoA pool reproduces the TaskCore path on this grid.
 
     The pool bypasses the per-task object surface the optional
     subsystems hook into (middleware retry sagas, the resubmission
     agent's watch list, trace task ids, the chaos ledger), so it only
     engages when all of them are off — which is every fleet-scale
     benchmark configuration.  Anything else runs on the per-task
-    TaskCore driver, which is also the pool's behavioural oracle.
+    TaskCore driver, which is also the pool's behavioural oracle.  Any
+    fleet runs: a ``FleetSpec`` strategy always has a round shape.
     """
-    if (
-        grid._mw is not None
-        or grid._agent is not None
-        or grid._tr is not None
-        or grid.task_ledger is not None
-    ):
-        return False
-    return all(
-        isinstance(
-            f.strategy,
-            (SingleResubmission, MultipleSubmission, DelayedResubmission),
-        )
-        for f in fleets
+    return (
+        grid._mw is None
+        and grid._agent is None
+        and grid._tr is None
+        and grid.task_ledger is None
     )
 
 
@@ -161,7 +152,7 @@ class TaskPool:
         "state", "_launch_times", "_t_open", "done_t", "done_seq",
         "jobs_used",
         "_live", "_cb", "_seq", "pending", "on_all_done",
-        "_kind", "_t_inf", "_t0", "_b", "_runtime", "_vo",
+        "_one", "_t_inf", "_t0", "_b", "_runtime", "_vo",
         "_fleet_broker", "_rr_broker", "_via",
         "_cancel", "_cancel_many", "_rf", "_calm",
         "_pooled", "_wheel",
@@ -189,32 +180,20 @@ class TaskPool:
         self.n = n
 
         # -- per-fleet parameter tables (fleets are index ranges) --------
-        self._kind: list[int] = []
-        self._t_inf: list[float] = []
-        self._t0: list[float] = []
+        #: round shapes; ``_one`` marks those on the one-copy lane
         self._b: list[int] = []
+        self._t0: list[float] = []
+        self._t_inf: list[float] = []
+        self._one: list[bool] = []
         self._runtime: list[float] = []
         self._vo: list[str] = []
         self._via: list = []
         for f in self.fleets:
-            s = f.strategy
-            if isinstance(s, SingleResubmission):
-                self._kind.append(_SINGLE)
-                self._t0.append(0.0)
-                self._b.append(1)
-            elif isinstance(s, MultipleSubmission):
-                self._kind.append(_MULTIPLE)
-                self._t0.append(0.0)
-                self._b.append(int(s.b))
-            elif isinstance(s, DelayedResubmission):
-                self._kind.append(_DELAYED)
-                self._t0.append(float(s.t0))
-                self._b.append(1)
-            else:
-                raise TypeError(
-                    f"unsupported strategy type {type(s).__name__}"
-                )
-            self._t_inf.append(float(s.t_inf))
+            b, t0, t_inf = round_shape(f.strategy)
+            self._b.append(b)
+            self._t0.append(t0)
+            self._t_inf.append(t_inf)
+            self._one.append(b == 1 and t0 == t_inf)
             self._runtime.append(float(f.runtime))
             self._vo.append(f.vo)
             self._via.append(f.broker)
@@ -241,7 +220,8 @@ class TaskPool:
         self.fid = np.repeat(
             np.arange(len(sizes), dtype=np.intp), sizes
         ).tolist()
-        #: in-flight copies per task: a Job (single) or a list of Jobs
+        #: in-flight copies per task: a Job (one-copy lane) or a list of
+        #: Jobs, oldest round first
         self._live = [None] * n
         #: the reusable per-task start watcher (minted once, at launch)
         self._cb = [None] * n
@@ -290,22 +270,21 @@ class TaskPool:
         self.state[i] = _ACTIVE
         cb = partial(self._start, i)
         self._cb[i] = cb
-        k = self._kind[f]
-        if k == _SINGLE:
+        if self._one[f]:
+            # the one-copy lane: a bare Job and one broker.submit per
+            # round, no list — most fleet-scale tasks take it
             job = Job(runtime=self._runtime[f], tag="task", vo=self._vo[f])
             self.jobs_used[i] = 1
             self._live[i] = job
             self._submit1(f, job, cb)
-            self._arm(self._t_inf[f], _EXP_SINGLE, i, None)
-        elif k == _MULTIPLE:
-            self._round_multiple(i, f)
+            self._arm(self._t_inf[f], _EXP_SINGLE, i)
         else:
-            self._live[i] = []
-            self._round_delayed(i, f)
+            self._round(i, f)
 
-    # -- strategy rounds -------------------------------------------------
+    # -- rounds ----------------------------------------------------------
 
-    def _round_multiple(self, i: int, f: int) -> None:
+    def _round(self, i: int, f: int) -> None:
+        """Submit one round of ``b`` copies and arm its timers."""
         runtime = self._runtime[f]
         vo = self._vo[f]
         batch = [
@@ -313,17 +292,17 @@ class TaskPool:
             for _ in range(self._b[f])
         ]
         self.jobs_used[i] += len(batch)
-        self._live[i] = batch
+        live = self._live[i]
+        if live:
+            live += batch
+        else:
+            self._live[i] = batch
         self._submit_many(f, batch, self._cb[i])
-        self._arm(self._t_inf[f], _EXP_MULTIPLE, i, None)
-
-    def _round_delayed(self, i: int, f: int) -> None:
-        job = Job(runtime=self._runtime[f], tag="task", vo=self._vo[f])
-        self.jobs_used[i] += 1
-        self._live[i].append(job)
-        self._submit1(f, job, self._cb[i])
-        self._arm(self._t_inf[f], _EXP_DCANCEL, i, job)
-        self._arm(self._t0[f], _EXP_DSUBMIT, i, None)
+        t_inf = self._t_inf[f]
+        self._arm(t_inf, _EXP_CANCEL, i)
+        t0 = self._t0[f]
+        if t0 != t_inf:
+            self._arm(t0, _EXP_SUBMIT, i)
 
     # -- submission fast path --------------------------------------------
 
@@ -360,7 +339,7 @@ class TaskPool:
 
     # -- timeout wheel ----------------------------------------------------
 
-    def _arm(self, delay: float, code: int, i: int, payload) -> None:
+    def _arm(self, delay: float, code: int, i: int) -> None:
         if self._pooled:
             sim = self._sim
             boundary = sim.pooled_boundary(delay)
@@ -370,27 +349,27 @@ class TaskPool:
                 sim.schedule_pooled(
                     delay, partial(self._expire_block, boundary)
                 )
-            block.append((code, i, payload))
+            block.append((code, i))
         else:
             self._sim.schedule(
-                delay, partial(self._expire_one, code, i, payload)
+                delay, partial(self._expire_one, code, i)
             )
 
     def _expire_block(self, boundary: float) -> None:
         entries = self._wheel.pop(boundary)
         state = self.state
         expire = self._expire
-        for code, i, payload in entries:
+        for code, i in entries:
             # settled tasks just leave dead entries behind — skipping
             # them here replaces 10⁵ individual timer cancellations
             if state[i] == _ACTIVE:
-                expire(code, i, payload)
+                expire(code, i)
 
-    def _expire_one(self, code: int, i: int, payload) -> None:
+    def _expire_one(self, code: int, i: int) -> None:
         if self.state[i] == _ACTIVE:
-            self._expire(code, i, payload)
+            self._expire(code, i)
 
-    def _expire(self, code: int, i: int, payload) -> None:
+    def _expire(self, code: int, i: int) -> None:
         f = self.fid[i]
         rf = self._rf
         if code == _EXP_SINGLE:
@@ -402,26 +381,22 @@ class TaskPool:
             self.jobs_used[i] += 1
             self._live[i] = job
             self._submit1(f, job, self._cb[i])
-            self._arm(self._t_inf[f], _EXP_SINGLE, i, None)
-        elif code == _EXP_MULTIPLE:
-            batch = self._live[i]
+            self._arm(self._t_inf[f], _EXP_SINGLE, i)
+        elif code == _EXP_CANCEL:
+            # rounds expire in submit order, so this round is the
+            # oldest b live copies; they leave the list (grid cancel_many
+            # would skip them at settle anyway)
+            live = self._live[i]
+            b = self._b[f]
+            batch = live[:b]
             if rf is not None:
                 rf(batch)
             self._cancel_many(batch)
-            self._round_multiple(i, f)
-        elif code == _EXP_DCANCEL:
-            if rf is not None:
-                rf([payload])
-            self._cancel(payload)
-            # unlike TaskCore.active_jobs, the live list stays tight:
-            # cancelled copies leave it (grid.cancel_many skips them
-            # anyway, so the settle-time batch is identical)
-            try:
-                self._live[i].remove(payload)
-            except ValueError:
-                pass
-        else:  # _EXP_DSUBMIT
-            self._round_delayed(i, f)
+            del live[:b]
+            if self._t0[f] == self._t_inf[f]:
+                self._round(i, f)
+        else:  # _EXP_SUBMIT
+            self._round(i, f)
 
     # -- settle ----------------------------------------------------------
 

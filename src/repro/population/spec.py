@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.strategies import Strategy
+from repro.core.strategies import Strategy, round_shape
 from repro.traces.generator import DiurnalProfile
 from repro.util.validation import check_int_at_least, check_positive
 
@@ -36,7 +36,9 @@ class FleetSpec:
         VO label stamped on every submitted copy (fair-share sites
         account them to this VO).
     strategy:
-        A paper strategy instance (single / multiple / delayed).
+        A paper strategy instance (single / multiple / delayed); anything
+        without a :func:`~repro.core.strategies.round_shape` raises
+        ``TypeError`` here, before any grid runs it.
     n_tasks:
         Tasks the fleet launches inside the population window.
     runtime:
@@ -58,6 +60,7 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not self.vo:
             raise ValueError("fleet vo must be non-empty")
+        round_shape(self.strategy)
         # zero is allowed: sweeps that carve adopters out of a VO's
         # volume can leave an empty fleet, which simply contributes
         # nothing (the driver returns empty outcome arrays for it)

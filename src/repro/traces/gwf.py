@@ -16,7 +16,11 @@ from typing import TextIO
 
 import numpy as np
 
-from repro.traces._workload import parse_workload_arrays
+from repro.traces._workload import (
+    open_text,
+    parse_latency_trace,
+    parse_workload_arrays,
+)
 from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 
 __all__ = ["GWF_FIELDS", "gwf_record", "read_gwf", "read_gwf_workload", "write_gwf"]
@@ -54,9 +58,6 @@ GWF_FIELDS: tuple[str, ...] = (
     "ProjectID",
 )
 
-#: GWF status code for a successfully completed job
-_STATUS_COMPLETED = 1
-
 _STATUS = GWF_FIELDS.index("Status")
 _VOID = GWF_FIELDS.index("VOID")
 
@@ -78,18 +79,6 @@ def gwf_record(
     row[_STATUS] = status
     row[_VOID] = vo
     return " ".join(row) + "\n"
-
-
-def _open_for_read(path_or_file: str | Path | TextIO) -> tuple[TextIO, bool]:
-    if isinstance(path_or_file, (str, Path)):
-        return open(path_or_file, "r", encoding="utf-8"), True
-    return path_or_file, False
-
-
-def _open_for_write(path_or_file: str | Path | TextIO) -> tuple[TextIO, bool]:
-    if isinstance(path_or_file, (str, Path)):
-        return open(path_or_file, "w", encoding="utf-8"), True
-    return path_or_file, False
 
 
 def read_gwf(
@@ -114,49 +103,9 @@ def read_gwf(
     timeout:
         Outlier threshold applied to wait times.
     """
-    fh, should_close = _open_for_read(source)
-    try:
-        submit, lat, codes = [], [], []
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) < 11:
-                raise ValueError(
-                    f"GWF line {line_no}: expected >= 11 fields, got {len(parts)}"
-                )
-            try:
-                submit_time = float(parts[1])
-                wait_time = float(parts[2])
-                status = int(float(parts[10]))
-            except ValueError as exc:
-                raise ValueError(f"GWF line {line_no}: malformed numeric field") from exc
-            submit.append(max(submit_time, 0.0))
-            if status != _STATUS_COMPLETED or wait_time < 0:
-                lat.append(np.inf)
-                codes.append(2)  # fault
-            elif wait_time >= timeout:
-                lat.append(np.inf)
-                codes.append(1)  # timeout-class outlier
-            else:
-                lat.append(wait_time)
-                codes.append(0)
-        if not submit:
-            raise ValueError("GWF source contains no job records")
-        if name is None:
-            name = Path(source).stem if isinstance(source, (str, Path)) else "gwf"
-        base = min(submit)
-        return TraceSet(
-            name=name,
-            submit_times=np.asarray(submit) - base,
-            latencies=np.asarray(lat),
-            status_codes=np.asarray(codes, dtype=np.int8),
-            timeout=timeout,
-        )
-    finally:
-        if should_close:
-            fh.close()
+    return parse_latency_trace(
+        source, comment="#", fmt="GWF", name=name, timeout=timeout
+    )
 
 
 def read_gwf_workload(
@@ -178,8 +127,7 @@ def write_gwf(trace: TraceSet, target: str | Path | TextIO) -> None:
     Latency goes to ``WaitTime``; outliers get ``Status = 0`` and
     ``WaitTime = -1``; unknown fields are ``-1`` per GWA convention.
     """
-    fh, should_close = _open_for_write(target)
-    try:
+    with open_text(target, "w") as fh:
         fh.write(f"# GWF trace written by repro: {trace.name}\n")
         fh.write("# Fields: " + " ".join(GWF_FIELDS) + "\n")
         for i in range(len(trace)):
@@ -191,9 +139,6 @@ def write_gwf(trace: TraceSet, target: str | Path | TextIO) -> None:
                     f"{trace.submit_times[i]:.3f}",
                     f"{trace.latencies[i]:.3f}" if ok else "-1",
                     "0",
-                    str(_STATUS_COMPLETED) if ok else "0",
+                    "1" if ok else "0",  # 1 = completed
                 )
             )
-    finally:
-        if should_close:
-            fh.close()

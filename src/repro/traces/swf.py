@@ -14,7 +14,11 @@ from typing import TextIO
 
 import numpy as np
 
-from repro.traces._workload import parse_workload_arrays
+from repro.traces._workload import (
+    open_text,
+    parse_latency_trace,
+    parse_workload_arrays,
+)
 from repro.traces.dataset import PROBE_TIMEOUT, TraceSet
 
 __all__ = ["SWF_FIELDS", "read_swf", "read_swf_workload", "write_swf"]
@@ -41,9 +45,6 @@ SWF_FIELDS: tuple[str, ...] = (
     "ThinkTimeFromPrecedingJob",
 )
 
-#: SWF status codes that indicate the job actually ran
-_RAN_STATUSES = {1}  # 1 = completed; 0 = failed, 5 = cancelled
-
 
 def read_swf(
     source: str | Path | TextIO,
@@ -51,51 +52,14 @@ def read_swf(
     name: str | None = None,
     timeout: float = PROBE_TIMEOUT,
 ) -> TraceSet:
-    """Parse an SWF trace into a :class:`TraceSet` (WaitTime as latency)."""
-    should_close = isinstance(source, (str, Path))
-    fh: TextIO = open(source, "r", encoding="utf-8") if should_close else source
-    try:
-        submit, lat, codes = [], [], []
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(";"):
-                continue
-            parts = stripped.split()
-            if len(parts) < 11:
-                raise ValueError(
-                    f"SWF line {line_no}: expected >= 11 fields, got {len(parts)}"
-                )
-            try:
-                submit_time = float(parts[1])
-                wait_time = float(parts[2])
-                status = int(float(parts[10]))
-            except ValueError as exc:
-                raise ValueError(f"SWF line {line_no}: malformed numeric field") from exc
-            submit.append(max(submit_time, 0.0))
-            if status not in _RAN_STATUSES or wait_time < 0:
-                lat.append(np.inf)
-                codes.append(2)
-            elif wait_time >= timeout:
-                lat.append(np.inf)
-                codes.append(1)
-            else:
-                lat.append(wait_time)
-                codes.append(0)
-        if not submit:
-            raise ValueError("SWF source contains no job records")
-        if name is None:
-            name = Path(source).stem if isinstance(source, (str, Path)) else "swf"
-        base = min(submit)
-        return TraceSet(
-            name=name,
-            submit_times=np.asarray(submit) - base,
-            latencies=np.asarray(lat),
-            status_codes=np.asarray(codes, dtype=np.int8),
-            timeout=timeout,
-        )
-    finally:
-        if should_close:
-            fh.close()
+    """Parse an SWF trace into a :class:`TraceSet` (WaitTime as latency).
+
+    Status 1 (completed) with a non-negative WaitTime is a latency
+    sample; any other status (0 failed, 5 cancelled, …) is a fault.
+    """
+    return parse_latency_trace(
+        source, comment=";", fmt="SWF", name=name, timeout=timeout
+    )
 
 
 def read_swf_workload(
@@ -115,9 +79,7 @@ def read_swf_workload(
 
 def write_swf(trace: TraceSet, target: str | Path | TextIO) -> None:
     """Write a :class:`TraceSet` as an SWF file."""
-    should_close = isinstance(target, (str, Path))
-    fh: TextIO = open(target, "w", encoding="utf-8") if should_close else target
-    try:
+    with open_text(target, "w") as fh:
         fh.write(f"; SWF trace written by repro: {trace.name}\n")
         fh.write("; Fields: " + " ".join(SWF_FIELDS) + "\n")
         for i in range(len(trace)):
@@ -132,6 +94,3 @@ def write_swf(trace: TraceSet, target: str | Path | TextIO) -> None:
                 "1",
             ] + ["-1"] * 5 + [status] + ["-1"] * 7
             fh.write(" ".join(row) + "\n")
-    finally:
-        if should_close:
-            fh.close()

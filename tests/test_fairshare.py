@@ -297,6 +297,41 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(tv.status_codes, te.status_codes)
 
 
+class TestBatchCancelWake:
+    """A batch cancel on the vector engine re-arms the site wake once."""
+
+    @staticmethod
+    def blocked_site(monkeypatch, n_queued):
+        sim = Simulator()
+        site = FairShareVectorComputingElement("s", 1, sim, vo_shares=SHARES3)
+        site.enqueue(Job(runtime=10_000.0, tag="task", vo="biomed"))
+        queued = [Job(runtime=60.0, tag="task", vo="atlas") for _ in range(n_queued)]
+        for job in queued:
+            site.enqueue(job)
+        assert all(job.state is JobState.QUEUED for job in queued)
+        arms = []
+        schedule_at = sim.schedule_at
+        monkeypatch.setattr(
+            sim, "schedule_at", lambda t, cb: arms.append(t) or schedule_at(t, cb)
+        )
+        return sim, site, queued, arms
+
+    def test_one_wake_for_a_batch_of_queued_clients(self, monkeypatch):
+        sim, site, queued, arms = self.blocked_site(monkeypatch, 5)
+        assert site.cancel_many(queued[:4]) == 4
+        assert arms == [10_000.0]
+        # the survivor still holds the wake and starts when the core frees
+        sim.run_until(20_000.0)
+        assert queued[4].start_time == 10_000.0
+        assert all(job.state is JobState.CANCELLED for job in queued[:4])
+
+    def test_cancelling_every_waiting_client_arms_no_wake(self, monkeypatch):
+        sim, site, queued, arms = self.blocked_site(monkeypatch, 3)
+        assert site.cancel_many(queued) == 3
+        assert arms == []
+        assert site._wake is None
+
+
 class TestWorkConservation:
     """No idle core may coexist with a waiting (arrived) job."""
 

@@ -173,7 +173,7 @@ for traced in (False, True):
     grid = warmed_snapshot(
         dataclasses.replace(cfg, tracing=traced), seed=1, duration=3600.0
     ).restore()
-    assert pool_supported(grid, spec.fleets) is not traced
+    assert pool_supported(grid) is not traced
     assert run_population(grid, spec, seed=1).total_finished == 20
 out = run_chaos(
     dataclasses.replace(chaos_grid_config(seed=7), tracing=True),

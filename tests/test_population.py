@@ -9,6 +9,7 @@ from repro.core.strategies import (
     DelayedResubmission,
     MultipleSubmission,
     SingleResubmission,
+    Strategy,
 )
 from repro.gridsim import (
     BrokerConfig,
@@ -77,6 +78,18 @@ class TestSpecs:
         assert FleetSpec("v", SingleResubmission(t_inf=100.0), 0).n_tasks == 0
         with pytest.raises(ValueError, match="runtime"):
             FleetSpec("v", SingleResubmission(t_inf=100.0), 1, runtime=-1.0)
+
+    def test_strategy_without_a_round_shape_is_rejected(self):
+        """The spec refuses what no executor runs, before any grid moves."""
+
+        class Custom(Strategy):
+            name = "custom"
+
+            def describe(self) -> str:
+                return "custom"
+
+        with pytest.raises(TypeError, match="strategy: unsupported strategy type Custom"):
+            FleetSpec("v", Custom(), 5)
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_fleet_task_count_must_be_an_integer(self, bad):

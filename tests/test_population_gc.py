@@ -36,7 +36,7 @@ def _grid(path: str) -> GridSimulator:
     if path == "taskcore":
         # the chaos ledger sends the run to per-task TaskCores
         grid.enable_task_ledger()
-    assert pool_supported(grid, _SPEC.fleets) == (path == "pool")
+    assert pool_supported(grid) == (path == "pool")
     return grid
 
 

@@ -37,6 +37,7 @@ from repro.gridsim import (
     GridConfig,
     GridSimulator,
     SiteConfig,
+    run_strategy_on_grid,
     warmed_snapshot,
 )
 from repro.population import FleetSpec, PopulationSpec, run_population
@@ -98,6 +99,27 @@ def mixed_spec(n: int = 240) -> PopulationSpec:
     )
 
 
+def timeout_spec() -> PopulationSpec:
+    """Timeouts that fire: burst and overlapping delayed rounds expire."""
+    return PopulationSpec(
+        fleets=(
+            FleetSpec(
+                "biomed", MultipleSubmission(b=3, t_inf=120.0), 100, runtime=300.0
+            ),
+            FleetSpec(
+                "atlas",
+                DelayedResubmission(t0=80.0, t_inf=150.0),
+                100,
+                runtime=300.0,
+            ),
+            FleetSpec(
+                "cms", SingleResubmission(t_inf=100.0), 100, runtime=300.0
+            ),
+        ),
+        window=5000.0,
+    )
+
+
 def warm(config: GridConfig, site_engine: str = "vector"):
     return warmed_snapshot_on(config, 17, 2 * 3600.0, site_engine)
 
@@ -130,13 +152,16 @@ def built_pools(monkeypatch) -> list:
 
 
 class TestSoaOracleEquivalence:
+    @pytest.mark.parametrize("make_spec", [mixed_spec, timeout_spec])
     @pytest.mark.parametrize("site_engine,wms_engine", CORNERS)
-    def test_soa_matches_legacy(self, site_engine, wms_engine, built_pools):
+    def test_soa_matches_legacy(
+        self, site_engine, wms_engine, make_spec, built_pools
+    ):
         """Pool vs TaskCore oracle, bit-for-bit, on every engine corner."""
         snap = warm(corner_config(wms_engine), site_engine)
-        legacy = run_population_taskcore(snap.restore(), mixed_spec(), seed=9)
+        legacy = run_population_taskcore(snap.restore(), make_spec(), seed=9)
         assert not built_pools
-        soa = run_population(snap.restore(), mixed_spec(), seed=9)
+        soa = run_population(snap.restore(), make_spec(), seed=9)
         assert len(built_pools) == 1
         assert_identical(legacy, soa)
         assert soa.total_finished > 0
@@ -153,7 +178,7 @@ class TestSoaOracleEquivalence:
             tracing=True,
         )
         snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-        assert not pool_supported(snap.restore(), mixed_spec().fleets)
+        assert not pool_supported(snap.restore())
         result = run_population(snap.restore(), mixed_spec(), seed=9)
         assert not built_pools
         assert result.total_finished > 0
@@ -278,6 +303,63 @@ class TestPoolConservation:
         monkeypatch.setattr(TaskPool, "_submit1", stray)
         with pytest.raises(RuntimeError, match="job conservation"):
             self.run_day()
+
+
+class TestOneCopyShapes:
+    """``b = 1`` and ``t0 = t∞`` both collapse to single resubmission.
+
+    The pool runs all three strategies below on its one-copy lane (a
+    bare Job, one ``broker.submit`` per round), so this pins the law
+    that lane relies on: on both executors and both WMS engines, with
+    ``t∞`` short enough that timeouts fire, the three give the same
+    latencies and job counts.  The event engine's exact per-entry
+    timers reach ``TaskPool._expire_one``.
+    """
+
+    T = 120.0
+    STRATEGIES = (
+        SingleResubmission(t_inf=T),
+        MultipleSubmission(b=1, t_inf=T),
+        DelayedResubmission(t0=T, t_inf=T),
+    )
+
+    @staticmethod
+    def assert_same(outcomes) -> None:
+        first = outcomes[0]
+        # timeouts fired: some task needed a resubmission
+        assert first.jobs_submitted.max() > 1
+        for other in outcomes[1:]:
+            np.testing.assert_array_equal(other.j, first.j)
+            np.testing.assert_array_equal(
+                other.jobs_submitted, first.jobs_submitted
+            )
+
+    @pytest.mark.parametrize("wms_engine", ["batched", "event"])
+    def test_run_strategy_on_grid(self, wms_engine):
+        snap = warm(corner_config(wms_engine))
+        self.assert_same([
+            run_strategy_on_grid(
+                snap.restore(), s, 40, task_interval=60.0, runtime=300.0
+            )
+            for s in self.STRATEGIES
+        ])
+
+    @pytest.mark.parametrize("wms_engine", ["batched", "event"])
+    def test_run_population(self, wms_engine, built_pools):
+        snap = warm(corner_config(wms_engine))
+        results = [
+            run_population(
+                snap.restore(),
+                PopulationSpec(
+                    fleets=(FleetSpec("biomed", s, 400, runtime=300.0),),
+                    window=20_000.0,
+                ),
+                seed=9,
+            )
+            for s in self.STRATEGIES
+        ]
+        assert len(built_pools) == 3
+        self.assert_same([r.fleets[0] for r in results])
 
 
 def walker_schedule(sim) -> dict:

@@ -12,6 +12,7 @@ from repro.core.strategies import (
     multiple_expectation_sweep,
     multiple_moments,
     n_parallel_for_latency,
+    round_shape,
     single_expectation_sweep,
     single_moments,
 )
@@ -277,3 +278,24 @@ class TestNParallel:
         plugin = n_parallel_for_latency(e_j, t0, t_inf)
         assert exact == pytest.approx(plugin, abs=0.12)
         assert 1.0 <= exact <= 2.0
+
+
+class TestRoundShape:
+    def test_each_strategy_maps_to_its_round(self):
+        assert round_shape(SingleResubmission(t_inf=300)) == (1, 300.0, 300.0)
+        assert round_shape(MultipleSubmission(b=3, t_inf=300.0)) == (3, 300.0, 300.0)
+        assert round_shape(DelayedResubmission(t0=200.0, t_inf=300.0)) == (
+            1,
+            200.0,
+            300.0,
+        )
+
+    def test_subclasses_keep_their_parent_shape(self):
+        class Tuned(SingleResubmission):
+            pass
+
+        assert round_shape(Tuned(t_inf=50.0)) == (1, 50.0, 50.0)
+
+    def test_anything_else_is_rejected(self):
+        with pytest.raises(TypeError, match="strategy: unsupported strategy type object"):
+            round_shape(object())
