@@ -13,7 +13,6 @@ from repro.core.optimize import optimize_delayed, optimize_multiple, optimize_si
 from repro.core.strategies import (
     delayed_expectation_bands,
     multiple_expectation_sweep,
-    single_expectation_sweep,
 )
 from repro.distributions import LogNormal, ShiftedDistribution
 from repro.montecarlo import simulate_multiple, simulate_single
@@ -35,9 +34,10 @@ def test_bench_grid_model_build(benchmark):
 
 
 def test_bench_single_sweep(benchmark):
+    """Single resubmission's Eq. (1) sweep: the one-copy burst."""
     gm = fresh_gridded()
     _ = gm.A  # pre-tabulate: measure the sweep alone
-    sweep = benchmark(lambda: single_expectation_sweep(gm))
+    sweep = benchmark(lambda: multiple_expectation_sweep(gm, 1))
     assert np.isfinite(sweep).any()
 
 

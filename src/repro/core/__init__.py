@@ -8,8 +8,8 @@ Public surface:
 * :class:`GriddedLatencyModel` — ``F̃_R`` tabulated on a uniform
   :class:`~repro.util.grids.TimeGrid` with precomputed cumulative
   integrals, the vectorised evaluation backend.
-* Strategies: :class:`SingleResubmission` (paper §4, Eqs. 1–2),
-  :class:`MultipleSubmission` (§5, Eqs. 3–4),
+* Strategies: :class:`MultipleSubmission` (§5, Eqs. 3–4), its ``b = 1``
+  case :class:`SingleResubmission` (§4, Eqs. 1–2),
   :class:`DelayedResubmission` (§6, Eq. 5 + N_// of §6.1).
 * :func:`delta_cost` and friends — the §7 cost criterion (Eq. 6).
 * Optimisers — vectorised sweeps returning optimal timeouts
@@ -25,7 +25,6 @@ from repro.core.cost import delta_cost, cost_curve_multiple, cost_curve_delayed
 from repro.core.diagnostics import TimeoutDiagnosis, diagnose_timeout, hazard_rate
 from repro.core.distribution_of_j import (
     multiple_survival,
-    single_survival,
     strategy_quantile,
     survival_to_quantile,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "TimeoutDiagnosis",
     "diagnose_timeout",
     "hazard_rate",
-    "single_survival",
     "multiple_survival",
     "strategy_quantile",
     "survival_to_quantile",

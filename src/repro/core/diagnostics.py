@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import GriddedLatencyModel
-from repro.core.strategies.single import single_expectation_sweep
+from repro.core.strategies.multiple import multiple_expectation_sweep
 
 __all__ = [
     "hazard_rate",
@@ -109,7 +109,7 @@ def diagnose_timeout(
     the default suits empirical models on a 1–2 s grid.
     """
     k = model.index_of(t_inf)
-    e_j = float(single_expectation_sweep(model)[k])
+    e_j = float(multiple_expectation_sweep(model, 1)[k])
     h = float(hazard_rate(model, window=window)[k])
     inv_h = 1.0 / h if h > 1e-15 else float("inf")
     return TimeoutDiagnosis(

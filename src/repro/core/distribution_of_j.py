@@ -3,9 +3,10 @@
 The paper reports only the first two moments of ``J``; for deadline-aware
 planning (e.g. "which strategy gets 95 % of my jobs started within 20
 minutes?") the whole law is needed.  This module tabulates ``P(J > t)``
-on the model grid for all three strategies — the single/multiple cases
-are lattice distributions over resubmission rounds, the delayed case
-reuses the piecewise product form of :mod:`repro.core.strategies.delayed`.
+on the model grid for all three strategies — single and multiple
+submission share one lattice distribution over resubmission rounds
+(single is the ``b = 1`` burst), the delayed case reuses the piecewise
+product form of :mod:`repro.core.strategies.delayed`.
 """
 
 from __future__ import annotations
@@ -13,27 +14,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import GriddedLatencyModel
+from repro.core.strategies import round_shape
 from repro.core.strategies.delayed import delayed_survival
 from repro.util.validation import check_in_range
 
 __all__ = [
-    "single_survival",
     "multiple_survival",
     "survival_to_quantile",
     "strategy_quantile",
 ]
 
 
-def _rounds_survival(
-    model: GriddedLatencyModel, batch_survival: np.ndarray, k_inf: int
+def multiple_survival(
+    model: GriddedLatencyModel, b: int, t_inf: float
 ) -> np.ndarray:
-    """``P(J > t)`` for a cancel-and-resubmit process with round length
-    ``t∞`` and per-round batch survival ``batch_survival`` (a tabulated
-    ``P(min of batch > u)`` for ``u`` in one round).
+    """``P(J > t_k)`` for the ``b``-burst strategy at timeout ``t∞``
+    (``b = 1``: single resubmission).
 
     Within round ``m`` (``t = m·t∞ + u``, ``u ∈ [0, t∞)``):
-    ``P(J > t) = q^m · batch_survival(u)`` with ``q = batch_survival(t∞)``.
+    ``P(J > t) = q^m · S^b(u)`` with ``q = S^b(t∞)``.
     """
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    k_inf = model.index_of(t_inf)
+    if k_inf < 1:
+        raise ValueError(f"t_inf={t_inf} is below the grid resolution")
+    batch_survival = model.S**b
     n = model.grid.n
     q = float(batch_survival[k_inf])
     out = np.empty(n)
@@ -48,26 +54,6 @@ def _rounds_survival(
             out[start:] = 0.0
             break
     return out
-
-
-def single_survival(model: GriddedLatencyModel, t_inf: float) -> np.ndarray:
-    """``P(J > t_k)`` for single resubmission at timeout ``t∞``."""
-    k = model.index_of(t_inf)
-    if k < 1:
-        raise ValueError(f"t_inf={t_inf} is below the grid resolution")
-    return _rounds_survival(model, model.S, k)
-
-
-def multiple_survival(
-    model: GriddedLatencyModel, b: int, t_inf: float
-) -> np.ndarray:
-    """``P(J > t_k)`` for the ``b``-burst strategy at timeout ``t∞``."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    k = model.index_of(t_inf)
-    if k < 1:
-        raise ValueError(f"t_inf={t_inf} is below the grid resolution")
-    return _rounds_survival(model, model.S**b, k)
 
 
 def survival_to_quantile(
@@ -110,21 +96,14 @@ def strategy_quantile(
 ) -> float:
     """``q``-quantile of ``J`` for any of the three strategy objects.
 
-    Dispatches on the strategy type (single / multiple / delayed) and
-    evaluates the corresponding survival tabulation.
+    Dispatches on the strategy's :func:`round_shape` ``(b, t0, t∞)``:
+    rounds that follow each other (``t0 == t∞``: single, multiple, and
+    delayed at its lower boundary) tabulate :func:`multiple_survival`,
+    overlapping ones :func:`delayed_survival`.
     """
-    from repro.core.strategies import (
-        DelayedResubmission,
-        MultipleSubmission,
-        SingleResubmission,
-    )
-
-    if isinstance(strategy, SingleResubmission):
-        surv = single_survival(model, strategy.t_inf)
-    elif isinstance(strategy, MultipleSubmission):
-        surv = multiple_survival(model, strategy.b, strategy.t_inf)
-    elif isinstance(strategy, DelayedResubmission):
-        surv = delayed_survival(model, strategy.t0, strategy.t_inf)
+    b, t0, t_inf = round_shape(strategy)
+    if t0 == t_inf:
+        surv = multiple_survival(model, b, t_inf)
     else:
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+        surv = delayed_survival(model, t0, t_inf)
     return survival_to_quantile(model, surv, q)

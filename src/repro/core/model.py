@@ -144,9 +144,7 @@ class GriddedLatencyModel:
     Precomputes, on grid times ``t_k``:
 
     * ``F[k] = F̃(t_k)`` and ``S[k] = 1 - F[k]``;
-    * ``A[k] = ∫₀^{t_k} (1-F̃(u)) du`` — the numerator of Eq. (1);
-    * ``M1[k] = ∫₀^{t_k} u·f̃(u) du`` and ``M2[k] = ∫₀^{t_k} u²·f̃(u) du`` —
-      the truncated moments entering Eq. (2).
+    * ``A[k] = ∫₀^{t_k} (1-F̃(u)) du`` — the numerator of Eq. (1).
 
     With those arrays, an exhaustive sweep of single-resubmission
     expectations over *all* candidate timeouts is one vector division,
@@ -201,21 +199,6 @@ class GriddedLatencyModel:
     def A1(self) -> np.ndarray:
         """``∫₀^{t_k} u (1 - F̃(u)) du`` — first survival moment."""
         return self.grid.cumint(self.times * self.S)
-
-    @cached_property
-    def M1(self) -> np.ndarray:
-        """``∫₀^{t_k} u f̃(u) du`` via integration by parts (``A - t·S``).
-
-        Using the survival integrals instead of a finite-difference
-        density keeps every strategy formula exactly consistent with the
-        Eq. (1) sweep on the same grid.
-        """
-        return self.A - self.times * self.S
-
-    @cached_property
-    def M2(self) -> np.ndarray:
-        """``∫₀^{t_k} u² f̃(u) du`` via parts (``2·A1 - t²·S``)."""
-        return 2.0 * self.A1 - self.times**2 * self.S
 
     # -- helpers ---------------------------------------------------------
 

@@ -32,7 +32,6 @@ from repro.core.strategies.multiple import (
     multiple_expectation_sweep,
     multiple_moments,
 )
-from repro.core.strategies.single import single_expectation_sweep, single_moments
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -104,14 +103,17 @@ def _search_indices(
     return np.arange(lo, hi + 1)
 
 
-def _optimize_timeout(model, t_min, t_max, sweep, moments) -> SingleOptimum:
-    """Argmin of ``sweep(model)`` over the search window, with its moments."""
+def _optimize_timeout(
+    model: GriddedLatencyModel, t_min: float | None, t_max: float | None, b: int
+) -> SingleOptimum:
+    """Argmin of the ``b``-burst Eq. (3) sweep over the search window,
+    with its moments (``b = 1``: single resubmission, Eq. 1)."""
     idx = _search_indices(model, t_min, t_max)
-    e = sweep(model)[idx]
+    e = multiple_expectation_sweep(model, b)[idx]
     if not np.isfinite(e).any():
         raise ValueError("E_J is infinite over the whole search window")
     t_inf = model.grid.time_of(idx[int(np.argmin(e))])
-    mom = moments(model, t_inf=t_inf)
+    mom = multiple_moments(model, b, t_inf)
     return SingleOptimum(t_inf=t_inf, e_j=mom.expectation, sigma_j=mom.std)
 
 
@@ -121,7 +123,7 @@ def optimize_single(
     t_min: float | None = None,
     t_max: float | None = None,
 ) -> SingleOptimum:
-    """Minimise Eq. (1) over the timeout (paper §4).
+    """Minimise Eq. (1), Eq. (3) at ``b = 1``, over the timeout (paper §4).
 
     Parameters
     ----------
@@ -130,9 +132,7 @@ def optimize_single(
     t_min, t_max:
         Optional search window for ``t∞`` (defaults: whole grid).
     """
-    return _optimize_timeout(
-        model, t_min, t_max, single_expectation_sweep, single_moments
-    )
+    return _optimize_timeout(model, t_min, t_max, 1)
 
 
 def optimize_multiple(
@@ -143,8 +143,7 @@ def optimize_multiple(
     t_max: float | None = None,
 ) -> SingleOptimum:
     """Minimise Eq. (3) over the timeout for burst size ``b`` (paper §5)."""
-    sweep = partial(multiple_expectation_sweep, b=b)
-    return _optimize_timeout(model, t_min, t_max, sweep, partial(multiple_moments, b=b))
+    return _optimize_timeout(model, t_min, t_max, b)
 
 
 def _delayed_t0_candidates(

@@ -34,9 +34,9 @@ class Strategy(abc.ABC):
     single-point evaluations share one code path.  Each one defines
     ``moments(model)`` (``E_J`` and ``σ_J`` as :class:`StrategyMoments`)
     and ``mean_parallel_jobs(model)``, the average number of identical
-    jobs in the system (``N_//``): 1 for single resubmission, ``b`` for
-    multiple submission, and the §6.1 piecewise value at ``l = E_J`` for
-    the delayed strategy.
+    jobs in the system (``N_//``): ``b`` for a burst (single resubmission
+    is the ``b = 1`` burst and inherits both), and the §6.1 piecewise
+    value at ``l = E_J`` for the delayed strategy.
     """
 
     #: short machine name, e.g. ``"single"``

@@ -7,9 +7,9 @@ one starts running the others are cancelled.  If none starts before
 
     B(t) = 1 - (1 - F̃(t))^b
 
-so Eqs. (3)–(4) are Eqs. (1)–(2) with ``F̃ → B`` — implemented here by
-reusing the geometric-sum moments with the batch survival ``S^b`` and the
-batch sub-density ``b·S^(b-1)·f̃``.
+so Eqs. (3)–(4) are Eqs. (1)–(2) with ``F̃ → B``.  This module is the one
+implementation of that round law: single resubmission (§4) is the
+``b = 1`` burst, whose ``B`` is ``F̃`` itself.
 """
 
 from __future__ import annotations
@@ -31,31 +31,44 @@ __all__ = [
 
 def _batch_arrays(
     model: GriddedLatencyModel, b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch survival ``S^b``, its cumulative integral and moment integrals.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round cdf ``B``, survival ``S^b`` and ``A_b = ∫₀^t S^b``.
 
-    The truncated moments of the batch minimum are obtained by parts from
-    the survival integrals (``m1 = A_b - t·S^b``, ``m2 = 2·∫u·S^b - t²·S^b``)
-    so they stay exactly consistent with the Eq. (3) sweep.
+    The one-copy round (``b = 1``) is the model's own tabulation.  Its cdf
+    must be ``F̃`` itself: ``1 - S`` differs from it in the last bits,
+    which would move single resubmission's optimum.
     """
     if b < 1:
         raise ValueError(f"burst size b must be >= 1, got {b}")
+    if b == 1:
+        return model.F, model.S, model.A
     surv_b = model.S**b
-    a_b = model.grid.cumint(surv_b)
+    return 1.0 - surv_b, surv_b, model.grid.cumint(surv_b)
+
+
+def _moment_integrals(
+    model: GriddedLatencyModel, surv_b: np.ndarray, a_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated moments ``∫₀^t u·dB`` and ``∫₀^t u²·dB`` of the round winner.
+
+    Obtained by parts from the survival integrals (``m1 = A_b - t·S^b``,
+    ``m2 = 2·∫u·S^b - t²·S^b``) so they stay exactly consistent with the
+    Eq. (3) sweep.  Computed per call for every ``b`` and cached nowhere.
+    """
     t = model.times
     m1_b = a_b - t * surv_b
     m2_b = 2.0 * model.grid.cumint(t * surv_b) - t**2 * surv_b
-    return surv_b, a_b, m1_b, m2_b
+    return m1_b, m2_b
 
 
 def multiple_expectation_sweep(model: GriddedLatencyModel, b: int) -> np.ndarray:
-    """``E_J(t∞)`` for burst size ``b`` at every grid timeout (Eq. 3)."""
-    surv_b, a_b, _m1, _m2 = _batch_arrays(model, b)
-    p = 1.0 - surv_b
+    """``E_J(t∞)`` for burst size ``b`` at every grid timeout (Eq. 3);
+    ``+inf`` where every round fails (``B(t∞) = 0``)."""
+    p, _surv_b, a_b = _batch_arrays(model, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = a_b / p
     e = np.where(p > 0.0, e, np.inf)
-    e[0] = np.inf
+    e[0] = np.inf  # t∞ = 0 is not a usable timeout
     return e
 
 
@@ -64,10 +77,11 @@ def multiple_moments(
 ) -> StrategyMoments:
     """``E_J`` and ``σ_J`` for burst size ``b`` at one timeout."""
     k = model.index_of(t_inf)
-    surv_b, _a_b, m1_b, m2_b = _batch_arrays(model, b)
-    p = float(1.0 - surv_b[k])
+    cdf_b, surv_b, a_b = _batch_arrays(model, b)
+    p = float(cdf_b[k])
     if p <= 0.0:
         return StrategyMoments(expectation=float("inf"), std=float("inf"))
+    m1_b, m2_b = _moment_integrals(model, surv_b, a_b)
     t = model.times[k]
     q = 1.0 - p
     m1 = float(m1_b[k])
@@ -86,8 +100,8 @@ class MultipleSubmission(Strategy):
     Parameters
     ----------
     b:
-        Number of identical copies submitted per burst (``b >= 1``;
-        ``b = 1`` degenerates to single resubmission).
+        Number of identical copies submitted per burst, a positive
+        integer (``b = 1`` is single resubmission).
     t_inf:
         Collective timeout: if no copy started, the burst is cancelled
         and resubmitted (seconds).
@@ -98,9 +112,14 @@ class MultipleSubmission(Strategy):
     name = "multiple"
 
     def __post_init__(self) -> None:
-        if int(self.b) != self.b or self.b < 1:
-            raise ValueError(f"b must be a positive integer, got {self.b!r}")
-        object.__setattr__(self, "b", int(self.b))
+        b = self.b
+        try:
+            whole = not isinstance(b, bool) and int(b) == b
+        except (TypeError, ValueError, OverflowError):
+            whole = False  # NaN and ±inf have no integer value
+        if not whole or b < 1:
+            raise ValueError(f"b must be a positive integer, got {b!r}")
+        object.__setattr__(self, "b", int(b))
         check_positive("t_inf", self.t_inf)
 
     def moments(self, model: GriddedLatencyModel) -> StrategyMoments:

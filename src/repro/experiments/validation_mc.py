@@ -8,7 +8,7 @@ comparing means/stds/N_// with the closed forms (Eqs. 1–5, §6.1).
 from __future__ import annotations
 
 from repro.core.optimize import optimize_delayed, optimize_multiple
-from repro.core.strategies import delayed_moments, multiple_moments, single_moments
+from repro.core.strategies import delayed_moments, multiple_moments
 from repro.core.strategies.delayed import mean_parallel_exact
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import T0_WINDOW, ReproContext, get_context
@@ -56,7 +56,7 @@ def run(
     )
 
     # single at its optimum
-    mom = single_moments(gridded, single.t_inf)
+    mom = multiple_moments(gridded, 1, single.t_inf)
     run_s = simulate_single(model, single.t_inf, n_tasks, rng=seed)
     table.add_row(
         f"single (t_inf={single.t_inf:.0f})",

@@ -49,6 +49,7 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
+from repro.traces._workload import open_text
 from repro.traces.gwf import gwf_record
 from repro.util.tables import Table, format_seconds
 
@@ -230,7 +231,7 @@ def write_trace(events: Iterable[tuple], target: str | Path | IO[str]) -> None:
     """Write events as JSON Lines (one ``{"kind", "t", "task", "job", ...}``
     object per line; ``aux`` fields unpacked under their per-kind names)."""
 
-    def _write(fh: IO[str]) -> None:
+    with open_text(target, "w") as fh:
         for kind, t, tid, jid, aux in events:
             rec = {"kind": kind, "t": t, "task": tid, "job": jid}
             fields = _AUX_FIELDS.get(kind)
@@ -239,19 +240,13 @@ def write_trace(events: Iterable[tuple], target: str | Path | IO[str]) -> None:
                 rec.update(zip(fields, vals))
             fh.write(json.dumps(rec) + "\n")
 
-    if hasattr(target, "write"):
-        _write(target)  # type: ignore[arg-type]
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _write(fh)
-
 
 def read_trace(source: str | Path | IO[str]) -> list[tuple]:
     """Parse a JSONL trace back into the tuple-event form the recorder
     produces (exact round-trip of :func:`write_trace`)."""
 
-    def _read(fh: IO[str]) -> list[tuple]:
-        events: list[tuple] = []
+    events: list[tuple] = []
+    with open_text(source) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -264,12 +259,7 @@ def read_trace(source: str | Path | IO[str]) -> list[tuple]:
                 vals = tuple(rec[f] for f in fields)
                 aux = vals if len(vals) > 1 else vals[0]
             events.append((kind, rec["t"], rec["task"], rec["job"], aux))
-        return events
-
-    if hasattr(source, "read"):
-        return _read(source)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8") as fh:
-        return _read(fh)
+    return events
 
 
 # -- latency decomposition --------------------------------------------------
@@ -425,8 +415,7 @@ def export_gwf(
     Returns the number of rows written.
     """
     records = decompose(events)
-
-    def _write(fh: IO[str]) -> int:
+    with open_text(target, "w") as fh:
         fh.write("# generated by repro.gridsim.tracing.export_gwf\n")
         fh.write(
             "# fields: JobID SubmitTime WaitTime RunTime NProcs ... "
@@ -443,9 +432,4 @@ def export_gwf(
                     r.vo if r.vo else "-1",
                 )
             )
-        return len(records)
-
-    if hasattr(target, "write"):
-        return _write(target)  # type: ignore[arg-type]
-    with open(target, "w", encoding="utf-8") as fh:
-        return _write(fh)
+    return len(records)

@@ -7,10 +7,10 @@ and never start, exactly matching the sub-distribution ``F̃`` the analytic
 formulas integrate.  Agreement between these replays and the closed forms
 is therefore a strong end-to-end check of both.
 
-For the round-based strategies (single and multiple submission) the
-mechanics admit an exact closed form, so no resubmission loop is run at
-all: rounds are i.i.d. and a round succeeds with probability
-``p = F̃(t∞)`` (single) or ``p = 1 - (1 - F̃(t∞))^b`` (multiple minimum),
+For the round-based strategies (multiple submission and its ``b = 1``
+case, single resubmission) the mechanics admit an exact closed form, so
+no resubmission loop is run at all: rounds are i.i.d. and a round
+succeeds with probability ``p = 1 - (1 - F̃(t∞))^b`` (the burst minimum),
 hence the number of *failed* rounds is ``Geometric(p) - 1`` and the final
 round contributes one draw from the per-round winner's distribution
 truncated to ``[0, t∞)``.  Both draws are inverse-transform sampled —
@@ -179,40 +179,14 @@ class McRun:
         return float(self.n_parallel.mean())
 
 
-def simulate_single(
-    model: LatencyModel,
-    t_inf: float,
-    n_tasks: int,
-    rng: RngLike = None,
-) -> McRun:
-    """Replay the single-resubmission strategy for ``n_tasks`` tasks.
-
-    Loop-free: failed rounds are ``Geometric(F̃(t∞)) - 1`` and the last
-    attempt is one truncated draw (see :class:`_RoundSampler`).
-    """
-    check_positive("t_inf", t_inf)
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    gen = as_rng(rng)
-    sampler = _round_sampler(model, 1, t_inf)
-    if sampler.p_round <= 0.0:
-        raise RuntimeError(
-            f"single-resubmission replay did not converge in {_MAX_ROUNDS} "
-            f"rounds (t_inf={t_inf} too small for this model?)"
-        )
-    j, jobs = sampler.draw(n_tasks, gen)
-    jobs += 1
-    return McRun(j=j, jobs_submitted=jobs, n_parallel=np.ones(n_tasks))
-
-
-def simulate_multiple(
+def _simulate_rounds(
     model: LatencyModel,
     b: int,
     t_inf: float,
     n_tasks: int,
-    rng: RngLike = None,
+    rng: RngLike,
 ) -> McRun:
-    """Replay the burst strategy: ``b`` copies, cancel on first start.
+    """Replay rounds of ``b`` copies, each round cancelled at ``t∞``.
 
     Loop-free: a round fails with probability ``(1 - F̃(t∞))^b``, so the
     failed-round count is geometric and the final round contributes one
@@ -227,16 +201,37 @@ def simulate_multiple(
     sampler = _round_sampler(model, b, t_inf)
     if sampler.p_round <= 0.0:
         raise RuntimeError(
-            f"multiple-submission replay did not converge in {_MAX_ROUNDS} "
+            f"round-based replay (b={b}) did not converge in {_MAX_ROUNDS} "
             f"rounds (t_inf={t_inf} too small for this model?)"
         )
     j, jobs = sampler.draw(n_tasks, gen)
     jobs += 1
     jobs *= b
-    # the paper counts N_// = b for burst submission
+    # the paper counts N_// = b for burst submission (1 for single)
     return McRun(
         j=j, jobs_submitted=jobs, n_parallel=np.full(n_tasks, float(b))
     )
+
+
+def simulate_single(
+    model: LatencyModel,
+    t_inf: float,
+    n_tasks: int,
+    rng: RngLike = None,
+) -> McRun:
+    """Replay single resubmission, the ``b = 1`` burst, for ``n_tasks`` tasks."""
+    return _simulate_rounds(model, 1, t_inf, n_tasks, rng)
+
+
+def simulate_multiple(
+    model: LatencyModel,
+    b: int,
+    t_inf: float,
+    n_tasks: int,
+    rng: RngLike = None,
+) -> McRun:
+    """Replay the burst strategy: ``b`` copies, cancel on first start."""
+    return _simulate_rounds(model, b, t_inf, n_tasks, rng)
 
 
 def simulate_delayed(

@@ -51,6 +51,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.model import GriddedLatencyModel
+from repro.core.strategies import StrategyMoments
 from repro.gridsim import chaos
 from repro.gridsim.chaos import _IN_FLIGHT, _STARTED, ConservationReport
 from repro.gridsim.events import Simulator
@@ -557,6 +558,32 @@ def eq2_std(model: GriddedLatencyModel, t_inf: float) -> float:
         + (2.0 * t * (1.0 - p) / p**2) * a
     )
     return float(np.sqrt(max(0.0, var)))
+
+
+def single_moments_reference(
+    model: GriddedLatencyModel, t_inf: float
+) -> StrategyMoments:
+    """Eqs. (1)–(2) from the model's ``F``, ``A`` and ``A1`` alone.
+
+    The single-resubmission moments as they were computed before single
+    resubmission became the ``b = 1`` burst: per-round success ``F̃(t∞)``
+    and the truncated moments ``∫u·f̃ = A - t·S``, ``∫u²·f̃ = 2·A1 - t²·S``
+    by parts.  :func:`~repro.core.strategies.multiple_moments` at ``b = 1``
+    must reproduce it bit for bit.
+    """
+    k = model.index_of(t_inf)
+    p = float(model.F[k])
+    if p <= 0.0:
+        return StrategyMoments(expectation=float("inf"), std=float("inf"))
+    t = model.times[k]
+    q = 1.0 - p
+    m1 = float((model.A - model.times * model.S)[k])
+    m2 = float((2.0 * model.A1 - model.times**2 * model.S)[k])
+    e_j = (t * q + m1) / p
+    e_j2 = (t**2) * q * (1.0 + q) / p**2 + 2.0 * t * q * m1 / p**2 + m2 / p
+    return StrategyMoments(
+        expectation=e_j, std=float(np.sqrt(max(0.0, e_j2 - e_j**2)))
+    )
 
 
 def eq3_expectation(model: GriddedLatencyModel, b: int, t_inf: float) -> float:

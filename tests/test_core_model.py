@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import GriddedLatencyModel, LatencyModel
+from repro.core.strategies.multiple import _batch_arrays, _moment_integrals
 from repro.distributions import Exponential
 from repro.util.grids import TimeGrid
 
@@ -100,8 +101,10 @@ class TestGriddedLatencyModel:
 
     def test_M1_is_first_moment_integral(self, gm):
         # for exponential rate λ with mass (1-ρ):
-        # ∫0^∞ u f̃ = (1-ρ)/λ
-        assert gm.M1[-1] == pytest.approx(0.9 * 100.0, rel=0.05)
+        # ∫0^∞ u f̃ = (1-ρ)/λ, the b = 1 round's first moment integral
+        _cdf, surv, a = _batch_arrays(gm, 1)
+        m1, _m2 = _moment_integrals(gm, surv, a)
+        assert m1[-1] == pytest.approx(0.9 * 100.0, rel=0.05)
 
     def test_index_helpers(self, gm):
         k = gm.index_of(500.0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.distribution_of_j import (
     multiple_survival,
-    single_survival,
     strategy_quantile,
     survival_to_quantile,
 )
@@ -15,7 +14,6 @@ from repro.core.strategies import (
     SingleResubmission,
     delayed_survival,
     multiple_moments,
-    single_moments,
 )
 from repro.montecarlo import simulate_multiple, simulate_single
 
@@ -24,7 +22,7 @@ from oracles import integrate
 
 class TestSingleSurvival:
     def test_starts_at_one_and_decays(self, gridded):
-        s = single_survival(gridded, 600.0)
+        s = multiple_survival(gridded, 1, 600.0)
         assert s[0] == pytest.approx(1.0)
         assert (np.diff(s) <= 1e-12).all()
         assert s[-1] < 1e-6
@@ -34,21 +32,21 @@ class TestSingleSurvival:
         t_inf = 600.0
         k = gridded.index_of(t_inf)
         q = float(gridded.S[k])
-        s = single_survival(gridded, t_inf)
+        s = multiple_survival(gridded, 1, t_inf)
         for m in (1, 2, 3):
             assert s[m * k] == pytest.approx(q**m, rel=1e-9)
 
     def test_integrates_to_eq1(self, gridded):
         t_inf = 600.0
-        s = single_survival(gridded, t_inf)
+        s = multiple_survival(gridded, 1, t_inf)
         e_direct = integrate(gridded.grid, s)
-        e_closed = single_moments(gridded, t_inf).expectation
+        e_closed = SingleResubmission(t_inf).moments(gridded).expectation
         # the grid truncates a tiny geometric tail
         assert e_direct == pytest.approx(e_closed, rel=1e-3)
 
     def test_matches_monte_carlo_cdf(self, lognormal_model, gridded):
         t_inf = 600.0
-        s = single_survival(gridded, t_inf)
+        s = multiple_survival(gridded, 1, t_inf)
         run = simulate_single(lognormal_model, t_inf, 20_000, rng=5)
         for t in (300.0, 900.0, 1800.0):
             empirical = (run.j > t).mean()
@@ -57,14 +55,17 @@ class TestSingleSurvival:
 
     def test_validation(self, gridded):
         with pytest.raises(ValueError):
-            single_survival(gridded, 0.5)
+            multiple_survival(gridded, 1, 0.5)
 
 
 class TestMultipleSurvival:
     def test_b1_equals_single(self, gridded):
+        # single resubmission's lattice: P(J > m·t∞ + u) = S(t∞)^m · S(u)
+        k = gridded.index_of(700.0)
+        rounds, u = np.divmod(np.arange(gridded.grid.n), k)
         np.testing.assert_allclose(
             multiple_survival(gridded, 1, 700.0),
-            single_survival(gridded, 700.0),
+            float(gridded.S[k]) ** rounds * gridded.S[u],
             rtol=1e-12,
         )
 
@@ -123,10 +124,18 @@ class TestQuantiles:
             survival_to_quantile(gridded, surv, 0.9)
 
     def test_q_validation(self, gridded):
-        s = single_survival(gridded, 600.0)
+        s = multiple_survival(gridded, 1, 600.0)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 survival_to_quantile(gridded, s, bad)
+
+    @pytest.mark.parametrize("t", [300.0, 600.0, 1200.0])
+    def test_delayed_at_its_lower_boundary_is_single(self, gridded, t):
+        # t0 == t∞: each copy is submitted as the last one is cancelled
+        for q in (0.25, 0.5, 0.9, 0.99):
+            assert strategy_quantile(
+                gridded, DelayedResubmission(t0=t, t_inf=t), q
+            ) == strategy_quantile(gridded, SingleResubmission(t), q)
 
     def test_unsupported_strategy_type(self, gridded):
         with pytest.raises(TypeError):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.strategies import (
+    SingleResubmission,
     delayed_moments,
     multiple_moments,
-    single_moments,
 )
 from repro.core.strategies.delayed import mean_parallel_exact
 from repro.montecarlo import (
@@ -23,12 +23,12 @@ N = 30_000  # tasks per replay; stderr ~ sigma/173
 class TestSimulateSingle:
     def test_agrees_with_eq1(self, lognormal_model, gridded):
         run = simulate_single(lognormal_model, 600.0, N, rng=1)
-        mom = single_moments(gridded, 600.0)
+        mom = SingleResubmission(600.0).moments(gridded)
         assert agreement_zscore(mom.expectation, run.j) < 4.0
 
     def test_agrees_with_eq2(self, lognormal_model, gridded):
         run = simulate_single(lognormal_model, 600.0, N, rng=2)
-        mom = single_moments(gridded, 600.0)
+        mom = SingleResubmission(600.0).moments(gridded)
         assert run.std_j == pytest.approx(mom.std, rel=0.05)
 
     def test_job_count_is_geometric(self, lognormal_model, gridded):
@@ -100,7 +100,7 @@ class TestSimulateDelayed:
 
     def test_degenerate_ratio_one_matches_single(self, lognormal_model, gridded):
         run = simulate_delayed(lognormal_model, 500.0, 500.0, N, rng=12)
-        mom = single_moments(gridded, 500.0)
+        mom = SingleResubmission(500.0).moments(gridded)
         assert agreement_zscore(mom.expectation, run.j) < 4.0
 
     def test_job_count_lower_than_single(self, lognormal_model):

@@ -11,13 +11,20 @@ from repro.core.optimize import (
     optimize_multiple,
     optimize_single,
 )
-from repro.core.strategies import delayed_cost_bands, single_expectation_sweep
+from repro.core.strategies import (
+    SingleResubmission,
+    delayed_cost_bands,
+    multiple_expectation_sweep,
+)
+from repro.experiments.context import get_context
+
+from oracles import single_moments_reference
 
 
 class TestOptimizeSingle:
     def test_finds_global_minimum_of_sweep(self, gridded):
         opt = optimize_single(gridded)
-        sweep = single_expectation_sweep(gridded)
+        sweep = multiple_expectation_sweep(gridded, 1)
         assert opt.e_j == pytest.approx(np.nanmin(sweep[np.isfinite(sweep)]))
 
     def test_respects_search_window(self, gridded):
@@ -33,10 +40,36 @@ class TestOptimizeSingle:
             optimize_single(gridded, t_min=2.0, t_max=50.0)
 
     def test_sigma_consistent(self, gridded):
-        from repro.core.strategies import single_moments
-
         opt = optimize_single(gridded)
-        assert opt.sigma_j == pytest.approx(single_moments(gridded, opt.t_inf).std)
+        assert opt.sigma_j == pytest.approx(
+            SingleResubmission(opt.t_inf).moments(gridded).std
+        )
+
+
+class TestOneRoundLaw:
+    @pytest.mark.parametrize("dt", [1.0, 2.0])
+    def test_b1_burst_is_single_on_every_week(self, dt):
+        # the b = 1 burst optimises to single resubmission's optimum bit
+        # for bit, and that optimum is still Eqs. (1)-(2) from F̃, A, A1
+        ctx = get_context(dt=dt)
+        for week in ctx.weeks:
+            model = ctx.model(week)
+            single = optimize_single(model)
+            burst = optimize_multiple(model, 1)
+            assert (burst.t_inf, burst.e_j, burst.sigma_j) == (
+                single.t_inf,
+                single.e_j,
+                single.sigma_j,
+            ), week
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eq1 = np.where(model.F > 0.0, model.A / model.F, np.inf)
+            k = 1 + int(np.argmin(eq1[1:]))
+            ref = single_moments_reference(model, model.grid.time_of(k))
+            assert (single.t_inf, single.e_j, single.sigma_j) == (
+                model.grid.time_of(k),
+                ref.expectation,
+                ref.std,
+            ), week
 
 
 class TestOptimizeMultiple:

@@ -8,7 +8,6 @@ from repro.core.paper_equations import eq5_union_expectation, union_cdf_of_j
 from repro.core.strategies import (
     delayed_moments,
     multiple_moments,
-    single_moments,
 )
 
 TIMEOUTS = (250.0, 500.0, 1000.0, 2000.0)
@@ -18,7 +17,7 @@ class TestEq1Eq2:
     @pytest.mark.parametrize("t_inf", TIMEOUTS)
     def test_eq1_matches_geometric_derivation(self, gridded, t_inf):
         assert eq1_expectation(gridded, t_inf) == pytest.approx(
-            single_moments(gridded, t_inf).expectation, rel=1e-9
+            multiple_moments(gridded, 1, t_inf).expectation, rel=1e-9
         )
 
     @pytest.mark.parametrize("t_inf", TIMEOUTS)
@@ -26,7 +25,7 @@ class TestEq1Eq2:
         # the paper's printed Eq. 2 is algebraically identical to the
         # direct E[J^2] expansion — this is the identity proved in DESIGN.md
         assert eq2_std(gridded, t_inf) == pytest.approx(
-            single_moments(gridded, t_inf).std, rel=1e-6
+            multiple_moments(gridded, 1, t_inf).std, rel=1e-6
         )
 
     def test_eq1_infinite_below_support(self, gridded):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import eq1_expectation, eq2_std, integrate
+from oracles import eq1_expectation, eq2_std, integrate, single_moments_reference
 from repro.core.model import LatencyModel
 from repro.core.strategies import (
     delayed_moments,
     delayed_survival,
     multiple_moments,
     n_parallel_for_latency,
-    single_moments,
 )
+from repro.core.strategies.multiple import _batch_arrays, _moment_integrals
 from repro.distributions import (
     EmpiricalDistribution,
     Exponential,
@@ -65,7 +65,9 @@ class TestSubDistributionInvariants:
     @given(params=model_params)
     def test_moment_integrals_nonnegative_monotone(self, params):
         gm = make_gridded(params)
-        for arr in (gm.A, gm.M1, gm.M2):
+        _cdf, surv, a = _batch_arrays(gm, 1)
+        m1, m2 = _moment_integrals(gm, surv, a)  # ∫u·f̃ and ∫u²·f̃
+        for arr in (a, m1, m2):
             assert (np.diff(arr) >= -1e-6).all()
             assert arr[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -80,7 +82,7 @@ class TestSingleInvariants:
         # printed Eqs. (1)-(2) == geometric-sum implementation everywhere
         gm = make_gridded(params)
         t_inf = gm.grid.time_of(gm.index_of(t_inf))
-        mom = single_moments(gm, t_inf)
+        mom = multiple_moments(gm, 1, t_inf)
         if not np.isfinite(mom.expectation):
             return
         assert eq1_expectation(gm, t_inf) == pytest.approx(
@@ -101,8 +103,9 @@ class TestSingleInvariants:
         p = float(gm.F[k])
         if p < 1e-6:
             return
-        cond_mean = float(gm.M1[k]) / p
-        assert single_moments(gm, t_inf).expectation >= cond_mean - 1e-6
+        m1, _m2 = _moment_integrals(gm, *_batch_arrays(gm, 1)[1:])
+        cond_mean = float(m1[k]) / p
+        assert multiple_moments(gm, 1, t_inf).expectation >= cond_mean - 1e-6
 
 
 class TestMultipleInvariants:
@@ -128,11 +131,10 @@ class TestMultipleInvariants:
     def test_b1_is_single(self, params, t_inf):
         gm = make_gridded(params)
         t_inf = gm.grid.time_of(gm.index_of(t_inf))
-        ms = single_moments(gm, t_inf)
+        # bit for bit: the b = 1 round cdf is F̃ itself
+        ms = single_moments_reference(gm, t_inf)
         mm = multiple_moments(gm, 1, t_inf)
-        if np.isfinite(ms.expectation):
-            assert mm.expectation == pytest.approx(ms.expectation, rel=1e-9)
-            assert mm.std == pytest.approx(ms.std, rel=1e-6, abs=1e-6)
+        assert mm == ms
 
 
 class TestDelayedInvariants:
@@ -169,7 +171,7 @@ class TestDelayedInvariants:
         ki = min(int(round(k0 * ratio)), 2 * k0, gm.grid.n - 1)
         t0 = gm.grid.time_of(k0)
         t_inf = gm.grid.time_of(ki)
-        e_single = single_moments(gm, t0).expectation
+        e_single = multiple_moments(gm, 1, t0).expectation
         e_delayed = delayed_moments(gm, t0, t_inf).expectation
         if np.isfinite(e_single):
             assert e_delayed <= e_single + 1e-6
@@ -263,7 +265,7 @@ class TestMcAgreementProperty:
 
         gm = make_gridded(params)
         t_inf = gm.grid.time_of(gm.index_of(t_inf))
-        mom = single_moments(gm, t_inf)
+        mom = multiple_moments(gm, 1, t_inf)
         if not np.isfinite(mom.expectation) or gm.F[gm.index_of(t_inf)] < 0.05:
             return
         run = simulate_single(gm.model, t_inf, 4000, rng=17)

@@ -13,38 +13,36 @@ from repro.core.strategies import (
     multiple_moments,
     n_parallel_for_latency,
     round_shape,
-    single_expectation_sweep,
-    single_moments,
 )
 from repro.core.strategies.delayed import mean_parallel_exact
 
-from oracles import delayed_expectation_for_t0, integrate
+from oracles import delayed_expectation_for_t0, integrate, single_moments_reference
 
 
 class TestSingleResubmission:
     def test_expectation_without_timeout_pressure(self, gridded_faultless):
         # with a huge timeout and no faults, E_J -> E[R]
-        mom = single_moments(gridded_faultless, 8000.0)
+        mom = SingleResubmission(8000.0).moments(gridded_faultless)
         # the model is 100 s + LogNormal(5.5, 1.0)
         true_mean = 100.0 + np.exp(5.5 + 0.5)
         assert mom.expectation == pytest.approx(true_mean, rel=0.02)
 
     def test_expectation_sweep_matches_pointwise(self, gridded):
-        sweep = single_expectation_sweep(gridded)
+        sweep = multiple_expectation_sweep(gridded, 1)
         for t in (300.0, 600.0, 1200.0):
             k = gridded.index_of(t)
             assert sweep[k] == pytest.approx(
-                single_moments(gridded, t).expectation, rel=1e-9
+                SingleResubmission(t).moments(gridded).expectation, rel=1e-9
             )
 
     def test_infinite_below_support(self, gridded):
         # the model has a 100 s floor: timeouts below it never succeed
-        sweep = single_expectation_sweep(gridded)
+        sweep = multiple_expectation_sweep(gridded, 1)
         assert np.isinf(sweep[gridded.index_of(50.0)])
         assert np.isinf(sweep[0])
 
     def test_small_timeout_is_penalised(self, gridded):
-        sweep = single_expectation_sweep(gridded)
+        sweep = multiple_expectation_sweep(gridded, 1)
         e_at_110 = sweep[gridded.index_of(110.0)]
         e_at_600 = sweep[gridded.index_of(600.0)]
         assert e_at_110 > e_at_600
@@ -52,36 +50,48 @@ class TestSingleResubmission:
     def test_outliers_make_infinite_patience_costly(self, gridded):
         # with rho > 0, E_J at the largest timeout exceeds the minimum:
         # waiting forever on a faulted job is never optimal
-        sweep = single_expectation_sweep(gridded)
+        sweep = multiple_expectation_sweep(gridded, 1)
         finite = sweep[np.isfinite(sweep)]
         assert sweep[-1] > finite.min()
 
     def test_strategy_object_delegates(self, gridded):
         s = SingleResubmission(t_inf=600.0)
         assert s.expectation(gridded) == pytest.approx(
-            single_moments(gridded, 600.0).expectation
+            multiple_moments(gridded, 1, 600.0).expectation
         )
         assert s.mean_parallel_jobs(gridded) == 1.0
         assert "600" in s.describe()
+
+    def test_is_the_one_copy_burst(self):
+        s = SingleResubmission(600.0)
+        assert isinstance(s, MultipleSubmission)
+        assert (s.b, s.t_inf, s.name) == (1, 600.0, "single")
+        assert s.describe() == "single resubmission (t_inf=600s)"
+        # a burst of one is the same law, not the same strategy object
+        assert s != MultipleSubmission(b=1, t_inf=600.0)
+        with pytest.raises(TypeError):
+            SingleResubmission(b=2, t_inf=600.0)
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             SingleResubmission(t_inf=0.0)
 
     def test_moments_at_zero_mass_timeout(self, gridded):
-        mom = single_moments(gridded, 50.0)
+        mom = SingleResubmission(50.0).moments(gridded)
         assert np.isinf(mom.expectation)
         assert np.isinf(mom.std)
 
 
 class TestMultipleSubmission:
     def test_b1_equals_single(self, gridded):
+        # b = 1 is Eq. (1)-(2) bit for bit: its round cdf is F̃, not 1 - S
         e1 = multiple_expectation_sweep(gridded, 1)
-        es = single_expectation_sweep(gridded)
-        np.testing.assert_allclose(e1[1:], es[1:], rtol=1e-9)
-        for t in (300.0, 600.0, 1200.0):
-            assert multiple_moments(gridded, 1, t).std == pytest.approx(
-                single_moments(gridded, t).std, rel=1e-9
+        with np.errstate(divide="ignore", invalid="ignore"):
+            es = np.where(gridded.F > 0.0, gridded.A / gridded.F, np.inf)
+        np.testing.assert_array_equal(e1[1:], es[1:])
+        for t in (50.0, 300.0, 600.0, 1200.0):
+            assert multiple_moments(gridded, 1, t) == single_moments_reference(
+                gridded, t
             )
 
     def test_expectation_decreases_with_b(self, gridded):
@@ -110,6 +120,11 @@ class TestMultipleSubmission:
         with pytest.raises(ValueError):
             MultipleSubmission(b=1.5, t_inf=100.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), True, "3"])
+    def test_non_integer_b_is_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="b must be a positive integer, got"):
+            MultipleSubmission(b=bad, t_inf=600.0)
+
     def test_n_parallel_is_b(self, gridded):
         assert MultipleSubmission(b=7, t_inf=500.0).mean_parallel_jobs(gridded) == 7.0
 
@@ -117,7 +132,7 @@ class TestMultipleSubmission:
         t = 600.0
         assert (
             multiple_moments(gridded, 3, t).expectation
-            < single_moments(gridded, t).expectation
+            < SingleResubmission(t).moments(gridded).expectation
         )
 
     def test_describe(self):
@@ -130,7 +145,7 @@ class TestDelayedResubmission:
         # cancelled -> single resubmission with timeout t0
         t0 = 500.0
         mom_d = delayed_moments(gridded, t0, t0)
-        mom_s = single_moments(gridded, t0)
+        mom_s = SingleResubmission(t0).moments(gridded)
         assert mom_d.expectation == pytest.approx(mom_s.expectation, rel=1e-9)
         assert mom_d.std == pytest.approx(mom_s.std, rel=1e-6)
 

@@ -29,6 +29,7 @@ class TestPlanSubmissions:
         assert e_js == sorted(e_js)
         # with a generous budget, the largest burst wins on speed
         assert isinstance(plan.best.strategy, MultipleSubmission)
+        assert plan.best.strategy.b == 5
 
     def test_objective_cost_prefers_win_win(self, gridded):
         plan = plan_submissions(
