@@ -5,6 +5,12 @@ the experiment harness, times it with pytest-benchmark, and writes the
 rendered result to ``benchmarks/results/<id>.txt`` so the regenerated
 tables are inspectable after a run.
 
+With ``REPRO_BENCH_PROBES=<path>`` (set by ``run_benchmarks.py``) the
+host's speed is timed between benches with perfbench's fixed reference
+task (:class:`perfbench.hostspeed.Probe`, median of three calls), and
+each bench's probe times before and after it are written to ``<path>``
+as JSON at the end of the session: the host speed that bench ran at.
+
 With ``REPRO_BENCH_MEM=1`` (``run_benchmarks.py --mem``) every bench
 body runs one extra, untimed pass under :mod:`tracemalloc` and records
 its peak allocation in the report's ``extra_info`` — the memory column
@@ -14,6 +20,7 @@ timed rounds so tracemalloc's ~2x slowdown never contaminates timings.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tracemalloc
@@ -31,6 +38,27 @@ RESULTS_DIR = Path(__file__).parent / "results"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 TRACK_MEM = os.environ.get("REPRO_BENCH_MEM", "") not in ("", "0")
+PROBES_PATH = os.environ.get("REPRO_BENCH_PROBES", "")
+
+if PROBES_PATH:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench.hostspeed import Probe
+
+    _probe = Probe()
+    #: test name -> (probe seconds before it, probe seconds after it)
+    _probes: dict[str, tuple[float, float]] = {}
+    _last: list[float] = []
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(item):
+        # the probe after one bench is the probe before the next
+        before = _last.pop() if _last else _probe(3)
+        yield
+        _last.append(_probe(3))
+        _probes[item.name] = (before, _last[0])
+
+    def pytest_sessionfinish(session):
+        Path(PROBES_PATH).write_text(json.dumps(_probes), encoding="utf-8")
 
 
 def _mem_pass(bench, fn, args=(), kwargs=None) -> None:

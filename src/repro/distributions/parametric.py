@@ -42,15 +42,23 @@ class _ScipyBacked(LatencyDistribution):
         self._dist: rv_continuous = getattr(scipy.stats, dist)
         self._kwds = kwds
 
-    def pdf(self, t):
+    def _on_support(self, fn, t):
+        """``fn`` (the generator's pdf or cdf) at the ``t >= 0`` entries, 0
+        elsewhere (NaN included): scipy never sees a point off the
+        support, such as a Weibull density's pole at 0 for shape < 1.
+        ``maximum`` turns ``-0.0`` into ``+0.0``, whose density can differ
+        in sign."""
         t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._dist.pdf(np.maximum(t, 0.0), **self._kwds), 0.0)
+        inside = t >= 0
+        out = np.zeros(t.shape)
+        out[inside] = fn(np.maximum(t[inside], 0.0), **self._kwds)
         return out if out.ndim else float(out)
 
+    def pdf(self, t):
+        return self._on_support(self._dist.pdf, t)
+
     def cdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.where(t >= 0, self._dist.cdf(np.maximum(t, 0.0), **self._kwds), 0.0)
-        return out if out.ndim else float(out)
+        return self._on_support(self._dist.cdf, t)
 
     def ppf(self, q):
         out = np.asarray(self._dist.ppf(q, **self._kwds), dtype=np.float64)

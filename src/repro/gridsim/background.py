@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gridsim.events import Simulator
+from repro.gridsim.events import Simulator, restore_state
 from repro.traces.generator import DiurnalProfile
 from repro.util.validation import check_in_range, check_positive
 
@@ -49,6 +49,8 @@ DEFAULT_CHUNK = 256
 
 class BackgroundLoad:
     """Poisson production-job stream feeding one computing element."""
+
+    __setstate__ = restore_state
 
     def __init__(
         self,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.gridsim.events import restore_state
 from repro.util.validation import check_probability
 
 __all__ = ["FaultModel", "SubmitFaultConfig"]
@@ -42,6 +43,8 @@ class FaultModel:
     p_stuck:
         Probability a dispatched job lands in a queue it never leaves.
     """
+
+    __setstate__ = restore_state
 
     p_lost: float = 0.0
     p_stuck: float = 0.0
@@ -82,6 +85,8 @@ class SubmitFaultConfig:
         The landed copy runs as a duplicate the instant the client
         retries; ``0`` makes every failure a clean failure.
     """
+
+    __setstate__ = restore_state
 
     p_fail: float = 0.0
     p_landed: float = 0.0

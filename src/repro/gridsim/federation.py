@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.gridsim.events import restore_state
 from repro.util.validation import check_nonnegative
 
 __all__ = ["BrokerConfig"]
@@ -45,6 +46,8 @@ class BrokerConfig:
         period for non-owned sites.  0 means the broker sees the whole
         grid on the normal cadence.
     """
+
+    __setstate__ = restore_state
 
     name: str
     sites: tuple[str, ...]

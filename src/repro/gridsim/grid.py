@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from repro.gridsim.background import BackgroundLoad
-from repro.gridsim.events import Simulator
+from repro.gridsim.events import Simulator, restore_state
 from repro.gridsim.fairshare import (
     SINGLE_VO,
     FairShareVectorComputingElement,
@@ -101,6 +101,8 @@ class SiteConfig:
         to allocation).  Skewing it away from the shares models a VO
         overdriving its allocation.
     """
+
+    __setstate__ = restore_state
 
     name: str
     n_cores: int
@@ -205,6 +207,8 @@ class GridConfig:
     grid's :class:`~repro.gridsim.middleware.MiddlewareDomain`;
     otherwise submissions take the historical path byte-for-byte.
     """
+
+    __setstate__ = restore_state
 
     sites: tuple[SiteConfig, ...]
     matchmaking_median: float = 60.0
@@ -431,6 +435,8 @@ def federated_grid_config(
 
 class GridSimulator:
     """Executable grid built from a :class:`GridConfig`."""
+
+    __setstate__ = restore_state
 
     def __init__(self, config: GridConfig, seed: RngLike = None) -> None:
         self.config = config
@@ -1029,6 +1035,12 @@ class GridSnapshot:
     exactly as the original would have at capture time.  A grid carrying
     an un-picklable attachment (a lambda on its event queue, say) cannot
     be captured: the constructor raises :class:`pickle.PicklingError`.
+
+    Every class a snapshot carries binds
+    :func:`~repro.gridsim.events.restore_state` as its ``__setstate__``,
+    so a restored object keeps its attributes inline and reads them as
+    fast as a fresh one; ``tests/test_snapshots.py::TestRestoreRule``
+    walks restored grids and fails on a class that does not.
     """
 
     def __init__(self, grid: GridSimulator) -> None:

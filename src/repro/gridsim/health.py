@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.gridsim.events import restore_state
 from repro.gridsim.jobs import Job, JobState
 from repro.util.validation import (
     check_in_range,
@@ -86,6 +87,8 @@ class HealthConfig:
     recovers (degraded → ok) below ``recover_threshold``, the hysteresis
     gap preventing flapping.
     """
+
+    __setstate__ = restore_state
 
     #: EWMA weight of the newest observation, in (0, 1]
     alpha: float = 0.2
@@ -139,6 +142,8 @@ class HealthConfig:
 class SiteHealth:
     """Mutable per-site health record."""
 
+    __setstate__ = restore_state
+
     site: object
     state: HealthState = HealthState.OK
     #: EWMA of the failure indicator (1 = failure, 0 = success)
@@ -156,6 +161,8 @@ class HealthService:
     :class:`HealthConfig` is configured; unconfigured grids never
     construct one, so the degenerate path stays byte-identical.
     """
+
+    __setstate__ = restore_state
 
     def __init__(self, sites: list, sim: "Simulator", config: HealthConfig) -> None:
         self.sim = sim

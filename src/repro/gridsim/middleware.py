@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
+from repro.gridsim.events import restore_state
 from repro.gridsim.faults import SubmitFaultConfig
 from repro.gridsim.jobs import Job, JobState
 from repro.util.validation import (
@@ -89,6 +90,8 @@ class RetryPolicy:
         Seconds an open breaker waits before letting one half-open
         trial attempt through.
     """
+
+    __setstate__ = restore_state
 
     max_attempts: int = 4
     backoff_base: float = 30.0
@@ -181,6 +184,8 @@ class MiddlewareDomain:
     configs never construct one, so the historical submit path stays
     untouched.
     """
+
+    __setstate__ = restore_state
 
     def __init__(
         self,

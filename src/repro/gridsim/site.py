@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.gridsim.events import Event, Simulator
+from repro.gridsim.events import Event, Simulator, restore_state
 from repro.gridsim.jobs import Job, JobState
 
 __all__ = ["ComputingElement", "VectorComputingElement"]
@@ -431,6 +431,8 @@ class VectorComputingElement:
     same-timestamp tie is involved.
     """
 
+    __setstate__ = restore_state
+
     #: grid-weather hooks, mirrored from :class:`ComputingElement`
     black_hole = False
     on_fail: Callable[[Job], None] | None = None
@@ -487,14 +489,6 @@ class VectorComputingElement:
         #: release, gate reopen, new background chunk) lowers it, or
         #: resets it to 0 to force a walk.
         self._next_due = 0.0
-
-    def __setstate__(self, state: dict) -> None:
-        # one setattr per attribute, not pickle's default update of
-        # ``__dict__``: that materialises the instance dict, and on
-        # CPython 3.11 a site restored from a warmed snapshot then read
-        # its attributes at about half the speed of a fresh one
-        for name, value in state.items():
-            setattr(self, name, value)
 
     # -- intake contract ---------------------------------------------------
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.gridsim.events import restore_state
 from repro.gridsim.jobs import JobState
 from repro.util.validation import (
     check_int_at_least,
@@ -61,6 +62,8 @@ _BROKER_MODES = ("reject", "black-hole")
 @dataclass(frozen=True)
 class StormConfig:
     """Correlated multi-site outage storms (shared Poisson process)."""
+
+    __setstate__ = restore_state
 
     #: mean time between storms (s, exponential)
     mean_interval: float = 86_400.0
@@ -100,6 +103,8 @@ class BlackHoleConfig:
     consumes no randomness and stays bit-identical across engines.
     """
 
+    __setstate__ = restore_state
+
     #: name of the site that turns into a black hole
     site: str
     #: instant the hole opens (virtual seconds)
@@ -127,6 +132,8 @@ class BrokerOutageConfig:
     measure is how clients and failover react, so the outage itself
     consumes no randomness and stays bit-identical across engines.
     """
+
+    __setstate__ = restore_state
 
     #: name of the broker that goes down
     broker: str
@@ -158,6 +165,8 @@ class BrokerOutageConfig:
 @dataclass(frozen=True)
 class WeatherConfig:
     """The grid's weather regime: any mix of the three processes."""
+
+    __setstate__ = restore_state
 
     #: correlated storm process (None = no storms)
     storm: StormConfig | None = None
@@ -198,6 +207,8 @@ class StormProcess:
     duration, mirroring the shared-cause semantics (one broken service,
     one fix).
     """
+
+    __setstate__ = restore_state
 
     def __init__(
         self,
@@ -276,6 +287,8 @@ class StormProcess:
 class ResubmitConfig:
     """Retry budget and backoff of the self-healing resubmission agent."""
 
+    __setstate__ = restore_state
+
     #: seconds between monitoring sweeps
     period: float = 300.0
     #: system-side resubmissions allowed per task
@@ -310,6 +323,8 @@ class ResubmissionAgent:
     with (and is invisible to) the paper's user-side strategies, which
     keep their own timeouts and their own resubmission logic.
     """
+
+    __setstate__ = restore_state
 
     #: task-lifecycle recorder (grid-assigned on traced runs)
     _tr = None

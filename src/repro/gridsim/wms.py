@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.gridsim.events import Simulator
+from repro.gridsim.events import Simulator, restore_state
 from repro.gridsim.fairshare import FairShareVectorComputingElement
 from repro.gridsim.jobs import Job, JobState
 from repro.util.validation import check_nonnegative, check_positive
@@ -86,6 +86,8 @@ class WorkloadManager:
     every ``info_refresh + info_lag`` seconds.  ``name`` labels the
     broker in routing (``via``), metrics and traces.
     """
+
+    __setstate__ = restore_state
 
     #: health-aware ranking (set by :meth:`enable_health`): when on, the
     #: stale snapshot also carries each site's ``health_penalty`` and the

@@ -484,6 +484,51 @@ class TestBench:
         assert "cumulative" in table and "tottime" in table
 
 
+    def test_bench_gate_compares_speed_scaled_means(self):
+        """A host uniformly slower than the recording one moves the probe
+        with the benches and trips nothing; a slower bench on the same
+        host still trips the gate."""
+        import importlib.util
+        from pathlib import Path
+
+        script = (
+            Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py"
+        )
+        spec = importlib.util.spec_from_file_location("run_benchmarks", script)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        baseline = {"benchmarks": {"b": {"mean": 1.0, "host_speed": 1.0}}}
+        ok, _ = mod.compare({"b": {"mean": 1.6, "host_speed": 0.625}}, baseline, 1.25)
+        assert ok
+        ok, table = mod.compare({"b": {"mean": 1.3, "host_speed": 1.0}}, baseline, 1.25)
+        assert not ok and "REGRESSION" in table
+        # a side without a probe compares raw means
+        ok, _ = mod.compare({"b": {"mean": 1.6}}, baseline, 1.25)
+        assert not ok
+
+    def test_bench_gate_speed_comes_from_the_probes_around_each_bench(self):
+        import importlib.util
+        from pathlib import Path
+
+        script = (
+            Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py"
+        )
+        spec = importlib.util.spec_from_file_location("run_benchmarks", script)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        stats = {"min": 1.0, "mean": 1.0, "stddev": 0.0, "rounds": 1}
+        report = {
+            "benchmarks": [{"name": "a", "stats": stats}, {"name": "b", "stats": stats}],
+            "host_probes": {"a": [0.1, 0.1], "b": [0.2, 0.3]},
+        }
+        out = mod.distill(report)
+        ref = mod._speed([1.0])
+        assert out["a"]["host_speed"] == round(ref / 0.1, 4)
+        assert out["b"]["host_speed"] == round(ref / 0.25, 4)
+        assert mod.host_speed(report) == pytest.approx(ref / 0.15)
+        assert mod.host_speed({"benchmarks": []}) is None
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

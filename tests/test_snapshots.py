@@ -9,7 +9,11 @@ changing a single rendered number.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import gc
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.gridsim import (
     warmed_grid,
     warmed_snapshot,
 )
+from repro.gridsim.events import restore_state
 from repro.gridsim.grid import _WARM_CACHE
 from repro.gridsim.jobs import Job
 
@@ -136,6 +141,124 @@ class TestCloneEquivalence:
         fork.run_until(fork.now + 10_000.0)
         assert state_fingerprint(fork) == state_fingerprint(master)
         del independent
+
+
+#: objects a grid refers to that pickle saves by reference, not by state
+_BY_REFERENCE = (
+    type,
+    types.FunctionType,
+    types.BuiltinFunctionType,
+    types.ModuleType,
+    enum.Enum,
+)
+
+
+def repro_instances(root) -> list:
+    """Every object reachable from ``root`` whose class lives in ``repro``
+    and which carries a ``__dict__``, in depth-first order."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _BY_REFERENCE):
+            continue
+        seen.add(id(obj))
+        if type(obj).__module__.startswith("repro") and hasattr(obj, "__dict__"):
+            found.append(obj)
+        stack.extend(reversed(gc.get_referents(obj)))
+    return found
+
+
+def chaos_config() -> GridConfig:
+    """The fleet grid on two brokers under ``storm-broker-site``, with
+    health, the resubmission agent and tracing."""
+    from repro.gridsim.chaos import standard_schedules
+    from repro.gridsim.federation import BrokerConfig
+    from repro.gridsim.health import HealthConfig
+    from repro.gridsim.weather import ResubmitConfig
+    from repro.population.presets import fleet_grid_config
+
+    base = fleet_grid_config()
+    names = tuple(s.name for s in base.sites)
+    half = len(names) // 2
+    federated = dataclasses.replace(
+        base,
+        brokers=(
+            BrokerConfig("wms-a", names[:half]),
+            BrokerConfig("wms-b", names[half:]),
+        ),
+    )
+    storm = dict(standard_schedules(federated))["storm-broker-site"]
+    return dataclasses.replace(
+        storm, health=HealthConfig(), resubmit=ResubmitConfig(), tracing=True
+    )
+
+
+def calm_config() -> GridConfig:
+    from repro.population.presets import fleet_grid_config
+
+    return fleet_grid_config()
+
+
+class TestRestoreRule:
+    """Every class a snapshot carries restores through ``restore_state``,
+    which keeps a restored object's attributes inline like a fresh one's."""
+
+    @pytest.fixture(params=[calm_config, chaos_config], ids=["calm", "chaos"])
+    def master_and_fork(self, request):
+        master = fresh_warmed(request.param(), 2009, 6 * 3600.0)
+        return master, master.snapshot().restore()
+
+    def test_every_restored_class_binds_the_rule(self, master_and_fork):
+        _, fork = master_and_fork
+        classes = {type(obj) for obj in repro_instances(fork)}
+        assert GridSimulator in classes
+        stray = sorted(
+            c.__qualname__
+            for c in classes
+            if getattr(c, "__setstate__", None) is not restore_state
+        )
+        assert stray == []
+
+    def test_chaos_grid_carries_every_runtime_layer(self):
+        fork = fresh_warmed(chaos_config(), 2009, 3600.0).snapshot().restore()
+        names = {type(obj).__name__ for obj in repro_instances(fork)}
+        assert {
+            "MiddlewareDomain",
+            "HealthService",
+            "SiteHealth",
+            "ResubmissionAgent",
+            "StormProcess",
+            "BatchedWorkloadManager",
+        } <= names
+
+    def test_restored_frozen_configs_equal_and_hash_like_the_captured(
+        self, master_and_fork
+    ):
+        master, fork = master_and_fork
+
+        def frozen(grid):
+            return [
+                obj
+                for obj in repro_instances(grid)
+                if dataclasses.is_dataclass(obj)
+                and type(obj).__dataclass_params__.frozen
+            ]
+
+        captured, restored = frozen(master), frozen(fork)
+        assert len(restored) == len(captured) > 1
+        for before, after in zip(captured, restored):
+            assert after is not before
+            assert type(after) is type(before)
+            assert after == before
+            assert hash(after) == hash(before)
+        assert fork.config == master.config
+
+    def test_rule_sets_frozen_fields(self):
+        cfg = SiteConfig("a", 8, utilization=0.8)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.n_cores = 9
 
 
 class TestSnapshotGuards:
