@@ -24,13 +24,13 @@ benches and after the last (``benchmarks/conftest.py``); each bench's
 host speed comes from the probes on either side of it and is stored
 beside its mean, and every mean is compared at reference speed
 (``mean × host speed``): a slower runner moves the probe with the
-benches, a slower program moves only the benches.  Two more guards keep
-short slow phases of a shared host out of the verdict: ``--update``
-records each bench from the median of ``--runs`` (3) suite runs, and a
-bench over the threshold runs again on its own up to ``--confirm`` (2)
-times, its lowest ratio counting — a regression in the code repeats.
-See PERFORMANCE.md for what each benchmark covers and the current
-headline numbers.
+benches, a slower program moves only the benches.  ``--update`` records
+each bench from the median of ``BASELINE_RUNS`` suite runs, so one slow
+phase of a shared host does not become the baseline.  A bench over the
+threshold runs ``CONFIRM_RUNS`` more times on its own and gates on the
+median ratio of its readings: a regression in the code repeats, a slow
+phase of the host rarely does twice.  See PERFORMANCE.md for what each
+benchmark covers and the current headline numbers.
 
 ``--profile`` runs each selected bench body once under :mod:`cProfile`
 (pytest-benchmark itself disabled — its pause/resume instrumentation
@@ -65,6 +65,12 @@ CORE_SUITES = [
     BENCH_DIR / "test_bench_population.py",
     BENCH_DIR / "test_bench_weather.py",
 ]
+#: suite runs ``--update`` records the baseline from (per bench, the run
+#: with the median speed-scaled mean)
+BASELINE_RUNS = 3
+#: extra runs of a bench over the threshold; the median ratio of its
+#: first reading and these counts
+CONFIRM_RUNS = 2
 
 
 def run_pytest_benchmarks(
@@ -215,13 +221,19 @@ def ratio(stats: dict, ref: dict) -> float:
     return scaled_mean(stats) / scaled_mean(ref) if ref["mean"] > 0 else float("inf")
 
 
+def median_reading(entries: list[dict], key=scaled_mean) -> dict:
+    """The entry with the median ``key`` (the lower middle one of an even
+    count)."""
+    ordered = sorted(entries, key=key)
+    return ordered[(len(ordered) - 1) // 2]
+
+
 def median_run(runs: list[dict]) -> dict:
     """Per bench, the entry of the run with the median speed-scaled mean."""
-    out = {}
-    for name in runs[0]:
-        entries = sorted((r[name] for r in runs if name in r), key=scaled_mean)
-        out[name] = entries[(len(entries) - 1) // 2]
-    return out
+    return {
+        name: median_reading([r[name] for r in runs if name in r])
+        for name in runs[0]
+    }
 
 
 def compare(
@@ -229,14 +241,13 @@ def compare(
     baseline: dict,
     threshold: float,
     speed: float | None = None,
-    remeasured: frozenset = frozenset(),
 ) -> tuple[bool, str]:
     """Build the comparison table; (ok, text) — ok is False on regression.
 
     ``ratio`` is ``mean × host speed / (baseline mean × its host speed)``
     (:func:`ratio`), both means taken to the reference host with each
     bench's own ``host_speed``.  ``speed`` (the run's overall host speed)
-    is only reported; benches in ``remeasured`` are marked as such.
+    is only reported.
     """
     base = baseline.get("benchmarks", {})
     base_speed = baseline.get("host_speed")
@@ -279,8 +290,6 @@ def compare(
             ok = False
         elif r < 1.0 / threshold:
             flag = "  improved"
-        if name in remeasured:
-            flag += "  (re-measured)"
         lines.append(
             f"{name.ljust(width)}{stats['mean']:12.6f}{ref['mean']:12.6f}"
             f"{r:8.2f}{mem_col(stats)}{flag}"
@@ -320,26 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "speed-scaled mean-time ratio above which a benchmark counts "
             "as regressed"
-        ),
-    )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=3,
-        metavar="N",
-        help=(
-            "suite runs a baseline is recorded from; each bench keeps the "
-            "run with the median speed-scaled mean (default: 3)"
-        ),
-    )
-    parser.add_argument(
-        "--confirm",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "times a bench over the threshold is run again on its own; its "
-            "lowest ratio counts (default: 2; 0 gates on the first run)"
         ),
     )
     parser.add_argument(
@@ -454,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
             "— a partial run cannot seed the baseline; run once without "
             "--filter first"
         )
-    runs = [measure(args.filter) for _ in range(args.runs if writing else 1)]
+    runs = [measure(args.filter) for _ in range(BASELINE_RUNS if writing else 1)]
     results = median_run([r for r, _ in runs])
     speeds = [s for _, s in runs if s is not None]
     speed = statistics.median(speeds) if speeds else None
@@ -476,26 +465,23 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     base = baseline.get("benchmarks", {})
-    remeasured: set[str] = set()
-    for _ in range(args.confirm):
-        over = [
-            n for n, st in results.items()
-            if n in base and ratio(st, base[n]) > args.threshold
-        ]
-        if not over:
-            break
-        # a bench over the threshold runs again on its own; a regression
-        # in the code repeats, a slow phase of the host rarely does
-        again, _ = measure(" or ".join(over))
+    over = [
+        n for n, st in results.items()
+        if n in base and ratio(st, base[n]) > args.threshold
+    ]
+    if over:
+        again = [measure(" or ".join(over))[0] for _ in range(CONFIRM_RUNS)]
         for name in over:
-            if name in again and ratio(again[name], base[name]) < ratio(
-                results[name], base[name]
-            ):
-                results[name] = again[name]
-            remeasured.add(name)
-    ok, table = compare(
-        results, baseline, args.threshold, speed, frozenset(remeasured)
-    )
+            readings = [results[name]] + [a[name] for a in again if name in a]
+            results[name] = median_reading(
+                readings, key=lambda st, ref=base[name]: ratio(st, ref)
+            )
+    ok, table = compare(results, baseline, args.threshold, speed)
+    if over:
+        table += (
+            f"\nre-measured, median of {1 + CONFIRM_RUNS} readings: "
+            + ", ".join(over)
+        )
     verdict = (
         "no regressions"
         if ok

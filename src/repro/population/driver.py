@@ -182,16 +182,9 @@ def _run_uncollected(grid: GridSimulator, t_end: float) -> None:
     caller that froze objects of its own keeps them frozen, so the splice
     is skipped then.  Cyclic garbage made during the run is reclaimed at
     the next full collection.  The enabled flag is restored as found.
-
-    With the collector enabled, one pass over the two young generations
-    runs first: the cyclic garbage a caller just made there (the dead
-    master and fork grids of a warm-up loop, say) would otherwise stay
-    allocated through the whole run and add to its peak memory.
     """
     enabled = gc.isenabled()
     promote = gc.get_freeze_count() == 0
-    if enabled:
-        gc.collect(1)
     gc.disable()
     try:
         grid.run_until(t_end)

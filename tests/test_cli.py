@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -483,50 +484,104 @@ class TestBench:
         table = mod.render_profile(dump, 5)
         assert "cumulative" in table and "tottime" in table
 
+    @pytest.fixture(scope="class")
+    def bench_mod(self):
+        """``benchmarks/run_benchmarks.py``, loaded as a module."""
+        import importlib.util
 
-    def test_bench_gate_compares_speed_scaled_means(self):
+        script = (
+            Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py"
+        )
+        spec = importlib.util.spec_from_file_location("run_benchmarks", script)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    def test_bench_gate_compares_speed_scaled_means(self, bench_mod):
         """A host uniformly slower than the recording one moves the probe
         with the benches and trips nothing; a slower bench on the same
         host still trips the gate."""
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py"
-        )
-        spec = importlib.util.spec_from_file_location("run_benchmarks", script)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
         baseline = {"benchmarks": {"b": {"mean": 1.0, "host_speed": 1.0}}}
-        ok, _ = mod.compare({"b": {"mean": 1.6, "host_speed": 0.625}}, baseline, 1.25)
+        ok, _ = bench_mod.compare(
+            {"b": {"mean": 1.6, "host_speed": 0.625}}, baseline, 1.25
+        )
         assert ok
-        ok, table = mod.compare({"b": {"mean": 1.3, "host_speed": 1.0}}, baseline, 1.25)
+        ok, table = bench_mod.compare(
+            {"b": {"mean": 1.3, "host_speed": 1.0}}, baseline, 1.25
+        )
         assert not ok and "REGRESSION" in table
         # a side without a probe compares raw means
-        ok, _ = mod.compare({"b": {"mean": 1.6}}, baseline, 1.25)
+        ok, _ = bench_mod.compare({"b": {"mean": 1.6}}, baseline, 1.25)
         assert not ok
 
-    def test_bench_gate_speed_comes_from_the_probes_around_each_bench(self):
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parents[1] / "benchmarks" / "run_benchmarks.py"
-        )
-        spec = importlib.util.spec_from_file_location("run_benchmarks", script)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
+    def test_bench_gate_speed_comes_from_the_probes_around_each_bench(
+        self, bench_mod
+    ):
         stats = {"min": 1.0, "mean": 1.0, "stddev": 0.0, "rounds": 1}
         report = {
             "benchmarks": [{"name": "a", "stats": stats}, {"name": "b", "stats": stats}],
             "host_probes": {"a": [0.1, 0.1], "b": [0.2, 0.3]},
         }
-        out = mod.distill(report)
-        ref = mod._speed([1.0])
+        out = bench_mod.distill(report)
+        ref = bench_mod._speed([1.0])
         assert out["a"]["host_speed"] == round(ref / 0.1, 4)
         assert out["b"]["host_speed"] == round(ref / 0.25, 4)
-        assert mod.host_speed(report) == pytest.approx(ref / 0.15)
-        assert mod.host_speed({"benchmarks": []}) is None
+        assert bench_mod.host_speed(report) == pytest.approx(ref / 0.15)
+        assert bench_mod.host_speed({"benchmarks": []}) is None
+
+    def test_bench_baseline_keeps_each_benchs_median_scaled_run(self, bench_mod):
+        """Per bench, the baseline keeps the whole entry of the run whose
+        speed-scaled mean is the median, so a run on a slow phase of the
+        host is dropped even where its raw mean is the median one."""
+        runs = [
+            {"a": {"mean": 1.0, "host_speed": 1.0}, "b": {"mean": 3.0}},
+            {"a": {"mean": 3.0, "host_speed": 0.2}, "b": {"mean": 1.0}},
+            {"a": {"mean": 2.0, "host_speed": 0.9}, "b": {"mean": 2.0}},
+        ]
+        out = bench_mod.median_run(runs)
+        # scaled means of a: 1.0, 0.6, 1.8 -> the first run's entry
+        assert out["a"] is runs[0]["a"]
+        assert out["b"] is runs[2]["b"]
+        # with an even count the lower middle run is kept
+        assert bench_mod.median_run(runs[:2])["a"] is runs[1]["a"]
+        # a bench missing from a later run keeps the runs that have it
+        assert bench_mod.median_run([runs[0], {"a": runs[1]["a"]}])["b"] is (
+            runs[0]["b"]
+        )
+
+    @pytest.mark.parametrize(
+        "reruns, code", [((1.1, 1.4), 1), ((1.1, 1.2), 0), ((1.5, 1.3), 1)]
+    )
+    def test_bench_gate_reruns_a_bench_over_the_threshold_and_takes_the_median(
+        self, bench_mod, tmp_path, monkeypatch, reruns, code
+    ):
+        """A bench over the threshold runs twice more on its own, and the
+        median of its three ratios decides; a bench under it runs once."""
+        baseline = tmp_path / "base.json"
+        baseline.write_text(
+            json.dumps({"benchmarks": {"a": {"mean": 1.0}, "b": {"mean": 1.0}}}),
+            encoding="utf-8",
+        )
+        means = iter([{"a": 1.5, "b": 1.0}, *({"a": m} for m in reruns)])
+        keywords = []
+
+        def fake_run(suites, large=False, mem=False, keyword=None, **kw):
+            keywords.append(keyword)
+            return {
+                "benchmarks": [
+                    {"name": n, "stats": {"min": m, "mean": m, "stddev": 0.0, "rounds": 3}}
+                    for n, m in next(means).items()
+                ]
+            }
+
+        monkeypatch.setattr(bench_mod, "run_pytest_benchmarks", fake_run)
+        report = tmp_path / "report.txt"
+        argv = ["--baseline", str(baseline), "--threshold", "1.25"]
+        assert bench_mod.main(argv + ["--report", str(report)]) == code
+        assert keywords == [None, "a", "a"]
+        text = report.read_text(encoding="utf-8")
+        assert f"{sorted((1.5, *reruns))[1]:8.2f}" in text
+        assert "re-measured, median of 3 readings: a" in text
 
 
 class TestParser:

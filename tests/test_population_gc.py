@@ -142,28 +142,6 @@ class TestSurvivors:
         assert len(kept) == 1
         assert any(o is kept[0] for o in gc.get_objects(generation=2))
 
-    def test_young_garbage_made_before_the_run_dies_before_it(self, grid):
-        gc.enable()
-        node = _Node()
-        node.self = node
-        ref = weakref.ref(node)
-        del node
-        seen: list = []
-        grid.sim.schedule_at(grid.now + 1.0, lambda: seen.append(ref() is None))
-        run_population(grid, _SPEC, seed=1)
-        assert seen == [True]
-
-    def test_disabled_collector_collects_nothing_before_the_run(self, grid):
-        gc.disable()
-        node = _Node()
-        node.self = node
-        ref = weakref.ref(node)
-        del node
-        seen: list = []
-        grid.sim.schedule_at(grid.now + 1.0, lambda: seen.append(ref() is None))
-        run_population(grid, _SPEC, seed=1)
-        assert seen == [False]
-
     def test_cycle_made_mid_run_dies_on_next_collect(self, grid):
         gc.enable()
         refs: list = []
