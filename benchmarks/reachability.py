@@ -156,9 +156,6 @@ ALLOWED = (
      "item 1: the shard worker side runs in forked children"),
     ("population/shard.py", "_shard_worker",
      "item 1: the shard worker side runs in forked children"),
-    ("population/soa.py", "TaskPool._expire_one",
-     "path: a fleet timeout firing on the pool; reached by "
-     "tests/test_population_soa.py::TestLaunchWalkerOracle::test_claiming_walker_matches_rechaining"),
     ("traces/calibration.py", "CalibrationResult.relative_error",
      "derivation: calibrate_lognormal's acceptance check"),
     ("traces/calibration.py", "calibrate_lognormal",
@@ -188,6 +185,8 @@ def entry_points(tmp: Path) -> list[tuple[str, list[str]]]:
             [*repro, "population", "--scale", "2000", "--sites", "6",
              "--cores", "64"],
         ),
+        # no --sites: the preset grid scales with the day (fleet_sites_for)
+        ("population --scale 20000", [*repro, "population", "--scale", "20000"]),
         ("weather", [*repro, "weather"]),
         (
             "chaos --matrix",
@@ -205,12 +204,6 @@ def entry_points(tmp: Path) -> list[tuple[str, list[str]]]:
         (f"examples/{e}.py", [str(ROOT / "examples" / f"{e}.py")])
         for e in EXAMPLES
     ]
-    points.append(
-        (
-            "examples/population_1m.py",
-            [str(ROOT / "examples" / "population_1m.py"), "--scale", "20000"],
-        )
-    )
     points += [
         (
             f"perfbench {w}",

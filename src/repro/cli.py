@@ -668,53 +668,49 @@ def _cmd_chaos(args, out) -> int:
                 "audit",
             ],
         )
-        failures = 0
         if args.matrix:
-            rows = chaos_matrix(
+            campaigns = chaos_matrix(
                 base,
                 schedules,
                 seed=args.seed,
                 n_tasks=args.tasks,
                 horizon=args.horizon,
             )
-            for r in rows:
-                table.add_row(
-                    r["corner"],
-                    r["schedule"],
-                    r["finished"],
-                    r["gave_up"],
-                    r["jobs"],
-                    f"{r['duplicates']} ({r['reconciled']})",
-                    "ok" if r["ok"] else "VIOLATED",
-                )
-                if not r["ok"]:
-                    failures += 1
-                    for v in r["violations"]:
-                        out.write(f"violation [{r['corner']}/{r['schedule']}]: {v}\n")
         else:
-            for name, cfg in schedules:
-                res = run_chaos(
-                    cfg,
-                    seed=args.seed,
-                    n_tasks=args.tasks,
-                    horizon=args.horizon,
-                )
-                table.add_row(
+            campaigns = [
+                (
                     cfg.wms_engine,
                     name,
-                    res.finished,
-                    res.gave_up,
-                    res.report.jobs,
-                    f"{res.report.duplicates} ({res.report.duplicates_reconciled})",
-                    "ok" if res.ok else "VIOLATED",
+                    run_chaos(
+                        cfg,
+                        seed=args.seed,
+                        n_tasks=args.tasks,
+                        horizon=args.horizon,
+                    ),
                 )
-                if not res.ok:
-                    failures += 1
-                    for v in res.report.violations:
-                        out.write(f"violation [{name}]: {v}\n")
-                if args.trace is not None:
-                    write_trace(res.events, args.trace)
-                    out.write(f"wrote {args.trace} ({len(res.events)} events)\n")
+                for name, cfg in schedules
+            ]
+        failures = 0
+        for corner, name, res in campaigns:
+            table.add_row(
+                corner,
+                name,
+                res.finished,
+                res.gave_up,
+                res.report.jobs,
+                f"{res.report.duplicates} ({res.report.duplicates_reconciled})",
+                "ok" if res.ok else "VIOLATED",
+            )
+            if not res.ok:
+                failures += 1
+                where = f"{corner}/{name}" if args.matrix else name
+                for v in res.report.violations:
+                    out.write(f"violation [{where}]: {v}\n")
+        if args.trace is not None:
+            # --trace takes one --schedule and no --matrix: one campaign
+            ((_, _, res),) = campaigns
+            write_trace(res.events, args.trace)
+            out.write(f"wrote {args.trace} ({len(res.events)} events)\n")
     except ValueError as exc:
         out.write(f"error: {exc}\n")
         return 2

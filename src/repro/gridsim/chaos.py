@@ -487,37 +487,28 @@ def chaos_matrix(
     n_tasks: int = 45,
     warm: float = 6 * 3600.0,
     horizon: float = 10 * 3600.0,
-) -> list[dict]:
+) -> list[tuple[str, str, ChaosResult]]:
     """Audit every schedule under both WMS engines.
 
-    Returns one row dict per (corner, schedule) with the campaign stats
-    and the audit outcome; callers decide what a violation means.
+    Returns one ``(corner, schedule, result)`` triple per WMS engine and
+    schedule, engine-major; callers decide what a violation means.
     """
     if base is None:
         base = chaos_grid_config()
     if schedules is None:
         schedules = standard_schedules(base, start=warm)
-    rows = []
-    for wms_engine in _WMS_ENGINES:
-        for name, cfg in schedules:
-            out = run_chaos(
+    return [
+        (
+            wms_engine,
+            name,
+            run_chaos(
                 dataclasses.replace(cfg, wms_engine=wms_engine),
                 seed=seed,
                 n_tasks=n_tasks,
                 warm=warm,
                 horizon=horizon,
-            )
-            rows.append(
-                {
-                    "corner": wms_engine,
-                    "schedule": name,
-                    "finished": out.finished,
-                    "gave_up": out.gave_up,
-                    "jobs": out.report.jobs,
-                    "duplicates": out.report.duplicates,
-                    "reconciled": out.report.duplicates_reconciled,
-                    "ok": out.ok,
-                    "violations": out.report.violations,
-                }
-            )
-    return rows
+            ),
+        )
+        for wms_engine in _WMS_ENGINES
+        for name, cfg in schedules
+    ]

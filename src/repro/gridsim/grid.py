@@ -282,12 +282,20 @@ class GridConfig:
                         f"broker {b.name!r} owns unknown site(s): "
                         f"{', '.join(stray)}"
                     )
-        if self.weather is not None:
-            if not isinstance(self.weather, WeatherConfig):
+        for name, kind in (
+            ("weather", WeatherConfig),
+            ("health", HealthConfig),
+            ("resubmit", ResubmitConfig),
+            ("submit_faults", SubmitFaultConfig),
+            ("retry", RetryPolicy),
+        ):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
                 raise TypeError(
-                    "weather must be a WeatherConfig, "
-                    f"got {type(self.weather).__name__}"
+                    f"{name} must be a {kind.__name__}, "
+                    f"got {type(value).__name__}"
                 )
+        if self.weather is not None:
             storm = self.weather.storm
             if storm is not None and storm.subset_size > len(self.sites):
                 raise ValueError(
@@ -318,28 +326,6 @@ class GridConfig:
                     f"storm broker_prob={storm.broker_prob!r} needs "
                     "federated brokers (GridConfig.brokers is empty)"
                 )
-        if self.health is not None and not isinstance(self.health, HealthConfig):
-            raise TypeError(
-                f"health must be a HealthConfig, got {type(self.health).__name__}"
-            )
-        if self.resubmit is not None and not isinstance(
-            self.resubmit, ResubmitConfig
-        ):
-            raise TypeError(
-                "resubmit must be a ResubmitConfig, "
-                f"got {type(self.resubmit).__name__}"
-            )
-        if self.submit_faults is not None and not isinstance(
-            self.submit_faults, SubmitFaultConfig
-        ):
-            raise TypeError(
-                "submit_faults must be a SubmitFaultConfig, "
-                f"got {type(self.submit_faults).__name__}"
-            )
-        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
-            raise TypeError(
-                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
-            )
 
 
 def default_grid_config(

@@ -475,18 +475,6 @@ class BatchedWorkloadManager(WorkloadManager):
     def _resolve_bucket(self, boundary: float) -> None:
         entries = self._buckets.pop(boundary)
         tr = self._tr
-        if len(entries) == 1:
-            # singleton bucket (sparse campaigns): no sorting, no
-            # grouping — essentially the oracle's dispatch body
-            _, job = entries[0]
-            if job.state is not _MATCHING:
-                return
-            self.current_snapshot()
-            site = self.sites[self._select_index()]
-            self.dispatch_count += site.enqueue_many([job])
-            if tr is not None and job.state in _ENQUEUED_STATES:
-                tr.enqueue(job)
-            return
         # order by exact match-making instant; the stable sort breaks
         # float ties in submission order
         entries.sort(key=itemgetter(0))

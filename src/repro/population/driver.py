@@ -131,44 +131,6 @@ class PopulationResult:
         return {vo: np.concatenate(js) for vo, js in pools.items()}
 
 
-def _assemble_result(
-    grid: GridSimulator,
-    outcomes: list[FleetOutcome],
-    *,
-    duration: float,
-    lost_before: int,
-    stuck_before: int,
-    dispatched_before: list[int],
-    phases: dict[str, float],
-    t_read: float | None = None,
-) -> PopulationResult:
-    """Wrap per-fleet outcomes with the grid's telemetry deltas.
-
-    ``t_read`` is the instant the readout began: the readout phase is
-    stamped after assembly, which reads usage shares and the registry.
-    """
-    usage = {
-        site.name: site.usage_shares() for site in grid.sites if multi_vo(site)
-    }
-    result = PopulationResult(
-        fleets=tuple(outcomes),
-        duration=duration,
-        jobs_lost=grid.jobs_lost - lost_before,
-        jobs_stuck=grid.jobs_stuck - stuck_before,
-        broker_dispatches=tuple(
-            b.dispatch_count - d0
-            for b, d0 in zip(grid.brokers, dispatched_before)
-        ),
-        site_usage_shares=usage,
-        weather=grid.weather_report(),
-        metrics=grid.metrics.snapshot(),
-        phases=phases,
-    )
-    if t_read is not None:
-        phases["readout"] = perf_counter() - t_read
-    return result
-
-
 def _run_uncollected(grid: GridSimulator, t_end: float) -> None:
     """``grid.run_until(t_end)`` with the cyclic collector held off.
 
@@ -217,8 +179,8 @@ def run_population(
     whenever :func:`~repro.population.soa.pool_supported` says it is
     law-identical on this grid, and on per-task
     :class:`~repro.gridsim.client.TaskCore` objects otherwise — the path
-    that carries middleware retries, the resubmission agent, tracing
-    and the chaos ledger.  Where the pool engages both produce
+    that carries event-engine grids, middleware retries, the
+    resubmission agent, tracing and the chaos ledger.  Where the pool engages both produce
     bit-for-bit the same result, pinned by
     ``tests/test_population_soa.py``.  CPython's cyclic collector is
     held off while the grid runs; its enabled flag, thresholds and
@@ -254,7 +216,11 @@ def _run_population(
     horizon_slack: float,
     pool: bool,
 ) -> PopulationResult:
-    """:func:`run_population` on the pool (``pool``) or on TaskCores."""
+    """:func:`run_population` on the pool (``pool``) or on TaskCores.
+
+    Either runtime hands back a reader of per-fleet ``(j, jobs)``
+    arrays; the grid's telemetry deltas are read here, once, after it.
+    """
     check_positive("horizon_slack", horizon_slack)
     t_launch = perf_counter()
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
@@ -264,117 +230,103 @@ def _run_population(
     all_times = [
         spec.launch_times(fleet, rng) for fleet, rng in zip(spec.fleets, rngs)
     ]
-    total = sum(t.size for t in all_times)
 
-    if total == 0:
+    if sum(t.size for t in all_times) == 0:
         # nothing to launch (no fleets, or every fleet has n_tasks=0):
-        # an empty result, without burning the horizon on a dead grid
-        outcomes = [
-            FleetOutcome(
-                spec=fleet,
-                j=np.array([]),
-                jobs_submitted=np.array([], dtype=np.int64),
-                gave_up=0,
-            )
-            for fleet in spec.fleets
+        # an empty day, without burning the horizon on a dead grid
+        t_sim = t_read = perf_counter()
+        readouts = [
+            (np.array([]), np.array([], dtype=np.int64)) for _ in all_times
         ]
-        return _assemble_result(
-            grid,
-            outcomes,
-            duration=0.0,
-            lost_before=lost_before,
-            stuck_before=stuck_before,
-            dispatched_before=dispatched_before,
-            phases={"launch": perf_counter() - t_launch},
-        )
-
-    if pool:
-        submitted_before = grid.jobs_submitted
-        task_pool = TaskPool(
-            grid,
-            spec.fleets,
-            all_times,
-            start=start,
-            on_all_done=grid.sim.stop,
-        )
+    else:
+        launch = _launch_pool if pool else _launch_taskcores
+        read = launch(grid, spec.fleets, all_times, start)
         t_sim = perf_counter()
         _run_uncollected(grid, start + spec.window + horizon_slack)
         t_read = perf_counter()
-        task_pool.check_conservation(grid.jobs_submitted - submitted_before)
-        outcomes = []
-        for f, fleet in enumerate(spec.fleets):
-            j, jobs = task_pool.fleet_results(f)
-            outcomes.append(
-                FleetOutcome(
-                    spec=fleet,
-                    j=j,
-                    jobs_submitted=jobs,
-                    gave_up=fleet.n_tasks - j.size,
-                )
-            )
-        return _assemble_result(
-            grid,
-            outcomes,
-            duration=grid.now - start,
-            lost_before=lost_before,
-            stuck_before=stuck_before,
-            dispatched_before=dispatched_before,
-            phases={"launch": t_sim - t_launch, "simulate": t_read - t_sim},
-            t_read=t_read,
-        )
+        readouts = read()
 
-    results: list[list[tuple[float, int]]] = [[] for _ in spec.fleets]
-    pending = [total]
-
-    def on_done() -> None:
-        pending[0] -= 1
-        if pending[0] == 0:
-            grid.sim.stop()
-
-    launchers: list[partial] = []
-    for fleet, sink in zip(spec.fleets, results):
-        launchers.append(
-            partial(
-                launch_task,
-                grid,
-                fleet.strategy,
-                fleet.runtime,
-                sink,
-                vo=fleet.vo,
-                via=fleet.broker,
-                on_done=on_done,
-            )
-        )
-
-    fid = np.repeat(
-        np.arange(len(all_times), dtype=np.intp),
-        [t.size for t in all_times],
-    ).tolist()
-    chain_launches(grid.sim, all_times, start, lambda i: launchers[fid[i]]())
-
-    t_sim = perf_counter()
-    _run_uncollected(grid, start + spec.window + horizon_slack)
-    t_read = perf_counter()
-
-    outcomes = []
-    for fleet, sink in zip(spec.fleets, results):
-        j = np.array([r[0] for r in sink])
-        jobs = np.array([r[1] for r in sink], dtype=np.int64)
-        outcomes.append(
+    phases = {"launch": t_sim - t_launch, "simulate": t_read - t_sim}
+    result = PopulationResult(
+        fleets=tuple(
             FleetOutcome(
                 spec=fleet,
                 j=j,
                 jobs_submitted=jobs,
                 gave_up=fleet.n_tasks - j.size,
             )
-        )
-    return _assemble_result(
-        grid,
-        outcomes,
+            for fleet, (j, jobs) in zip(spec.fleets, readouts)
+        ),
         duration=grid.now - start,
-        lost_before=lost_before,
-        stuck_before=stuck_before,
-        dispatched_before=dispatched_before,
-        phases={"launch": t_sim - t_launch, "simulate": t_read - t_sim},
-        t_read=t_read,
+        jobs_lost=grid.jobs_lost - lost_before,
+        jobs_stuck=grid.jobs_stuck - stuck_before,
+        broker_dispatches=tuple(
+            b.dispatch_count - d0
+            for b, d0 in zip(grid.brokers, dispatched_before)
+        ),
+        site_usage_shares={
+            site.name: site.usage_shares()
+            for site in grid.sites
+            if multi_vo(site)
+        },
+        weather=grid.weather_report(),
+        metrics=grid.metrics.snapshot(),
+        phases=phases,
     )
+    phases["readout"] = perf_counter() - t_read
+    return result
+
+
+def _launch_pool(grid, fleets, all_times, start: float):
+    """Load the day into one :class:`TaskPool`; return its reader."""
+    submitted_before = grid.jobs_submitted
+    pool = TaskPool(
+        grid, fleets, all_times, start=start, on_all_done=grid.sim.stop
+    )
+
+    def read() -> list[tuple[np.ndarray, np.ndarray]]:
+        pool.check_conservation(grid.jobs_submitted - submitted_before)
+        return [pool.fleet_results(f) for f in range(len(fleets))]
+
+    return read
+
+
+def _launch_taskcores(grid, fleets, all_times, start: float):
+    """Chain one :func:`launch_task` per task; return the sinks' reader."""
+    sinks: list[list[tuple[float, int]]] = [[] for _ in fleets]
+    pending = [sum(t.size for t in all_times)]
+
+    def on_done() -> None:
+        pending[0] -= 1
+        if pending[0] == 0:
+            grid.sim.stop()
+
+    launchers = [
+        partial(
+            launch_task,
+            grid,
+            fleet.strategy,
+            fleet.runtime,
+            sink,
+            vo=fleet.vo,
+            via=fleet.broker,
+            on_done=on_done,
+        )
+        for fleet, sink in zip(fleets, sinks)
+    ]
+    fid = np.repeat(
+        np.arange(len(all_times), dtype=np.intp),
+        [t.size for t in all_times],
+    ).tolist()
+    chain_launches(grid.sim, all_times, start, lambda i: launchers[fid[i]]())
+
+    def read() -> list[tuple[np.ndarray, np.ndarray]]:
+        return [
+            (
+                np.array([r[0] for r in sink]),
+                np.array([r[1] for r in sink], dtype=np.int64),
+            )
+            for sink in sinks
+        ]
+
+    return read

@@ -1,11 +1,11 @@
 """Canonical fleet-scale workload presets.
 
 The 16-site / 4096-core fair-share grid and the four-fleet diurnal day
-used by the population benchmarks, the ``repro population`` CLI and
-``examples/population_1m.py``.  One definition keeps the 20k bench, the
-100k bench, the ``population-1m`` milestone run and the sharded CLI all
-measuring the same workload — only ``scale`` (and the shard count)
-varies.
+used by the population benchmarks and the ``repro population`` CLI.
+One definition keeps the 20k bench, the 100k bench, the
+``population-1m`` milestone run (``repro population --scale 1000000``)
+and the sharded runtime all measuring the same workload — only
+``scale`` (and the shard count) varies.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ shapes with ``b == 1`` and ``t0 == t∞`` take the one-copy lane (a bare
 Job, ``broker.submit``, ``_EXP_SINGLE``), which most fleet tasks use.
 
 The pool is a *law-identical* replacement for the TaskCore path on the
-grids fleet runs actually use — calm middleware (no retry/fault domain,
-no resubmission agent, no tracing, no task ledger; see
-:func:`pool_supported`).  Every grid interaction happens in exactly the
-order the legacy executors performed it (same Job mint order, same
-fault-channel draws, same broker round-robin, same cancel batches), so
-a pool run reproduces the TaskCore driver bit-for-bit under both WMS
-engines; ``tests/test_population_soa.py`` pins that.
+grids fleet runs actually use — the batched WMS engine and calm
+middleware (no retry/fault domain, no resubmission agent, no tracing,
+no task ledger; see :func:`pool_supported`).  Every grid interaction
+happens in exactly the order the legacy executors performed it (same
+Job mint order, same fault-channel draws, same broker round-robin, same
+cancel batches), so a pool run reproduces the TaskCore driver
+bit-for-bit; ``tests/test_population_soa.py`` pins that.
 
 Sharded runs (:mod:`repro.population.shard`) reuse the pool unchanged:
 the worker passes an ``ops`` adapter that reroutes cancels of copies
@@ -105,12 +105,15 @@ def pool_supported(grid) -> bool:
     subsystems hook into (middleware retry sagas, the resubmission
     agent's watch list, trace task ids, the chaos ledger), so it only
     engages when all of them are off — which is every fleet-scale
-    benchmark configuration.  Anything else runs on the per-task
-    TaskCore driver, which is also the pool's behavioural oracle.  Any
-    fleet runs: a ``FleetSpec`` strategy always has a round shape.
+    benchmark configuration.  Its timeouts ride the batched engine's
+    timer wheel, so an event-engine grid (exact per-entry timers) is
+    left to the TaskCore driver too.  That driver is also the pool's
+    behavioural oracle.  Any fleet runs: a ``FleetSpec`` strategy
+    always has a round shape.
     """
     return (
-        grid._mw is None
+        grid._pooled_timers
+        and grid._mw is None
         and grid._agent is None
         and grid._tr is None
         and grid.task_ledger is None
@@ -154,8 +157,7 @@ class TaskPool:
         "_live", "_cb", "_seq", "pending", "on_all_done",
         "_one", "_t_inf", "_t0", "_b", "_runtime", "_vo",
         "_fleet_broker", "_rr_broker", "_via",
-        "_cancel", "_cancel_many", "_rf", "_calm",
-        "_pooled", "_wheel",
+        "_cancel", "_cancel_many", "_rf", "_calm", "_wheel",
     )
 
     def __init__(
@@ -254,10 +256,7 @@ class TaskPool:
         self._rr_broker = grid.broker_for
 
         # -- pool timer wheel --------------------------------------------
-        #: batched engine: one kernel timer per boundary fires a whole
-        #: index block; event engine: exact per-entry heap events, so
-        #: the oracle corner keeps the historical timer stream
-        self._pooled = grid._pooled_timers
+        #: one kernel timer per boundary fires a whole index block
         self._wheel: dict[float, list] = {}
 
         if n:
@@ -340,20 +339,13 @@ class TaskPool:
     # -- timeout wheel ----------------------------------------------------
 
     def _arm(self, delay: float, code: int, i: int) -> None:
-        if self._pooled:
-            sim = self._sim
-            boundary = sim.pooled_boundary(delay)
-            block = self._wheel.get(boundary)
-            if block is None:
-                self._wheel[boundary] = block = []
-                sim.schedule_pooled(
-                    delay, partial(self._expire_block, boundary)
-                )
-            block.append((code, i))
-        else:
-            self._sim.schedule(
-                delay, partial(self._expire_one, code, i)
-            )
+        sim = self._sim
+        boundary = sim.pooled_boundary(delay)
+        block = self._wheel.get(boundary)
+        if block is None:
+            self._wheel[boundary] = block = []
+            sim.schedule_pooled(delay, partial(self._expire_block, boundary))
+        block.append((code, i))
 
     def _expire_block(self, boundary: float) -> None:
         entries = self._wheel.pop(boundary)
@@ -364,10 +356,6 @@ class TaskPool:
             # them here replaces 10⁵ individual timer cancellations
             if state[i] == _ACTIVE:
                 expire(code, i)
-
-    def _expire_one(self, code: int, i: int) -> None:
-        if self.state[i] == _ACTIVE:
-            self._expire(code, i)
 
     def _expire(self, code: int, i: int) -> None:
         f = self.fid[i]

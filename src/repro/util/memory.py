@@ -1,10 +1,9 @@
 """Process memory readings behind the population day's ``bytes/task``.
 
 A population day's memory cost is what its task state adds on top of the
-warmed grid: ``(peak RSS - RSS before the day) / tasks``.  The example
-``examples/population_1m.py`` and ``repro population`` print it on their
-``wall`` line, next to the peak, for a day of at least
-:data:`MIN_TASKS_FOR_BYTES` tasks.
+warmed grid: ``(peak RSS - RSS before the day) / tasks``.
+``repro population`` prints it on its ``wall`` line, next to the peak,
+for a day of at least :data:`MIN_TASKS_FOR_BYTES` tasks.
 
 Both readings come from one kernel counter pair, ``VmRSS`` and ``VmHWM``
 of ``/proc/self/status``, so the peak is never below the current

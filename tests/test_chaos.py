@@ -391,8 +391,10 @@ class TestConservation:
         rows = chaos_matrix(
             base, sched, n_tasks=6, warm=1_800.0, horizon=4 * 3_600.0
         )
-        assert {r["corner"] for r in rows} == {"batched", "event"}
-        assert all(r["ok"] for r in rows)
+        assert [(corner, name) for corner, name, _ in rows] == [
+            ("batched", "dup"), ("event", "dup")
+        ]
+        assert all(res.ok for _, _, res in rows)
 
     def test_outage_killed_duplicate_winner_is_not_a_violation(self):
         """A lost-ack duplicate that wins its task and is then killed by

@@ -267,6 +267,40 @@ class TestChaos:
         assert code == 0
         assert "generated#1" in text and "generated#2" in text
 
+    def test_violations_name_their_campaign(self, monkeypatch):
+        """Both modes print one row and the violation lines per campaign;
+        the matrix names its corner in each violation."""
+        from repro.gridsim import chaos
+
+        def violated(config, **kw):
+            report = chaos.ConservationReport(
+                tasks=3, done_tasks=2, jobs=5, duplicates=1,
+                violations=("task 0: two winners",),
+            )
+            return chaos.ChaosResult(
+                finished=2, gave_up=1, mean_latency=1.0, report=report,
+                weather={},
+            )
+
+        monkeypatch.setattr(chaos, "run_chaos", violated)
+        code, text = run_cli("chaos", "--schedule", "dup-on-retry")
+        assert code == 1
+        assert text.startswith(
+            "violation [dup-on-retry]: task 0: two winners\n"
+        )
+        assert (
+            "batched | dup-on-retry |        2 |       1 |      5 |"
+            "             1 (0) | VIOLATED" in text
+        )
+        assert text.endswith("\n1 campaign(s) violated task conservation\n")
+        code, text = run_cli("chaos", "--matrix", "--schedule", "dup-on-retry")
+        assert code == 1
+        assert text.startswith(
+            "violation [batched/dup-on-retry]: task 0: two winners\n"
+            "violation [event/dup-on-retry]: task 0: two winners\n"
+        )
+        assert text.endswith("\n2 campaign(s) violated task conservation\n")
+
     def test_bad_arguments(self):
         code, text = run_cli("chaos", "--tasks", "0")
         assert code == 2 and "n_tasks" in text

@@ -154,6 +154,21 @@ class TestWeatherValidation:
         with pytest.raises(TypeError, match="resubmit"):
             config(resubmit=3)
 
+    @pytest.mark.parametrize(
+        "name,kind",
+        [
+            ("weather", "WeatherConfig"),
+            ("health", "HealthConfig"),
+            ("resubmit", "ResubmitConfig"),
+            ("submit_faults", "SubmitFaultConfig"),
+            ("retry", "RetryPolicy"),
+        ],
+    )
+    def test_optional_subsystem_type_message(self, name, kind):
+        with pytest.raises(TypeError) as info:
+            config(**{name: 3})
+        assert str(info.value) == f"{name} must be a {kind}, got int"
+
 
 class TestHealthMachine:
     """The operator loop on a live grid, driven by explicit observations."""
